@@ -38,6 +38,8 @@ pairs = simplex_pairs(3)
 i14, i23 = pairs.index((0, 3)), pairs.index((1, 2))
 gap = np.linalg.norm(os3.outers[i14] - os3.outers[i23])
 print(f"||Phi_14 - Phi_23||_F = {gap:.2e}  (the two projections coincide)")
+print(f"outer rank = {os3.rank} of {os3.m}: the simplex vectors sum to zero, so the"
+      f" pairs 12/34, 13/24 and 14/23 all coincide")
 cert = fk.dependence_certificate(os3)
 print(f"certificate support = {[i for i, a in enumerate(cert.coefficients) if abs(a) > 1e-8]}"
       f"  (indices of the coincident pair)")

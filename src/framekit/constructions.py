@@ -11,7 +11,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import matcore
 from .errors import BadParam
 from .frame import COMPLEX, REAL, Frame
 from .rng import Stream
@@ -60,19 +59,20 @@ def complex_eij_basis(n: int) -> Frame:
 def simplex(n: int) -> Frame:
     """The regular simplex: n + 1 unit vectors in R^n with <phi_i, phi_j> = -1/n.
 
-    Built by projecting the standard basis of R^{n+1} off the all-ones
-    direction and re-expressing the result in an orthonormal basis of the
-    n-dimensional range of that projection.
+    The projections P e_i of the standard basis of R^{n+1} off the
+    all-ones direction, normalized and written in the Helmert basis of
+    that complement: h_k = (1, ..., 1, -k, 0, ..., 0) / sqrt(k(k+1)) with
+    k leading ones, k = 1..n.  Since h_k is orthogonal to the ones vector,
+    <h_k, P e_i> = h_k[i], and ||P e_i|| = sqrt(n / (n+1)).
     """
     if n < 1:
         raise BadParam("n must be at least 1")
-    ones = np.full(n + 1, 1.0 / np.sqrt(n + 1.0))
-    p = np.eye(n + 1) - np.outer(ones, ones)
-    cols = p / np.linalg.norm(p, axis=0, keepdims=True)  # Pe_i / ||Pe_i||
-    sd = matcore.hermitian_eig(p)
-    basis = sd.eigenvectors[:, :n]  # eigenvalue-1 eigenvectors
-    vectors = (basis.T @ cols).T
-    return Frame(field=REAL, vectors=vectors)
+    helmert = np.zeros((n + 1, n))
+    for k in range(1, n + 1):
+        helmert[:k, k - 1] = 1.0
+        helmert[k, k - 1] = -float(k)
+        helmert[:, k - 1] /= np.sqrt(k * (k + 1.0))
+    return Frame(field=REAL, vectors=helmert * np.sqrt((n + 1.0) / n))
 
 
 def simplex_pairs(n: int) -> list:
@@ -83,9 +83,11 @@ def simplex_pairs(n: int) -> list:
 def biangular(n: int) -> Frame:
     """Normalized pairwise sums of simplex vectors, lexicographic (i, j) order.
 
-    Unit-norm tight for every n >= 2.  At n = 3 two of the induced outer
-    products coincide (the pairs (1,4) and (2,3) in 1-based labels), so
-    that case is dependent.
+    Unit-norm tight for every n >= 2.  At n = 3 the simplex vectors sum to
+    zero, so phi_i + phi_j = -(phi_k + phi_l) for complementary pairs and
+    three pairs of induced outer products coincide: (1,2)/(3,4), (1,3)/(2,4)
+    and (1,4)/(2,3) in 1-based labels.  That case is dependent, with outer
+    Gram rank 3 of 6.
     """
     if n < 2:
         raise BadParam("biangular frames need n >= 2")

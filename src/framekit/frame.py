@@ -48,6 +48,8 @@ class Frame:
             v = v.astype(np.float64)
         else:
             v = v.astype(np.complex128)
+        if not np.all(np.isfinite(v)):
+            raise BadParam("frame vectors have non-finite entries")
         v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
 

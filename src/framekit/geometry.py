@@ -28,7 +28,7 @@ from .errors import (
     TooMany,
 )
 from .frame import Frame, analysis, gram, spans
-from .outer import OuterSequence, induce
+from .outer import OuterSequence, independent_prefix, induce
 from .rng import Stream
 
 PSD_RELTOL = 1e-10
@@ -133,13 +133,15 @@ def admissible_coefficients(ext: PsdExtension, v, tol: float = DEFAULT_VERDICT_T
     return a
 
 
-def _elliptic_from_sequence(os_: OuterSequence, candidate: np.ndarray) -> tuple:
-    """(elliptic value, analysis image) for a unit candidate."""
-    tv = analysis(os_.source) @ candidate
+def _inverse_gram_form(os_: OuterSequence, tv: np.ndarray) -> float:
+    """w^T G^{-1} w with w = |tv|^2 entrywise and G the cached outer Gram.
+
+    The elliptic value and the quartic are this one quantity, and 1 minus
+    it is the Schur complement of G in the bordered Gram [[G, w], [w^T, 1]].
+    """
     w = np.abs(tv) ** 2
     y = os_.gram_spectrum.eigenvectors.T @ w
-    value = float(np.sum(y ** 2 / os_.gram_spectrum.eigenvalues))
-    return value, tv
+    return float(np.sum(y ** 2 / os_.gram_spectrum.eigenvalues))
 
 
 def _check_candidate(os_: OuterSequence, candidate) -> np.ndarray:
@@ -162,15 +164,7 @@ def elliptic_value(f: Frame, candidate) -> float:
     candidate's outer product is dependent on the existing ones."""
     os_ = induce(f)
     candidate = _check_candidate(os_, candidate)
-    value, _ = _elliptic_from_sequence(os_, candidate)
-    return value
-
-
-def _quartic_from_sequence(os_: OuterSequence, v: np.ndarray) -> float:
-    u = (v * v.conj()).real
-    spectrum = os_.gram_spectrum
-    y = spectrum.eigenvectors.T @ u
-    return abs(float(np.sum(y ** 2 / spectrum.eigenvalues)) - 1.0)
+    return _inverse_gram_form(os_, analysis(os_.source) @ candidate)
 
 
 def quartic_residual(f: Frame, v) -> float:
@@ -185,7 +179,7 @@ def quartic_residual(f: Frame, v) -> float:
     v = np.asarray(v).reshape(-1)
     if v.shape[0] != os_.m:
         raise ShapeMismatch(f"v has length {v.shape[0]}, expected M = {os_.m}")
-    return _quartic_from_sequence(os_, v)
+    return abs(_inverse_gram_form(os_, v) - 1.0)
 
 
 def ellipsoid_residual(f: Frame, v, tol: float = DEFAULT_VERDICT_TOL) -> float:
@@ -214,6 +208,7 @@ class ClassificationReport:
 
     verdict is "dependent" iff |elliptic_value - 1| <= tol; the verdict is
     always cross-checked against the rank of the extended outer Gram.
+    quartic_value is the same w^T G^{-1} w in the quartic's notation.
     permutation records the greedy independent-prefix reordering applied
     when the input frame itself had dependent outer products.
     """
@@ -226,22 +221,6 @@ class ClassificationReport:
     verdict: str
     tol: float
     permutation: tuple | None = None
-
-
-def independent_prefix(f: Frame) -> tuple:
-    """Greedy indices whose outer products are independent and span the rest.
-
-    Scans vectors in order and keeps those that strictly grow the rank of
-    the running outer Gram.
-    """
-    kept = []
-    rank = 0
-    for i in range(f.m):
-        os_try = induce(f.subframe(kept + [i]))
-        if os_try.rank == rank + 1:
-            kept.append(i)
-            rank += 1
-    return tuple(kept)
 
 
 def classify(f: Frame, candidate, tol: float = DEFAULT_VERDICT_TOL) -> ClassificationReport:
@@ -258,10 +237,8 @@ def classify(f: Frame, candidate, tol: float = DEFAULT_VERDICT_TOL) -> Classific
         f = f.subframe(permutation)
         os_ = induce(f)
     candidate = _check_candidate(os_, candidate)
-    value, tv = _elliptic_from_sequence(os_, candidate)
-    quartic = float(np.sum(
-        (os_.gram_spectrum.eigenvectors.T @ (tv * tv.conj()).real) ** 2
-        / os_.gram_spectrum.eigenvalues))
+    tv = analysis(f) @ candidate
+    value = _inverse_gram_form(os_, tv)
     verdict = "dependent" if abs(value - 1.0) <= tol else "independent"
 
     extended = Frame(field=f.field,
@@ -277,7 +254,7 @@ def classify(f: Frame, candidate, tol: float = DEFAULT_VERDICT_TOL) -> Classific
     else:
         ell = float("nan")
     return ClassificationReport(candidate=candidate, tv=tv, ellipsoid_residual=ell,
-                                quartic_value=quartic, elliptic_value=value,
+                                quartic_value=value, elliptic_value=value,
                                 verdict=verdict, tol=tol, permutation=permutation)
 
 
@@ -305,5 +282,5 @@ def mu2_subset_mu4_probe(f: Frame, samples: int, seed: int) -> float:
         else:
             psi = stream.complex_normals(f.n)
         psi = psi / np.linalg.norm(psi)
-        worst = max(worst, _quartic_from_sequence(pos, a @ psi))
+        worst = max(worst, abs(_inverse_gram_form(pos, a @ psi) - 1.0))
     return worst

@@ -3,12 +3,11 @@
 Everything downstream (frame bounds, outer-product Gram spectra, the
 dependence classifier) reduces to self-adjoint eigendecompositions and
 numerical rank, so both live here with explicit, reportable tolerances.
-The eigensolver is a cyclic Jacobi iteration: the matrices in this
-problem domain are tiny (a few hundred rows at most) and Jacobi is
-simple, accurate, and handles the Hermitian case with unitary rotations.
+Each spectral entry point is one LAPACK call through numpy (``eigh``,
+``eigvalsh``, ``svd``); this module adds only the self-adjointness test,
+descending order, canonical eigenvector phases and the rank threshold.
 """
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -17,10 +16,6 @@ import numpy as np
 from .errors import NotSelfAdjoint, ShapeMismatch
 
 _EPS = np.finfo(np.float64).eps
-
-#: off-diagonal Frobenius norm target, relative to the input norm
-JACOBI_RELTOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
 
 #: relative tolerance for the self-adjointness test
 SELF_ADJOINT_RELTOL = 1e-12
@@ -32,12 +27,10 @@ class SpectralData:
 
     eigenvalues : real, sorted descending
     eigenvectors : orthonormal columns, eigenvectors[:, i] pairs with eigenvalues[i]
-    tol_used : the off-diagonal norm target the iteration converged below
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    tol_used: float
 
 
 def as_matrix(a) -> np.ndarray:
@@ -57,133 +50,6 @@ def is_self_adjoint(a, reltol: float = SELF_ADJOINT_RELTOL) -> bool:
     return float(np.max(np.abs(a - a.conj().T), initial=0.0)) <= reltol * scale
 
 
-def _rotation(app, aqq, apq):
-    """Jacobi angle zeroing the (p, q) entry; returns (c, g) with c^2+|g|^2=1."""
-    r = abs(apq)
-    theta = (aqq - app) / (2.0 * r)
-    # small-magnitude root of t^2 - 2*theta*t - 1 = 0
-    if theta > 0.0:
-        t = -1.0 / (theta + math.hypot(theta, 1.0))
-    elif theta < 0.0:
-        t = 1.0 / (-theta + math.hypot(theta, 1.0))
-    else:
-        t = -1.0
-    c = 1.0 / math.hypot(t, 1.0)
-    return c, (t * c) * (apq / r).conjugate()
-
-
-def _jacobi_scalar(a_in: np.ndarray, want_vectors: bool, target: float):
-    """Sweep kernel on Python scalars; beats numpy slicing for small n."""
-    n = a_in.shape[0]
-    a = a_in.tolist()
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if want_vectors else None
-    skip = target / (10.0 * n)
-    rng_n = range(n)
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for i in range(n - 1):
-            row = a[i]
-            for j in range(i + 1, n):
-                off += abs(row[j]) ** 2
-        if (2.0 * off) ** 0.5 <= target:
-            break
-        for p in range(n - 1):
-            row_p = a[p]
-            for q in range(p + 1, n):
-                apq = row_p[q]
-                if abs(apq) <= skip:
-                    continue
-                row_q = a[q]
-                app = row_p[p]
-                aqq = row_q[q]
-                c, g = _rotation(
-                    app.real if type(app) is complex else app,
-                    aqq.real if type(aqq) is complex else aqq,
-                    apq,
-                )
-                gc = g.conjugate()
-                for k in rng_n:
-                    x = row_p[k]
-                    y = row_q[k]
-                    row_p[k] = c * x + gc * y
-                    row_q[k] = c * y - g * x
-                for k in rng_n:
-                    row = a[k]
-                    x = row[p]
-                    y = row[q]
-                    row[p] = c * x + g * y
-                    row[q] = c * y - gc * x
-                row_p[q] = 0.0
-                row_q[p] = 0.0
-                if want_vectors:
-                    for k in rng_n:
-                        row = v[k]
-                        x = row[p]
-                        y = row[q]
-                        row[p] = c * x + g * y
-                        row[q] = c * y - gc * x
-
-    w = np.array([a[i][i].real for i in rng_n])
-    return w, (np.array(v, dtype=a_in.dtype) if want_vectors else None)
-
-
-def _jacobi_numpy(a: np.ndarray, want_vectors: bool, target: float):
-    """Sweep kernel on numpy slices; wins once rows are long enough."""
-    n = a.shape[0]
-    v = np.eye(n, dtype=a.dtype) if want_vectors else None
-    skip = target / (10.0 * n)
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = complex(a[p, q]) if np.iscomplexobj(a) else float(a[p, q])
-                if abs(apq) <= skip:
-                    continue
-                c, g = _rotation(float(a[p, p].real), float(a[q, q].real), apq)
-                gc = np.conj(g)
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + gc * row_q
-                a[q, :] = c * row_q - g * row_p
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + g * col_q
-                a[:, q] = c * col_q - gc * col_p
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if want_vectors:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp + g * vq
-                    v[:, q] = c * vq - gc * vp
-
-    return np.diag(a).real.copy(), v
-
-
-_SCALAR_KERNEL_MAX = 40
-
-
-def _jacobi(a: np.ndarray, want_vectors: bool):
-    """Cyclic Jacobi sweeps on a self-adjoint matrix (copy of ``a``)."""
-    n = a.shape[0]
-    cplx = np.iscomplexobj(a)
-    a = a.astype(np.complex128 if cplx else np.float64)
-    a = (a + a.conj().T) / 2.0
-    target = JACOBI_RELTOL * np.linalg.norm(a)
-    if n == 1:
-        v = np.eye(1, dtype=a.dtype) if want_vectors else None
-        return np.array([a[0, 0].real]), v, target
-    if n <= _SCALAR_KERNEL_MAX:
-        w, v = _jacobi_scalar(a, want_vectors, target)
-    else:
-        w, v = _jacobi_numpy(a, want_vectors, target)
-    return w, v, target
-
-
 def _canonical_phases(v: np.ndarray) -> np.ndarray:
     """First entry of each column with modulus > 1e-10 made real positive."""
     v = v.copy()
@@ -198,6 +64,17 @@ def _canonical_phases(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _symmetrized(a) -> np.ndarray:
+    """Validated (a + a*)/2, so LAPACK's result does not depend on which
+    triangle it reads."""
+    a = as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise NotSelfAdjoint(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
+    if not is_self_adjoint(a):
+        raise NotSelfAdjoint("matrix is not self-adjoint within tolerance")
+    return (a + a.conj().T) / 2.0
+
+
 def hermitian_eig(a) -> SpectralData:
     """Full eigendecomposition of a self-adjoint matrix.
 
@@ -205,48 +82,27 @@ def hermitian_eig(a) -> SpectralData:
     1e-12 * ||a||_F.  Eigenvalues come back descending; each eigenvector
     has its first non-negligible entry made real and positive.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise NotSelfAdjoint(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    if not is_self_adjoint(a):
-        raise NotSelfAdjoint("matrix is not self-adjoint within tolerance")
-    w, v, target = _jacobi(a, want_vectors=True)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = _canonical_phases(v[:, order])
+    w, v = np.linalg.eigh(_symmetrized(a))
+    w = w[::-1].copy()
+    v = _canonical_phases(v[:, ::-1])
     w.flags.writeable = False
     v.flags.writeable = False
-    return SpectralData(eigenvalues=w, eigenvectors=v, tol_used=target)
+    return SpectralData(eigenvalues=w, eigenvectors=v)
 
 
 def hermitian_eigvalues(a) -> np.ndarray:
-    """Descending eigenvalues only (skips accumulating the rotations)."""
-    a = as_matrix(a)
-    if not is_self_adjoint(a):
-        raise NotSelfAdjoint("matrix is not self-adjoint within tolerance")
-    w, _, _ = _jacobi(a, want_vectors=False)
-    return np.sort(w)[::-1]
+    """Descending eigenvalues of a self-adjoint matrix (LAPACK ``eigvalsh``)."""
+    return np.linalg.eigvalsh(_symmetrized(a))[::-1]
 
 
 def singular_values(a) -> np.ndarray:
-    """Descending singular values via a self-adjoint eigenproblem.
+    """Descending singular values (LAPACK ``svd``, no vectors).
 
-    A self-adjoint input yields |eigenvalues| directly.  Anything else
-    goes through the embedding [[0, a], [a*, 0]], whose spectrum is
-    {+sigma_i, -sigma_i, 0...}: unlike the a*a route this loses no
-    precision, so true zeros land at eps * sigma_max rather than
-    sqrt(eps) * sigma_max and the default rank tolerance stays meaningful.
+    Bidiagonalization works on ``a`` itself rather than on a*a, so true
+    zeros land near eps * sigma_max instead of sqrt(eps) * sigma_max and
+    the default rank tolerance stays meaningful.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    if m == n and is_self_adjoint(a):
-        w, _, _ = _jacobi(a, want_vectors=False)
-        return np.sort(np.abs(w))[::-1]
-    h = np.zeros((m + n, m + n), dtype=a.dtype)
-    h[:m, m:] = a
-    h[m:, :m] = a.conj().T
-    w, _, _ = _jacobi(h, want_vectors=False)
-    return np.clip(np.sort(w)[::-1][: min(m, n)], 0.0, None)
+    return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
 def default_rank_tol(shape: tuple[int, int], sigma_max: float) -> float:

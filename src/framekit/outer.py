@@ -99,6 +99,22 @@ def outer_riesz_bounds(os_: OuterSequence) -> BoundsReport:
     return _bounds_report(w[-1], w[0], kind="riesz")
 
 
+def independent_prefix(f: Frame) -> tuple:
+    """Greedy indices whose outer products are independent and span the rest.
+
+    Scans vectors in order and keeps those that strictly grow the rank of
+    the running outer Gram.
+    """
+    kept = []
+    rank = 0
+    for i in range(f.m):
+        os_try = induce(f.subframe(kept + [i]))
+        if os_try.rank == rank + 1:
+            kept.append(i)
+            rank += 1
+    return tuple(kept)
+
+
 @dataclass(frozen=True)
 class DependenceCertificate:
     """A unit coefficient vector annihilating the outer products.
@@ -114,10 +130,21 @@ class DependenceCertificate:
 
 
 def dependence_certificate(os_: OuterSequence):
-    """Null coefficients of gram_op when dependent, else None."""
+    """Minimal-support null coefficients of the outer products, or None.
+
+    The first vector j outside the greedy independent prefix is expanded
+    over the kept vectors before it (a solve in their outer Gram); the
+    coefficients (c, -1 at j) then form the unique circuit inside
+    kept + {j}, whatever null-space basis an eigensolver would return.
+    """
     if os_.rank == os_.m:
         return None
-    a = os_.gram_spectrum.eigenvectors[:, -1].real.copy()
+    prefix = independent_prefix(os_.source)
+    j = next(i for i in range(os_.m) if i not in prefix)
+    kept = [i for i in prefix if i < j]
+    a = np.zeros(os_.m)
+    a[kept] = np.linalg.solve(os_.gram_op[np.ix_(kept, kept)], os_.gram_op[kept, j])
+    a[j] = -1.0
     a /= np.linalg.norm(a)
     resid_matrix = sum(a[i] * os_.outers[i] for i in range(os_.m))
     residual = float(np.linalg.norm(resid_matrix))

@@ -55,7 +55,7 @@ def rational_rank(rows) -> int:
     """Rank over the Gaussian rationals by exact elimination.
 
     ``rows`` holds (Fraction, Fraction) pairs for the real and imaginary
-    parts.  Entirely independent of the floating Jacobi path.
+    parts.  Entirely independent of the floating-point LAPACK path.
     """
     a = [list(r) for r in rows]
     m = len(a)

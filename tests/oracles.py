@@ -1,8 +1,8 @@
 """Independent oracles for the test suite.
 
-Nothing here touches the package's Jacobi/rank path: ranks come from
-exact rational elimination, eigenvalues from numpy's LAPACK bindings or
-closed forms, determinants from cofactor expansion.
+Nothing here goes through ``framekit.matcore``: ranks come from exact
+rational elimination, eigenvalues from numpy's LAPACK bindings called
+directly or from closed forms, determinants from cofactor expansion.
 """
 
 from fractions import Fraction
@@ -52,7 +52,7 @@ def rational_rank_exact(matrix) -> int:
 
 
 def eig_desc(a) -> np.ndarray:
-    """Descending eigenvalues through LAPACK, not the package's Jacobi."""
+    """Descending eigenvalues straight from LAPACK ``eigvalsh``."""
     return np.sort(np.linalg.eigvalsh(np.asarray(a)))[::-1]
 
 

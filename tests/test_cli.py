@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,19 @@ def test_analyze_parse_error_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "analyze", str(bad))
     assert exc.value.code == 2
+
+
+def test_analyze_nan_entry_exits_2_without_traceback(tmp_path):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"field": "real", "n": 2, "vectors": [[1.0, 0.0], [NaN, 1.0]]}')
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "framekit.cli", "analyze", str(bad)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "non-finite" in proc.stderr
 
 
 def test_classify_candidate(tmp_path, capsys):

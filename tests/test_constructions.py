@@ -55,6 +55,16 @@ def test_simplex():
         assert is_equiangular(f) == pytest.approx(1 / n ** 2, abs=1e-12)
 
 
+def test_simplex_closed_form():
+    s3, half = np.sqrt(3.0) / 2.0, 0.5
+    np.testing.assert_allclose(cons.simplex(2).vectors,
+                               [[s3, half], [-s3, half], [0.0, -1.0]], atol=1e-15)
+    for n in range(1, 7):
+        g = gram(cons.simplex(n))
+        np.testing.assert_allclose(np.diag(g), 1.0, atol=1e-14)
+        np.testing.assert_allclose(g[~np.eye(n + 1, dtype=bool)], -1 / n, atol=1e-14)
+
+
 def test_simplex_outer_spectrum_two_values():
     for n in (2, 3, 4):
         m = n + 1

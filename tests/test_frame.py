@@ -29,6 +29,14 @@ def test_frame_validation():
     assert f.vectors.dtype == np.float64
 
 
+def test_frame_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(BadParam):
+            fr.Frame(field="real", vectors=np.array([[1.0, bad]]))
+        with pytest.raises(BadParam):
+            fr.Frame(field="complex", vectors=np.array([[1.0, complex(0.0, bad)]]))
+
+
 def test_synthesis_columns():
     np.testing.assert_array_equal(fr.synthesis(cons.orthonormal(2)), np.eye(2))
     f = fr.Frame.from_vectors(np.array([[1.0, 0.0], [1.0, 0.0]]))

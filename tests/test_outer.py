@@ -135,6 +135,15 @@ class TestDependenceCertificate:
         assert support == (pairs.index((0, 3)), pairs.index((1, 2)))
         assert cert.residual <= 1e-8
 
+    def test_minimal_support_with_two_dimensional_null_space(self):
+        base = cons.random_unit(3, 4, 5).vectors
+        f = Frame.from_vectors(np.vstack([base, -base[0], -base[1]]))
+        os_ = outer.induce(f)
+        assert os_.m - os_.rank == 2
+        cert = outer.dependence_certificate(os_)
+        assert tuple(np.flatnonzero(np.abs(cert.coefficients) > 1e-8)) == (0, 4)
+        assert cert.residual <= 1e-12
+
     def test_split_frame_operators_agree(self):
         rng = np.random.default_rng(34)
         for trial in range(10):
