@@ -36,15 +36,19 @@ from .frame import (
     synthesis,
 )
 from .geometry import (
+    BatchClassification,
     ClassificationReport,
+    PreparedFrame,
     PsdExtension,
     admissible_coefficients,
     admissible_vector,
     classify,
+    classify_batch,
     elliptic_value,
     ellipsoid_residual,
     extension_rank_preserved,
     mu2_subset_mu4_probe,
+    prepare,
     psd_extension,
     quartic_residual,
 )

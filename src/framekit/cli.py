@@ -14,11 +14,12 @@ default rank tolerance.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from . import __version__, constructions as cons, geometry, outer, serialization
+from . import __version__, constructions as cons, geometry, matcore, outer, serialization
 from . import perturb, verify as verify_mod
 from .errors import BadParam, FramekitError, NotIndependent
 from .frame import frame_bounds, frame_potential, is_equiangular, riesz_bounds, spans
@@ -140,70 +141,95 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_candidate(text: str, n: int, field: str) -> np.ndarray:
-    raw = json.loads(text)
+    """The --candidate vector; BadParam for anything but a list of n finite
+    numbers (pairs [re, im] allowed over the complex field)."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadParam(f"--candidate is not valid JSON ({exc})") from None
+    if not isinstance(raw, list):
+        raise BadParam("--candidate must be a JSON list")
     if len(raw) != n:
         raise BadParam(f"candidate has length {len(raw)}, frame dimension is {n}")
-    if field == "complex":
-        vec = np.array([complex(x[0], x[1]) if isinstance(x, list) else complex(x)
-                        for x in raw])
-    else:
-        vec = np.array([float(x) for x in raw])
-    return vec
+    entries = []
+    for x in raw:
+        if (field == "complex" and isinstance(x, list) and len(x) == 2
+                and all(map(_is_number, x))):
+            entries.append(x)
+        elif _is_number(x):
+            entries.append([x, 0] if field == "complex" else x)
+        else:
+            raise BadParam(f"--candidate entry {json.dumps(x)} is not a number")
+    try:
+        vec = np.array(entries, dtype=float)
+    except OverflowError:
+        raise BadParam("--candidate has an entry too large for a float") from None
+    if not np.all(np.isfinite(vec)):
+        raise BadParam("--candidate has non-finite entries")
+    return vec[:, 0] + 1j * vec[:, 1] if field == "complex" else vec
+
+
+def _grid_candidates(stream: Stream, k: int, n: int, field: str) -> np.ndarray:
+    """k unit candidates from one normals draw each, in order, so sample i is
+    the same whatever the grid size."""
+    rows = []
+    for _ in range(k):
+        cand = stream.complex_normals(n) if field == "complex" else stream.normals(n)
+        rows.append(cand / np.linalg.norm(cand))
+    return np.array(rows)
 
 
 def cmd_classify(args) -> int:
     f = _load_frame(args.frame)
     inputs = {"frame": args.frame}
     tolerances = {"verdict": args.tol}
-    try:
-        if args.grid:
-            stream = Stream(args.seed)
-            dependent = 0
-            rows = []
-            for k in range(args.grid):
-                if f.field == "complex":
-                    cand = stream.complex_normals(f.n)
-                else:
-                    cand = stream.normals(f.n)
-                cand = cand / np.linalg.norm(cand)
-                rep = geometry.classify(f, cand, tol=args.tol)
-                if rep.verdict == "dependent":
-                    dependent += 1
-                    rows.append({"sample": k, "elliptic_value": rep.elliptic_value})
-            results = {"samples": args.grid, "dependent": dependent,
-                       "dependent_fraction": dependent / args.grid,
-                       "dependent_samples": rows}
-            inputs["seed"] = args.seed
-            _emit(_report("classify", inputs, results, tolerances), args.output)
-            return EXIT_OK
-        if not args.candidate:
-            print("framekit classify: need --candidate or --grid", file=sys.stderr)
-            return EXIT_USAGE
-        cand = _parse_candidate(args.candidate, f.n, f.field)
-        rep = geometry.classify(f, cand, tol=args.tol)
-        results = {
-            "verdict": rep.verdict,
-            "elliptic_value": rep.elliptic_value,
-            "quartic_value": rep.quartic_value,
-            "ellipsoid_residual": rep.ellipsoid_residual,
-            "analysis_image": [[z.real, z.imag] for z in rep.tv.astype(complex)],
-        }
-        _emit(_report("classify", inputs, results, tolerances,
-                      permutation=rep.permutation), args.output)
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        print(f"framekit classify: --tol must be finite and positive, got {args.tol}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    if args.grid is not None and args.grid < 1:
+        print(f"framekit classify: --grid must be at least 1, got {args.grid}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.grid is not None:
+        cands = _grid_candidates(Stream(args.seed), args.grid, f.n, f.field)
+        batch = geometry.classify_batch(geometry.prepare(f), cands, tol=args.tol)
+        rows = [{"sample": int(k), "elliptic_value": float(batch.elliptic_value[k])}
+                for k in np.flatnonzero(batch.dependent)]
+        results = {"samples": args.grid, "dependent": len(rows),
+                   "dependent_fraction": len(rows) / args.grid,
+                   "dependent_samples": rows}
+        inputs["seed"] = args.seed
+        _emit(_report("classify", inputs, results, tolerances), args.output)
         return EXIT_OK
-    except FramekitError as exc:
-        print(f"framekit classify: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    if args.candidate is None:
+        print("framekit classify: need --candidate or --grid", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        cand = _parse_candidate(args.candidate, f.n, f.field)
+    except BadParam as exc:
+        print(f"framekit classify: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    rep = geometry.classify(f, cand, tol=args.tol)
+    results = {
+        "verdict": rep.verdict,
+        "elliptic_value": rep.elliptic_value,
+        "quartic_value": rep.quartic_value,
+        "ellipsoid_residual": rep.ellipsoid_residual,
+        "analysis_image": [[z.real, z.imag] for z in rep.tv.astype(complex)],
+    }
+    _emit(_report("classify", inputs, results, tolerances,
+                  permutation=rep.permutation), args.output)
+    return EXIT_OK
 
 
 def cmd_nudge(args) -> int:
     f = _load_frame(args.frame)
-    try:
-        g = perturb.nudge_to_independence(f, args.eps)
-    except FramekitError as exc:
-        print(f"framekit nudge: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    g = perturb.nudge_to_independence(f, args.eps)
     movement = float(sum(np.linalg.norm(g.vectors[i] - f.vectors[i]) for i in range(f.m)))
     os_ = outer.induce(g)
     report = _report("nudge", {"frame": args.frame, "eps": args.eps},
@@ -299,9 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        matcore.env_rank_tol()
+    except BadParam as exc:
+        print(f"framekit: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
+    except FramekitError as exc:
+        print(f"framekit {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

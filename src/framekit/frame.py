@@ -8,6 +8,7 @@ computations have distinct failure modes (a non-spanning input is not a
 frame, a dependent input is not a Riesz sequence).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,15 @@ class Frame:
             v = v.astype(np.float64)
         else:
             v = v.astype(np.complex128)
-        if not np.all(np.isfinite(v)):
+        # sum of squared norms; inf or NaN when an entry is non-finite or it overflows
+        total = float(np.vdot(v, v).real)
+        if not math.isfinite(total) and not np.all(np.isfinite(v)):
             raise BadParam("frame vectors have non-finite entries")
+        # the outer-product Gram's Frobenius norm is at most sum_i |phi_i|^4,
+        # so at most total^2 (Cauchy-Schwarz); it bounds every eigenvalue, and
+        # the self-adjointness test squares it
+        if not math.isfinite((total * total) * (total * total)):
+            raise BadParam("frame vectors are too large: the outer-product Gram's norm overflows")
         v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
 

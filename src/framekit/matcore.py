@@ -8,12 +8,13 @@ Each spectral entry point is one LAPACK call through numpy (``eigh``,
 descending order, canonical eigenvector phases and the rank threshold.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSelfAdjoint, ShapeMismatch
+from .errors import BadParam, NotSelfAdjoint, ShapeMismatch
 
 _EPS = np.finfo(np.float64).eps
 
@@ -33,21 +34,35 @@ class SpectralData:
     eigenvectors: np.ndarray
 
 
-def as_matrix(a) -> np.ndarray:
+def as_stack(a) -> np.ndarray:
+    """A matrix or a stack of matrices, shape (..., rows, cols)."""
     a = np.asarray(a)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-d array, got shape {a.shape}")
+    if a.ndim < 2:
+        raise ShapeMismatch(f"expected a matrix or a stack of matrices, got shape {a.shape}")
     if a.dtype == complex or np.iscomplexobj(a):
         return a.astype(np.complex128, copy=False)
     return a.astype(np.float64, copy=False)
 
 
+def as_matrix(a) -> np.ndarray:
+    a = as_stack(a)
+    if a.ndim != 2:
+        raise ShapeMismatch(f"expected a 2-d array, got shape {a.shape}")
+    return a
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
 def is_self_adjoint(a, reltol: float = SELF_ADJOINT_RELTOL) -> bool:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
+    """Whether every matrix of a matrix or stack passes the self-adjointness test."""
+    a = as_stack(a)
+    if a.shape[-2] != a.shape[-1]:
         return False
-    scale = np.linalg.norm(a)
-    return float(np.max(np.abs(a - a.conj().T), initial=0.0)) <= reltol * scale
+    scale = np.linalg.norm(a, axis=(-2, -1))
+    skew = np.abs(a - _adjoint(a)).max(axis=(-2, -1), initial=0.0)
+    return bool(np.all(skew <= reltol * scale))
 
 
 def _canonical_phases(v: np.ndarray) -> np.ndarray:
@@ -65,14 +80,14 @@ def _canonical_phases(v: np.ndarray) -> np.ndarray:
 
 
 def _symmetrized(a) -> np.ndarray:
-    """Validated (a + a*)/2, so LAPACK's result does not depend on which
-    triangle it reads."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise NotSelfAdjoint(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
+    """Validated (a + a*)/2 of a matrix or stack, so LAPACK's result does not
+    depend on which triangle it reads."""
+    a = as_stack(a)
+    if a.shape[-2] != a.shape[-1]:
+        raise NotSelfAdjoint(f"matrix is {a.shape[-2]}x{a.shape[-1]}, not square")
     if not is_self_adjoint(a):
         raise NotSelfAdjoint("matrix is not self-adjoint within tolerance")
-    return (a + a.conj().T) / 2.0
+    return (a + _adjoint(a)) / 2.0
 
 
 def hermitian_eig(a) -> SpectralData:
@@ -82,7 +97,7 @@ def hermitian_eig(a) -> SpectralData:
     1e-12 * ||a||_F.  Eigenvalues come back descending; each eigenvector
     has its first non-negligible entry made real and positive.
     """
-    w, v = np.linalg.eigh(_symmetrized(a))
+    w, v = np.linalg.eigh(_symmetrized(as_matrix(a)))
     w = w[::-1].copy()
     v = _canonical_phases(v[:, ::-1])
     w.flags.writeable = False
@@ -91,8 +106,12 @@ def hermitian_eig(a) -> SpectralData:
 
 
 def hermitian_eigvalues(a) -> np.ndarray:
-    """Descending eigenvalues of a self-adjoint matrix (LAPACK ``eigvalsh``)."""
-    return np.linalg.eigvalsh(_symmetrized(a))[::-1]
+    """Descending eigenvalues of a self-adjoint matrix (LAPACK ``eigvalsh``).
+
+    A (K, n, n) stack gives a (K, n) array from one call; each matrix gets
+    the same self-adjointness test as a single one.
+    """
+    return np.linalg.eigvalsh(_symmetrized(a))[..., ::-1]
 
 
 def singular_values(a) -> np.ndarray:
@@ -110,14 +129,39 @@ def default_rank_tol(shape: tuple[int, int], sigma_max: float) -> float:
     return max(shape) * _EPS * sigma_max
 
 
-def rank_from_singular_values(sigma: np.ndarray, shape, tol=None) -> int:
+def env_rank_tol():
+    """The FRAMEKIT_TOL override as a float, or None when it is unset.
+
+    Raises BadParam unless the value parses as a finite number >= 0; this
+    is the only place the variable is read.
+    """
+    env = os.environ.get("FRAMEKIT_TOL")
+    if env is None:
+        return None
+    try:
+        tol = float(env)
+    except ValueError:
+        raise BadParam(f"FRAMEKIT_TOL={env!r} is not a number") from None
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise BadParam(f"FRAMEKIT_TOL={env!r} must be finite and >= 0")
+    return tol
+
+
+def rank_from_singular_values(sigma, shape, tol=None):
+    """Count of singular values above ``tol``, along the last axis.
+
+    ``sigma`` is descending, or a stack of descending rows that each come
+    from a matrix of ``shape``; a stack gives an integer array of ranks,
+    each row judged against its own default tolerance.
+    """
+    sigma = np.asarray(sigma)
     if tol is None:
-        env = os.environ.get("FRAMEKIT_TOL")
-        if env is not None:
-            tol = float(env)
+        tol = env_rank_tol()
     if tol is None:
-        tol = default_rank_tol(shape, float(sigma[0]) if len(sigma) else 0.0)
-    return int(np.count_nonzero(sigma > tol))
+        tol = default_rank_tol(shape, sigma[..., 0] if sigma.shape[-1] else 0.0)
+    if sigma.ndim == 1:
+        return int(np.count_nonzero(sigma > tol))
+    return (sigma > np.asarray(tol)[..., None]).sum(axis=-1)
 
 
 def numerical_rank(a, tol=None) -> int:

@@ -1,8 +1,8 @@
 """Independent oracles for the test suite.
 
 Nothing here goes through ``framekit.matcore``: ranks come from exact
-rational elimination, eigenvalues from numpy's LAPACK bindings called
-directly or from closed forms, determinants from cofactor expansion.
+rational elimination, eigenvalues and solves from numpy's LAPACK bindings
+called directly or from closed forms, determinants from cofactor expansion.
 """
 
 from fractions import Fraction
@@ -54,6 +54,15 @@ def rational_rank_exact(matrix) -> int:
 def eig_desc(a) -> np.ndarray:
     """Descending eigenvalues straight from LAPACK ``eigvalsh``."""
     return np.sort(np.linalg.eigvalsh(np.asarray(a)))[::-1]
+
+
+def elliptic_values_solve(vectors, candidates) -> np.ndarray:
+    """w^T G^{-1} w per candidate row, w_i = |<c, phi_i>|^2, through a
+    LAPACK ``solve`` in the outer Gram G = |<phi_i, phi_j>|^2."""
+    vectors = np.asarray(vectors)
+    w = np.abs(np.asarray(candidates) @ vectors.conj().T) ** 2
+    g = np.abs(vectors.conj() @ vectors.T) ** 2
+    return np.einsum("km,km->k", w, np.linalg.solve(g, w.T).T)
 
 
 def eigvals_2x2_symmetric(a, b, c):

@@ -7,8 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framekit import cli, serialization as ser
+from framekit import cli, constructions as cons, serialization as ser
 from framekit.frame import Frame
+from framekit.rng import Stream
+
+from oracles import elliptic_values_solve
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +151,86 @@ def test_classify_too_many_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", str(frame_file),
                            "--candidate", "[1, 0]")
     assert code == 3 and "TooMany" in err
+
+
+def test_classify_near_dependent_candidate_exits_0(tmp_path, capsys):
+    # 1 - elliptic value = 2e-10: dependent at the verdict tolerance, while
+    # the bordered rank still grows; this used to exit 3
+    frame_file = tmp_path / "o3.json"
+    run_cli(capsys, "construct", "orthonormal", "--n", "3", "-o", str(frame_file))
+    cand = json.dumps([np.cos(1e-5), np.sin(1e-5), 0.0])
+    code, out, _ = run_cli(capsys, "classify", str(frame_file), "--candidate", cand)
+    assert code == 0
+    assert json.loads(out)["results"]["verdict"] == "dependent"
+
+
+def test_classify_grid_matches_lapack_solve(tmp_path, capsys):
+    # complex N = 2, M = 3: 1 - elliptic value is a squared distance, so about
+    # one candidate in 10^4 falls inside the verdict tolerance; seeds 7 and 0
+    # give two of them in 2000 samples
+    f = cons.random_unit(2, 3, 7, field="complex")
+    frame_file = tmp_path / "c.json"
+    with open(frame_file, "w") as fp:
+        ser.write_frame(f, fp)
+    code, out, _ = run_cli(capsys, "classify", str(frame_file), "--grid", "2000", "--seed", "0")
+    assert code == 0
+    res = json.loads(out)["results"]
+    stream = Stream(0)
+    cands = [stream.complex_normals(2) for _ in range(2000)]
+    values = elliptic_values_solve(f.vectors, [c / np.linalg.norm(c) for c in cands])
+    expected = np.flatnonzero(np.abs(values - 1.0) <= 1e-8)
+    assert len(expected) == 2
+    assert [row["sample"] for row in res["dependent_samples"]] == list(expected)
+    assert res["dependent"] == 2 and res["dependent_fraction"] == 2 / 2000
+    np.testing.assert_allclose([row["elliptic_value"] for row in res["dependent_samples"]],
+                               values[expected], rtol=1e-12)
+
+
+@pytest.mark.parametrize("candidate", [
+    "[0.6,", "not json", '{"x": 1}', "0.6", '["a", 0, 0]', "[true, 0, 0]",
+    "[[1, 0], 0, 0]", "[NaN, 0, 0]", "[1e999, 0, 0]", "[1, 0]", "[" + "9" * 400 + ", 0, 0]",
+])
+def test_classify_malformed_candidate_exits_2(tmp_path, capsys, candidate):
+    frame_file = tmp_path / "o3.json"
+    run_cli(capsys, "construct", "orthonormal", "--n", "3", "-o", str(frame_file))
+    code, out, err = run_cli(capsys, "classify", str(frame_file), "--candidate", candidate)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--grid", "-3"], ["--grid", "0"], ["--grid", "5", "--tol", "-1"],
+    ["--grid", "5", "--tol", "0"], ["--grid", "5", "--tol", "nan"],
+    ["--candidate", "[1, 0, 0]", "--tol", "inf"],
+])
+def test_classify_out_of_range_flags_exit_2(tmp_path, capsys, flags):
+    frame_file = tmp_path / "o3.json"
+    run_cli(capsys, "construct", "orthonormal", "--n", "3", "-o", str(frame_file))
+    code, out, err = run_cli(capsys, "classify", str(frame_file), *flags)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "simplex", "--n", "2"], ["analyze", "F"], ["classify", "F", "--grid", "3"],
+    ["nudge", "F", "--eps", "0.1"], ["verify", "--only", "pc2-identity"],
+])
+def test_bad_env_rank_tolerance_exits_2_for_every_command(tmp_path, capsys, monkeypatch, argv):
+    frame_file = tmp_path / "o2.json"
+    run_cli(capsys, "construct", "orthonormal", "--n", "2", "-o", str(frame_file))
+    monkeypatch.setenv("FRAMEKIT_TOL", "abc")
+    code, out, err = run_cli(capsys, *[str(frame_file) if a == "F" else a for a in argv])
+    assert code == 2 and out == ""
+    assert "FRAMEKIT_TOL" in err and len(err.strip().splitlines()) == 1
+
+
+def test_analyze_overflowing_gram_exits_2(tmp_path, capsys):
+    bad = tmp_path / "huge.json"
+    bad.write_text('{"field": "real", "n": 2, "vectors": [[1e308, 1e308], [0.0, 1.0]]}')
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "analyze", str(bad))
+    assert exc.value.code == 2
+    assert "too large" in capsys.readouterr().err
 
 
 def test_nudge(tmp_path, capsys):

@@ -37,6 +37,28 @@ def test_frame_rejects_non_finite_entries():
             fr.Frame(field="complex", vectors=np.array([[1.0, complex(0.0, bad)]]))
 
 
+def test_frame_rejects_vectors_whose_outer_gram_overflows():
+    for big in (1e308, 1e100):  # squared norms overflow; their squares overflow
+        with pytest.raises(BadParam):
+            fr.Frame(field="real", vectors=np.array([[big, big], [0.0, 1.0]]))
+        with pytest.raises(BadParam):
+            fr.Frame(field="complex", vectors=np.array([[complex(big, big), 0.0]]))
+    assert fr.Frame(field="real", vectors=np.array([[1e30, 0.0]])).m == 1
+    # (sum_i |phi_i|^2)^2 bounds the outer Gram's Frobenius norm; its square must be finite
+    edge = np.finfo(np.float64).max ** 0.25
+    for m in (1, 3, 7):
+        for scale, ok in ((0.9999, True), (1.0001, False)):
+            norm = np.sqrt(scale * edge / m)
+            vectors = np.zeros((m, 3))
+            vectors[np.arange(m), np.arange(m) % 3] = norm
+            vectors[0] = [norm / np.sqrt(2), norm / np.sqrt(2), 0.0]
+            if ok:
+                assert fr.Frame(field="real", vectors=vectors).m == m
+            else:
+                with pytest.raises(BadParam):
+                    fr.Frame(field="real", vectors=vectors)
+
+
 def test_synthesis_columns():
     np.testing.assert_array_equal(fr.synthesis(cons.orthonormal(2)), np.eye(2))
     f = fr.Frame.from_vectors(np.array([[1.0, 0.0], [1.0, 0.0]]))

@@ -6,15 +6,18 @@ from framekit import geometry, matcore, outer
 from framekit.frame import Frame, analysis
 from framekit.errors import (
     BadCoefficients,
+    BadParam,
+    InternalInconsistency,
     NotAFrame,
     NotIndependent,
     NotPsd,
     NotUnitNorm,
     RankDeficient,
+    ShapeMismatch,
     TooMany,
 )
 
-from oracles import random_unit_vec, rational_rank_exact
+from oracles import elliptic_values_solve, random_unit_vec, rational_rank_exact
 
 
 def random_psd(rng, n, rank, cplx):
@@ -226,6 +229,114 @@ class TestClassify:
             geometry.classify(f, cand)  # raises InternalInconsistency on disagreement
             count += 1
         assert count > 100
+
+
+    def test_near_dependent_candidate_is_dependent(self):
+        # 1 - elliptic = 2 sin(1e-5)^2 cos(1e-5)^2 = 2e-10: inside the verdict
+        # tolerance, although the bordered rank grows (its smallest eigenvalue
+        # is far above (M+1) eps lambda_max)
+        f = cons.orthonormal(3)
+        rep = geometry.classify(f, [np.cos(1e-5), np.sin(1e-5), 0.0])
+        assert rep.verdict == "dependent"
+        assert 1.0 - rep.elliptic_value == pytest.approx(2e-10, rel=1e-6)
+
+    @pytest.mark.parametrize("shift", [1e-6, -1e-6])
+    @pytest.mark.parametrize("candidate", [[0.0, 1.0, 0.0], [0.6, 0.8, 0.0]])
+    def test_cross_check_catches_a_shifted_elliptic_value(self, monkeypatch, shift,
+                                                         candidate):
+        f = cons.orthonormal(3)
+        geometry.classify(f, candidate)
+        exact = geometry._inverse_gram_form
+        monkeypatch.setattr(geometry, "_inverse_gram_form",
+                            lambda os_, tv: exact(os_, tv) + shift)
+        with pytest.raises(InternalInconsistency):
+            geometry.classify(f, candidate)
+
+
+def _unit_rows(rng, k, n, cplx):
+    return np.array([random_unit_vec(rng, n, cplx) for _ in range(k)])
+
+
+class TestClassifyBatch:
+    def assert_matches_one_row_calls(self, f, candidates):
+        batch = geometry.classify_batch(geometry.prepare(f), candidates)
+        for k, cand in enumerate(candidates):
+            one = geometry.classify(f, cand)
+            rep = batch.report(k)
+            assert rep.verdict == one.verdict
+            assert rep.permutation == one.permutation
+            # one matmul for the batch against one per row: the sums may
+            # round differently, by a few ulps of the inputs
+            np.testing.assert_allclose(rep.tv, one.tv, rtol=0, atol=1e-14)
+            for name in ("elliptic_value", "quartic_value", "ellipsoid_residual"):
+                np.testing.assert_allclose(getattr(rep, name), getattr(one, name),
+                                           rtol=1e-12, atol=1e-14)
+        return batch
+
+    def test_real_and_complex_frames(self):
+        rng = np.random.default_rng(57)
+        for n, m, field in ((3, 4, "real"), (3, 2, "real"), (2, 3, "complex"), (3, 7, "complex")):
+            f = cons.random_unit(n, m, 5700 + m, field=field)
+            cands = _unit_rows(rng, 40, n, field == "complex")
+            cands[::7] = f.vectors[0]  # exact dependent extensions among them
+            batch = self.assert_matches_one_row_calls(f, cands)
+            assert batch.dependent[::7].all()
+            assert np.isnan(batch.ellipsoid_residual).all() == (m < n)
+
+    def test_dependent_input_frame_is_reordered_once(self):
+        f = Frame.from_vectors(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        prep = geometry.prepare(f)
+        assert prep.permutation == (0, 2)
+        cands = _unit_rows(np.random.default_rng(58), 25, 2, False)
+        batch = self.assert_matches_one_row_calls(f, cands)
+        assert batch.permutation == (0, 2)
+
+    def test_under_env_rank_tolerance(self, monkeypatch):
+        # a near-duplicate pair: three independent outers at the default
+        # tolerance (so M + 1 exceeds dimension 3), a dependent pair at 1e-8,
+        # whose outer Gram has eigenvalues 2 and 1e-10
+        v = np.array([[1.0, 0.0], [1.0, 1e-5], [0.0, 1.0]])
+        f = Frame.from_vectors(v / np.linalg.norm(v, axis=1, keepdims=True))
+        cands = _unit_rows(np.random.default_rng(59), 25, 2, False)
+        with pytest.raises(TooMany):
+            geometry.classify_batch(geometry.prepare(f), cands)
+        monkeypatch.setenv("FRAMEKIT_TOL", "1e-8")
+        batch = self.assert_matches_one_row_calls(f, cands)
+        assert batch.permutation == (0, 2)
+
+    def test_slicing_the_stack_changes_nothing(self, monkeypatch):
+        f = cons.random_unit(2, 3, 61, field="complex")
+        cands = _unit_rows(np.random.default_rng(61), 30, 2, True)
+        whole = geometry.classify_batch(geometry.prepare(f), cands)
+        monkeypatch.setattr(geometry, "STACK_ENTRIES", 7 * 16)  # slices of 7 bordered Grams
+        sliced = geometry.classify_batch(geometry.prepare(f), cands)
+        np.testing.assert_array_equal(sliced.elliptic_value, whole.elliptic_value)
+        np.testing.assert_array_equal(sliced.dependent, whole.dependent)
+        exact = geometry._inverse_gram_form
+        monkeypatch.setattr(geometry, "_inverse_gram_form",
+                            lambda os_, tv: exact(os_, tv) + np.where(np.arange(30) == 23, 1e-6, 0.0))
+        with pytest.raises(InternalInconsistency, match="candidate 23"):
+            geometry.classify_batch(geometry.prepare(f), cands)
+
+    def test_values_match_lapack_solve(self):
+        f = cons.random_unit(3, 5, 60, field="complex")
+        cands = _unit_rows(np.random.default_rng(60), 200, 3, True)
+        batch = geometry.classify_batch(geometry.prepare(f), cands)
+        np.testing.assert_allclose(batch.elliptic_value,
+                                   elliptic_values_solve(f.vectors, cands), rtol=1e-12)
+
+    def test_batch_validation(self):
+        prep = geometry.prepare(cons.orthonormal(3))
+        cands = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        with pytest.raises(NotUnitNorm):
+            geometry.classify_batch(prep, cands)
+        with pytest.raises(NotUnitNorm):
+            geometry.classify_batch(prep, [[np.nan, 0.0, 0.0]])
+        with pytest.raises(ShapeMismatch):
+            geometry.classify_batch(prep, [1.0, 0.0, 0.0])
+        with pytest.raises(BadParam):
+            geometry.classify_batch(prep, [[1j, 0.0, 0.0]])
+        assert len(geometry.classify_batch(prep, np.zeros((0, 3))).dependent) == 0
 
 
 class TestProbe:

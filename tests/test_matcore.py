@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framekit import matcore
-from framekit.errors import NotSelfAdjoint, ShapeMismatch
+from framekit.errors import BadParam, NotSelfAdjoint, ShapeMismatch
 
 from oracles import (
     det_cofactor,
@@ -59,6 +59,20 @@ class TestHermitianEig:
         with pytest.raises(NotSelfAdjoint):
             matcore.hermitian_eig(np.ones((2, 3)))
 
+    def test_stacked_eigenvalues_match_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(13)
+        for cplx in (False, True):
+            stack = np.array([random_self_adjoint(rng, 5, cplx) for _ in range(7)])
+            got = matcore.hermitian_eigvalues(stack)
+            assert got.shape == (7, 5)
+            for a, w in zip(stack, got):
+                np.testing.assert_allclose(w, eig_desc(a), atol=1e-12)
+
+    def test_stack_with_one_non_self_adjoint_matrix_rejected(self):
+        stack = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
+        with pytest.raises(NotSelfAdjoint):
+            matcore.hermitian_eigvalues(stack)
+
 
 class TestNumericalRank:
     def test_identity_and_zero(self):
@@ -99,6 +113,28 @@ class TestNumericalRank:
         a = np.diag([1.0, 1e-6])
         monkeypatch.setenv("FRAMEKIT_TOL", "1e-3")
         assert matcore.numerical_rank(a) == 1
+
+    @pytest.mark.parametrize("value", ["abc", "", "nan", "inf", "-1e-3", "1e400"])
+    def test_env_override_must_be_finite_and_non_negative(self, monkeypatch, value):
+        monkeypatch.setenv("FRAMEKIT_TOL", value)
+        with pytest.raises(BadParam):
+            matcore.numerical_rank(np.eye(2))
+
+    def test_stacked_ranks_match_one_matrix_at_a_time(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        stack = rng.standard_normal((6, 4, 4))
+        stack[::2, 3] = stack[::2, 0]  # every other matrix rank-deficient
+        stack[1] *= 1e-9  # its own default tolerance, not the stack's
+        sigma = np.linalg.svd(stack, compute_uv=False)
+        singles = [matcore.numerical_rank(a) for a in stack]
+        np.testing.assert_array_equal(
+            matcore.rank_from_singular_values(sigma, (4, 4)), singles)
+        assert singles == [3, 4, 3, 4, 3, 4]
+        monkeypatch.setenv("FRAMEKIT_TOL", "1e-3")
+        np.testing.assert_array_equal(
+            matcore.rank_from_singular_values(sigma, (4, 4)),
+            [matcore.numerical_rank(a) for a in stack])
+        assert matcore.rank_from_singular_values(sigma, (4, 4))[1] == 0
 
 
 class TestHadamard:
