@@ -23,7 +23,7 @@ from . import __version__, constructions as cons, geometry, matcore, outer, seri
 from . import perturb, verify as verify_mod
 from .errors import BadParam, FramekitError, NotIndependent
 from .frame import frame_bounds, frame_potential, is_equiangular, riesz_bounds, spans
-from .rng import Stream
+from .rng import Stream, box_muller
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -175,13 +175,17 @@ def _parse_candidate(text: str, n: int, field: str) -> np.ndarray:
 
 
 def _grid_candidates(stream: Stream, k: int, n: int, field: str) -> np.ndarray:
-    """k unit candidates from one normals draw each, in order, so sample i is
+    """k unit candidates from one raw draw laid out as (k, 2 * pairs): row i
+    holds the words, radii first and angles second, that the i-th of k
+    ``normals`` (or ``complex_normals``) calls would draw, so sample i is
     the same whatever the grid size."""
-    rows = []
-    for _ in range(k):
-        cand = stream.complex_normals(n) if field == "complex" else stream.normals(n)
-        rows.append(cand / np.linalg.norm(cand))
-    return np.array(rows)
+    count = 2 * n if field == "complex" else n
+    words = 2 * ((count + 1) // 2)
+    z = box_muller(stream.raw(k * words).reshape(k, words), count)
+    if field == "complex":
+        z = z[:, :n] + 1j * z[:, n:]
+    # one norm per row: norm(axis=1) can differ from it in the last bit
+    return z / np.array([np.linalg.norm(row) for row in z])[:, None]
 
 
 def cmd_classify(args) -> int:

@@ -11,9 +11,10 @@ Value 1 means the extended sequence is dependent.
 
 Classification runs in two steps.  ``prepare`` builds, once per frame,
 everything that does not depend on the candidate: the greedy-prefix
-reorder when the outers are dependent, the outer Gram G and its spectrum,
-the analysis matrix, the spans flag and, for a spanning frame, the
-vector-Gram eigendecomposition behind the ellipsoid residual.
+reorder when the outers are dependent, the outer Gram G equilibrated to
+unit diagonal and its spectrum, the analysis matrix, the spans flag and,
+for a spanning frame, the vector-Gram eigendecomposition behind the
+ellipsoid residual.
 ``classify_batch`` then evaluates a (K, N) batch of candidates with one
 matmul, and cross-checks every candidate through one stacked eigenvalue
 call over the K bordered Grams [[G, w], [w^T, 1]], w_i = |<c, phi_i>|^2,
@@ -91,14 +92,19 @@ class PsdExtension:
         return self.t.shape[0]
 
 
+def _checked_psd(w: np.ndarray) -> None:
+    """Raise NotPsd unless the descending eigenvalues w are those of a PSD matrix."""
+    top = max(float(w[0]), 0.0)
+    if w[-1] < -PSD_RELTOL * top or (top == 0.0 and w[-1] < 0.0):
+        raise NotPsd(f"smallest eigenvalue {w[-1]} is negative beyond tolerance")
+
+
 def psd_extension(t) -> PsdExtension:
     """Validate PSD-ness and precompute the spectral data used everywhere below."""
     t = matcore.as_matrix(t)
     spectrum = matcore.hermitian_eig(t)
     w = spectrum.eigenvalues
-    top = max(float(w[0]), 0.0)
-    if w[-1] < -PSD_RELTOL * top or (top == 0.0 and w[-1] < 0.0):
-        raise NotPsd(f"smallest eigenvalue {w[-1]} is negative beyond tolerance")
+    _checked_psd(w)
     tol = matcore.default_rank_tol(t.shape, max(abs(float(w[0])), abs(float(w[-1]))))
     i_plus = tuple(int(i) for i in np.flatnonzero(w > tol))
     return PsdExtension(t=t, spectrum=spectrum, i_plus=i_plus)
@@ -120,9 +126,13 @@ def bordered(t, v) -> np.ndarray:
 
 
 def extension_rank_preserved(t, v) -> bool:
-    """Whether bordering t with (v, 1) keeps the rank unchanged."""
-    ext = psd_extension(t)
-    return _border_rank(bordered(ext.t, v)) == _border_rank(ext.t)
+    """Whether bordering t with (v, 1) keeps the rank unchanged.
+
+    Raises NotPsd as psd_extension does, from the eigenvalues alone.
+    """
+    t = matcore.as_matrix(t)
+    _checked_psd(matcore.hermitian_eigvalues(t))
+    return _border_rank(bordered(t, v)) == _border_rank(t)
 
 
 def admissible_vector(ext: PsdExtension, a) -> np.ndarray:
@@ -163,17 +173,16 @@ def admissible_coefficients(ext: PsdExtension, v, tol: float = DEFAULT_VERDICT_T
     return a
 
 
-def _inverse_gram_form(os_: OuterSequence, tv: np.ndarray):
-    """w^T G^{-1} w with w = |tv|^2 entrywise and G the cached outer Gram.
+def _inverse_gram_form(spectrum: matcore.SpectralData, w: np.ndarray):
+    """w^T G^{-1} w, given the eigendecomposition of G.
 
-    A float for one analysis image tv, an array of K values for a (K, M)
-    batch.  The elliptic value and the quartic are this one quantity, and
-    1 minus it is the Schur complement of G in the bordered Gram
-    [[G, w], [w^T, 1]].
+    A float for one w, an array of K values for a (K, M) batch.  With G the
+    outer Gram and w = |tv|^2 entrywise for an analysis image tv, the
+    elliptic value and the quartic are this one quantity, and 1 minus it is
+    the Schur complement of G in the bordered Gram [[G, w], [w^T, 1]].
     """
-    w = np.abs(tv) ** 2
-    y = w @ os_.gram_spectrum.eigenvectors
-    value = np.sum(y ** 2 / os_.gram_spectrum.eigenvalues, axis=-1)
+    y = w @ spectrum.eigenvectors
+    value = np.sum(y ** 2 / spectrum.eigenvalues, axis=-1)
     return float(value) if np.ndim(value) == 0 else value
 
 
@@ -205,7 +214,7 @@ def elliptic_value(f: Frame, candidate) -> float:
     candidate's outer product is dependent on the existing ones."""
     os_ = induce(f)
     candidate = _check_candidates(os_, np.asarray(candidate).reshape(1, -1))[0]
-    return _inverse_gram_form(os_, analysis(os_.source) @ candidate)
+    return _inverse_gram_form(os_.gram_spectrum, np.abs(analysis(os_.source) @ candidate) ** 2)
 
 
 def quartic_residual(f: Frame, v) -> float:
@@ -220,7 +229,7 @@ def quartic_residual(f: Frame, v) -> float:
     v = np.asarray(v).reshape(-1)
     if v.shape[0] != os_.m:
         raise ShapeMismatch(f"v has length {v.shape[0]}, expected M = {os_.m}")
-    return abs(_inverse_gram_form(os_, v) - 1.0)
+    return abs(_inverse_gram_form(os_.gram_spectrum, np.abs(v) ** 2) - 1.0)
 
 
 def _ellipsoid_residuals(sd: matcore.SpectralData, n: int, v: np.ndarray,
@@ -278,7 +287,12 @@ class PreparedFrame(NamedTuple):
     input, or its greedy independent prefix when the input's outers are
     dependent (permutation then holds the prefix indices).  vector_gram
     is the vector-Gram eigendecomposition, present exactly when the frame
-    spans.
+    spans.  scale holds d_i = G_ii^{-1/2} for the outer Gram G,
+    scaled_gram is the equilibrated D G D with D = diag(d), and
+    scaled_spectrum its eigendecomposition.  Candidates are classified
+    through them, as (D w)^T (D G D)^{-1} (D w) = w^T G^{-1} w, so the
+    elliptic values and their cross-check do not depend on the norms of
+    the frame's vectors.
     """
 
     outer: OuterSequence
@@ -286,6 +300,9 @@ class PreparedFrame(NamedTuple):
     spans: bool
     vector_gram: matcore.SpectralData | None
     permutation: tuple | None
+    scale: np.ndarray
+    scaled_gram: np.ndarray
+    scaled_spectrum: matcore.SpectralData
 
 
 def prepare(f: Frame) -> PreparedFrame:
@@ -297,9 +314,13 @@ def prepare(f: Frame) -> PreparedFrame:
         f = f.subframe(permutation)
         os_ = induce(f)
     spanning = spans(f)
+    diag = np.diag(os_.gram_op)
+    scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))  # 1 for a zero outer
+    scaled_gram = scale[:, None] * os_.gram_op * scale
     return PreparedFrame(outer=os_, analysis=analysis(f), spans=spanning,
                          vector_gram=matcore.hermitian_eig(gram(f)) if spanning else None,
-                         permutation=permutation)
+                         permutation=permutation, scale=scale, scaled_gram=scaled_gram,
+                         scaled_spectrum=matcore.hermitian_eig(scaled_gram))
 
 
 class BatchClassification(NamedTuple):
@@ -328,9 +349,15 @@ class BatchClassification(NamedTuple):
             tol=self.tol, permutation=self.permutation)
 
 
-def _bordered_gram_check(os_: OuterSequence, w: np.ndarray, value: np.ndarray,
+def _bordered_gram_check(prep: PreparedFrame, w: np.ndarray, value: np.ndarray,
                          dependent: np.ndarray) -> None:
     """Cross-check elliptic values against the K bordered Grams [[G, w], [w^T, 1]].
+
+    G and w are the equilibrated D G D and D w of the prepared frame: the
+    congruence diag(d, 1) keeps the rank and the Schur complement
+    1 - w^T G^{-1} w of the bordered Gram, and without it the rank
+    tolerance of a frame of large norm, scaled by lambda_max(G), would
+    swamp the corner 1.
 
     Raises InternalInconsistency for the first candidate where an
     independent verdict leaves the bordered rank at rank(G), or where the
@@ -350,14 +377,14 @@ def _bordered_gram_check(os_: OuterSequence, w: np.ndarray, value: np.ndarray,
     about delta, far under the verdict tolerance.
     """
     k, m = w.shape
-    lam_g = os_.gram_spectrum.eigenvalues
+    lam_g = prep.scaled_spectrum.eigenvalues
     lam_min = float(lam_g[-1])
     step = max(1, STACK_ENTRIES // (m + 1) ** 2)
     for start in range(0, k, step):
         stop = min(k, start + step)
         wb = w[start:stop]
         ext = np.empty((stop - start, m + 1, m + 1))
-        ext[:, :m, :m] = os_.gram_op
+        ext[:, :m, :m] = prep.scaled_gram
         ext[:, :m, m] = wb
         ext[:, m, :m] = wb
         ext[:, m, m] = 1.0
@@ -370,7 +397,7 @@ def _bordered_gram_check(os_: OuterSequence, w: np.ndarray, value: np.ndarray,
         schur = lam[:, m] * np.exp(np.log(lam[:, :m] / lam_g).sum(axis=1))
         bound = SCHUR_SAFETY * (m + 1) * _EPS * lam[:, 0] * (
             (2 * m + 1) / lam_min + 1.0 + (wb * wb).sum(axis=1) / lam_min / lam_min)
-        flat = ~dependent[start:stop] & (rank <= os_.rank)
+        flat = ~dependent[start:stop] & (rank <= prep.outer.rank)
         bad = flat | ~(np.abs(schur - (1.0 - value[start:stop])) <= bound)
         if bad.any():
             i = int(bad.argmax())
@@ -394,9 +421,10 @@ def classify_batch(prep: PreparedFrame, candidates,
     os_ = prep.outer
     candidates = _check_candidates(os_, candidates)
     tv = candidates @ prep.analysis.T
-    value = _inverse_gram_form(os_, tv)
+    w = np.abs(tv) ** 2 * prep.scale
+    value = _inverse_gram_form(prep.scaled_spectrum, w)
     dependent = np.abs(value - 1.0) <= tol
-    _bordered_gram_check(os_, np.abs(tv) ** 2, value, dependent)
+    _bordered_gram_check(prep, w, value, dependent)
     if prep.spans:
         ell = _ellipsoid_residuals(prep.vector_gram, os_.source.n, tv, tol)
     else:
@@ -441,5 +469,5 @@ def mu2_subset_mu4_probe(f: Frame, samples: int, seed: int) -> float:
         else:
             psi = stream.complex_normals(f.n)
         psi = psi / np.linalg.norm(psi)
-        worst = max(worst, abs(_inverse_gram_form(pos, a @ psi) - 1.0))
+        worst = max(worst, abs(_inverse_gram_form(pos.gram_spectrum, np.abs(a @ psi) ** 2) - 1.0))
     return worst

@@ -55,28 +55,36 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _within_skew(a: np.ndarray, adj: np.ndarray, reltol: float) -> bool:
+    """The self-adjointness rule: max|a - a*| <= reltol * ||a||_F for every
+    matrix of the stack a, given its adjoint adj."""
+    # the Frobenius norm exactly as numpy.linalg.norm(a, axis=(-2, -1)) forms it
+    scale = np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
+    skew = np.abs(a - adj).max(axis=(-2, -1), initial=0.0)
+    return bool(np.all(skew <= reltol * scale))
+
+
 def is_self_adjoint(a, reltol: float = SELF_ADJOINT_RELTOL) -> bool:
     """Whether every matrix of a matrix or stack passes the self-adjointness test."""
     a = as_stack(a)
     if a.shape[-2] != a.shape[-1]:
         return False
-    scale = np.linalg.norm(a, axis=(-2, -1))
-    skew = np.abs(a - _adjoint(a)).max(axis=(-2, -1), initial=0.0)
-    return bool(np.all(skew <= reltol * scale))
+    return _within_skew(a, _adjoint(a), reltol)
 
 
 def _canonical_phases(v: np.ndarray) -> np.ndarray:
-    """First entry of each column with modulus > 1e-10 made real positive."""
-    v = v.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        big = np.flatnonzero(np.abs(col) > 1e-10)
-        if big.size:
-            z = col[big[0]]
-            v[:, j] = col * (np.conj(z) / abs(z))
-            if not np.iscomplexobj(v):
-                v[:, j] = v[:, j].real
-    return v
+    """First entry of each column with modulus > 1e-10 made real positive.
+
+    A column with no such entry is returned unchanged.  One vectorised
+    pass: each column is multiplied by conj(z) / |z| for its first large
+    entry z, the same product a column-by-column loop would form (|z| as
+    hypot, which is how numpy's scalar abs forms it; its array abs can
+    differ in the last bit).
+    """
+    big = np.abs(v) > 1e-10
+    has = big.any(axis=0)
+    z = np.where(has, v[big.argmax(axis=0), np.arange(v.shape[1])], 1.0)
+    return np.where(has, v * (np.conj(z) / np.hypot(z.real, z.imag)), v)
 
 
 def _symmetrized(a) -> np.ndarray:
@@ -85,9 +93,10 @@ def _symmetrized(a) -> np.ndarray:
     a = as_stack(a)
     if a.shape[-2] != a.shape[-1]:
         raise NotSelfAdjoint(f"matrix is {a.shape[-2]}x{a.shape[-1]}, not square")
-    if not is_self_adjoint(a):
+    adj = _adjoint(a)
+    if not _within_skew(a, adj, SELF_ADJOINT_RELTOL):
         raise NotSelfAdjoint("matrix is not self-adjoint within tolerance")
-    return (a + _adjoint(a)) / 2.0
+    return (a + adj) / 2.0
 
 
 def hermitian_eig(a) -> SpectralData:

@@ -56,11 +56,9 @@ class OuterSequence:
 
 def induce(f: Frame) -> OuterSequence:
     """Build the outer-product sequence induced by a frame."""
-    outers = []
-    for v in f.vectors:
-        o = np.outer(v, v.conj())
-        o.flags.writeable = False
-        outers.append(o)
+    v = f.vectors
+    outers = v[:, :, None] * v.conj()[:, None, :]
+    outers.flags.writeable = False
     g = gram(f)
     gram_op = np.abs(g) ** 2
     gram_op.flags.writeable = False

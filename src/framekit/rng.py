@@ -22,6 +22,22 @@ def _mix64(z):
     return z ^ (z >> np.uint64(31))
 
 
+def box_muller(words: np.ndarray, count: int) -> np.ndarray:
+    """``count`` normal deviates from each row of 2 * pairs raw words.
+
+    The first half of a row gives the radii, the second half the angles,
+    and the cosines come before the sines, so a (K, 2 * pairs) block of
+    consecutive words gives row by row what K ``normals(count)`` calls do.
+    """
+    pairs = words.shape[-1] // 2
+    u = (words >> np.uint64(11)) * 2.0**-53
+    # shift into (0, 1] so the log never sees zero
+    r = np.sqrt(-2.0 * np.log(u[..., :pairs] + 2.0**-54))
+    theta = 2.0 * np.pi * u[..., pairs:]
+    out = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    return out[..., :count]
+
+
 class Stream:
     """Splitmix64 counter stream with a persistent cursor."""
 
@@ -42,14 +58,7 @@ class Stream:
 
     def normals(self, count: int) -> np.ndarray:
         """Standard normal deviates via Box-Muller."""
-        pairs = (count + 1) // 2
-        # shift into (0, 1] so the log never sees zero
-        u1 = (self.raw(pairs) >> np.uint64(11)) * 2.0**-53 + 2.0**-54
-        u2 = self.uniforms(pairs)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
-        return out[:count]
+        return box_muller(self.raw(2 * ((count + 1) // 2)), count)
 
     def complex_normals(self, count: int) -> np.ndarray:
         z = self.normals(2 * count)

@@ -6,11 +6,15 @@ value, and the tolerance that gated the comparison.  The CLI ``verify``
 subcommand runs them all and exits non-zero on any failure; the pytest
 acceptance module drives the same functions.  All randomness comes from
 the package's own counter-based generator so every run is identical.
+
+Ranks that LAPACK computes are checked against an exact oracle,
+``rational_rank``: fraction-free (Bareiss) elimination over Python
+integers, with a complex matrix handled through its real embedding
+[[A, -B], [B, A]].
 """
 
 import time
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -48,63 +52,49 @@ def _random_orthonormal(stream, n, cplx):
 
 
 # ---------------------------------------------------------------------------
-# exact-rational elimination, the independent rank oracle
+# exact integer elimination, the independent rank oracle
 
 
-def rational_rank(rows) -> int:
-    """Rank over the Gaussian rationals by exact elimination.
+def _integer_rows(a: np.ndarray) -> list:
+    """Rows of a real matrix of finite floats scaled to integers by one
+    power of two.
 
-    ``rows`` holds (Fraction, Fraction) pairs for the real and imaginary
-    parts.  Entirely independent of the floating-point LAPACK path.
+    Every float is p / 2^k exactly (``float.as_integer_ratio``), so
+    multiplying by the largest 2^k leaves each entry an integer without a
+    float product that could overflow or round.
     """
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, m):
-            re, im = a[r][col]
-            if re != 0 or im != 0:
-                piv = r
-                break
-        if piv is None:
+    ratios = [[x.as_integer_ratio() for x in row] for row in a.tolist()]
+    shift = max((q.bit_length() for row in ratios for _, q in row), default=1)
+    return [[p << (shift - q.bit_length()) for p, q in row] for row in ratios]
+
+
+def rational_rank(matrix) -> int:
+    """Exact rank of a matrix of finite floats, real or complex.
+
+    Fraction-free (Bareiss) elimination over Python integers: after each
+    pivot p the rows below are updated as (x p - f y) / p_prev, a division
+    that is always exact, so entries stay integers of bounded size.  A
+    complex A + iB is handled as the real [[A, -B], [B, A]], whose rank is
+    twice that of A + iB.  Entirely independent of the floating-point
+    LAPACK path.
+    """
+    a = np.asarray(matrix)
+    cplx = np.iscomplexobj(a)
+    if cplx:
+        a = np.block([[a.real, -a.imag], [a.imag, a.real]])
+    rows = _integer_rows(a.astype(np.float64))
+    rank, prev = 0, 1
+    while rows and rows[0]:
+        piv = next((i for i, r in enumerate(rows) if r[0]), None)
+        if piv is None:  # no pivot in this column
+            rows = [r[1:] for r in rows]
             continue
-        a[row], a[piv] = a[piv], a[row]
-        pre, pim = a[row][col]
-        den = pre * pre + pim * pim
-        ire, iim = pre / den, -pim / den
-        for r in range(row + 1, m):
-            cre, cim = a[r][col]
-            if cre == 0 and cim == 0:
-                continue
-            fre = cre * ire - cim * iim
-            fim = cre * iim + cim * ire
-            for c in range(col, n):
-                bre, bim = a[row][c]
-                ore, oim = a[r][c]
-                a[r][c] = (ore - (fre * bre - fim * bim),
-                           oim - (fre * bim + fim * bre))
-        row += 1
+        top = rows.pop(piv)
+        p, tail = top[0], top[1:]
+        rows = [[(x * p - r[0] * y) // prev for x, y in zip(r[1:], tail)] for r in rows]
+        prev = p
         rank += 1
-        if row == m:
-            break
-    return rank
-
-
-def as_rational(matrix) -> list:
-    """Exact conversion of a float/complex matrix whose entries are
-    binary-exact rationals (integers, halves, ...)."""
-    m = np.asarray(matrix)
-    out = []
-    for r in range(m.shape[0]):
-        row = []
-        for c in range(m.shape[1]):
-            z = complex(m[r, c])
-            row.append((Fraction(z.real), Fraction(z.imag)))
-        out.append(row)
-    return out
+    return rank // 2 if cplx else rank
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +445,9 @@ def check_psd_extension_roundtrip():
         halves = (np.floor(stream.uniforms(n) * 9.0) - 4.0) / 2.0
         v = halves.astype(complex) * (1 + 1j) if cplx else halves
         b = geometry.bordered(t, v)
-        if rational_rank(as_rational(t)) != matcore.numerical_rank(t):
+        if rational_rank(t) != matcore.numerical_rank(t):
             oracle_fail += 1
-        if rational_rank(as_rational(b)) != matcore.numerical_rank(b):
+        if rational_rank(b) != matcore.numerical_rank(b):
             oracle_fail += 1
     rows.append(_row("psd-extension-roundtrip",
                      "rank agrees with exact-rational elimination (200 cases)",

@@ -285,3 +285,61 @@ def test_rank_tolerance_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FRAMEKIT_TOL", "1e-3")
     _, out, _ = run_cli(capsys, "analyze", str(frame_file))
     assert json.loads(out)["results"]["outer_independent"] is False
+
+
+def _per_sample_candidates(stream, k, n, field):
+    rows = []
+    for _ in range(k):
+        cand = stream.complex_normals(n) if field == "complex" else stream.normals(n)
+        rows.append(cand / np.linalg.norm(cand))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_grid_candidates_equal_per_sample_draws_bit_for_bit(field, n):
+    batched = cli._grid_candidates(Stream(17), 40, n, field)
+    per_sample = _per_sample_candidates(Stream(17), 40, n, field)
+    assert batched.dtype == per_sample.dtype and batched.shape == (40, n)
+    assert batched.tobytes() == per_sample.tobytes()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_grid_sample_does_not_depend_on_grid_size(field):
+    one = cli._grid_candidates(Stream(5), 1, 3, field)
+    many = cli._grid_candidates(Stream(5), 300, 3, field)
+    assert one[0].tobytes() == many[0].tobytes()
+    assert cli._grid_candidates(Stream(5), 120, 3, field).tobytes() == many[:120].tobytes()
+
+
+def _large_norm_frame(tmp_path):
+    frame_file = tmp_path / "big.json"
+    with open(frame_file, "w") as fp:
+        ser.write_frame(Frame.from_vectors(np.array([[1e5, 0.0], [0.0, 1e5]])), fp)
+    return frame_file
+
+
+def test_classify_frame_of_large_norm(tmp_path, capsys):
+    # the bordered Gram's rank tolerance used to scale with the frame's norm
+    # and drown the candidate's corner 1: exit 3 for every candidate
+    frame_file = _large_norm_frame(tmp_path)
+    code, out, err = run_cli(capsys, "classify", str(frame_file), "--candidate", "[0.6, 0.8]")
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    assert res["verdict"] == "independent"
+    assert res["elliptic_value"] == pytest.approx(0.5392, rel=1e-12)
+    code, out, err = run_cli(capsys, "classify", str(frame_file), "--grid", "50")
+    assert code == 0, err
+    assert json.loads(out)["results"]["samples"] == 50
+
+
+def test_cli_import_does_not_load_fractions():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, framekit.cli; print('fractions' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

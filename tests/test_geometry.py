@@ -70,6 +70,16 @@ class TestExtensionRankPreserved:
         with pytest.raises(NotPsd):
             geometry.extension_rank_preserved(np.diag([1.0, -2.0]), [1.0, 0.0])
 
+    def test_same_psd_rule_as_psd_extension(self):
+        # PSD_RELTOL = 1e-10 relative to the top eigenvalue, one rule for both
+        inside, outside = np.diag([4.0, -3e-10]), np.diag([4.0, -5e-10])
+        geometry.psd_extension(inside)
+        assert geometry.extension_rank_preserved(inside, [2.0, 0.0])
+        for call in (lambda: geometry.psd_extension(outside),
+                     lambda: geometry.extension_rank_preserved(outside, [2.0, 0.0])):
+            with pytest.raises(NotPsd):
+                call()
+
 
 class TestAdmissibleVectors:
     def test_single_eigenvalue(self):
@@ -251,6 +261,60 @@ class TestClassify:
                             lambda os_, tv: exact(os_, tv) + shift)
         with pytest.raises(InternalInconsistency):
             geometry.classify(f, candidate)
+
+
+class TestFramesOfAnyNorm:
+    """prepare equilibrates the outer Gram to unit diagonal, so neither the
+    values, the verdicts nor their cross-check depend on the norms of the
+    frame's vectors."""
+
+    def test_large_diagonal_frame(self):
+        f = Frame.from_vectors(np.array([[1e5, 0.0], [0.0, 1e5]]))
+        rep = geometry.classify(f, [0.6, 0.8])
+        assert rep.verdict == "independent"
+        assert rep.elliptic_value == pytest.approx(0.5392, rel=1e-12)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_values_and_verdicts_are_scale_invariant(self, field):
+        n, m = (3, 4) if field == "real" else (2, 3)
+        f = cons.random_unit(n, m, 77, field=field)
+        cands = _unit_rows(np.random.default_rng(77), 60, n, field == "complex")
+        cands[::10] = f.vectors[1]  # exact dependent extensions among them
+        unit = geometry.classify_batch(geometry.prepare(f), cands)
+        for scale in (1e-30, 1e-5, 3.0, 1e5, 1e30):
+            scaled = Frame(field=field, vectors=scale * f.vectors)
+            batch = geometry.classify_batch(geometry.prepare(scaled), cands)
+            np.testing.assert_array_equal(batch.dependent, unit.dependent)
+            np.testing.assert_allclose(batch.elliptic_value, unit.elliptic_value,
+                                       rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shift", [1e-6, -1e-6])
+    @pytest.mark.parametrize("candidate", [[1.0, 0.0], [0.6, 0.8]])
+    def test_cross_check_still_two_sided(self, monkeypatch, shift, candidate):
+        f = Frame.from_vectors(np.array([[1e5, 0.0], [0.0, 1e5]]))
+        geometry.classify(f, candidate)
+        exact = geometry._inverse_gram_form
+        monkeypatch.setattr(geometry, "_inverse_gram_form",
+                            lambda spectrum, w: exact(spectrum, w) + shift)
+        with pytest.raises(InternalInconsistency):
+            geometry.classify(f, candidate)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_vectors_of_very_different_norms(self, field):
+        # norms spread over 10^-1.5..10^1.5 scale the outer Gram's diagonal
+        # over 1e-6..1e6; its equilibrated copy is as well conditioned as
+        # the unit frame's, so values and verdicts stay those of the unit frame
+        n, m = (3, 5) if field == "real" else (2, 3)
+        f = cons.random_unit(n, m, 78, field=field)
+        norms = 10.0 ** np.linspace(-1.5, 1.5, m)
+        graded = Frame(field=field, vectors=f.vectors * norms[:, None])
+        cands = _unit_rows(np.random.default_rng(78), 100, n, field == "complex")
+        cands[::10] = f.vectors[2]
+        batch = geometry.classify_batch(geometry.prepare(graded), cands)
+        unit = geometry.classify_batch(geometry.prepare(f), cands)
+        np.testing.assert_array_equal(batch.dependent, unit.dependent)
+        np.testing.assert_allclose(batch.elliptic_value, unit.elliptic_value,
+                                   rtol=1e-9, atol=1e-9)
 
 
 def _unit_rows(rng, k, n, cplx):

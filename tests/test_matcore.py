@@ -53,6 +53,32 @@ class TestHermitianEig:
             lead = v[np.abs(v[:, j]) > 1e-10, j][0]
             assert abs(lead.imag) < 1e-12 and lead.real > 0
 
+    def test_phases_match_a_column_by_column_pass(self):
+        # the vectorised pass forms the same product per column as this loop
+        rng = np.random.default_rng(9)
+        for n in range(2, 9):
+            for cplx in (False, True):
+                v = np.linalg.eigh(random_self_adjoint(rng, n, cplx))[1]
+                expected = v.copy()
+                for j in range(n):
+                    col = v[:, j]
+                    z = col[np.flatnonzero(np.abs(col) > 1e-10)[0]]
+                    expected[:, j] = col * (np.conj(z) / abs(z))
+                np.testing.assert_array_equal(matcore._canonical_phases(v), expected)
+
+    def test_phases_of_tiny_complex_and_real_columns(self):
+        v = np.array([[1e-11, -1e-11, 0.6], [-1e-12, -1.0, -0.8], [0.0, 0.0, 0.0]])
+        out = matcore._canonical_phases(v)
+        # an all-tiny column is left as it is; tiny leading entries are skipped
+        np.testing.assert_array_equal(out[:, 0], v[:, 0])
+        np.testing.assert_array_equal(out[:, 1], [1e-11, 1.0, 0.0])
+        np.testing.assert_array_equal(out[:, 2], v[:, 2])
+        z = np.array([[1e-12j, 0.0], [1j, (1 + 1j) / np.sqrt(2)], [2.0, 1e-13j]])
+        out = matcore._canonical_phases(z)
+        np.testing.assert_array_equal(out[:, 0], [1e-12, 1.0, -2j])
+        assert abs(out[1, 1].imag) < 1e-15 and out[1, 1].real > 0
+        np.testing.assert_allclose(np.abs(out), np.abs(z), rtol=1e-15)
+
     def test_rejects_non_self_adjoint(self):
         with pytest.raises(NotSelfAdjoint):
             matcore.hermitian_eig([[0.0, 1.0], [0.0, 0.0]])

@@ -1,0 +1,28 @@
+from framekit.rng import Stream
+
+
+def _hex(xs):
+    return [float(x).hex() for x in xs]
+
+
+# recorded from the two-draw Box-Muller (one raw draw for the radii, one for
+# the angles), which the single draw must reproduce exactly
+GOLDEN_NORMALS_5 = ['0x1.734e94ff0f216p-1', '0x1.0c066c9125a6cp+0', '-0x1.78a32cd8b7959p+0',
+                    '0x1.4c4de86219ee7p-1', '-0x1.e35ea96fcff6ap+0']
+GOLDEN_NORMALS_4 = ['0x1.f2780db59f64cp-1', '-0x1.d29555b6d1250p-1', '0x1.bdb665941cb3ap+0',
+                    '0x1.cdd6fd900b3b5p-2']
+GOLDEN_COMPLEX_3 = [('-0x1.502f57a07416fp-1', '-0x1.0e56f08ecfea3p+0'),
+                    ('0x1.74bc2ec212e86p-2', '0x1.e3ffd0fe60f93p-2'),
+                    ('-0x1.bf955f3c53356p-3', '-0x1.14614624c3442p-1')]
+GOLDEN_UNIFORMS_2 = ['0x1.fbc696265eaa0p-1', '0x1.5b2b089fbbcfep-2']
+
+
+def test_golden_values_odd_and_even_counts():
+    s = Stream(2024)
+    assert _hex(s.normals(5)) == GOLDEN_NORMALS_5
+    assert _hex(s.normals(4)) == GOLDEN_NORMALS_4
+    assert [(z.real.hex(), z.imag.hex()) for z in s.complex_normals(3)] == GOLDEN_COMPLEX_3
+    # the cursor advanced by 6 + 4 + 6 words
+    assert _hex(s.uniforms(2)) == GOLDEN_UNIFORMS_2
+    assert _hex(Stream(0).normals(1)) == ['-0x1.cf9fb99cfab8fp-2']
+
