@@ -19,6 +19,7 @@ from .constructions import (
     epsilon_pair,
     orthonormal,
     random_unit,
+    random_unit_stack,
     simplex,
 )
 from .errors import FramekitError
@@ -64,11 +65,13 @@ from .matcore import (
 )
 from .outer import (
     DependenceCertificate,
+    OuterBatch,
     OuterSequence,
     cross_duals,
     cross_gram,
     dependence_certificate,
     induce,
+    induce_batch,
     is_independent,
     optimal_bound_report,
     outer_duals,

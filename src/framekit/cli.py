@@ -23,7 +23,7 @@ from . import __version__, constructions as cons, geometry, matcore, outer, seri
 from . import perturb, verify as verify_mod
 from .errors import BadParam, FramekitError, NotIndependent
 from .frame import frame_bounds, frame_potential, is_equiangular, riesz_bounds, spans
-from .rng import Stream, box_muller
+from .rng import Stream, unit_vectors
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -174,20 +174,6 @@ def _parse_candidate(text: str, n: int, field: str) -> np.ndarray:
     return vec[:, 0] + 1j * vec[:, 1] if field == "complex" else vec
 
 
-def _grid_candidates(stream: Stream, k: int, n: int, field: str) -> np.ndarray:
-    """k unit candidates from one raw draw laid out as (k, 2 * pairs): row i
-    holds the words, radii first and angles second, that the i-th of k
-    ``normals`` (or ``complex_normals``) calls would draw, so sample i is
-    the same whatever the grid size."""
-    count = 2 * n if field == "complex" else n
-    words = 2 * ((count + 1) // 2)
-    z = box_muller(stream.raw(k * words).reshape(k, words), count)
-    if field == "complex":
-        z = z[:, :n] + 1j * z[:, n:]
-    # one norm per row: norm(axis=1) can differ from it in the last bit
-    return z / np.array([np.linalg.norm(row) for row in z])[:, None]
-
-
 def cmd_classify(args) -> int:
     f = _load_frame(args.frame)
     inputs = {"frame": args.frame}
@@ -200,7 +186,7 @@ def cmd_classify(args) -> int:
         print(f"framekit classify: --grid must be at least 1, got {args.grid}", file=sys.stderr)
         return EXIT_USAGE
     if args.grid is not None:
-        cands = _grid_candidates(Stream(args.seed), args.grid, f.n, f.field)
+        cands = unit_vectors(Stream(args.seed), args.grid, f.n, f.field == "complex")
         batch = geometry.classify_batch(geometry.prepare(f), cands, tol=args.tol)
         rows = [{"sample": int(k), "elliptic_value": float(batch.elliptic_value[k])}
                 for k in np.flatnonzero(batch.dependent)]

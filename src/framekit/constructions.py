@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import BadParam
 from .frame import COMPLEX, REAL, Frame
-from .rng import Stream
+from .rng import box_muller, counter_words, normal_words, seed_words
 
 
 def orthonormal(n: int, field: str = REAL) -> Frame:
@@ -111,19 +111,30 @@ def epsilon_pair(eps: float) -> Frame:
     ]))
 
 
-def random_unit(n: int, m: int, seed: int, field: str = REAL) -> Frame:
-    """m vectors i.i.d. uniform on the unit sphere, deterministic in seed."""
+def random_unit_stack(n: int, m: int, seeds, field: str = REAL) -> np.ndarray:
+    """The vectors of ``random_unit(n, m, seed, field)`` for every seed, shape (K, m, n).
+
+    The counter words of all seeds are mixed at once, so row k equals, bit
+    for bit, what a stream of seed ``seeds[k]`` gives on its own.
+    """
     if n < 1 or m < 1:
         raise BadParam("n and m must be at least 1")
-    stream = Stream(seed)
-    if field == REAL:
-        v = stream.normals(m * n).reshape(m, n)
-    elif field == COMPLEX:
-        v = stream.complex_normals(m * n).reshape(m, n)
-    else:
+    if field not in (REAL, COMPLEX):
         raise BadParam(f"unknown field {field!r}")
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return Frame(field=field, vectors=v)
+    count = m * n
+    cplx = field == COMPLEX
+    words = counter_words(seed_words(seeds), 0, normal_words(count, cplx))
+    z = box_muller(words, 2 * count if cplx else count)
+    if cplx:
+        z = z[:, :count] + 1j * z[:, count:]
+    v = z.reshape(-1, m, n)
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    return v
+
+
+def random_unit(n: int, m: int, seed: int, field: str = REAL) -> Frame:
+    """m vectors i.i.d. uniform on the unit sphere, deterministic in seed."""
+    return Frame(field=field, vectors=random_unit_stack(n, m, [seed], field)[0])
 
 
 KINDS = ("orthonormal", "eij", "complex_eij", "simplex", "biangular",

@@ -119,9 +119,14 @@ def frame_operator(f: Frame) -> np.ndarray:
     return t @ t.conj().T
 
 
+def vector_gram(v: np.ndarray) -> np.ndarray:
+    """Gram matrices of (..., M, N) stacked vector rows; G[..., i, j] = <phi_j, phi_i>."""
+    return v.conj() @ v.swapaxes(-1, -2)
+
+
 def gram(f: Frame) -> np.ndarray:
     """G = T* T; G[i, j] = <phi_j, phi_i>."""
-    return f.vectors.conj() @ f.vectors.T
+    return vector_gram(f.vectors)
 
 
 def spans(f: Frame) -> bool:

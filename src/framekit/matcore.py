@@ -6,6 +6,9 @@ numerical rank, so both live here with explicit, reportable tolerances.
 Each spectral entry point is one LAPACK call through numpy (``eigh``,
 ``eigvalsh``, ``svd``); this module adds only the self-adjointness test,
 descending order, canonical eigenvector phases and the rank threshold.
+``hermitian_eig``, ``hermitian_eigvalues`` and the rank rule also take a
+(..., n, n) stack and decide every matrix of it in the same LAPACK call,
+with the same result per matrix as a call on that matrix alone.
 """
 
 import math
@@ -24,10 +27,11 @@ SELF_ADJOINT_RELTOL = 1e-12
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigendecomposition of a self-adjoint matrix.
+    """Eigendecomposition of a self-adjoint matrix, or of each matrix of a stack.
 
-    eigenvalues : real, sorted descending
-    eigenvectors : orthonormal columns, eigenvectors[:, i] pairs with eigenvalues[i]
+    eigenvalues : real, sorted descending along the last axis
+    eigenvectors : orthonormal columns, eigenvectors[..., :, i] pairs with
+        eigenvalues[..., i]
     """
 
     eigenvalues: np.ndarray
@@ -75,15 +79,20 @@ def is_self_adjoint(a, reltol: float = SELF_ADJOINT_RELTOL) -> bool:
 def _canonical_phases(v: np.ndarray) -> np.ndarray:
     """First entry of each column with modulus > 1e-10 made real positive.
 
-    A column with no such entry is returned unchanged.  One vectorised
-    pass: each column is multiplied by conj(z) / |z| for its first large
-    entry z, the same product a column-by-column loop would form (|z| as
-    hypot, which is how numpy's scalar abs forms it; its array abs can
-    differ in the last bit).
+    ``v`` is a matrix or a stack of matrices.  A column with no such entry
+    is returned unchanged.  One vectorised pass: each column is multiplied
+    by conj(z) / |z| for its first large entry z, the same product a
+    column-by-column loop would form (|z| as hypot, which is how numpy's
+    scalar abs forms it; its array abs can differ in the last bit).
     """
     big = np.abs(v) > 1e-10
-    has = big.any(axis=0)
-    z = np.where(has, v[big.argmax(axis=0), np.arange(v.shape[1])], 1.0)
+    has = big.any(axis=-2, keepdims=True)
+    first = big.argmax(axis=-2)
+    if v.ndim == 2:  # plain indexing: take_along_axis costs more than the rest
+        z = v[first, np.arange(v.shape[1])]
+    else:
+        z = np.take_along_axis(v, first[..., None, :], axis=-2)
+    z = np.where(has, z, 1.0)
     return np.where(has, v * (np.conj(z) / np.hypot(z.real, z.imag)), v)
 
 
@@ -104,11 +113,13 @@ def hermitian_eig(a) -> SpectralData:
 
     Raises NotSelfAdjoint when max|a[i,j] - conj(a[j,i])| exceeds
     1e-12 * ||a||_F.  Eigenvalues come back descending; each eigenvector
-    has its first non-negligible entry made real and positive.
+    has its first non-negligible entry made real and positive.  A (K, n, n)
+    stack gives (K, n) eigenvalues and (K, n, n) eigenvectors from one
+    call, each matrix validated and decomposed as it would be alone.
     """
-    w, v = np.linalg.eigh(_symmetrized(as_matrix(a)))
-    w = w[::-1].copy()
-    v = _canonical_phases(v[:, ::-1])
+    w, v = np.linalg.eigh(_symmetrized(a))
+    w = w[..., ::-1].copy()
+    v = _canonical_phases(v[..., ::-1])
     w.flags.writeable = False
     v.flags.writeable = False
     return SpectralData(eigenvalues=w, eigenvectors=v)

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import matcore
 from .errors import (
+    BadParam,
     DimensionMismatch,
     InternalInconsistency,
     NotABasis,
@@ -20,7 +21,7 @@ from .errors import (
     NotUnitNorm,
     ZeroVector,
 )
-from .frame import BoundsReport, Frame, _bounds_report, gram, synthesis
+from .frame import BoundsReport, Frame, _bounds_report, gram, synthesis, vector_gram
 
 ZERO_ENTRY_TOL = 1e-12
 
@@ -54,20 +55,77 @@ class OuterSequence:
         return self.source.m
 
 
-def induce(f: Frame) -> OuterSequence:
-    """Build the outer-product sequence induced by a frame."""
+def _outer_spectra(v: np.ndarray):
+    """gram_op = |G|^2, its eigendecomposition and its rank for (..., M, N)
+    vector rows: the one place these are formed, for a frame or a stack."""
+    gram_op = np.abs(vector_gram(v)) ** 2
+    gram_op.flags.writeable = False
+    spectrum = matcore.hermitian_eig(gram_op)
+    sigma = np.sort(np.abs(spectrum.eigenvalues))[..., ::-1]
+    rank = matcore.rank_from_singular_values(sigma, gram_op.shape[-2:])
+    return gram_op, spectrum, rank
+
+
+def _sequence(f: Frame, gram_op, spectrum, rank) -> OuterSequence:
     v = f.vectors
     outers = v[:, :, None] * v.conj()[:, None, :]
     outers.flags.writeable = False
-    g = gram(f)
-    gram_op = np.abs(g) ** 2
-    gram_op.flags.writeable = False
-    spectrum = matcore.hermitian_eig(gram_op)
-    sigma = np.sort(np.abs(spectrum.eigenvalues))[::-1]
-    rank = matcore.rank_from_singular_values(sigma, gram_op.shape)
     return OuterSequence(source=f, outers=tuple(outers), gram_op=gram_op,
-                         rank=rank, ambient_dim=ambient_outer_dim(f),
+                         rank=int(rank), ambient_dim=ambient_outer_dim(f),
                          gram_spectrum=spectrum)
+
+
+def induce(f: Frame) -> OuterSequence:
+    """Build the outer-product sequence induced by a frame."""
+    return _sequence(f, *_outer_spectra(f.vectors))
+
+
+@dataclass(frozen=True)
+class OuterBatch:
+    """The outer sequences of K frames of one shape and field, decided by one
+    stacked eigendecomposition.
+
+    vectors : (K, M, N) stacked frame vectors; gram_op : (K, M, M);
+    ranks : (K,) integers; gram_spectrum : stacked eigenvalues (K, M) and
+    eigenvectors (K, M, M).
+    """
+
+    frames: tuple
+    vectors: np.ndarray
+    gram_op: np.ndarray
+    ranks: np.ndarray
+    gram_spectrum: matcore.SpectralData
+
+    @property
+    def independent(self) -> np.ndarray:
+        """Per frame, whether its outer products are independent (rank == M)."""
+        return self.ranks == self.gram_op.shape[-1]
+
+    def sequence(self, i: int) -> OuterSequence:
+        """Frame i's OuterSequence, equal to ``induce(frames[i])``, from the
+        batch's decomposition."""
+        spectrum = matcore.SpectralData(eigenvalues=self.gram_spectrum.eigenvalues[i],
+                                        eigenvectors=self.gram_spectrum.eigenvectors[i])
+        return _sequence(self.frames[i], self.gram_op[i], spectrum, self.ranks[i])
+
+
+def induce_batch(frames) -> OuterBatch:
+    """``induce`` for frames of one shape and field, in one LAPACK call.
+
+    Frame i's gram_op, spectrum and rank are bit for bit those of
+    ``induce(frames[i])``.
+    """
+    frames = tuple(frames)
+    if not frames:
+        raise BadParam("induce_batch needs at least one frame")
+    f0 = frames[0]
+    if any(f.field != f0.field or f.vectors.shape != f0.vectors.shape for f in frames):
+        raise DimensionMismatch("induce_batch needs frames of one shape and field")
+    vectors = np.stack([f.vectors for f in frames])
+    vectors.flags.writeable = False
+    gram_op, spectrum, ranks = _outer_spectra(vectors)
+    return OuterBatch(frames=frames, vectors=vectors, gram_op=gram_op, ranks=ranks,
+                      gram_spectrum=spectrum)
 
 
 def vectorized_synthesis(f: Frame) -> np.ndarray:
@@ -79,10 +137,14 @@ def is_independent(os_: OuterSequence) -> bool:
     """True when the outer products are linearly independent (over R).
 
     The gram_op rank is the verdict; the rank of the vectorized synthesis
-    matrix is recomputed as a cross-assertion and any disagreement raises
-    InternalInconsistency instead of silently picking a side.
+    matrix S is recomputed as a cross-assertion and any disagreement raises
+    InternalInconsistency instead of silently picking a side.  Since
+    gram_op = S S*, its eigenvalues are the squared singular values of S,
+    so both paths judge that one quantity by one rule: the squares go
+    through the same rank threshold, with gram_op's shape.
     """
-    vec_rank = matcore.numerical_rank(vectorized_synthesis(os_.source))
+    sigma = matcore.singular_values(vectorized_synthesis(os_.source))
+    vec_rank = matcore.rank_from_singular_values(sigma ** 2, os_.gram_op.shape)
     if vec_rank != os_.rank:
         raise InternalInconsistency(
             f"gram_op rank {os_.rank} != vectorized rank {vec_rank}")

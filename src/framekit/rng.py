@@ -5,7 +5,9 @@ The generator is counter based: output ``k`` of stream ``seed`` is
 finalizer.  Uniform doubles take the top 53 bits; normal deviates come
 from Box-Muller pairs.  The same (seed, counter) pair therefore yields
 the same values in any language, which is why this exists instead of
-``numpy.random``.
+``numpy.random``.  Many streams (``counter_words``) or a run of unit
+vectors from one stream (``unit_vectors``) are drawn in one block, with
+the values that one-at-a-time draws give.
 """
 
 import numpy as np
@@ -20,6 +22,30 @@ def _mix64(z):
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
+
+
+def counter_words(seeds, start: int, count: int) -> np.ndarray:
+    """Raw words ``start .. start + count - 1`` of each stream in ``seeds``.
+
+    ``seeds`` is one seed or an array of them; the result has shape
+    ``seeds.shape + (count,)``, all mixed in one ``_mix64`` call.
+    """
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    # every operand is an array, so the uint64 products wrap silently; only
+    # numpy scalar arithmetic reports overflow
+    return _mix64(np.asarray(seeds, dtype=np.uint64)[..., None] + idx * _GOLDEN)
+
+
+def seed_words(seeds) -> np.ndarray:
+    """Integer seeds of any size reduced to the streams' 64-bit words."""
+    return np.array([int(s) & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
+
+
+def normal_words(count: int, cplx: bool) -> int:
+    """Raw words one ``normals(count)`` (or ``complex_normals``) call draws."""
+    if cplx:
+        count *= 2
+    return 2 * ((count + 1) // 2)
 
 
 def box_muller(words: np.ndarray, count: int) -> np.ndarray:
@@ -42,15 +68,14 @@ class Stream:
     """Splitmix64 counter stream with a persistent cursor."""
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        self._seed = seed_words([seed])[0]
         self._counter = 0
 
     def raw(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit words."""
-        idx = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
+        words = counter_words(self._seed, self._counter, count)
         self._counter += count
-        with np.errstate(over="ignore"):
-            return _mix64(self._seed + idx * _GOLDEN)
+        return words
 
     def uniforms(self, count: int) -> np.ndarray:
         """Doubles in [0, 1)."""
@@ -58,8 +83,43 @@ class Stream:
 
     def normals(self, count: int) -> np.ndarray:
         """Standard normal deviates via Box-Muller."""
-        return box_muller(self.raw(2 * ((count + 1) // 2)), count)
+        return box_muller(self.raw(normal_words(count, False)), count)
 
     def complex_normals(self, count: int) -> np.ndarray:
         z = self.normals(2 * count)
         return z[:count] + 1j * z[count:]
+
+
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a (k, n) block, bit for bit.
+
+    The norm of one vector is a BLAS dot (real and imaginary parts apart
+    over C); a stacked (1, n) @ (n, 1) matmul calls the same dot per row,
+    whereas ``norm(axis=1)`` sums squares and can differ in the last bit.
+    """
+    parts = (z.real, z.imag) if np.iscomplexobj(z) else (z,)
+    sq = sum((p[:, None, :] @ p[:, :, None])[:, 0, 0] for p in parts)
+    return np.sqrt(sq)
+
+
+def unit_rows(words: np.ndarray, n: int, cplx: bool) -> np.ndarray:
+    """Unit vectors from a (k, normal_words(n, cplx)) block of raw words.
+
+    Row i is the vector that ``normals(n)`` (or ``complex_normals(n)``),
+    divided by its ``np.linalg.norm``, gives on that row's words.
+    """
+    z = box_muller(words, 2 * n if cplx else n)
+    if cplx:
+        z = z[:, :n] + 1j * z[:, n:]
+    return z / _row_norms(z)[:, None]
+
+
+def unit_vectors(stream: Stream, k: int, n: int, cplx: bool) -> np.ndarray:
+    """k unit vectors of dimension n from one ``raw`` draw, shape (k, n).
+
+    Sample i is what the i-th of k successive ``normals(n)`` (or
+    ``complex_normals(n)``) calls, normalised, would give, and the stream
+    ends where they would leave it, so sample i does not depend on k.
+    """
+    w = normal_words(n, cplx)
+    return unit_rows(stream.raw(k * w).reshape(k, w), n, cplx)

@@ -7,6 +7,12 @@ subcommand runs them all and exits non-zero on any failure; the pytest
 acceptance module drives the same functions.  All randomness comes from
 the package's own counter-based generator so every run is identical.
 
+Monte Carlo corpora whose draws do not depend on earlier outcomes are
+drawn in blocks (one counter-word mix per block of seeds or of stream
+words) and decided by one stacked LAPACK call per (frame shape, field):
+every frame, vector and verdict is bit for bit what case-by-case
+evaluation gives, so the rows are the same either way.
+
 Ranks that LAPACK computes are checked against an exact oracle,
 ``rational_rank``: fraction-free (Bareiss) elimination over Python
 integers, with a complex matrix handled through its real embedding
@@ -20,8 +26,8 @@ import numpy as np
 
 from . import constructions as cons
 from . import geometry, matcore, outer, perturb
-from .frame import Frame, gram, riesz_bounds
-from .rng import Stream
+from .frame import Frame, gram, riesz_bounds, vector_gram
+from .rng import Stream, normal_words, unit_rows, unit_vectors
 
 
 @dataclass
@@ -40,9 +46,41 @@ def _row(check, case, measured, expected, tolerance, passed):
                     tolerance=tolerance)
 
 
-def _random_unit_vector(stream, n, cplx):
-    v = stream.complex_normals(n) if cplx else stream.normals(n)
-    return v / np.linalg.norm(v)
+def _random_frames(specs) -> list:
+    """``random_unit(n, m, seed, field)`` for each spec (n, m, seed, field),
+    in order; the seeds of one (n, m, field) are drawn in one block."""
+    groups = {}
+    for i, (n, m, _, field) in enumerate(specs):
+        groups.setdefault((n, m, field), []).append(i)
+    frames = [None] * len(specs)
+    for (n, m, field), idx in groups.items():
+        block = cons.random_unit_stack(n, m, [specs[i][2] for i in idx], field)
+        for i, v in zip(idx, block):
+            frames[i] = Frame(field=field, vectors=v)
+    return frames
+
+
+def _induce_groups(frames) -> list:
+    """One ``outer.induce_batch`` per (field, shape) of frames, each with the
+    indices of the frames it holds."""
+    groups = {}
+    for i, f in enumerate(frames):
+        groups.setdefault((f.field, f.vectors.shape), []).append(i)
+    return [(outer.induce_batch(frames[i] for i in idx), idx) for idx in groups.values()]
+
+
+def _batches(frames) -> list:
+    """Per frame, in order, its (batch, index within the batch)."""
+    where = [None] * len(frames)
+    for batch, idx in _induce_groups(frames):
+        for j, i in enumerate(idx):
+            where[i] = (batch, j)
+    return where
+
+
+def _outer_ranks(frames) -> list:
+    """``induce(f).rank`` for each frame, from stacked calls."""
+    return [int(batch.ranks[j]) for batch, j in _batches(frames)]
 
 
 def _random_orthonormal(stream, n, cplx):
@@ -104,14 +142,17 @@ def rational_rank(matrix) -> int:
 def check_pc2_identity():
     rows = []
     for field, cplx in (("real", False), ("complex", True)):
-        stream = Stream(101 if cplx else 100)
-        worst = 0.0
-        for _ in range(1000):
-            phi = _random_unit_vector(stream, 3, cplx)
-            psi = _random_unit_vector(stream, 3, cplx)
-            lhs = matcore.frobenius_ip(np.outer(phi, phi.conj()), np.outer(psi, psi.conj()))
-            rhs = abs(np.vdot(psi, phi)) ** 2
-            worst = max(worst, abs((lhs.real if cplx else lhs) - rhs))
+        # 1000 (phi, psi) pairs, drawn alternately from one stream
+        pairs = unit_vectors(Stream(101 if cplx else 100), 2000, 3, cplx).reshape(1000, 2, 3)
+        phi, psi = pairs[:, 0], pairs[:, 1]
+        p_phi = phi[:, :, None] * phi.conj()[:, None, :]
+        p_psi = psi[:, :, None] * psi.conj()[:, None, :]
+        lhs = np.sum(np.conj(p_phi) * p_psi, axis=(-2, -1))
+        ip = (psi.conj()[:, None, :] @ phi[:, :, None])[:, 0, 0]  # vdot(psi, phi)
+        # |ip| as hypot, which is numpy's scalar abs; its array abs of complex
+        # numbers can differ in the last bit
+        rhs = np.hypot(ip.real, ip.imag) ** 2 if cplx else np.abs(ip) ** 2
+        worst = float(np.max(np.abs((lhs.real if cplx else lhs) - rhs), initial=0.0))
         rows.append(_row("pc2-identity", field, worst, "0", 1e-12, worst <= 1e-12))
     return rows
 
@@ -137,26 +178,26 @@ def check_epsilon_example():
 
 def check_hadamard_gram():
     stream = Stream(300)
+    specs = [(2 + k % 3, 2 + (k // 2) % 4, 3000 + k, "complex" if k % 2 else "real")
+             for k in range(500)]
+    frames = _random_frames(specs)
+    for k in range(0, 500, 3):
+        # non-unit norms so the diagonal envelope is exercised
+        f = frames[k]
+        scales = 0.5 + stream.uniforms(f.m)
+        frames[k] = Frame(field=f.field, vectors=f.vectors * scales[:, None])
     worst_id = 0.0
     worst_env = -np.inf
-    for k in range(500):
-        cplx = k % 2 == 1
-        n = 2 + k % 3
-        m = 2 + (k // 2) % 4
-        f = cons.random_unit(n, m, 3000 + k, field="complex" if cplx else "real")
-        if k % 3 == 0:
-            # non-unit norms so the diagonal envelope is exercised
-            scales = 0.5 + stream.uniforms(m)
-            f = Frame(field=f.field, vectors=f.vectors * scales[:, None])
-        g = gram(f)
-        os_ = outer.induce(f)
-        worst_id = max(worst_id, float(np.linalg.norm(os_.gram_op - np.abs(g) ** 2)))
-        w = os_.gram_spectrum.eigenvalues
+    for batch, _ in _induce_groups(frames):
+        g = vector_gram(batch.vectors)
+        dev = np.linalg.norm(batch.gram_op - np.abs(g) ** 2, axis=(-2, -1))
+        worst_id = max(worst_id, float(dev.max()))
+        w = batch.gram_spectrum.eigenvalues
         gw = matcore.hermitian_eigvalues(g)
-        d = np.diag(g).real
-        lo = d.min() * gw[-1]
-        hi = d.max() * gw[0]
-        worst_env = max(worst_env, lo - w[-1], w[0] - hi)
+        d = np.diagonal(g, axis1=-2, axis2=-1).real
+        lo = d.min(axis=-1) * gw[:, -1]
+        hi = d.max(axis=-1) * gw[:, 0]
+        worst_env = max(worst_env, float(np.max(lo - w[:, -1])), float(np.max(w[:, 0] - hi)))
     return [
         _row("hadamard-gram", "gram_op equals G o conj(G)", worst_id, "0", 1e-12,
              worst_id <= 1e-12),
@@ -168,23 +209,28 @@ def check_hadamard_gram():
 # bound floor and ceiling
 
 
+def _bound_extremes_spec(k):
+    n = 2 + k % 3
+    d = n * (n + 1) // 2
+    m = 2 + k % (d - 1) if d > 2 else 2
+    return n, m, 4000 + k, "real"
+
+
 def check_outer_bound_extremes():
+    # the first 200 k whose frame has independent outer products, drawn in
+    # blocks just large enough to reach 200 if every frame is independent
     cases = []
     k = 0
     while len(cases) < 200:
-        n = 2 + k % 3
-        d = n * (n + 1) // 2
-        m = 2 + k % (d - 1) if d > 2 else 2
-        f = cons.random_unit(n, m, 4000 + k, field="real")
-        k += 1
-        os_ = outer.induce(f)
-        if os_.rank == m:
-            cases.append(os_)
+        ks = range(k, k + 200 - len(cases))
+        frames = _random_frames([_bound_extremes_spec(j) for j in ks])
+        for f, (batch, i) in zip(frames, _batches(frames)):
+            if batch.independent[i]:
+                cases.append((f.m, f.n, batch.gram_spectrum.eigenvalues[i]))
+        k = ks.stop
     worst_upper = -np.inf
     worst_lower = -np.inf
-    for os_ in cases:
-        m, n = os_.m, os_.source.n
-        w = os_.gram_spectrum.eigenvalues
+    for m, n, w in cases:
         worst_upper = max(worst_upper, m / n - w[0])
         if m > n:
             worst_lower = max(worst_lower, w[-1] - m * (n - 1) / (n * (m - 1)))
@@ -406,7 +452,7 @@ def check_psd_extension_roundtrip():
         if len(ext.i_plus) != r:
             forward_fail += 1
             continue
-        a = _random_unit_vector(stream, r, cplx)
+        a = unit_vectors(stream, 1, r, cplx)[0]
         v = geometry.admissible_vector(ext, a)
         if not geometry.extension_rank_preserved(t, v):
             forward_fail += 1
@@ -420,7 +466,7 @@ def check_psd_extension_roundtrip():
             offfam_fail += 1
         if r < n:
             kernel = ext.spectrum.eigenvectors[:, r:]
-            leak = v + kernel @ _random_unit_vector(stream, n - r, cplx) * 0.5
+            leak = v + kernel @ unit_vectors(stream, 1, n - r, cplx)[0] * 0.5
             if geometry.extension_rank_preserved(t, leak) or \
                     geometry.admissible_coefficients(ext, leak) is not None:
                 offfam_fail += 1
@@ -463,24 +509,24 @@ def check_classifier_coherence():
     disagreements = 0
     dependents = 0
     total = 1000
+    specs = []
     for k in range(total):
-        cplx = k % 4 == 3
-        if cplx:
-            n, m = 2, 2 + k % 2
-            field = "complex"
+        if k % 4 == 3:
+            specs.append((2, 2 + k % 2, 11000 + k, "complex"))
         else:
             n = 2 + k % 2
             d = n * (n + 1) // 2
-            m = 2 + k % max(1, d - 2)  # keep M + 1 within the ambient dimension
-            field = "real"
-        f = cons.random_unit(n, m, 11000 + k, field=field)
-        os_ = outer.induce(f)
-        if os_.rank < m:
+            # keep M + 1 within the ambient dimension
+            specs.append((n, 2 + k % max(1, d - 2), 11000 + k, "real"))
+    frames = _random_frames(specs)
+    for k, (f, rank) in enumerate(zip(frames, _outer_ranks(frames))):
+        n, m, cplx = f.n, f.m, f.field == "complex"
+        if rank < m:
             continue
         if k % 10 == 0:
             candidate = f.vectors[k % m].copy()  # exact dependent extension
         else:
-            candidate = _random_unit_vector(stream, n, cplx)
+            candidate = unit_vectors(stream, 1, n, cplx)[0]
         try:
             report = geometry.classify(f, candidate, tol=1e-8)
         except geometry.InternalInconsistency:
@@ -514,11 +560,15 @@ def check_mu2_mu4_probe():
 
 def check_perturbation_suite():
     stream = Stream(1300)
+    # k = 2j draws a real (phi, psi), k = 2j + 1 a complex one: one block of
+    # words, each row holding a real pair and then a complex pair
+    w_real, w_cplx = 2 * normal_words(3, False), 2 * normal_words(3, True)
+    words = stream.raw(500 * (w_real + w_cplx)).reshape(500, w_real + w_cplx)
+    real_pairs = unit_rows(words[:, :w_real].reshape(1000, -1), 3, False).reshape(500, 2, 3)
+    cplx_pairs = unit_rows(words[:, w_real:].reshape(1000, -1), 3, True).reshape(500, 2, 3)
     worst_gap = -np.inf
     for k in range(1000):
-        cplx = k % 2 == 1
-        phi = _random_unit_vector(stream, 3, cplx)
-        psi = _random_unit_vector(stream, 3, cplx)
+        phi, psi = (cplx_pairs if k % 2 else real_pairs)[k // 2]
         d = perturb.outer_distance(phi, psi)
         worst_gap = max(worst_gap, d - 2 * float(np.linalg.norm(phi - psi)) ** 2)
     rows = [_row("outer-distance-bound", "closed form under 2||phi-psi||^2 (1000 pairs)",
@@ -545,27 +595,27 @@ def check_perturbation_suite():
     rows.append(_row("perturbed-bounds-envelope", "measured bounds inside lem1 envelope "
                      "(200 frames)", worst_env, "<= 0", 1e-9, worst_env <= 1e-9))
 
-    failures = 0
+    specs = []
     for k in range(500):
-        cplx = k % 2 == 1
         n = 2 + k % 2
-        d = n * (n + 1) // 2 if not cplx else n * n
-        m = min(2 + k % 3, d)
-        field = "complex" if cplx else "real"
-        f = cons.random_unit(n, m, 13500 + k, field=field)
-        os_ = outer.induce(f)
-        if os_.rank < m:
+        d = n * n if k % 2 else n * (n + 1) // 2
+        specs.append((n, min(2 + k % 3, d), 13500 + k, "complex" if k % 2 else "real"))
+    frames = _random_frames(specs)
+    moved_frames = []
+    for f, (batch, i) in zip(frames, _batches(frames)):
+        if not batch.independent[i]:
             continue
-        radius = perturb.independence_radius(os_)
+        m, n, field = f.m, f.n, f.field
+        cplx = field == "complex"
+        radius = perturb.independence_radius(batch.sequence(i))
         noise = (stream.complex_normals(m * n) if cplx else stream.normals(m * n)).reshape(m, n)
         noise *= 0.9 * np.sqrt(radius) / np.linalg.norm(noise)
         moved = f.vectors + noise
         moved /= np.linalg.norm(moved, axis=1, keepdims=True)
         if float(np.sum(np.abs(moved - f.vectors) ** 2)) >= radius:
             continue
-        pf = Frame(field=field, vectors=moved)
-        if outer.induce(pf).rank < m:
-            failures += 1
+        moved_frames.append(Frame(field=field, vectors=moved))
+    failures = sum(rank < pf.m for pf, rank in zip(moved_frames, _outer_ranks(moved_frames)))
     rows.append(_row("independence-radius-fuzz", "500 perturbations inside A/2",
                      failures, "0 failures", None, failures == 0))
     return rows
@@ -597,28 +647,30 @@ def _random_dependent_frame(k: int):
 
 
 def check_nudge_repair():
+    inputs = [_random_dependent_frame(k) for k in range(200)]
+    # dependent by construction; an independent input is a fault of the
+    # corpus and counts as a failure in each row
+    repairable = [f for f, rank in zip(inputs, _outer_ranks(inputs)) if rank < f.m]
     rows = []
     for eps in (0.1, 0.01):
-        failures = 0
-        for k in range(200):
-            f = _random_dependent_frame(k)
-            assert outer.induce(f).rank < f.m
-            g = perturb.nudge_to_independence(f, eps)
+        failures = len(inputs) - len(repairable)
+        nudged = [perturb.nudge_to_independence(f, eps) for f in repairable]
+        for f, g, rank in zip(repairable, nudged, _outer_ranks(nudged)):
             movement = float(sum(np.linalg.norm(g.vectors[i] - f.vectors[i])
                                  for i in range(f.m)))
-            if outer.induce(g).rank < g.m or movement >= eps:
+            if rank < g.m or movement >= eps:
                 failures += 1
         rows.append(_row("nudge-repair", f"200 dependent frames, eps={eps}", failures,
                          "0 failures", None, failures == 0))
-    dependent = 0
+    specs = []
     for k in range(1000):
         cplx = k % 4 == 3
         n = 2 + k % 3 if not cplx else 2
         d = n * n if cplx else n * (n + 1) // 2
         m = 2 + k % (d - 1) if d > 2 else 2
-        f = cons.random_unit(n, m, 14500 + k, field="complex" if cplx else "real")
-        if outer.induce(f).rank < m:
-            dependent += 1
+        specs.append((n, m, 14500 + k, "complex" if cplx else "real"))
+    frames = _random_frames(specs)
+    dependent = sum(rank < f.m for f, rank in zip(frames, _outer_ranks(frames)))
     rows.append(_row("independence-density", "1000 random frames at M <= dim",
                      dependent, "0 dependent", None, dependent == 0))
     return rows

@@ -9,7 +9,7 @@ import pytest
 
 from framekit import cli, constructions as cons, serialization as ser
 from framekit.frame import Frame
-from framekit.rng import Stream
+from framekit.rng import Stream, unit_vectors
 
 from oracles import elliptic_values_solve
 
@@ -95,6 +95,20 @@ def test_analyze_non_frame_reports_inside_document(tmp_path, capsys):
     assert code == 0
     res = json.loads(out)["results"]
     assert res["spans"] is False and res["frame_bounds"] is None
+
+
+@pytest.mark.parametrize("vectors, rank", [
+    ([[1.0, 0.0], [np.cos(1e-8), np.sin(1e-8)]], 1),  # near-parallel pair
+    ([[1e-160]], 0),                                  # outer Gram underflows
+])
+def test_analyze_rank_paths_agree_on_near_dependent_frames(tmp_path, capsys, vectors, rank):
+    frame_file = tmp_path / "near.json"
+    with open(frame_file, "w") as fp:
+        ser.write_frame(Frame.from_vectors(np.array(vectors)), fp)
+    code, out, err = run_cli(capsys, "analyze", str(frame_file))
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert results["outer_rank"] == rank and results["outer_independent"] is False
 
 
 def test_analyze_parse_error_exits_2(tmp_path, capsys):
@@ -298,7 +312,7 @@ def _per_sample_candidates(stream, k, n, field):
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_grid_candidates_equal_per_sample_draws_bit_for_bit(field, n):
-    batched = cli._grid_candidates(Stream(17), 40, n, field)
+    batched = unit_vectors(Stream(17), 40, n, field == "complex")
     per_sample = _per_sample_candidates(Stream(17), 40, n, field)
     assert batched.dtype == per_sample.dtype and batched.shape == (40, n)
     assert batched.tobytes() == per_sample.tobytes()
@@ -306,10 +320,10 @@ def test_grid_candidates_equal_per_sample_draws_bit_for_bit(field, n):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_grid_sample_does_not_depend_on_grid_size(field):
-    one = cli._grid_candidates(Stream(5), 1, 3, field)
-    many = cli._grid_candidates(Stream(5), 300, 3, field)
+    one = unit_vectors(Stream(5), 1, 3, field == "complex")
+    many = unit_vectors(Stream(5), 300, 3, field == "complex")
     assert one[0].tobytes() == many[0].tobytes()
-    assert cli._grid_candidates(Stream(5), 120, 3, field).tobytes() == many[:120].tobytes()
+    assert unit_vectors(Stream(5), 120, 3, field == "complex").tobytes() == many[:120].tobytes()
 
 
 def _large_norm_frame(tmp_path):

@@ -5,6 +5,7 @@ from framekit import constructions as cons
 from framekit import outer
 from framekit.errors import BadParam
 from framekit.frame import frame_bounds, gram, is_equiangular
+from framekit.rng import Stream
 
 from oracles import eig_desc
 
@@ -103,6 +104,29 @@ def test_random_unit_deterministic():
     c = cons.random_unit(3, 4, 7, field="complex")
     assert c.field == "complex"
     np.testing.assert_allclose(np.linalg.norm(c.vectors, axis=1), 1.0, atol=1e-12)
+
+
+def _random_unit_per_stream(n, m, seed, field):
+    # one stream per seed, as random_unit drew before seeds were vectorised
+    stream = Stream(seed)
+    v = stream.complex_normals(m * n) if field == "complex" else stream.normals(m * n)
+    v = v.reshape(m, n)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v
+
+
+@pytest.mark.parametrize("n, m, field", [
+    (1, 1, "real"), (2, 3, "real"), (3, 5, "real"), (4, 2, "real"),
+    (1, 2, "complex"), (2, 2, "complex"), (3, 4, "complex"), (5, 3, "complex"),
+])
+def test_random_unit_stack_equals_one_stream_per_seed(n, m, field):
+    seeds = range(1000)
+    block = cons.random_unit_stack(n, m, seeds, field)
+    assert block.shape == (1000, m, n)
+    for seed, v in zip(seeds, block):
+        assert v.tobytes() == _random_unit_per_stream(n, m, seed, field).tobytes()
+    for seed in seeds[::97]:
+        assert cons.random_unit(n, m, seed, field).vectors.tobytes() == block[seed].tobytes()
 
 
 def test_random_unit_outers_independent_at_feasible_sizes():

@@ -98,6 +98,33 @@ class TestHermitianEig:
         stack = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
         with pytest.raises(NotSelfAdjoint):
             matcore.hermitian_eigvalues(stack)
+        with pytest.raises(NotSelfAdjoint):
+            matcore.hermitian_eig(stack)
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_stacked_eig_equals_one_matrix_at_a_time_bit_for_bit(self, cplx):
+        rng = np.random.default_rng(15 + cplx)
+        for n in range(1, 9):
+            stack = []
+            for k in range(40):
+                a = random_self_adjoint(rng, n, cplx)
+                if k % 4 == 1:
+                    # block diagonal: eigenvectors with exact zero entries
+                    a[: n // 2, n // 2:] = 0.0
+                    a[n // 2:, : n // 2] = 0.0
+                elif k % 4 == 2:
+                    # weak couplings: eigenvector entries near 1e-12, below
+                    # the phase threshold, so a later entry sets the phase
+                    a = np.diag(np.arange(1.0, n + 1.0)) + 1e-12 * a
+                stack.append(a)
+            stack = np.array(stack).reshape(2, 20, n, n)
+            sd = matcore.hermitian_eig(stack)
+            assert sd.eigenvalues.shape == (2, 20, n)
+            assert sd.eigenvectors.shape == (2, 20, n, n)
+            for i in np.ndindex(2, 20):
+                one = matcore.hermitian_eig(stack[i])
+                assert sd.eigenvalues[i].tobytes() == one.eigenvalues.tobytes()
+                assert sd.eigenvectors[i].tobytes() == one.eigenvectors.tobytes()
 
 
 class TestNumericalRank:

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framekit import constructions as cons
-from framekit import matcore, outer
+from framekit import matcore, outer, perturb
 from framekit.frame import Frame, gram
 from framekit.errors import (
+    BadParam,
     DimensionMismatch,
     NotABasis,
     NotIndependent,
@@ -82,6 +83,88 @@ class TestIndependence:
                 vec_rank = matcore.numerical_rank(outer.vectorized_synthesis(f))
                 assert vec_rank == os_.rank  # two formula paths agree
                 outer.is_independent(os_)    # and the assertion inside holds
+
+
+    def test_near_parallel_pair_both_paths_rank_one(self):
+        # cos(1e-8) rounds to 1, so gram_op is all ones; the vectorized
+        # synthesis keeps sigma_min ~ 1e-8, whose square is below the rule
+        os_ = outer.induce(frame_of([1.0, 0.0], [np.cos(1e-8), np.sin(1e-8)]))
+        assert os_.rank == 1
+        assert outer.is_independent(os_) is False
+
+    def test_underflowing_vector_both_paths_rank_zero(self):
+        # |1e-160|^4 underflows to 0 in gram_op; sigma = 1e-320 squares to 0
+        os_ = outer.induce(frame_of([1e-160]))
+        assert os_.rank == 0
+        assert outer.is_independent(os_) is False
+
+    @pytest.mark.parametrize("s", [2, 3, 6])
+    def test_graded_norms_judged_alike_by_both_paths(self, s):
+        base = cons.random_unit(3, 5, 78).vectors
+        f = Frame.from_vectors(base * (10.0 ** np.linspace(-s, s, 5))[:, None])
+        os_ = outer.induce(f)
+        assert os_.rank < 5
+        assert outer.is_independent(os_) is False
+
+    def test_paths_agree_under_env_tolerance(self, monkeypatch):
+        monkeypatch.setenv("FRAMEKIT_TOL", "1e-3")
+        os_ = outer.induce(cons.epsilon_pair(0.9999))
+        assert os_.rank == 1
+        assert outer.is_independent(os_) is False
+
+
+class TestInduceBatch:
+    @staticmethod
+    def _frames(rng, n, m, cplx):
+        frames = [random_unit_frame(rng, n, m, cplx) for _ in range(25)]
+        v = frames[3].vectors.copy()
+        v[-1] = v[0] * (1j if cplx else -1.0)  # same outer product
+        frames[3] = Frame(field=frames[3].field, vectors=v)
+        return frames
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_batch_equals_induce_bit_for_bit(self, cplx):
+        rng = np.random.default_rng(33 + cplx)
+        for n, m in [(1, 1), (2, 2), (2, 3), (3, 4), (3, 6), (4, 9), (5, 3)]:
+            frames = self._frames(rng, n, m, cplx)
+            batch = outer.induce_batch(frames)
+            assert batch.vectors.shape == (25, m, n)
+            for i, f in enumerate(frames):
+                one = outer.induce(f)
+                assert batch.gram_op[i].tobytes() == one.gram_op.tobytes()
+                spectrum = batch.gram_spectrum
+                assert spectrum.eigenvalues[i].tobytes() == one.gram_spectrum.eigenvalues.tobytes()
+                assert spectrum.eigenvectors[i].tobytes() == \
+                    one.gram_spectrum.eigenvectors.tobytes()
+                assert batch.ranks[i] == one.rank
+                assert bool(batch.independent[i]) == (one.rank == m)
+                seq = batch.sequence(i)
+                assert seq.source is f and seq.rank == one.rank and type(seq.rank) is int
+                assert seq.ambient_dim == one.ambient_dim
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(seq.outers, one.outers))
+            if m > 1:
+                assert not batch.independent[3]
+
+    def test_ranks_follow_env_tolerance(self, monkeypatch):
+        monkeypatch.setenv("FRAMEKIT_TOL", "0.5")
+        frames = self._frames(np.random.default_rng(35), 3, 4, False)
+        batch = outer.induce_batch(frames)
+        assert [int(r) for r in batch.ranks] == [outer.induce(f).rank for f in frames]
+
+    def test_independence_radius_from_a_batch_sequence(self):
+        frames = self._frames(np.random.default_rng(36), 2, 3, False)
+        batch = outer.induce_batch(frames)
+        for i in (0, 1, 2):
+            assert perturb.independence_radius(batch.sequence(i)) == \
+                perturb.independence_radius(outer.induce(frames[i]))
+
+    def test_mixed_or_empty_input_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            outer.induce_batch([cons.orthonormal(2), cons.orthonormal(3)])
+        with pytest.raises(DimensionMismatch):
+            outer.induce_batch([cons.orthonormal(2), cons.orthonormal(2, field="complex")])
+        with pytest.raises(BadParam):
+            outer.induce_batch([])
 
 
 class TestOuterRieszBounds:

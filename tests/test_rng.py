@@ -1,4 +1,7 @@
-from framekit.rng import Stream
+import numpy as np
+import pytest
+
+from framekit.rng import Stream, counter_words, seed_words, unit_vectors
 
 
 def _hex(xs):
@@ -26,3 +29,25 @@ def test_golden_values_odd_and_even_counts():
     assert _hex(s.uniforms(2)) == GOLDEN_UNIFORMS_2
     assert _hex(Stream(0).normals(1)) == ['-0x1.cf9fb99cfab8fp-2']
 
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_unit_vectors_equal_sequential_draws_and_leave_the_cursor_alike(n, cplx):
+    block_stream, seq_stream = Stream(31), Stream(31)
+    got = unit_vectors(block_stream, 25, n, cplx)
+    assert got.shape == (25, n) and got.dtype == (np.complex128 if cplx else np.float64)
+    for row in got:
+        v = seq_stream.complex_normals(n) if cplx else seq_stream.normals(n)
+        assert row.tobytes() == (v / np.linalg.norm(v)).tobytes()
+    assert block_stream.raw(3).tobytes() == seq_stream.raw(3).tobytes()
+
+
+def test_counter_words_of_many_seeds_equal_each_stream():
+    seeds = [0, 1, 2**64 - 1, 2**64 + 5, -3, 123456789]
+    block = counter_words(seed_words(seeds), 4, 6)
+    assert block.shape == (6, 6)
+    for seed, row in zip(seeds, block):
+        stream = Stream(seed)
+        stream.raw(4)
+        assert row.tobytes() == stream.raw(6).tobytes()

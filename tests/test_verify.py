@@ -1,14 +1,25 @@
-"""The package's exact rank oracle against the tests' own one.
+"""The reproduction suite against independent references.
 
 ``verify.rational_rank`` is fraction-free integer (Bareiss) elimination
 with complex matrices taken through their real embedding;
 ``oracles.rational_rank_exact`` is Gaussian elimination over Fractions
 with complex arithmetic.  Two algorithms, so each checks the other.
+
+The checks whose corpora are drawn in blocks and decided by stacked
+LAPACK calls are compared, row for row and bit for bit, with per-case
+reference loops kept here (they call framekit, so they cannot live in
+``oracles.py``).
 """
+
+import json
 
 import numpy as np
 import pytest
 
+from framekit import constructions as cons
+from framekit import geometry, matcore, outer, perturb, verify
+from framekit.frame import Frame, gram, riesz_bounds
+from framekit.rng import Stream
 from framekit.verify import rational_rank
 
 from oracles import rational_rank_exact
@@ -66,3 +77,247 @@ def test_hand_worked_cases():
     assert rational_rank(np.array([[1.0, 1j], [1j, -1.0]])) == 1
     assert rational_rank(np.array([[1.0, 1j], [1j, 1.0]])) == 2
     assert rational_rank(np.array([[0.5, 0.25, 0.0], [1.0, 0.5, 0.0]])) == 1
+
+
+# ---------------------------------------------------------------------------
+# per-case reference loops: each batched check of ``framekit verify`` as it
+# was written before its corpus was drawn in blocks and decided by stacked
+# LAPACK calls, one frame, one vector and one eigendecomposition at a time
+
+
+def _random_unit_vector(stream, n, cplx):
+    v = stream.complex_normals(n) if cplx else stream.normals(n)
+    return v / np.linalg.norm(v)
+
+
+def reference_pc2_identity():
+    rows = []
+    for field, cplx in (("real", False), ("complex", True)):
+        stream = Stream(101 if cplx else 100)
+        worst = 0.0
+        for _ in range(1000):
+            phi = _random_unit_vector(stream, 3, cplx)
+            psi = _random_unit_vector(stream, 3, cplx)
+            lhs = matcore.frobenius_ip(np.outer(phi, phi.conj()), np.outer(psi, psi.conj()))
+            rhs = abs(np.vdot(psi, phi)) ** 2
+            worst = max(worst, abs((lhs.real if cplx else lhs) - rhs))
+        rows.append(verify._row("pc2-identity", field, worst, "0", 1e-12, worst <= 1e-12))
+    return rows
+
+
+def reference_hadamard_gram():
+    stream = Stream(300)
+    worst_id = 0.0
+    worst_env = -np.inf
+    for k in range(500):
+        cplx = k % 2 == 1
+        n = 2 + k % 3
+        m = 2 + (k // 2) % 4
+        f = cons.random_unit(n, m, 3000 + k, field="complex" if cplx else "real")
+        if k % 3 == 0:
+            # non-unit norms so the diagonal envelope is exercised
+            scales = 0.5 + stream.uniforms(m)
+            f = Frame(field=f.field, vectors=f.vectors * scales[:, None])
+        g = gram(f)
+        os_ = outer.induce(f)
+        worst_id = max(worst_id, float(np.linalg.norm(os_.gram_op - np.abs(g) ** 2)))
+        w = os_.gram_spectrum.eigenvalues
+        gw = matcore.hermitian_eigvalues(g)
+        d = np.diag(g).real
+        lo = d.min() * gw[-1]
+        hi = d.max() * gw[0]
+        worst_env = max(worst_env, lo - w[-1], w[0] - hi)
+    return [
+        verify._row("hadamard-gram", "gram_op equals G o conj(G)", worst_id, "0", 1e-12,
+                    worst_id <= 1e-12),
+        verify._row("hadamard-gram", "spectrum inside diagonal envelope", worst_env,
+                    "<= 0", 1e-9, worst_env <= 1e-9),
+    ]
+
+
+def reference_outer_bound_extremes():
+    cases = []
+    k = 0
+    while len(cases) < 200:
+        n = 2 + k % 3
+        d = n * (n + 1) // 2
+        m = 2 + k % (d - 1) if d > 2 else 2
+        f = cons.random_unit(n, m, 4000 + k, field="real")
+        k += 1
+        os_ = outer.induce(f)
+        if os_.rank == m:
+            cases.append(os_)
+    worst_upper = -np.inf
+    worst_lower = -np.inf
+    for os_ in cases:
+        m, n = os_.m, os_.source.n
+        w = os_.gram_spectrum.eigenvalues
+        worst_upper = max(worst_upper, m / n - w[0])
+        if m > n:
+            worst_lower = max(worst_lower, w[-1] - m * (n - 1) / (n * (m - 1)))
+    rows = [
+        verify._row("outer-bound-extremes", "upper bound floor M/N", worst_upper, "<= 0",
+                    1e-9, worst_upper <= 1e-9),
+        verify._row("outer-bound-extremes", "lower bound ceiling (M > N)", worst_lower,
+                    "<= 0", 1e-9, worst_lower <= 1e-9),
+    ]
+    worst_eq = 0.0
+    for f in [cons.simplex(n) for n in (2, 3, 4, 5)] + [cons.biangular(n) for n in (2, 4, 5)]:
+        os_ = outer.induce(f)
+        worst_eq = max(worst_eq, abs(os_.gram_spectrum.eigenvalues[0] - f.m / f.n))
+    rows.append(verify._row("outer-bound-extremes", "equality on tight frames", worst_eq,
+                            "0", 1e-9, worst_eq <= 1e-9))
+    return rows
+
+
+def reference_classifier_coherence():
+    stream = Stream(1100)
+    disagreements = 0
+    dependents = 0
+    total = 1000
+    for k in range(total):
+        cplx = k % 4 == 3
+        if cplx:
+            n, m = 2, 2 + k % 2
+            field = "complex"
+        else:
+            n = 2 + k % 2
+            d = n * (n + 1) // 2
+            m = 2 + k % max(1, d - 2)  # keep M + 1 within the ambient dimension
+            field = "real"
+        f = cons.random_unit(n, m, 11000 + k, field=field)
+        os_ = outer.induce(f)
+        if os_.rank < m:
+            continue
+        if k % 10 == 0:
+            candidate = f.vectors[k % m].copy()  # exact dependent extension
+        else:
+            candidate = _random_unit_vector(stream, n, cplx)
+        try:
+            report = geometry.classify(f, candidate, tol=1e-8)
+        except geometry.InternalInconsistency:
+            disagreements += 1
+            continue
+        if report.verdict == "dependent":
+            dependents += 1
+    return [verify._row("classifier-coherence",
+                        f"elliptic vs rank verdicts, {total} pairs ({dependents} dependent)",
+                        disagreements, "0 disagreements", 1e-8, disagreements == 0)]
+
+
+def reference_perturbation_suite():
+    stream = Stream(1300)
+    worst_gap = -np.inf
+    for k in range(1000):
+        cplx = k % 2 == 1
+        phi = _random_unit_vector(stream, 3, cplx)
+        psi = _random_unit_vector(stream, 3, cplx)
+        d = perturb.outer_distance(phi, psi)
+        worst_gap = max(worst_gap, d - 2 * float(np.linalg.norm(phi - psi)) ** 2)
+    rows = [verify._row("outer-distance-bound", "closed form under 2||phi-psi||^2 (1000 pairs)",
+                        worst_gap, "<= 0", 1e-12, worst_gap <= 1e-12)]
+
+    worst_env = -np.inf
+    for k in range(200):
+        cplx = k % 2 == 1
+        n = 2 + k % 3
+        m = 2 + k % n if n > 2 else 2
+        field = "complex" if cplx else "real"
+        f = cons.random_unit(n, m, 13000 + k, field=field)
+        if matcore.numerical_rank(gram(f)) < m:
+            continue
+        rb = riesz_bounds(f)
+        noise = (stream.complex_normals(m * n) if cplx else stream.normals(m * n)).reshape(m, n)
+        budget_sq = 0.8 * rb.lower
+        noise *= np.sqrt(budget_sq) / np.linalg.norm(noise) * float(stream.uniforms(1)[0])
+        pf = Frame(field=field, vectors=f.vectors + noise)
+        eps = float(np.linalg.norm(noise))
+        lo, hi = perturb.perturbed_riesz_bounds(rb.lower, rb.upper, eps ** 2)
+        w = matcore.hermitian_eigvalues(gram(pf))
+        worst_env = max(worst_env, lo - w[-1], w[0] - hi)
+    rows.append(verify._row("perturbed-bounds-envelope", "measured bounds inside lem1 envelope "
+                            "(200 frames)", worst_env, "<= 0", 1e-9, worst_env <= 1e-9))
+
+    failures = 0
+    for k in range(500):
+        cplx = k % 2 == 1
+        n = 2 + k % 2
+        d = n * (n + 1) // 2 if not cplx else n * n
+        m = min(2 + k % 3, d)
+        field = "complex" if cplx else "real"
+        f = cons.random_unit(n, m, 13500 + k, field=field)
+        os_ = outer.induce(f)
+        if os_.rank < m:
+            continue
+        radius = perturb.independence_radius(os_)
+        noise = (stream.complex_normals(m * n) if cplx else stream.normals(m * n)).reshape(m, n)
+        noise *= 0.9 * np.sqrt(radius) / np.linalg.norm(noise)
+        moved = f.vectors + noise
+        moved /= np.linalg.norm(moved, axis=1, keepdims=True)
+        if float(np.sum(np.abs(moved - f.vectors) ** 2)) >= radius:
+            continue
+        pf = Frame(field=field, vectors=moved)
+        if outer.induce(pf).rank < m:
+            failures += 1
+    rows.append(verify._row("independence-radius-fuzz", "500 perturbations inside A/2",
+                            failures, "0 failures", None, failures == 0))
+    return rows
+
+
+def reference_nudge_repair():
+    rows = []
+    for eps in (0.1, 0.01):
+        failures = 0
+        for k in range(200):
+            f = verify._random_dependent_frame(k)
+            assert outer.induce(f).rank < f.m
+            g = perturb.nudge_to_independence(f, eps)
+            movement = float(sum(np.linalg.norm(g.vectors[i] - f.vectors[i])
+                                 for i in range(f.m)))
+            if outer.induce(g).rank < g.m or movement >= eps:
+                failures += 1
+        rows.append(verify._row("nudge-repair", f"200 dependent frames, eps={eps}", failures,
+                                "0 failures", None, failures == 0))
+    dependent = 0
+    for k in range(1000):
+        cplx = k % 4 == 3
+        n = 2 + k % 3 if not cplx else 2
+        d = n * n if cplx else n * (n + 1) // 2
+        m = 2 + k % (d - 1) if d > 2 else 2
+        f = cons.random_unit(n, m, 14500 + k, field="complex" if cplx else "real")
+        if outer.induce(f).rank < m:
+            dependent += 1
+    rows.append(verify._row("independence-density", "1000 random frames at M <= dim",
+                            dependent, "0 dependent", None, dependent == 0))
+    return rows
+
+
+@pytest.mark.parametrize("name, reference", [
+    ("pc2-identity", reference_pc2_identity),
+    ("hadamard-gram", reference_hadamard_gram),
+    ("outer-bound-extremes", reference_outer_bound_extremes),
+    ("classifier-coherence", reference_classifier_coherence),
+    ("perturbation-suite", reference_perturbation_suite),
+    ("nudge-repair", reference_nudge_repair),
+])
+def test_batched_check_equals_per_case_reference(name, reference):
+    batched = verify.rows_to_dicts(verify.CHECKS[name]())
+    expected = verify.rows_to_dicts(reference())
+    # json keeps every float's full repr, so this is a bit-for-bit comparison
+    assert json.dumps(batched) == json.dumps(expected)
+
+
+def test_nudge_repair_counts_an_independent_input_as_a_failure(monkeypatch):
+    dependent_frame = verify._random_dependent_frame
+
+    def corpus(k):
+        if k == 5:
+            return cons.random_unit(3, 4, 99)  # independent outer products
+        return dependent_frame(k)
+
+    monkeypatch.setattr(verify, "_random_dependent_frame", corpus)
+    assert outer.induce(corpus(5)).rank == 4
+    rows = verify.check_nudge_repair()
+    nudge = [r for r in rows if r.check == "nudge-repair"]
+    assert [(r.measured, r.passed) for r in nudge] == [(1.0, False), (1.0, False)]
+    assert rows[-1].check == "independence-density" and rows[-1].passed
