@@ -39,17 +39,20 @@ from .frame import (
 from .geometry import (
     BatchClassification,
     ClassificationReport,
+    PreparedBatch,
     PreparedFrame,
     PsdExtension,
     admissible_coefficients,
     admissible_vector,
     classify,
     classify_batch,
+    classify_frames,
     elliptic_value,
     ellipsoid_residual,
     extension_rank_preserved,
     mu2_subset_mu4_probe,
     prepare,
+    prepare_batch,
     psd_extension,
     quartic_residual,
 )

@@ -22,7 +22,11 @@ whose Schur complement is 1 minus the elliptic value.  The check is
 two-sided: an independent verdict must grow the bordered rank, and for
 every candidate the Schur complement det([[G, w], [w^T, 1]]) / det(G)
 must agree with 1 - elliptic value within its backward-error bound.
-``classify`` is the one-row batch.
+``classify`` is the one-row batch.  ``prepare_batch`` builds the same
+state for many independent frames of one shape from stacked calls, and
+``classify_frames`` classifies one candidate per frame against it through
+the same code with a leading frame axis, returning the cross-check's
+disagreements as a mask instead of raising.
 """
 
 from dataclasses import dataclass
@@ -43,9 +47,9 @@ from .errors import (
     ShapeMismatch,
     TooMany,
 )
-from .frame import Frame, analysis, gram, spans
-from .outer import OuterSequence, independent_prefix, induce
-from .rng import Stream
+from .frame import Frame, analysis, gram, spans, vector_gram
+from .outer import OuterBatch, OuterSequence, ambient_outer_dim, independent_prefix, induce
+from .rng import Stream, unit_vectors
 
 PSD_RELTOL = 1e-10
 DEFAULT_VERDICT_TOL = 1e-8
@@ -73,15 +77,23 @@ STACK_ENTRIES = 1 << 20
 _EPS = np.finfo(np.float64).eps
 
 
-def _border_rank(a) -> int:
-    sigma = matcore.singular_values(a)
-    tol = BORDER_RANK_SAFETY * matcore.default_rank_tol(a.shape, float(sigma[0]))
-    return matcore.rank_from_singular_values(sigma, a.shape, tol)
+def _border_rank(a):
+    """Rank of a matrix, or of each matrix of a stack, at BORDER_RANK_SAFETY
+    times the default tolerance."""
+    sigma = matcore.stacked_singular_values(a)
+    shape = np.shape(a)[-2:]
+    tol = BORDER_RANK_SAFETY * matcore.default_rank_tol(shape, sigma[..., 0])
+    return matcore.rank_from_singular_values(sigma, shape, tol)
 
 
 @dataclass(frozen=True)
 class PsdExtension:
-    """A validated PSD matrix with its spectrum and positive-eigenvalue index."""
+    """A validated PSD matrix with its spectrum and positive-eigenvalue index.
+
+    It may also hold a (K, n, n) stack of matrices that share i_plus, with
+    the stacked spectrum; admissible_vector and admissible_coefficients
+    then work on every matrix at once.
+    """
 
     t: np.ndarray
     spectrum: matcore.SpectralData
@@ -89,39 +101,57 @@ class PsdExtension:
 
     @property
     def n(self) -> int:
-        return self.t.shape[0]
+        return self.t.shape[-1]
+
+
+def _psd_violations(w: np.ndarray):
+    """Whether the descending eigenvalues w of a matrix, or each row of w
+    for a stack, fail the PSD rule."""
+    top = np.maximum(w[..., 0], 0.0)
+    return (w[..., -1] < -PSD_RELTOL * top) | ((top == 0.0) & (w[..., -1] < 0.0))
 
 
 def _checked_psd(w: np.ndarray) -> None:
-    """Raise NotPsd unless the descending eigenvalues w are those of a PSD matrix."""
-    top = max(float(w[0]), 0.0)
-    if w[-1] < -PSD_RELTOL * top or (top == 0.0 and w[-1] < 0.0):
-        raise NotPsd(f"smallest eigenvalue {w[-1]} is negative beyond tolerance")
+    """Raise NotPsd unless the descending eigenvalues w (one row per matrix
+    of a stack) are those of PSD matrices."""
+    bad = _psd_violations(w)
+    if np.any(bad):
+        low = np.asarray(w[..., -1])[bad][0]
+        raise NotPsd(f"smallest eigenvalue {low} is negative beyond tolerance")
+
+
+def _positive_eigenvalues(w: np.ndarray, shape) -> np.ndarray:
+    """Mask of the eigenvalues above the rank tolerance, for the descending
+    eigenvalues w of a PSD matrix of the given shape (one row per matrix of
+    a stack)."""
+    top = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
+    return w > np.asarray(matcore.default_rank_tol(shape, top))[..., None]
 
 
 def psd_extension(t) -> PsdExtension:
     """Validate PSD-ness and precompute the spectral data used everywhere below."""
     t = matcore.as_matrix(t)
     spectrum = matcore.hermitian_eig(t)
-    w = spectrum.eigenvalues
-    _checked_psd(w)
-    tol = matcore.default_rank_tol(t.shape, max(abs(float(w[0])), abs(float(w[-1]))))
-    i_plus = tuple(int(i) for i in np.flatnonzero(w > tol))
-    return PsdExtension(t=t, spectrum=spectrum, i_plus=i_plus)
+    _checked_psd(spectrum.eigenvalues)
+    i_plus = np.flatnonzero(_positive_eigenvalues(spectrum.eigenvalues, t.shape))
+    return PsdExtension(t=t, spectrum=spectrum, i_plus=tuple(int(i) for i in i_plus))
 
 
 def bordered(t, v) -> np.ndarray:
-    """The (N+1) x (N+1) matrix [[t, v], [v*, 1]]."""
-    t = matcore.as_matrix(t)
-    v = np.asarray(v).reshape(-1)
-    if v.shape[0] != t.shape[0]:
-        raise ShapeMismatch(f"vector length {v.shape[0]} does not border {t.shape}")
-    n = t.shape[0]
-    out = np.zeros((n + 1, n + 1), dtype=np.result_type(t, v))
-    out[:n, :n] = t
-    out[:n, n] = v
-    out[n, :n] = v.conj()
-    out[n, n] = 1.0
+    """The (N+1) x (N+1) matrix [[t, v], [v*, 1]], or one per matrix of a
+    (K, N, N) stack t and row of a (K, N) v."""
+    t = matcore.as_stack(t)
+    v = np.asarray(v)
+    if t.ndim == 2:
+        v = v.reshape(-1)
+    n = t.shape[-1]
+    if v.shape[-1] != n or t.shape[-2] != n:
+        raise ShapeMismatch(f"vector length {v.shape[-1]} does not border {t.shape}")
+    out = np.zeros(t.shape[:-2] + (n + 1, n + 1), dtype=np.result_type(t, v))
+    out[..., :n, :n] = t
+    out[..., :n, n] = v
+    out[..., n, :n] = v.conj()
+    out[..., n, n] = 1.0
     return out
 
 
@@ -136,17 +166,20 @@ def extension_rank_preserved(t, v) -> bool:
 
 
 def admissible_vector(ext: PsdExtension, a) -> np.ndarray:
-    """The rank-preserving border sum(a_i sqrt(lambda_i) e_i) over i_plus."""
-    a = np.asarray(a).reshape(-1)
-    if a.shape[0] != len(ext.i_plus):
+    """The rank-preserving border sum(a_i sqrt(lambda_i) e_i) over i_plus
+    (one per row of a (K, r) a for a stacked ext)."""
+    a = np.asarray(a)
+    if ext.t.ndim == 2:
+        a = a.reshape(-1)
+    if a.shape[-1] != len(ext.i_plus):
         raise BadCoefficients(
-            f"need {len(ext.i_plus)} coefficients (one per positive eigenvalue), got {a.shape[0]}")
-    if abs(float(np.sum(np.abs(a) ** 2)) - 1.0) > UNIT_TOL:
+            f"need {len(ext.i_plus)} coefficients (one per positive eigenvalue), got {a.shape[-1]}")
+    if np.any(np.abs(np.sum(np.abs(a) ** 2, axis=-1) - 1.0) > UNIT_TOL):
         raise BadCoefficients("coefficients must have unit l2 norm")
     idx = list(ext.i_plus)
-    lam = ext.spectrum.eigenvalues[idx]
-    vecs = ext.spectrum.eigenvectors[:, idx]
-    return vecs @ (a * np.sqrt(lam))
+    lam = ext.spectrum.eigenvalues[..., idx]
+    vecs = ext.spectrum.eigenvectors[..., idx]
+    return (vecs @ (a * np.sqrt(lam))[..., None])[..., 0]
 
 
 def admissible_coefficients(ext: PsdExtension, v, tol: float = DEFAULT_VERDICT_TOL):
@@ -154,58 +187,62 @@ def admissible_coefficients(ext: PsdExtension, v, tol: float = DEFAULT_VERDICT_T
 
     None exactly when the bordered extension increases rank: v must lie in
     the span of the positive eigenvectors and the recovered coefficients
-    must square-sum to 1.
+    must square-sum to 1.  For a stacked ext and a (K, n) v the result is a
+    (K, r) array whose off-family rows are NaN.
     """
-    v = np.asarray(v).reshape(-1)
-    if v.shape[0] != ext.n:
-        raise ShapeMismatch(f"vector length {v.shape[0]} does not match {ext.n}")
-    coords = ext.spectrum.eigenvectors.conj().T @ v
+    v = np.asarray(v)
+    if ext.t.ndim == 2:
+        v = v.reshape(-1)
+    if v.shape[-1] != ext.n:
+        raise ShapeMismatch(f"vector length {v.shape[-1]} does not match {ext.n}")
+    vecs = ext.spectrum.eigenvectors
+    coords = (vecs.conj().swapaxes(-1, -2) @ v[..., None])[..., 0]
     idx = list(ext.i_plus)
     inside = np.zeros(ext.n, dtype=bool)
     inside[idx] = True
-    leakage = float(np.linalg.norm(coords[~inside]))
-    if leakage > tol:
-        return None
-    lam = ext.spectrum.eigenvalues[idx]
-    a = coords[idx] / np.sqrt(lam)
-    if abs(float(np.sum(np.abs(a) ** 2)) - 1.0) > tol:
-        return None
-    return a
+    leakage = matcore.row_norms(coords[..., ~inside])
+    a = coords[..., idx] / np.sqrt(ext.spectrum.eigenvalues[..., idx])
+    off = (leakage > tol) | (np.abs(np.sum(np.abs(a) ** 2, axis=-1) - 1.0) > tol)
+    if ext.t.ndim == 2:
+        return None if off else a
+    return np.where(off[..., None], np.nan, a)
 
 
-def _inverse_gram_form(spectrum: matcore.SpectralData, w: np.ndarray):
-    """w^T G^{-1} w, given the eigendecomposition of G.
+def _inverse_gram_form(spectrum: matcore.SpectralData, w: np.ndarray) -> np.ndarray:
+    """w^T G^{-1} w for each row of a (..., K, M) batch w, given the
+    eigendecomposition of G: one (M, M) G for every row, or a (..., M, M)
+    stack with one G per leading index.  The result has shape (..., K).
 
-    A float for one w, an array of K values for a (K, M) batch.  With G the
-    outer Gram and w = |tv|^2 entrywise for an analysis image tv, the
-    elliptic value and the quartic are this one quantity, and 1 minus it is
-    the Schur complement of G in the bordered Gram [[G, w], [w^T, 1]].
+    With G the outer Gram and w = |tv|^2 entrywise for an analysis image
+    tv, the elliptic value and the quartic are this one quantity, and 1
+    minus it is the Schur complement of G in the bordered Gram
+    [[G, w], [w^T, 1]].
     """
     y = w @ spectrum.eigenvectors
-    value = np.sum(y ** 2 / spectrum.eigenvalues, axis=-1)
-    return float(value) if np.ndim(value) == 0 else value
+    return np.sum(y ** 2 / spectrum.eigenvalues[..., None, :], axis=-1)
 
 
-def _check_candidates(os_: OuterSequence, candidates) -> np.ndarray:
-    """A validated (K, N) batch of unit candidates for an extendable frame."""
+def _check_candidates(candidates, f: Frame, independent: bool) -> np.ndarray:
+    """A validated (K, N) batch of unit candidates for an extendable frame
+    of f's shape and field, whose outers are independent or not."""
     candidates = np.asarray(candidates)
     if candidates.ndim != 2:
         raise ShapeMismatch(f"expected a (K, N) batch of candidates, got shape {candidates.shape}")
-    if candidates.shape[1] != os_.source.n:
+    if candidates.shape[1] != f.n:
         raise ShapeMismatch(
-            f"candidate has length {candidates.shape[1]}, frame lives in dimension {os_.source.n}")
-    if os_.source.field == "real" and np.iscomplexobj(candidates):
+            f"candidate has length {candidates.shape[1]}, frame lives in dimension {f.n}")
+    if f.field == "real" and np.iscomplexobj(candidates):
         if np.any(candidates.imag != 0.0):
             raise BadParam("a real frame takes real candidates only")
         candidates = candidates.real
     norms = np.sqrt(np.sum(np.abs(candidates) ** 2, axis=1))
     if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):  # a NaN norm fails too
         raise NotUnitNorm("candidate must be unit norm")
-    if os_.rank < os_.m:
+    if not independent:
         raise NotIndependent("the outer products of the frame must be independent")
-    if os_.m + 1 > os_.ambient_dim:
+    if f.m + 1 > ambient_outer_dim(f):
         raise TooMany(
-            f"M + 1 = {os_.m + 1} exceeds the ambient self-adjoint dimension {os_.ambient_dim}")
+            f"M + 1 = {f.m + 1} exceeds the ambient self-adjoint dimension {ambient_outer_dim(f)}")
     return candidates
 
 
@@ -213,8 +250,9 @@ def elliptic_value(f: Frame, candidate) -> float:
     """Weighted eigen-expansion of |<candidate, phi_i>|^2; equals 1 iff the
     candidate's outer product is dependent on the existing ones."""
     os_ = induce(f)
-    candidate = _check_candidates(os_, np.asarray(candidate).reshape(1, -1))[0]
-    return _inverse_gram_form(os_.gram_spectrum, np.abs(analysis(os_.source) @ candidate) ** 2)
+    candidate = _check_candidates(np.asarray(candidate).reshape(1, -1), f, os_.rank == os_.m)
+    w = np.abs(candidate @ analysis(f).T) ** 2
+    return float(_inverse_gram_form(os_.gram_spectrum, w)[0])
 
 
 def quartic_residual(f: Frame, v) -> float:
@@ -226,19 +264,21 @@ def quartic_residual(f: Frame, v) -> float:
     os_ = induce(f)
     if os_.rank < os_.m:
         raise NotIndependent("the outer products of the frame must be independent")
-    v = np.asarray(v).reshape(-1)
-    if v.shape[0] != os_.m:
-        raise ShapeMismatch(f"v has length {v.shape[0]}, expected M = {os_.m}")
-    return abs(_inverse_gram_form(os_.gram_spectrum, np.abs(v) ** 2) - 1.0)
+    v = np.asarray(v).reshape(1, -1)
+    if v.shape[1] != os_.m:
+        raise ShapeMismatch(f"v has length {v.shape[1]}, expected M = {os_.m}")
+    return abs(float(_inverse_gram_form(os_.gram_spectrum, np.abs(v) ** 2)[0]) - 1.0)
 
 
 def _ellipsoid_residuals(sd: matcore.SpectralData, n: int, v: np.ndarray,
                          tol: float) -> np.ndarray:
-    """ellipsoid_residual for each row of a (K, M) batch, given the
-    eigendecomposition sd of the vector Gram of a frame spanning C^n or R^n."""
+    """ellipsoid_residual for each row of a (..., K, M) batch, given the
+    eigendecomposition sd of the vector Gram of a frame spanning C^n or R^n,
+    or a (..., M, M) stack of them with one per leading index."""
     coords = v @ sd.eigenvectors.conj()
-    out = np.abs(np.sum(np.abs(coords[:, :n]) ** 2 / sd.eigenvalues[:n], axis=1) - 1.0)
-    out[np.sum(np.abs(coords[:, n:]) ** 2, axis=1) > tol * tol] = np.inf
+    out = np.abs(np.sum(np.abs(coords[..., :n]) ** 2 / sd.eigenvalues[..., None, :n], axis=-1)
+                 - 1.0)
+    out[np.sum(np.abs(coords[..., n:]) ** 2, axis=-1) > tol * tol] = np.inf
     return out
 
 
@@ -305,6 +345,32 @@ class PreparedFrame(NamedTuple):
     scaled_spectrum: matcore.SpectralData
 
 
+class PreparedBatch(NamedTuple):
+    """The state of prepare for K frames of one shape and field whose outers
+    are independent, every array with a leading frame axis.
+
+    Row i of each field is what prepare(outer.frames[i]) holds, except that
+    spans is a (K,) flag array and vector_gram is present for every frame,
+    spanning or not.
+    """
+
+    outer: OuterBatch
+    analysis: np.ndarray
+    spans: np.ndarray
+    vector_gram: matcore.SpectralData
+    scale: np.ndarray
+    scaled_gram: np.ndarray
+    scaled_spectrum: matcore.SpectralData
+
+
+def _equilibrated(gram_op: np.ndarray) -> tuple:
+    """d_i = G_ii^{-1/2} (1 for a zero outer) and D G D, for an outer Gram G
+    or a stack of them."""
+    diag = np.diagonal(gram_op, axis1=-2, axis2=-1)
+    scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    return scale, scale[..., :, None] * gram_op * scale[..., None, :]
+
+
 def prepare(f: Frame) -> PreparedFrame:
     """Build the frame-level classifier state once, for any number of batches."""
     os_ = induce(f)
@@ -314,13 +380,32 @@ def prepare(f: Frame) -> PreparedFrame:
         f = f.subframe(permutation)
         os_ = induce(f)
     spanning = spans(f)
-    diag = np.diag(os_.gram_op)
-    scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))  # 1 for a zero outer
-    scaled_gram = scale[:, None] * os_.gram_op * scale
+    scale, scaled_gram = _equilibrated(os_.gram_op)
     return PreparedFrame(outer=os_, analysis=analysis(f), spans=spanning,
                          vector_gram=matcore.hermitian_eig(gram(f)) if spanning else None,
                          permutation=permutation, scale=scale, scaled_gram=scaled_gram,
                          scaled_spectrum=matcore.hermitian_eig(scaled_gram))
+
+
+def prepare_batch(batch: OuterBatch) -> PreparedBatch:
+    """prepare for every frame of an OuterBatch, from stacked LAPACK calls.
+
+    Each frame's arrays are bit for bit those prepare builds for it alone.
+    Raises NotIndependent when a frame's outers are dependent: prepare
+    would reorder it to a shorter prefix, which has no place in the stack,
+    so callers keep the frames where batch.independent holds.
+    """
+    if not batch.independent.all():
+        raise NotIndependent(f"frame {int(np.argmin(batch.independent))} of the batch has "
+                             "dependent outer products")
+    v = batch.vectors
+    m, n = v.shape[-2:]
+    sigma = matcore.stacked_singular_values(v.swapaxes(-1, -2))  # each synthesis matrix
+    scale, scaled_gram = _equilibrated(batch.gram_op)
+    return PreparedBatch(outer=batch, analysis=v.conj(),
+                         spans=matcore.rank_from_singular_values(sigma, (n, m)) == n,
+                         vector_gram=matcore.hermitian_eig(vector_gram(v)), scale=scale,
+                         scaled_gram=scaled_gram, scaled_spectrum=matcore.hermitian_eig(scaled_gram))
 
 
 class BatchClassification(NamedTuple):
@@ -349,22 +434,33 @@ class BatchClassification(NamedTuple):
             tol=self.tol, permutation=self.permutation)
 
 
-def _bordered_gram_check(prep: PreparedFrame, w: np.ndarray, value: np.ndarray,
-                         dependent: np.ndarray) -> None:
-    """Cross-check elliptic values against the K bordered Grams [[G, w], [w^T, 1]].
+class _BorderCheck(NamedTuple):
+    """Per candidate: whether it disagrees with its bordered Gram, whether
+    through the rank (flat), and the Schur complement with its bound."""
 
-    G and w are the equilibrated D G D and D w of the prepared frame: the
-    congruence diag(d, 1) keeps the rank and the Schur complement
-    1 - w^T G^{-1} w of the bordered Gram, and without it the rank
-    tolerance of a frame of large norm, scaled by lambda_max(G), would
-    swamp the corner 1.
+    disagrees: np.ndarray
+    flat: np.ndarray
+    schur: np.ndarray
+    bound: np.ndarray
 
-    Raises InternalInconsistency for the first candidate where an
-    independent verdict leaves the bordered rank at rank(G), or where the
-    Schur complement s = det(ext) / det(G), formed from the stacked
-    spectrum as lambda_M(ext) exp(sum_i log(lambda_i(ext) / lambda_i(G))) so
-    that neither determinant can underflow, differs from 1 - value by more
-    than SCHUR_SAFETY times the first-order bound
+
+def _bordered_gram_check(gram: np.ndarray, lam_g: np.ndarray, w: np.ndarray,
+                         value: np.ndarray, dependent: np.ndarray) -> _BorderCheck:
+    """Cross-check K elliptic values against the bordered Grams [[G, w], [w^T, 1]].
+
+    w is a (K, M) batch for frames with independent outers; G is one
+    (M, M) Gram for every row or a (K, M, M) stack with one per row, and
+    lam_g its descending eigenvalues.  G and w are the equilibrated D G D
+    and D w of a prepared frame: the congruence diag(d, 1) keeps the rank
+    and the Schur complement 1 - w^T G^{-1} w of the bordered Gram, and
+    without it the rank tolerance of a frame of large norm, scaled by
+    lambda_max(G), would swamp the corner 1.
+
+    A candidate disagrees where an independent verdict leaves the bordered
+    rank at M, or where the Schur complement s = det(ext) / det(G), formed
+    from the stacked spectrum as lambda_M(ext) exp(sum_i log(lambda_i(ext)
+    / lambda_i(G))) so that neither determinant can underflow, differs
+    from 1 - value by more than SCHUR_SAFETY times the first-order bound
 
         delta * ((2M+1) / lambda_min(G) + 1 + |w|^2 / lambda_min(G)^2),
         delta = (M+1) eps lambda_max(ext).
@@ -377,36 +473,52 @@ def _bordered_gram_check(prep: PreparedFrame, w: np.ndarray, value: np.ndarray,
     about delta, far under the verdict tolerance.
     """
     k, m = w.shape
-    lam_g = prep.scaled_spectrum.eigenvalues
-    lam_min = float(lam_g[-1])
+    gram = np.broadcast_to(gram, (k, m, m))
+    lam_g = np.broadcast_to(lam_g, (k, m))
+    flat = np.zeros(k, dtype=bool)
+    schur = np.empty(k)
+    bound = np.empty(k)
     step = max(1, STACK_ENTRIES // (m + 1) ** 2)
     for start in range(0, k, step):
-        stop = min(k, start + step)
-        wb = w[start:stop]
-        ext = np.empty((stop - start, m + 1, m + 1))
-        ext[:, :m, :m] = prep.scaled_gram
+        part = slice(start, min(k, start + step))
+        wb = w[part]
+        ext = np.empty((len(wb), m + 1, m + 1))
+        ext[:, :m, :m] = gram[part]
         ext[:, :m, m] = wb
         ext[:, m, :m] = wb
         ext[:, m, m] = 1.0
         lam = matcore.hermitian_eigvalues(ext)
         rank = matcore.rank_from_singular_values(
             np.sort(np.abs(lam), axis=1)[:, ::-1], (m + 1, m + 1))
+        lam_min = lam_g[part, -1]
         # interlacing puts lam[:, i] >= lam_g[i] > 0 for i < M, so only the
         # last eigenvalue can be zero or negative, and the product of the
         # ratios is at most lam_max(ext) / lam_min(ext)
-        schur = lam[:, m] * np.exp(np.log(lam[:, :m] / lam_g).sum(axis=1))
-        bound = SCHUR_SAFETY * (m + 1) * _EPS * lam[:, 0] * (
+        schur[part] = lam[:, m] * np.exp(np.log(lam[:, :m] / lam_g[part]).sum(axis=1))
+        bound[part] = SCHUR_SAFETY * (m + 1) * _EPS * lam[:, 0] * (
             (2 * m + 1) / lam_min + 1.0 + (wb * wb).sum(axis=1) / lam_min / lam_min)
-        flat = ~dependent[start:stop] & (rank <= prep.outer.rank)
-        bad = flat | ~(np.abs(schur - (1.0 - value[start:stop])) <= bound)
-        if bad.any():
-            i = int(bad.argmax())
-            verdict = "dependent" if dependent[start + i] else "independent"
-            what = ("rank comparison" if flat[i] else
-                    f"Schur complement {schur[i]:.3e} (bound {bound[i]:.1e})")
-            raise InternalInconsistency(
-                f"candidate {start + i}: elliptic value {value[start + i]} "
-                f"(verdict {verdict}) disagrees with the extended-Gram {what}")
+        flat[part] = ~dependent[part] & (rank <= m)
+    disagrees = flat | ~(np.abs(schur - (1.0 - value)) <= bound)
+    return _BorderCheck(disagrees=disagrees, flat=flat, schur=schur, bound=bound)
+
+
+def _verdicts(prep, tv: np.ndarray, tol: float) -> tuple:
+    """(value, dependent, ellipsoid residual, bordered-Gram check) for the
+    analysis images tv: (K, M) against a PreparedFrame, or (K, 1, M), one
+    row per frame, against a PreparedBatch of K frames."""
+    w = np.abs(tv) ** 2 * prep.scale[..., None, :]
+    value = _inverse_gram_form(prep.scaled_spectrum, w)
+    dependent = np.abs(value - 1.0) <= tol
+    m = w.shape[-1]
+    check = _bordered_gram_check(prep.scaled_gram, prep.scaled_spectrum.eigenvalues,
+                                 w.reshape(-1, m), value.reshape(-1), dependent.reshape(-1))
+    if prep.vector_gram is None:
+        ell = np.full(value.shape, np.nan)
+    else:
+        with np.errstate(all="ignore"):  # frames that do not span are masked below
+            ell = _ellipsoid_residuals(prep.vector_gram, prep.analysis.shape[-1], tv, tol)
+        ell = np.where(np.asarray(prep.spans)[..., None], ell, np.nan)
+    return value, dependent, ell, check
 
 
 def classify_batch(prep: PreparedFrame, candidates,
@@ -417,21 +529,43 @@ def classify_batch(prep: PreparedFrame, candidates,
     values, verdicts and ellipsoid residuals are vectorised over the
     batch, and every candidate is cross-checked against its bordered Gram
     through one stacked eigenvalue call (see _bordered_gram_check).
+    Raises InternalInconsistency for the first candidate that disagrees.
     """
     os_ = prep.outer
-    candidates = _check_candidates(os_, candidates)
+    candidates = _check_candidates(candidates, os_.source, os_.rank == os_.m)
     tv = candidates @ prep.analysis.T
-    w = np.abs(tv) ** 2 * prep.scale
-    value = _inverse_gram_form(prep.scaled_spectrum, w)
-    dependent = np.abs(value - 1.0) <= tol
-    _bordered_gram_check(prep, w, value, dependent)
-    if prep.spans:
-        ell = _ellipsoid_residuals(prep.vector_gram, os_.source.n, tv, tol)
-    else:
-        ell = np.full(len(tv), np.nan)
+    value, dependent, ell, check = _verdicts(prep, tv, tol)
+    if check.disagrees.any():
+        i = int(check.disagrees.argmax())
+        verdict = "dependent" if dependent[i] else "independent"
+        what = ("rank comparison" if check.flat[i] else
+                f"Schur complement {check.schur[i]:.3e} (bound {check.bound[i]:.1e})")
+        raise InternalInconsistency(
+            f"candidate {i}: elliptic value {value[i]} "
+            f"(verdict {verdict}) disagrees with the extended-Gram {what}")
     return BatchClassification(candidates=candidates, tv=tv, elliptic_value=value,
                                dependent=dependent, ellipsoid_residual=ell, tol=tol,
                                permutation=prep.permutation)
+
+
+def classify_frames(prep: PreparedBatch, candidates, tol: float = DEFAULT_VERDICT_TOL) -> tuple:
+    """Classify candidate k of a (K, N) batch against frame k of a prepared
+    batch, through the same stacked calls as classify_batch.
+
+    Returns (classification, disagrees).  Where disagrees[k] is False, row
+    k of the classification is what classify(frame k, candidate k)
+    reports; where it is True, classify raises InternalInconsistency.
+    """
+    frames = prep.outer.frames
+    candidates = _check_candidates(candidates, frames[0], True)
+    if len(candidates) != len(frames):
+        raise ShapeMismatch(f"{len(candidates)} candidates for {len(frames)} frames")
+    tv = candidates[:, None, :] @ prep.analysis.swapaxes(-1, -2)
+    value, dependent, ell, check = _verdicts(prep, tv, tol)
+    result = BatchClassification(candidates=candidates, tv=tv[:, 0], elliptic_value=value[:, 0],
+                                 dependent=dependent[:, 0], ellipsoid_residual=ell[:, 0],
+                                 tol=tol, permutation=None)
+    return result, check.disagrees
 
 
 def classify(f: Frame, candidate, tol: float = DEFAULT_VERDICT_TOL) -> ClassificationReport:
@@ -457,17 +591,11 @@ def mu2_subset_mu4_probe(f: Frame, samples: int, seed: int) -> float:
     if f.m < os_.ambient_dim or os_.rank < os_.ambient_dim:
         raise RankDeficient(
             f"outer products span {os_.rank} < {os_.ambient_dim} dimensions")
-    prefix = independent_prefix(f)
-    pf = f.subframe(prefix)
-    pos = induce(pf)
-    a = analysis(pf)
-    stream = Stream(seed)
-    worst = 0.0
-    for _ in range(samples):
-        if f.field == "real":
-            psi = stream.normals(f.n)
-        else:
-            psi = stream.complex_normals(f.n)
-        psi = psi / np.linalg.norm(psi)
-        worst = max(worst, abs(_inverse_gram_form(pos.gram_spectrum, np.abs(a @ psi) ** 2) - 1.0))
-    return worst
+    pf = f.subframe(independent_prefix(f))
+    psi = unit_vectors(Stream(seed), samples, f.n, f.field == "complex")
+    # A psi_k as one matrix-vector product per sample, the BLAS kernel a
+    # single sample goes through; (psi A^T) as one product differs in the
+    # last bits
+    w = np.abs((analysis(pf) @ psi[:, :, None])[:, :, 0]) ** 2
+    residual = np.abs(_inverse_gram_form(induce(pf).gram_spectrum, w) - 1.0)
+    return float(np.max(residual, initial=0.0))

@@ -108,6 +108,15 @@ class OuterBatch:
                                         eigenvectors=self.gram_spectrum.eigenvectors[i])
         return _sequence(self.frames[i], self.gram_op[i], spectrum, self.ranks[i])
 
+    def take(self, rows) -> "OuterBatch":
+        """The batch of the frames at the given rows, sliced from this one."""
+        rows = np.asarray(rows, dtype=int)
+        spectrum = matcore.SpectralData(eigenvalues=self.gram_spectrum.eigenvalues[rows],
+                                        eigenvectors=self.gram_spectrum.eigenvectors[rows])
+        return OuterBatch(frames=tuple(self.frames[i] for i in rows), vectors=self.vectors[rows],
+                          gram_op=self.gram_op[rows], ranks=self.ranks[rows],
+                          gram_spectrum=spectrum)
+
 
 def induce_batch(frames) -> OuterBatch:
     """``induce`` for frames of one shape and field, in one LAPACK call.

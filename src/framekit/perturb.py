@@ -6,6 +6,7 @@ repair budgets the plain sum of norms (each summand below eps/M).  Each
 operation documents which one it enforces.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -196,8 +197,8 @@ def nudge_to_independence(f: Frame, eps: float) -> Frame:
     outer product leaves the current span.  Already-independent input
     comes back unchanged.
     """
-    if eps <= 0.0:
-        raise BadParam("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise BadParam(f"eps must be finite and positive, got {eps}")
     d = ambient_outer_dim(f)
     if f.m > d:
         raise TooMany(f"M = {f.m} exceeds the ambient self-adjoint dimension {d}")
@@ -214,6 +215,9 @@ def nudge_to_independence(f: Frame, eps: float) -> Frame:
             kept.append(current)
             continue
         replaced = True
+        if per_vector_sq == 0.0:
+            raise BadParam(f"eps = {eps} is too small: the squared budget per vector, "
+                           f"(eps / M)^2 with M = {f.m}, underflows to 0")
         rank_before = len(kept)
         for cand in nearby_independent_basis(current, per_vector_sq):
             trial = kept + [cand]

@@ -12,6 +12,8 @@ the values that one-at-a-time draws give.
 
 import numpy as np
 
+from . import matcore
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -48,6 +50,11 @@ def normal_words(count: int, cplx: bool) -> int:
     return 2 * ((count + 1) // 2)
 
 
+def word_uniforms(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from raw words: the top 53 bits of each."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
 def box_muller(words: np.ndarray, count: int) -> np.ndarray:
     """``count`` normal deviates from each row of 2 * pairs raw words.
 
@@ -56,7 +63,7 @@ def box_muller(words: np.ndarray, count: int) -> np.ndarray:
     consecutive words gives row by row what K ``normals(count)`` calls do.
     """
     pairs = words.shape[-1] // 2
-    u = (words >> np.uint64(11)) * 2.0**-53
+    u = word_uniforms(words)
     # shift into (0, 1] so the log never sees zero
     r = np.sqrt(-2.0 * np.log(u[..., :pairs] + 2.0**-54))
     theta = 2.0 * np.pi * u[..., pairs:]
@@ -65,11 +72,13 @@ def box_muller(words: np.ndarray, count: int) -> np.ndarray:
 
 
 class Stream:
-    """Splitmix64 counter stream with a persistent cursor."""
+    """Splitmix64 counter stream with a persistent cursor, which starts at
+    word ``start``: ``Stream(seed, start=c)`` draws what ``Stream(seed)``
+    draws after its first c words."""
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, start: int = 0):
         self._seed = seed_words([seed])[0]
-        self._counter = 0
+        self._counter = start
 
     def raw(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit words."""
@@ -79,7 +88,7 @@ class Stream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """Doubles in [0, 1)."""
-        return (self.raw(count) >> np.uint64(11)) * 2.0**-53
+        return word_uniforms(self.raw(count))
 
     def normals(self, count: int) -> np.ndarray:
         """Standard normal deviates via Box-Muller."""
@@ -88,18 +97,6 @@ class Stream:
     def complex_normals(self, count: int) -> np.ndarray:
         z = self.normals(2 * count)
         return z[:count] + 1j * z[count:]
-
-
-def _row_norms(z: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row of a (k, n) block, bit for bit.
-
-    The norm of one vector is a BLAS dot (real and imaginary parts apart
-    over C); a stacked (1, n) @ (n, 1) matmul calls the same dot per row,
-    whereas ``norm(axis=1)`` sums squares and can differ in the last bit.
-    """
-    parts = (z.real, z.imag) if np.iscomplexobj(z) else (z,)
-    sq = sum((p[:, None, :] @ p[:, :, None])[:, 0, 0] for p in parts)
-    return np.sqrt(sq)
 
 
 def unit_rows(words: np.ndarray, n: int, cplx: bool) -> np.ndarray:
@@ -111,7 +108,7 @@ def unit_rows(words: np.ndarray, n: int, cplx: bool) -> np.ndarray:
     z = box_muller(words, 2 * n if cplx else n)
     if cplx:
         z = z[:, :n] + 1j * z[:, n:]
-    return z / _row_norms(z)[:, None]
+    return z / matcore.row_norms(z)[:, None]
 
 
 def unit_vectors(stream: Stream, k: int, n: int, cplx: bool) -> np.ndarray:

@@ -34,23 +34,53 @@ def frame_to_doc(f: Frame, name=None, construction=None, seed=None) -> dict:
 
 
 def doc_to_frame(doc: dict) -> Frame:
+    """The frame of a JSON document; BadParam for any malformed document."""
     try:
         field = doc["field"]
-        n = int(doc["n"])
+        n = doc["n"]
         raw = doc["vectors"]
     except (KeyError, TypeError) as exc:
         raise BadParam(f"malformed frame document: {exc}") from exc
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise BadParam(f"malformed frame document: n = {json.dumps(n)} is not an integer")
     if field not in (REAL, COMPLEX):
         raise BadParam(f"unknown field {field!r}")
+    if not isinstance(raw, list):
+        raise BadParam("malformed frame document: vectors must be a list of rows")
     rows = []
     for row in raw:
+        if not isinstance(row, list):
+            raise BadParam(f"malformed frame document: vector {json.dumps(row)} is not a list")
         if len(row) != n:
             raise BadParam(f"vector of length {len(row)} in a dimension-{n} document")
-        if field == COMPLEX:
-            rows.append([complex(re, im) for re, im in row])
-        else:
-            rows.append([float(x) for x in row])
+        try:
+            if field == COMPLEX:
+                rows.append([complex(*_pair(z)) for z in row])
+            else:
+                rows.append([_number(x) for x in row])
+        except (TypeError, OverflowError) as exc:
+            raise BadParam(f"malformed frame document: {exc}") from exc
     return Frame(field=field, vectors=np.array(rows))
+
+
+def is_number(x) -> bool:
+    """Whether a parsed JSON value is a number (a bool is not)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _number(x) -> float:
+    """A JSON number as a float; TypeError for anything else, strings
+    included, which float() would parse."""
+    if not is_number(x):
+        raise TypeError(f"entry {json.dumps(x)} is not a number")
+    return float(x)
+
+
+def _pair(z) -> tuple:
+    """A complex entry [re, im] as two floats."""
+    if not (isinstance(z, list) and len(z) == 2):
+        raise TypeError(f"complex entry {json.dumps(z)} is not a pair [re, im]")
+    return _number(z[0]), _number(z[1])
 
 
 def write_frame(f: Frame, fp, **meta) -> None:

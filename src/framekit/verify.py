@@ -7,11 +7,16 @@ subcommand runs them all and exits non-zero on any failure; the pytest
 acceptance module drives the same functions.  All randomness comes from
 the package's own counter-based generator so every run is identical.
 
-Monte Carlo corpora whose draws do not depend on earlier outcomes are
-drawn in blocks (one counter-word mix per block of seeds or of stream
-words) and decided by one stacked LAPACK call per (frame shape, field):
-every frame, vector and verdict is bit for bit what case-by-case
-evaluation gives, so the rows are the same either way.
+Monte Carlo corpora are drawn in blocks (one counter-word mix per block
+of seeds or of stream words) and decided by stacked LAPACK calls per
+(frame shape, field): every frame, vector and verdict is bit for bit what
+case-by-case evaluation gives, so the rows are the same either way.  The
+classifier corpus is prepared and classified one shape group at a time
+(``geometry.prepare_batch`` and ``classify_frames``).  In
+``psd-extension-roundtrip`` a case draws fewer words when its matrix lacks
+its r positive eigenvalues, so the forward block is drawn speculatively, as
+if no case stopped early; should one stop, that case and every later one
+are decided one at a time on a stream positioned at the case's first word.
 
 Ranks that LAPACK computes are checked against an exact oracle,
 ``rational_rank``: fraction-free (Bareiss) elimination over Python
@@ -27,7 +32,7 @@ import numpy as np
 from . import constructions as cons
 from . import geometry, matcore, outer, perturb
 from .frame import Frame, gram, riesz_bounds, vector_gram
-from .rng import Stream, normal_words, unit_rows, unit_vectors
+from .rng import Stream, box_muller, normal_words, unit_rows, unit_vectors, word_uniforms
 
 
 @dataclass
@@ -46,14 +51,19 @@ def _row(check, case, measured, expected, tolerance, passed):
                     tolerance=tolerance)
 
 
+def _index_groups(keys) -> dict:
+    """The indices of equal keys, by key, keys in order of first sight."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
 def _random_frames(specs) -> list:
     """``random_unit(n, m, seed, field)`` for each spec (n, m, seed, field),
     in order; the seeds of one (n, m, field) are drawn in one block."""
-    groups = {}
-    for i, (n, m, _, field) in enumerate(specs):
-        groups.setdefault((n, m, field), []).append(i)
     frames = [None] * len(specs)
-    for (n, m, field), idx in groups.items():
+    for (n, m, field), idx in _index_groups((n, m, field) for n, m, _, field in specs).items():
         block = cons.random_unit_stack(n, m, [specs[i][2] for i in idx], field)
         for i, v in zip(idx, block):
             frames[i] = Frame(field=field, vectors=v)
@@ -63,9 +73,7 @@ def _random_frames(specs) -> list:
 def _induce_groups(frames) -> list:
     """One ``outer.induce_batch`` per (field, shape) of frames, each with the
     indices of the frames it holds."""
-    groups = {}
-    for i, f in enumerate(frames):
-        groups.setdefault((f.field, f.vectors.shape), []).append(i)
+    groups = _index_groups((f.field, f.vectors.shape) for f in frames)
     return [(outer.induce_batch(frames[i] for i in idx), idx) for idx in groups.values()]
 
 
@@ -83,10 +91,35 @@ def _outer_ranks(frames) -> list:
     return [int(batch.ranks[j]) for batch, j in _batches(frames)]
 
 
+def _word_rows(words, starts, width) -> np.ndarray:
+    """A (len(starts), width) block whose row i is words[starts[i]:][:width]."""
+    return words[np.asarray(starts)[:, None] + np.arange(width)]
+
+
+def _unit_vector_draws(stream, shapes) -> list:
+    """For each (n, cplx) of shapes, in order, what successive
+    ``unit_vectors(stream, 1, n, cplx)[0]`` calls give, from one raw block."""
+    widths = np.array([normal_words(n, cplx) for n, cplx in shapes], dtype=int)
+    starts = np.cumsum(widths) - widths
+    words = stream.raw(int(widths.sum()))
+    out = [None] * len(shapes)
+    for (n, cplx), idx in _index_groups(shapes).items():
+        block = unit_rows(_word_rows(words, starts[idx], normal_words(n, cplx)), n, cplx)
+        for i, u in zip(idx, block):
+            out[i] = u
+    return out
+
+
+def _orthonormal(g):
+    """Q of the QR factorization of g (or of each matrix of a stack), its
+    columns signed by the diagonal of R."""
+    q, r = np.linalg.qr(g)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1).real)[..., None, :]
+
+
 def _random_orthonormal(stream, n, cplx):
     g = (stream.complex_normals(n * n) if cplx else stream.normals(n * n)).reshape(n, n)
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r).real)
+    return _orthonormal(g)
 
 
 # ---------------------------------------------------------------------------
@@ -435,41 +468,168 @@ def check_cross_products():
 # PSD bordered extensions
 
 
+def _psd_case(k):
+    """(n, r, cplx) of case k of psd-extension-roundtrip: a rank-r PSD
+    matrix of order n, complex for odd k."""
+    n = 2 + k % 7
+    return n, 1 + k % n, k % 2 == 1
+
+
+def _psd_matrix(q, lam):
+    """Q_r diag(lam) Q_r*, made exactly self-adjoint, from the first
+    r = len(lam) columns of q; or one per matrix of a stack q and row of lam."""
+    r = lam.shape[-1]
+    t = (q[..., :r] * lam[..., None, :]) @ q[..., :r].conj().swapaxes(-1, -2)
+    return (t + t.conj().swapaxes(-1, -2)) / 2
+
+
+def _psd_forward_words(k) -> tuple:
+    """Raw words forward case k draws, by part: the orthonormal basis, the
+    r eigenvalues, the border coefficients and the kernel leak."""
+    n, r, cplx = _psd_case(k)
+    return (normal_words(n * n, cplx), r, normal_words(r, cplx),
+            normal_words(n - r, cplx) if r < n else 0)
+
+
+def _psd_forward_case(stream, k) -> tuple:
+    """(forward failures, off-family failures) of forward case k, drawn from
+    the stream and decided one matrix at a time."""
+    n, r, cplx = _psd_case(k)
+    q = _random_orthonormal(stream, n, cplx)
+    t = _psd_matrix(q, 0.5 + 1.5 * stream.uniforms(r))
+    ext = geometry.psd_extension(t)
+    if len(ext.i_plus) != r:
+        return 1, 0
+    forward = offfam = 0
+    a = unit_vectors(stream, 1, r, cplx)[0]
+    v = geometry.admissible_vector(ext, a)
+    if not geometry.extension_rank_preserved(t, v):
+        forward += 1
+    back = geometry.admissible_coefficients(ext, v)
+    if back is None or abs(float(np.sum(np.abs(back) ** 2)) - 1.0) > 1e-9:
+        forward += 1
+    # off-family: wrong normalization always; kernel leak when rank deficient
+    scaled = 1.5 * v
+    if geometry.extension_rank_preserved(t, scaled) or \
+            geometry.admissible_coefficients(ext, scaled) is not None:
+        offfam += 1
+    if r < n:
+        kernel = ext.spectrum.eigenvectors[:, r:]
+        leak = v + kernel @ unit_vectors(stream, 1, n - r, cplx)[0] * 0.5
+        if geometry.extension_rank_preserved(t, leak) or \
+                geometry.admissible_coefficients(ext, leak) is not None:
+            offfam += 1
+    return forward, offfam
+
+
+def _psd_forward_block(stream, total) -> tuple:
+    """Forward cases 0 .. total-1 from one raw block, decided per (n, r,
+    field) by stacked calls.
+
+    The block is drawn as if every case drew all four parts of its words;
+    a case whose t has other than r positive eigenvalues stops after its
+    eigenvalues, and every later case then starts at another word (and
+    where t fails a PSD rule, the case raises NotPsd).  Returns (forward
+    failures, off-family failures, stop, word): the failure counts of the
+    cases before stop, the first such case (total if none) and the offset
+    of its first word.  Each case before stop is decided bit for bit as
+    _psd_forward_case decides it.
+    """
+    parts = np.array([_psd_forward_words(k) for k in range(total)])
+    starts = np.cumsum(parts.sum(axis=1)) - parts.sum(axis=1)
+    words = stream.raw(int(parts.sum()))
+    forward = np.zeros(total, dtype=int)
+    offfam = np.zeros(total, dtype=int)
+    fit = np.zeros(total, dtype=bool)
+    for (n, r, cplx), ks in _index_groups(_psd_case(k) for k in range(total)).items():
+        ks = np.array(ks)
+
+        def block(part):  # each case's words of one part, one row per case
+            return _word_rows(words, starts[ks] + parts[ks, :part].sum(axis=1), parts[ks[0], part])
+
+        g = box_muller(block(0), 2 * n * n if cplx else n * n)
+        if cplx:
+            g = g[:, :n * n] + 1j * g[:, n * n:]
+        q = _orthonormal(g.reshape(-1, n, n))
+        t = _psd_matrix(q, 0.5 + 1.5 * word_uniforms(block(1)))
+        sd = matcore.hermitian_eig(t)
+        # psd_extension's rule, its r positive eigenvalues, and the rule
+        # extension_rank_preserved applies to eigvalsh
+        ok = (~geometry._psd_violations(sd.eigenvalues)
+              & (geometry._positive_eigenvalues(sd.eigenvalues, (n, n)).sum(axis=-1) == r)
+              & ~geometry._psd_violations(matcore.hermitian_eigvalues(t)))
+        fit[ks] = ok
+        ks, t = ks[ok], t[ok]
+        if not len(ks):
+            continue
+        ext = geometry.PsdExtension(
+            t=t, spectrum=matcore.SpectralData(sd.eigenvalues[ok], sd.eigenvectors[ok]),
+            i_plus=tuple(range(r)))
+        t_rank = geometry._border_rank(t)
+
+        def rejected(x):  # rank grows and no coefficients come back
+            return ((geometry._border_rank(geometry.bordered(t, x)) != t_rank)
+                    & np.isnan(geometry.admissible_coefficients(ext, x)[:, 0]))
+
+        v = geometry.admissible_vector(ext, unit_rows(block(2), r, cplx))
+        grows = geometry._border_rank(geometry.bordered(t, v)) != t_rank
+        back = geometry.admissible_coefficients(ext, v)
+        lost = ~(np.abs(np.sum(np.abs(back) ** 2, axis=-1) - 1.0) <= 1e-9)  # NaN rows too
+        forward[ks] = grows.astype(int) + lost
+        offfam[ks] = ~rejected(1.5 * v)
+        if r < n:
+            kernel = ext.spectrum.eigenvectors[..., r:]
+            leak = v + (kernel @ unit_rows(block(3), n - r, cplx)[:, :, None])[..., 0] * 0.5
+            offfam[ks] += ~rejected(leak)
+    stop = int(np.argmin(fit)) if not fit.all() else total
+    return (int(forward[:stop].sum()), int(offfam[:stop].sum()), stop,
+            int(starts[stop]) if stop < total else None)
+
+
+def _psd_oracle_cases(stream, count) -> list:
+    """The (t, bordered t) pairs of the exact-rank cases, with integer and
+    half-integer entries, from one block of uniforms."""
+    shapes = [_psd_case(k) for k in range(count)]
+    u = stream.uniforms(sum(n * r * (2 if cplx else 1) + n for n, r, cplx in shapes))
+    pairs = []
+    at = 0
+    for n, r, cplx in shapes:
+        fmat = (np.floor(u[at:at + n * r] * 7.0) - 3.0).reshape(n, r)
+        at += n * r
+        if cplx:
+            fmat = fmat + 1j * (np.floor(u[at:at + n * r] * 7.0) - 3.0).reshape(n, r)
+            at += n * r
+        t = fmat @ fmat.conj().T
+        halves = (np.floor(u[at:at + n] * 9.0) - 4.0) / 2.0
+        at += n
+        v = halves.astype(complex) * (1 + 1j) if cplx else halves
+        pairs.append((t, geometry.bordered(t, v)))
+    return pairs
+
+
+def _numerical_ranks(mats) -> list:
+    """``matcore.numerical_rank`` of each matrix, one stacked SVD per shape
+    and dtype."""
+    ranks = [None] * len(mats)
+    for (shape, _), idx in _index_groups((a.shape, a.dtype) for a in mats).items():
+        sigma = matcore.stacked_singular_values(np.stack([mats[i] for i in idx]))
+        for i, rank in zip(idx, matcore.rank_from_singular_values(sigma, shape)):
+            ranks[i] = int(rank)
+    return ranks
+
+
 def check_psd_extension_roundtrip():
     stream = Stream(1000)
-    forward_fail = 0
-    offfam_fail = 0
     total = 1000
-    for k in range(total):
-        cplx = k % 2 == 1
-        n = 2 + k % 7
-        r = 1 + k % n
-        q = _random_orthonormal(stream, n, cplx)
-        lam = 0.5 + 1.5 * stream.uniforms(r)
-        t = (q[:, :r] * lam) @ q[:, :r].conj().T
-        t = (t + t.conj().T) / 2
-        ext = geometry.psd_extension(t)
-        if len(ext.i_plus) != r:
-            forward_fail += 1
-            continue
-        a = unit_vectors(stream, 1, r, cplx)[0]
-        v = geometry.admissible_vector(ext, a)
-        if not geometry.extension_rank_preserved(t, v):
-            forward_fail += 1
-        back = geometry.admissible_coefficients(ext, v)
-        if back is None or abs(float(np.sum(np.abs(back) ** 2)) - 1.0) > 1e-9:
-            forward_fail += 1
-        # off-family: wrong normalization always; kernel leak when rank deficient
-        scaled = 1.5 * v
-        if geometry.extension_rank_preserved(t, scaled) or \
-                geometry.admissible_coefficients(ext, scaled) is not None:
-            offfam_fail += 1
-        if r < n:
-            kernel = ext.spectrum.eigenvectors[:, r:]
-            leak = v + kernel @ unit_vectors(stream, 1, n - r, cplx)[0] * 0.5
-            if geometry.extension_rank_preserved(t, leak) or \
-                    geometry.admissible_coefficients(ext, leak) is not None:
-                offfam_fail += 1
+    forward_fail, offfam_fail, stop, word = _psd_forward_block(stream, total)
+    if stop < total:
+        # case `stop` drew fewer words than the block assumed: decide it and
+        # the cases after it one by one, from its first word on
+        stream = Stream(1000, start=word)
+        for k in range(stop, total):
+            forward, offfam = _psd_forward_case(stream, k)
+            forward_fail += forward
+            offfam_fail += offfam
     rows = [
         _row("psd-extension-roundtrip", "forward family preserves rank (1000 cases)",
              forward_fail, "0 failures", None, forward_fail == 0),
@@ -477,24 +637,9 @@ def check_psd_extension_roundtrip():
              "0 failures", None, offfam_fail == 0),
     ]
 
-    oracle_fail = 0
-    for k in range(200):
-        cplx = k % 2 == 1
-        n = 2 + k % 7
-        r = 1 + k % n
-        ints = np.floor(stream.uniforms(n * r) * 7.0) - 3.0
-        fmat = ints.reshape(n, r)
-        if cplx:
-            ints2 = np.floor(stream.uniforms(n * r) * 7.0) - 3.0
-            fmat = fmat + 1j * ints2.reshape(n, r)
-        t = fmat @ fmat.conj().T
-        halves = (np.floor(stream.uniforms(n) * 9.0) - 4.0) / 2.0
-        v = halves.astype(complex) * (1 + 1j) if cplx else halves
-        b = geometry.bordered(t, v)
-        if rational_rank(t) != matcore.numerical_rank(t):
-            oracle_fail += 1
-        if rational_rank(b) != matcore.numerical_rank(b):
-            oracle_fail += 1
+    pairs = _psd_oracle_cases(stream, 200)
+    mats = [m for pair in pairs for m in pair]
+    oracle_fail = sum(rational_rank(a) != rank for a, rank in zip(mats, _numerical_ranks(mats)))
     rows.append(_row("psd-extension-roundtrip",
                      "rank agrees with exact-rational elimination (200 cases)",
                      oracle_fail, "0 disagreements", None, oracle_fail == 0))
@@ -506,8 +651,6 @@ def check_psd_extension_roundtrip():
 
 def check_classifier_coherence():
     stream = Stream(1100)
-    disagreements = 0
-    dependents = 0
     total = 1000
     specs = []
     for k in range(total):
@@ -519,21 +662,25 @@ def check_classifier_coherence():
             # keep M + 1 within the ambient dimension
             specs.append((n, 2 + k % max(1, d - 2), 11000 + k, "real"))
     frames = _random_frames(specs)
-    for k, (f, rank) in enumerate(zip(frames, _outer_ranks(frames))):
-        n, m, cplx = f.n, f.m, f.field == "complex"
-        if rank < m:
+    groups = [(batch, np.array(idx)[batch.independent], np.flatnonzero(batch.independent))
+              for batch, idx in _induce_groups(frames)]
+    # frames with independent outers, in order: every tenth takes one of its
+    # own vectors (an exact dependent extension), the others the stream's
+    # next unit vector
+    kept = sorted(k for _, ks, _ in groups for k in ks)
+    drawn = [k for k in kept if k % 10]
+    candidates = dict(zip(drawn, _unit_vector_draws(
+        stream, [(frames[k].n, frames[k].field == "complex") for k in drawn])))
+    disagreements = dependents = 0
+    for batch, ks, rows in groups:
+        if not len(ks):
             continue
-        if k % 10 == 0:
-            candidate = f.vectors[k % m].copy()  # exact dependent extension
-        else:
-            candidate = unit_vectors(stream, 1, n, cplx)[0]
-        try:
-            report = geometry.classify(f, candidate, tol=1e-8)
-        except geometry.InternalInconsistency:
-            disagreements += 1
-            continue
-        if report.verdict == "dependent":
-            dependents += 1
+        cands = np.array([candidates[k] if k % 10 else frames[k].vectors[k % frames[k].m]
+                          for k in ks])
+        result, disagrees = geometry.classify_frames(geometry.prepare_batch(batch.take(rows)),
+                                                     cands, tol=1e-8)
+        disagreements += int(disagrees.sum())
+        dependents += int((result.dependent & ~disagrees).sum())
     return [_row("classifier-coherence",
                  f"elliptic vs rank verdicts, {total} pairs ({dependents} dependent)",
                  disagreements, "0 disagreements", 1e-8, disagreements == 0)]

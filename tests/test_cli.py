@@ -347,6 +347,74 @@ def test_classify_frame_of_large_norm(tmp_path, capsys):
     assert json.loads(out)["results"]["samples"] == 50
 
 
+@pytest.mark.parametrize("text", [
+    '{"field": "real", "n": "abc", "vectors": [[1]]}',
+    '{"field": "real", "n": 1, "vectors": 5}',
+    '{"field": "real", "n": 1, "vectors": [[[1]]]}',
+    '{"field": "complex", "n": 1, "vectors": [[1]]}',
+    '{"field": "real", "n": 1, "vectors": [["x"]]}',
+])
+def test_malformed_frame_document_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "analyze", str(bad))
+    assert exc.value.code == 2
+    assert "malformed frame document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    b'{"field": "real", "n": 1, "vectors": [[1.0]]}\xff',  # not UTF-8
+    b"[" * 100000 + b"]" * 100000,  # nested beyond the parser's recursion limit
+])
+def test_unreadable_frame_document_exits_2(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "analyze", str(bad))
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1", "0"])
+def test_nudge_rejects_a_non_finite_or_non_positive_eps(tmp_path, capsys, eps):
+    frame_file = tmp_path / "b3.json"
+    run_cli(capsys, "construct", "biangular", "--n", "3", "-o", str(frame_file))
+    code, out, err = run_cli(capsys, "nudge", str(frame_file), f"--eps={eps}")
+    assert code == 2 and out == ""
+    assert "--eps must be finite and positive" in err
+
+
+def test_nudge_eps_whose_budget_underflows(tmp_path, capsys):
+    frame_file = tmp_path / "b3.json"
+    run_cli(capsys, "construct", "biangular", "--n", "3", "-o", str(frame_file))
+    code, out, err = run_cli(capsys, "nudge", str(frame_file), "--eps", "1e-300")
+    assert code == 3 and out == ""
+    assert "too small" in err and "underflows" in err
+
+
+@pytest.mark.parametrize("argv", [["analyze", "F"], ["classify", "F", "--grid", "5"],
+                                  ["nudge", "F", "--eps", "0.1", "--report", "R"]])
+def test_commands_other_than_verify_leave_the_suite_unrun(tmp_path, argv):
+    frame_file = tmp_path / "b3.json"
+    ser.write_frame(cons.biangular(3), frame_file.open("w"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    paths = {"F": str(frame_file), "R": str(tmp_path / "report.json")}
+    argv = [paths.get(a, a) for a in argv] + ["-o", str(tmp_path / "out.json")]
+    # the suite's module is registered but its code has not run: its
+    # namespace, read past the lazy loader (which would run it), lacks the
+    # checks until one of its names is first used
+    script = ("import sys, framekit.cli; code = framekit.cli.main(sys.argv[1:]); "
+              "m = sys.modules['framekit.verify']; "
+              "ran = lambda: 'CHECKS' in object.__getattribute__(m, '__dict__'); "
+              "before = ran(); m.list_checks(); print(code, before, ran())")
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "True"]
+
+
 def test_cli_import_does_not_load_fractions():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -33,6 +33,28 @@ def frame_docs(draw):
     return {"field": field, "n": n, "vectors": rows}
 
 
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from([10 ** 400, -2 ** 70]),
+              ENTRIES, st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=8)
+
+
+@st.composite
+def malformed_docs(draw):
+    """Documents of any JSON structure: each field dropped, of another type
+    or nested wrongly, or the document itself not an object."""
+    if draw(st.booleans()):
+        return draw(JSON_VALUES)
+    doc = {"field": draw(st.one_of(st.sampled_from(["real", "complex"]), JSON_VALUES)),
+           "n": draw(st.one_of(st.integers(-1, 3), JSON_VALUES)),
+           "vectors": draw(JSON_VALUES)}
+    for key in draw(st.sets(st.sampled_from(sorted(doc)), max_size=1)):
+        del doc[key]
+    return doc
+
+
 NUMBER_TEXT = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.integers(-10, 10).map(str),
@@ -78,3 +100,19 @@ def test_cli_exit_contract(tmp_path_factory, doc, command, flags, env_tol):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode in (0, 2, 3), (argv, env_tol, proc.stderr)
     assert "Traceback" not in proc.stderr, (argv, env_tol, proc.stderr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=malformed_docs())
+def test_malformed_documents_keep_the_exit_contract(tmp_path_factory, doc):
+    # in process, so that many structures run quickly: an escaping exception
+    # is the traceback a subprocess would print
+    from framekit import cli
+
+    path = tmp_path_factory.mktemp("malformed") / "frame.json"
+    path.write_text(json.dumps(doc))
+    try:
+        code = cli.main(["analyze", str(path), "-o", os.devnull])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3), doc

@@ -434,3 +434,142 @@ def test_independent_prefix_greedy():
     prefix = geometry.independent_prefix(f)
     assert len(prefix) == 3
     assert outer.induce(f.subframe(prefix)).rank == 3
+
+
+class TestStackedPsdExtension:
+    """A PsdExtension over a stack of matrices sharing i_plus gives, row for
+    row and bit for bit, what each matrix's own extension gives."""
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_rows_equal_single_extensions(self, cplx):
+        rng = np.random.default_rng(53 + cplx)
+        for n, r in ((2, 1), (3, 3), (5, 2), (8, 5)):
+            ts = np.array([random_psd(rng, n, r, cplx) for _ in range(12)])
+            singles = [geometry.psd_extension(t) for t in ts]
+            assert all(e.i_plus == tuple(range(r)) for e in singles)
+            sd = matcore.hermitian_eig(ts)
+            assert not geometry._psd_violations(sd.eigenvalues).any()
+            assert (geometry._positive_eigenvalues(sd.eigenvalues, (n, n)).sum(axis=1) == r).all()
+            ext = geometry.PsdExtension(t=ts, spectrum=sd, i_plus=tuple(range(r)))
+            a = np.array([random_unit_vec(rng, r, cplx) for _ in ts])
+            v = geometry.admissible_vector(ext, a)
+            t_rank = geometry._border_rank(ts)
+            for i, e in enumerate(singles):
+                assert v[i].tobytes() == geometry.admissible_vector(e, a[i]).tobytes()
+                assert t_rank[i] == geometry._border_rank(ts[i])
+            leak = v + 0.5 * sd.eigenvectors[..., -1]  # a kernel leak when r < n
+            for x in (v, 1.5 * v, leak):
+                back = geometry.admissible_coefficients(ext, x)
+                ranks = geometry._border_rank(geometry.bordered(ts, x))
+                for i, e in enumerate(singles):
+                    one = geometry.admissible_coefficients(e, x[i])
+                    if one is None:
+                        assert np.isnan(back[i]).all()
+                    else:
+                        assert back[i].tobytes() == one.tobytes()
+                    assert geometry.bordered(ts, x)[i].tobytes() == \
+                        geometry.bordered(ts[i], x[i]).tobytes()
+                    assert (ranks[i] == t_rank[i]) == geometry.extension_rank_preserved(ts[i], x[i])
+
+    def test_psd_rule_on_a_stack(self):
+        w = np.array([[2.0, 1.0, 0.0], [1.0, 0.0, -1e-3], [0.0, 0.0, -1e-300]])
+        np.testing.assert_array_equal(geometry._psd_violations(w), [False, True, True])
+        with pytest.raises(NotPsd, match="-0.001"):
+            geometry._checked_psd(w)
+        geometry._checked_psd(w[:1])
+
+
+class TestPrepareBatch:
+    """prepare_batch and classify_frames against prepare and classify, frame
+    by frame."""
+
+    @staticmethod
+    def frames(n, m, field, count, seed, planar=()):
+        out = [cons.random_unit(n, m, seed + i, field=field) for i in range(count)]
+        for i in planar:  # vectors in a plane: independent outers, no span
+            v = out[i].vectors.copy()
+            v[:, -1] = 0.0
+            out[i] = Frame(field=field, vectors=v / np.linalg.norm(v, axis=1, keepdims=True))
+        return out
+
+    @pytest.mark.parametrize("n, m, field", [(2, 2, "real"), (3, 4, "real"), (3, 2, "real"),
+                                             (3, 3, "real"), (2, 3, "complex"), (3, 5, "complex")])
+    def test_bit_for_bit_equal_to_prepare(self, n, m, field):
+        frames = self.frames(n, m, field, 9, 6000 + 10 * n + m, planar=(0, 4))
+        batch = outer.induce_batch(frames)
+        keep = np.flatnonzero(batch.independent)
+        assert len(keep) >= 7
+        prep = geometry.prepare_batch(batch.take(keep))
+        for j, i in enumerate(keep):
+            one = geometry.prepare(frames[i])
+            assert one.permutation is None
+            assert bool(prep.spans[j]) == one.spans
+            pairs = [(prep.analysis[j], one.analysis), (prep.scale[j], one.scale),
+                     (prep.scaled_gram[j], one.scaled_gram)]
+            pairs += [(getattr(prep.scaled_spectrum, a)[j], getattr(one.scaled_spectrum, a))
+                      for a in ("eigenvalues", "eigenvectors")]
+            if one.spans:
+                pairs += [(getattr(prep.vector_gram, a)[j], getattr(one.vector_gram, a))
+                          for a in ("eigenvalues", "eigenvectors")]
+            for got, want in pairs:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_spans_under_env_rank_tolerance(self, monkeypatch):
+        frames = self.frames(3, 3, "real", 6, 6100)
+        frames[2] = Frame(field="real", vectors=frames[2].vectors * [[1.0], [1.0], [1e-4]])
+        monkeypatch.setenv("FRAMEKIT_TOL", "1e-3")
+        batch = outer.induce_batch(frames)
+        prep = geometry.prepare_batch(batch.take(np.flatnonzero(batch.independent)))
+        keep = [f for f, ok in zip(frames, batch.independent) if ok]
+        assert list(prep.spans) == [geometry.prepare(f).spans for f in keep]
+
+    def test_dependent_member_rejected(self):
+        frames = self.frames(2, 3, "real", 3, 6200)
+        v = frames[1].vectors
+        frames[1] = Frame(field="real", vectors=np.vstack([v[:2], -v[:1]]))  # a repeated outer
+        batch = outer.induce_batch(frames)
+        assert not batch.independent[1]
+        with pytest.raises(NotIndependent, match="frame 1"):
+            geometry.prepare_batch(batch)
+
+    @pytest.mark.parametrize("n, m, field", [(3, 3, "real"), (3, 5, "real"), (2, 3, "complex")])
+    def test_classify_frames_equals_classify(self, n, m, field):
+        frames = self.frames(n, m, field, 40, 6300 + m, planar=(3, 17) if m == n else ())
+        rng = np.random.default_rng(63)
+        cands = _unit_rows(rng, len(frames), n, field == "complex")
+        cands[::5] = [f.vectors[1] for f in frames[::5]]  # exact dependent extensions
+        prep = geometry.prepare_batch(outer.induce_batch(frames))
+        result, disagrees = geometry.classify_frames(prep, cands)
+        assert not disagrees.any()
+        assert result.dependent[::5].all()
+        for i, f in enumerate(frames):
+            one = geometry.classify(f, cands[i])
+            rep = result.report(i)
+            assert (rep.verdict, rep.permutation) == (one.verdict, one.permutation)
+            assert rep.tv.tobytes() == one.tv.tobytes()
+            for name in ("elliptic_value", "quartic_value", "ellipsoid_residual"):
+                assert np.array_equal(getattr(rep, name), getattr(one, name), equal_nan=True)
+
+    def test_a_disagreement_hides_no_other_candidate(self, monkeypatch):
+        frames = self.frames(3, 4, "real", 12, 6400)
+        cands = _unit_rows(np.random.default_rng(64), 12, 3, False)
+        prep = geometry.prepare_batch(outer.induce_batch(frames))
+        exact, _ = geometry.classify_frames(prep, cands)
+        shifted = geometry._inverse_gram_form
+        monkeypatch.setattr(geometry, "_inverse_gram_form", lambda sd, w: shifted(sd, w) + np.where(
+            np.arange(len(w))[:, None] % 5 == 3, 1e-6, 0.0))
+        result, disagrees = geometry.classify_frames(prep, cands)
+        np.testing.assert_array_equal(disagrees, np.arange(12) % 5 == 3)
+        np.testing.assert_array_equal(result.dependent, exact.dependent)
+        np.testing.assert_array_equal(result.elliptic_value[disagrees],
+                                      exact.elliptic_value[disagrees] + 1e-6)
+
+    def test_validation(self):
+        prep = geometry.prepare_batch(outer.induce_batch(self.frames(3, 4, "real", 3, 6500)))
+        with pytest.raises(ShapeMismatch, match="2 candidates for 3 frames"):
+            geometry.classify_frames(prep, np.eye(3)[:2])
+        with pytest.raises(NotUnitNorm):
+            geometry.classify_frames(prep, 2.0 * np.eye(3))
+        too_many = geometry.prepare_batch(outer.induce_batch(self.frames(2, 3, "real", 2, 6600)))
+        with pytest.raises(TooMany):
+            geometry.classify_frames(too_many, np.eye(2))

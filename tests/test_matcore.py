@@ -190,6 +190,44 @@ class TestNumericalRank:
         assert matcore.rank_from_singular_values(sigma, (4, 4))[1] == 0
 
 
+class TestStackedSingularValues:
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_stack_equals_one_matrix_at_a_time(self, cplx):
+        # rectangular both ways, exactly rank-deficient members, and a
+        # member scaled by 1e-12: each row is that of its matrix alone
+        rng = np.random.default_rng(13 + cplx)
+        for m, n in ((1, 1), (2, 5), (5, 2), (4, 4), (7, 3), (9, 9)):
+            stack = rng.standard_normal((3, 8, m, n))
+            if cplx:
+                stack = stack + 1j * rng.standard_normal((3, 8, m, n))
+            stack[0, ::2, -1] = stack[0, ::2, 0]
+            stack[1, 3] *= 1e-12
+            for f in (matcore.singular_values, matcore.stacked_singular_values):
+                sigma = f(stack)
+                assert sigma.shape == (3, 8, min(m, n))
+                for i in np.ndindex(3, 8):
+                    assert sigma[i].tobytes() == matcore.singular_values(stack[i]).tobytes()
+
+    def test_non_array_input_and_shape_errors(self):
+        np.testing.assert_array_equal(matcore.singular_values([[3.0, 0.0], [0.0, 4.0]]), [4.0, 3.0])
+        with pytest.raises(ShapeMismatch):
+            matcore.singular_values([1.0, 2.0])
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_equal_to_linalg_norm_of_each_row(self, cplx):
+        rng = np.random.default_rng(15 + cplx)
+        for n in (0, 1, 3, 8, 17):
+            z = rng.standard_normal((4, 6, n))
+            if cplx:
+                z = z + 1j * rng.standard_normal((4, 6, n))
+            norms = matcore.row_norms(z)
+            assert norms.shape == (4, 6)
+            for i in np.ndindex(4, 6):
+                assert norms[i] == np.linalg.norm(z[i])
+
+
 class TestHadamard:
     def test_entrywise(self):
         out = matcore.hadamard([[1, 2], [3, 4]], [[5, 6], [7, 8]])

@@ -150,6 +150,19 @@ class TestNearbyBasis:
 
 
 class TestNudge:
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -0.1, 0.0])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(BadParam, match="finite and positive"):
+            perturb.nudge_to_independence(cons.biangular(3), eps)
+
+    def test_eps_whose_budget_underflows(self):
+        f = cons.biangular(3)
+        with pytest.raises(BadParam, match="underflows"):
+            perturb.nudge_to_independence(f, 1e-300)
+        # nothing to repair, so nothing to spend
+        g = cons.eij_basis(2)
+        assert perturb.nudge_to_independence(g, 1e-300) is g
+
     def test_identity_on_independent(self):
         f = cons.eij_basis(2)
         assert perturb.nudge_to_independence(f, 0.1) is f

@@ -47,6 +47,30 @@ def test_malformed_documents():
         ser.doc_to_frame({"field": "octonion", "n": 1, "vectors": [[1.0]]})
 
 
+@pytest.mark.parametrize("doc", [
+    {"field": "real", "n": "abc", "vectors": [[1.0]]},
+    {"field": "real", "n": "1", "vectors": [[1.0]]},
+    {"field": "real", "n": 2.7, "vectors": [[1.0, 0.0]]},
+    {"field": "real", "n": True, "vectors": [[1.0]]},
+    {"field": "real", "n": 1e400, "vectors": [[1.0]]},
+    {"field": "real", "n": 1, "vectors": 5},
+    {"field": "real", "n": 1, "vectors": [5]},
+    {"field": "real", "n": 1, "vectors": [[[1]]]},
+    {"field": "real", "n": 1, "vectors": [["x"]]},
+    {"field": "real", "n": 1, "vectors": [["1.0"]]},
+    {"field": "real", "n": 1, "vectors": [[True]]},
+    {"field": "real", "n": 1, "vectors": [[10 ** 400]]},
+    {"field": "complex", "n": 1, "vectors": [[1]]},
+    {"field": "complex", "n": 1, "vectors": [[[1, 2, 3]]]},
+    {"field": "complex", "n": 1, "vectors": [[["a", 1]]]},
+    {"field": [], "n": 1, "vectors": [[1.0]]},
+    [1, 2], "frame", None,
+])
+def test_malformed_structure_raises_bad_param(doc):
+    with pytest.raises(BadParam, match="malformed|unknown field"):
+        ser.doc_to_frame(doc)
+
+
 def test_write_read_stream():
     f = cons.epsilon_pair(0.25)
     buf = io.StringIO()

@@ -205,6 +205,78 @@ def reference_classifier_coherence():
                         disagreements, "0 disagreements", 1e-8, disagreements == 0)]
 
 
+def _random_orthonormal(stream, n, cplx):
+    g = (stream.complex_normals(n * n) if cplx else stream.normals(n * n)).reshape(n, n)
+    q, r = np.linalg.qr(g)
+    return q * np.sign(np.diag(r).real)
+
+
+def reference_psd_extension_roundtrip():
+    stream = Stream(1000)
+    forward_fail = 0
+    offfam_fail = 0
+    total = 1000
+    for k in range(total):
+        cplx = k % 2 == 1
+        n = 2 + k % 7
+        r = 1 + k % n
+        q = _random_orthonormal(stream, n, cplx)
+        lam = 0.5 + 1.5 * stream.uniforms(r)
+        t = (q[:, :r] * lam) @ q[:, :r].conj().T
+        t = (t + t.conj().T) / 2
+        ext = geometry.psd_extension(t)
+        if len(ext.i_plus) != r:
+            forward_fail += 1
+            continue
+        a = _random_unit_vector(stream, r, cplx)
+        v = geometry.admissible_vector(ext, a)
+        if not geometry.extension_rank_preserved(t, v):
+            forward_fail += 1
+        back = geometry.admissible_coefficients(ext, v)
+        if back is None or abs(float(np.sum(np.abs(back) ** 2)) - 1.0) > 1e-9:
+            forward_fail += 1
+        # off-family: wrong normalization always; kernel leak when rank deficient
+        scaled = 1.5 * v
+        if geometry.extension_rank_preserved(t, scaled) or \
+                geometry.admissible_coefficients(ext, scaled) is not None:
+            offfam_fail += 1
+        if r < n:
+            kernel = ext.spectrum.eigenvectors[:, r:]
+            leak = v + kernel @ _random_unit_vector(stream, n - r, cplx) * 0.5
+            if geometry.extension_rank_preserved(t, leak) or \
+                    geometry.admissible_coefficients(ext, leak) is not None:
+                offfam_fail += 1
+    rows = [
+        verify._row("psd-extension-roundtrip", "forward family preserves rank (1000 cases)",
+                    forward_fail, "0 failures", None, forward_fail == 0),
+        verify._row("psd-extension-roundtrip", "off-family vectors rejected", offfam_fail,
+                    "0 failures", None, offfam_fail == 0),
+    ]
+
+    oracle_fail = 0
+    for k in range(200):
+        cplx = k % 2 == 1
+        n = 2 + k % 7
+        r = 1 + k % n
+        ints = np.floor(stream.uniforms(n * r) * 7.0) - 3.0
+        fmat = ints.reshape(n, r)
+        if cplx:
+            ints2 = np.floor(stream.uniforms(n * r) * 7.0) - 3.0
+            fmat = fmat + 1j * ints2.reshape(n, r)
+        t = fmat @ fmat.conj().T
+        halves = (np.floor(stream.uniforms(n) * 9.0) - 4.0) / 2.0
+        v = halves.astype(complex) * (1 + 1j) if cplx else halves
+        b = geometry.bordered(t, v)
+        if rational_rank(t) != matcore.numerical_rank(t):
+            oracle_fail += 1
+        if rational_rank(b) != matcore.numerical_rank(b):
+            oracle_fail += 1
+    rows.append(verify._row("psd-extension-roundtrip",
+                            "rank agrees with exact-rational elimination (200 cases)",
+                            oracle_fail, "0 disagreements", None, oracle_fail == 0))
+    return rows
+
+
 def reference_perturbation_suite():
     stream = Stream(1300)
     worst_gap = -np.inf
@@ -296,6 +368,7 @@ def reference_nudge_repair():
     ("pc2-identity", reference_pc2_identity),
     ("hadamard-gram", reference_hadamard_gram),
     ("outer-bound-extremes", reference_outer_bound_extremes),
+    ("psd-extension-roundtrip", reference_psd_extension_roundtrip),
     ("classifier-coherence", reference_classifier_coherence),
     ("perturbation-suite", reference_perturbation_suite),
     ("nudge-repair", reference_nudge_repair),
@@ -321,3 +394,100 @@ def test_nudge_repair_counts_an_independent_input_as_a_failure(monkeypatch):
     nudge = [r for r in rows if r.check == "nudge-repair"]
     assert [(r.measured, r.passed) for r in nudge] == [(1.0, False), (1.0, False)]
     assert rows[-1].check == "independence-density" and rows[-1].passed
+
+
+def _same_rows(batched, reference):
+    return json.dumps(verify.rows_to_dicts(batched)) == json.dumps(verify.rows_to_dicts(reference))
+
+
+def _recorders(monkeypatch):
+    """Record the matrices psd_extension and rational_rank see, in the
+    reference loops and in verify alike."""
+    seen = {"psd": [], "exact": []}
+    psd_extension, exact_rank = geometry.psd_extension, verify.rational_rank
+
+    def record_psd(t):
+        seen["psd"].append(np.array(t))
+        return psd_extension(t)
+
+    def record_exact(a):
+        seen["exact"].append(np.array(a))
+        return exact_rank(a)
+
+    monkeypatch.setattr(geometry, "psd_extension", record_psd)
+    monkeypatch.setattr(verify, "rational_rank", record_exact)
+    monkeypatch.setitem(globals(), "rational_rank", record_exact)
+    return seen
+
+
+def _same_matrices(a, b):
+    return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def test_psd_roundtrip_falls_back_after_a_forward_failure(monkeypatch):
+    # make the eigensolver report a zero last eigenvalue for the t of forward
+    # case 137 (order 6, rank 6, complex) only: that case stops after its
+    # eigenvalues, and every later case draws other words than the
+    # speculative block assumed
+    seen = _recorders(monkeypatch)
+    unpatched = reference_psd_extension_roundtrip()
+    assert verify._psd_case(137) == (6, 6, True)
+    target, unpatched_oracle = seen["psd"][137], seen["exact"]
+    seen["psd"], seen["exact"] = [], []
+    verify.check_psd_extension_roundtrip()
+    assert seen["psd"] == []  # no case went through the fallback
+    assert _same_matrices(seen["exact"], unpatched_oracle)  # the oracle block lines up
+
+    eig = matcore.hermitian_eig
+    hits = []
+
+    def eig_zeroing_target(a):
+        sd = eig(a)
+        if np.shape(a)[-2:] != target.shape:
+            return sd
+        hit = np.all(np.asarray(a) == target, axis=(-2, -1))
+        hits.append(int(np.sum(hit)))
+        w = np.array(sd.eigenvalues)
+        w[..., -1] = np.where(hit, 0.0, w[..., -1])
+        return matcore.SpectralData(eigenvalues=w, eigenvectors=sd.eigenvectors)
+
+    monkeypatch.setattr(matcore, "hermitian_eig", eig_zeroing_target)
+    seen["psd"], seen["exact"] = [], []
+    reference = reference_psd_extension_roundtrip()
+    reference_psd, reference_oracle = seen["psd"], seen["exact"]
+    assert sum(hits) == 1
+    assert reference[0].measured == unpatched[0].measured + 1
+    assert not _same_matrices(reference_oracle, unpatched_oracle)  # later draws moved
+    hits.clear()
+    seen["psd"], seen["exact"] = [], []
+    batched = verify.check_psd_extension_roundtrip()
+    assert sum(hits) == 2  # the speculative block, then the case-by-case rerun
+    # the rerun starts at case 137 and draws what the reference loop drew
+    assert _same_matrices(seen["psd"], reference_psd[137:])
+    assert _same_matrices(seen["exact"], reference_oracle)
+    assert _same_rows(batched, reference)
+
+
+def test_classifier_coherence_counts_each_disagreement(monkeypatch):
+    # shift the elliptic value of every candidate whose first squared
+    # analysis coefficient exceeds 0.3 by 1e-9: far beyond the Schur bound,
+    # inside the verdict tolerance, so dependent verdicts disagree too; a
+    # mix of disagreeing and agreeing candidates, the same ones one at a
+    # time and stacked
+    exact = geometry._inverse_gram_form
+    monkeypatch.setattr(geometry, "_inverse_gram_form",
+                        lambda sd, w: exact(sd, w) + np.where(w[..., 0] > 0.3, 1e-9, 0.0))
+    batched = verify.check_classifier_coherence()
+    reference = reference_classifier_coherence()
+    assert 0 < batched[0].measured < 1000
+    assert _same_rows(batched, reference)
+
+
+@pytest.mark.parametrize("seed", [1100, 5])
+def test_unit_vector_draws_equal_successive_draws(seed):
+    shapes = [(2 + k % 3, k % 4 == 3) for k in range(50)]
+    one, many = Stream(seed), Stream(seed)
+    drawn = verify._unit_vector_draws(many, shapes)
+    for (n, cplx), u in zip(shapes, drawn):
+        assert u.tobytes() == _random_unit_vector(one, n, cplx).tobytes()
+    assert one.raw(3).tobytes() == many.raw(3).tobytes()
