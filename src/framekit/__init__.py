@@ -40,7 +40,6 @@ from .geometry import (
     BatchClassification,
     ClassificationReport,
     PreparedBatch,
-    PreparedFrame,
     PsdExtension,
     admissible_coefficients,
     admissible_vector,

@@ -8,8 +8,9 @@
 
 Frame documents travel as JSON on stdout (or -o FILE); diagnostics go to
 stderr.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
-error, 3 domain precondition violation.  FRAMEKIT_TOL overrides the
-default rank tolerance.
+error (an output path that cannot be written included), 3 domain
+precondition violation.  FRAMEKIT_TOL overrides the default rank
+tolerance.
 """
 
 import argparse
@@ -53,14 +54,27 @@ def _lazy_module(name: str):
 verify_mod = _lazy_module("framekit.verify")
 
 
+def _write_file(path, write, newline) -> None:
+    """write(fp) into the file at path; a path that cannot be written exits
+    2 with one line."""
+    try:
+        with open(path, "w", newline=newline) as fp:
+            write(fp)
+    except OSError as exc:
+        print(f"framekit: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
+def _dump(doc: dict, fp) -> None:
+    json.dump(doc, fp, indent=2)
+    fp.write("\n")
+
+
 def _emit(doc: dict, path) -> None:
     if path:
-        with open(path, "w") as fp:
-            json.dump(doc, fp, indent=2)
-            fp.write("\n")
+        _write_file(path, lambda fp: _dump(doc, fp), None)
     else:
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _dump(doc, sys.stdout)
 
 
 def _load_frame(path):
@@ -158,8 +172,7 @@ def cmd_analyze(args) -> int:
             "achieved_lower": rep.achieved_lower,
         }
     if args.gram_csv:
-        with open(args.gram_csv, "w", newline="") as fp:
-            serialization.write_matrix_csv(os_.gram_op, fp)
+        _write_file(args.gram_csv, lambda fp: serialization.write_matrix_csv(os_.gram_op, fp), "")
     _emit(_report("analyze", {"frame": args.frame}, results, tol), args.output)
     return EXIT_OK
 
@@ -266,7 +279,7 @@ def cmd_verify(args) -> int:
     try:
         rows, timings = verify_mod.run_checks(only=args.only)
     except KeyError as exc:
-        print(f"framekit verify: {exc}", file=sys.stderr)
+        print(f"framekit verify: {exc.args[0]}; see framekit verify --list", file=sys.stderr)
         return EXIT_USAGE
     for r in rows:
         mark = "PASS" if r.passed else "FAIL"

@@ -9,24 +9,21 @@ function of the candidate vector: expand |T_analysis(candidate)|^2 in
 the eigenbasis of the outer Gram and weight by reciprocal eigenvalues.
 Value 1 means the extended sequence is dependent.
 
-Classification runs in two steps.  ``prepare`` builds, once per frame,
-everything that does not depend on the candidate: the greedy-prefix
-reorder when the outers are dependent, the outer Gram G equilibrated to
-unit diagonal and its spectrum, the analysis matrix, the spans flag and,
-for a spanning frame, the vector-Gram eigendecomposition behind the
-ellipsoid residual.
-``classify_batch`` then evaluates a (K, N) batch of candidates with one
-matmul, and cross-checks every candidate through one stacked eigenvalue
-call over the K bordered Grams [[G, w], [w^T, 1]], w_i = |<c, phi_i>|^2,
-whose Schur complement is 1 minus the elliptic value.  The check is
+Classification runs in two steps.  ``prepare_batch`` builds, from stacked
+LAPACK calls, the candidate-independent state of K independent frames of
+one shape: the outer Gram G equilibrated to unit diagonal and its
+spectrum, the analysis matrices, the spans flags and the vector-Gram
+spectra.  ``prepare(f)`` is its one-frame case, on f's greedy independent
+prefix when f's outers are dependent.  ``classify_batch`` (K candidates,
+one frame) and ``classify_frames`` (candidate k, frame k) share one body:
+one matmul gives every w_i = |<c, phi_i>|^2, and one stacked eigenvalue
+call over the bordered Grams [[G, w], [w^T, 1]], whose Schur complement is
+1 minus the elliptic value, cross-checks every candidate.  The check is
 two-sided: an independent verdict must grow the bordered rank, and for
-every candidate the Schur complement det([[G, w], [w^T, 1]]) / det(G)
-must agree with 1 - elliptic value within its backward-error bound.
-``classify`` is the one-row batch.  ``prepare_batch`` builds the same
-state for many independent frames of one shape from stacked calls, and
-``classify_frames`` classifies one candidate per frame against it through
-the same code with a leading frame axis, returning the cross-check's
-disagreements as a mask instead of raising.
+every candidate det([[G, w], [w^T, 1]]) / det(G) must agree with
+1 - elliptic value within its backward-error bound.  ``elliptic_value``,
+``quartic_residual`` and ``mu2_subset_mu4_probe`` read the same prepared
+state, so every value comes from the one equilibrated spectrum.
 """
 
 from dataclasses import dataclass
@@ -47,8 +44,10 @@ from .errors import (
     ShapeMismatch,
     TooMany,
 )
-from .frame import Frame, analysis, gram, spans, vector_gram
-from .outer import OuterBatch, OuterSequence, ambient_outer_dim, independent_prefix, induce
+from .frame import Frame, gram, spans, vector_gram
+# induce is bound here although nothing below calls it: geometry.induce is
+# part of the module's namespace (perfbench's tracer and self-test read it)
+from .outer import OuterBatch, ambient_outer_dim, independent_prefix, induce, induce_batch
 from .rng import Stream, unit_vectors
 
 PSD_RELTOL = 1e-10
@@ -222,9 +221,9 @@ def _inverse_gram_form(spectrum: matcore.SpectralData, w: np.ndarray) -> np.ndar
     return np.sum(y ** 2 / spectrum.eigenvalues[..., None, :], axis=-1)
 
 
-def _check_candidates(candidates, f: Frame, independent: bool) -> np.ndarray:
+def _check_candidates(candidates, f: Frame) -> np.ndarray:
     """A validated (K, N) batch of unit candidates for an extendable frame
-    of f's shape and field, whose outers are independent or not."""
+    of f's shape and field."""
     candidates = np.asarray(candidates)
     if candidates.ndim != 2:
         raise ShapeMismatch(f"expected a (K, N) batch of candidates, got shape {candidates.shape}")
@@ -238,21 +237,29 @@ def _check_candidates(candidates, f: Frame, independent: bool) -> np.ndarray:
     norms = np.sqrt(np.sum(np.abs(candidates) ** 2, axis=1))
     if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):  # a NaN norm fails too
         raise NotUnitNorm("candidate must be unit norm")
-    if not independent:
-        raise NotIndependent("the outer products of the frame must be independent")
     if f.m + 1 > ambient_outer_dim(f):
         raise TooMany(
             f"M + 1 = {f.m + 1} exceeds the ambient self-adjoint dimension {ambient_outer_dim(f)}")
     return candidates
 
 
+def _independent(f: Frame) -> "PreparedBatch":
+    """prepare(f), for a frame whose outer products must be independent."""
+    prep = prepare(f)
+    if prep.permutation is not None:
+        raise NotIndependent("the outer products of the frame must be independent")
+    return prep
+
+
 def elliptic_value(f: Frame, candidate) -> float:
     """Weighted eigen-expansion of |<candidate, phi_i>|^2; equals 1 iff the
-    candidate's outer product is dependent on the existing ones."""
-    os_ = induce(f)
-    candidate = _check_candidates(np.asarray(candidate).reshape(1, -1), f, os_.rank == os_.m)
-    w = np.abs(candidate @ analysis(f).T) ** 2
-    return float(_inverse_gram_form(os_.gram_spectrum, w)[0])
+    candidate's outer product is dependent on the existing ones.
+
+    The value classify reports, cross-checked as classify_batch checks it;
+    raises NotIndependent when the frame's outers are dependent.
+    """
+    prep = _independent(f)
+    return float(classify_batch(prep, np.asarray(candidate).reshape(1, -1)).elliptic_value[0])
 
 
 def quartic_residual(f: Frame, v) -> float:
@@ -261,13 +268,12 @@ def quartic_residual(f: Frame, v) -> float:
     Zero within tolerance exactly when v lies on the quartic membership
     manifold for the frame's outer products.
     """
-    os_ = induce(f)
-    if os_.rank < os_.m:
-        raise NotIndependent("the outer products of the frame must be independent")
-    v = np.asarray(v).reshape(1, -1)
-    if v.shape[1] != os_.m:
-        raise ShapeMismatch(f"v has length {v.shape[1]}, expected M = {os_.m}")
-    return abs(float(_inverse_gram_form(os_.gram_spectrum, np.abs(v) ** 2)[0]) - 1.0)
+    prep = _independent(f)
+    v = np.asarray(v).reshape(-1)
+    if v.shape[0] != f.m:
+        raise ShapeMismatch(f"v has length {v.shape[0]}, expected M = {f.m}")
+    _, value = _elliptic_values(prep, np.abs(v.reshape(1, 1, -1)) ** 2)  # one frame, one row
+    return abs(float(value[0, 0]) - 1.0)
 
 
 def _ellipsoid_residuals(sd: matcore.SpectralData, n: int, v: np.ndarray,
@@ -319,39 +325,23 @@ class ClassificationReport:
     permutation: tuple | None = None
 
 
-class PreparedFrame(NamedTuple):
-    """The candidate-independent state of the classifier for one frame
-    (a named tuple: it costs less at import than a dataclass).
+class PreparedBatch(NamedTuple):
+    """The candidate-independent state of the classifier for K frames of
+    one shape and field whose outers are independent, every array with a
+    leading frame axis (a named tuple: it costs less at import than a
+    dataclass).
 
-    outer is the induced sequence of the frame the candidates extend: the
-    input, or its greedy independent prefix when the input's outers are
-    dependent (permutation then holds the prefix indices).  vector_gram
-    is the vector-Gram eigendecomposition, present exactly when the frame
-    spans.  scale holds d_i = G_ii^{-1/2} for the outer Gram G,
+    outer is the induced batch of the frames the candidates extend.
+    spans is a (K,) flag array and vector_gram holds the vector-Gram
+    eigendecompositions, which the ellipsoid residual reads where spans
+    holds.  scale holds d_i = G_ii^{-1/2} for each outer Gram G,
     scaled_gram is the equilibrated D G D with D = diag(d), and
     scaled_spectrum its eigendecomposition.  Candidates are classified
     through them, as (D w)^T (D G D)^{-1} (D w) = w^T G^{-1} w, so the
     elliptic values and their cross-check do not depend on the norms of
-    the frame's vectors.
-    """
-
-    outer: OuterSequence
-    analysis: np.ndarray
-    spans: bool
-    vector_gram: matcore.SpectralData | None
-    permutation: tuple | None
-    scale: np.ndarray
-    scaled_gram: np.ndarray
-    scaled_spectrum: matcore.SpectralData
-
-
-class PreparedBatch(NamedTuple):
-    """The state of prepare for K frames of one shape and field whose outers
-    are independent, every array with a leading frame axis.
-
-    Row i of each field is what prepare(outer.frames[i]) holds, except that
-    spans is a (K,) flag array and vector_gram is present for every frame,
-    spanning or not.
+    the frame's vectors.  permutation is set only by prepare, when the
+    input's outers are dependent: its one frame is then the input's
+    greedy independent prefix, and permutation the prefix indices.
     """
 
     outer: OuterBatch
@@ -361,6 +351,7 @@ class PreparedBatch(NamedTuple):
     scale: np.ndarray
     scaled_gram: np.ndarray
     scaled_spectrum: matcore.SpectralData
+    permutation: tuple | None
 
 
 def _equilibrated(gram_op: np.ndarray) -> tuple:
@@ -371,26 +362,10 @@ def _equilibrated(gram_op: np.ndarray) -> tuple:
     return scale, scale[..., :, None] * gram_op * scale[..., None, :]
 
 
-def prepare(f: Frame) -> PreparedFrame:
-    """Build the frame-level classifier state once, for any number of batches."""
-    os_ = induce(f)
-    permutation = None
-    if os_.rank < os_.m:
-        permutation = independent_prefix(f)
-        f = f.subframe(permutation)
-        os_ = induce(f)
-    spanning = spans(f)
-    scale, scaled_gram = _equilibrated(os_.gram_op)
-    return PreparedFrame(outer=os_, analysis=analysis(f), spans=spanning,
-                         vector_gram=matcore.hermitian_eig(gram(f)) if spanning else None,
-                         permutation=permutation, scale=scale, scaled_gram=scaled_gram,
-                         scaled_spectrum=matcore.hermitian_eig(scaled_gram))
-
-
 def prepare_batch(batch: OuterBatch) -> PreparedBatch:
-    """prepare for every frame of an OuterBatch, from stacked LAPACK calls.
+    """The classifier state of every frame of an OuterBatch, from stacked
+    LAPACK calls, built once for any number of candidate batches.
 
-    Each frame's arrays are bit for bit those prepare builds for it alone.
     Raises NotIndependent when a frame's outers are dependent: prepare
     would reorder it to a shorter prefix, which has no place in the stack,
     so callers keep the frames where batch.independent holds.
@@ -405,7 +380,20 @@ def prepare_batch(batch: OuterBatch) -> PreparedBatch:
     return PreparedBatch(outer=batch, analysis=v.conj(),
                          spans=matcore.rank_from_singular_values(sigma, (n, m)) == n,
                          vector_gram=matcore.hermitian_eig(vector_gram(v)), scale=scale,
-                         scaled_gram=scaled_gram, scaled_spectrum=matcore.hermitian_eig(scaled_gram))
+                         scaled_gram=scaled_gram, scaled_spectrum=matcore.hermitian_eig(scaled_gram),
+                         permutation=None)
+
+
+def prepare(f: Frame) -> PreparedBatch:
+    """prepare_batch of the one frame f, or of its greedy independent prefix
+    when f's outers are dependent (permutation then holds the prefix
+    indices)."""
+    batch = induce_batch([f])
+    if batch.independent[0]:
+        return prepare_batch(batch)
+    permutation = independent_prefix(f)
+    prep = prepare_batch(induce_batch([f.subframe(permutation)]))
+    return prep._replace(permutation=permutation)
 
 
 class BatchClassification(NamedTuple):
@@ -502,28 +490,40 @@ def _bordered_gram_check(gram: np.ndarray, lam_g: np.ndarray, w: np.ndarray,
     return _BorderCheck(disagrees=disagrees, flat=flat, schur=schur, bound=bound)
 
 
-def _verdicts(prep, tv: np.ndarray, tol: float) -> tuple:
-    """(value, dependent, ellipsoid residual, bordered-Gram check) for the
-    analysis images tv: (K, M) against a PreparedFrame, or (K, 1, M), one
-    row per frame, against a PreparedBatch of K frames."""
-    w = np.abs(tv) ** 2 * prep.scale[..., None, :]
-    value = _inverse_gram_form(prep.scaled_spectrum, w)
+def _elliptic_values(prep: PreparedBatch, w: np.ndarray) -> tuple:
+    """(D w, w^T G^{-1} w) for a (..., K, M) batch w = |tv|^2 of squared
+    analysis coefficients against the prepared frames (one frame for
+    every row, or one per leading index), with the value formed as
+    (D w)^T (D G D)^{-1} (D w) from the equilibrated spectrum."""
+    dw = w * prep.scale[..., None, :]
+    return dw, _inverse_gram_form(prep.scaled_spectrum, dw)
+
+
+def _classified(prep: PreparedBatch, candidates: np.ndarray, tv: np.ndarray,
+                tol: float) -> tuple:
+    """(BatchClassification, bordered-Gram check) for the analysis images
+    tv: (1, K, M) for K candidates against the one frame of prep, or
+    (K, 1, M) for candidate k against frame k."""
+    m = tv.shape[-1]
+    w, value = _elliptic_values(prep, np.abs(tv) ** 2)
     dependent = np.abs(value - 1.0) <= tol
-    m = w.shape[-1]
     check = _bordered_gram_check(prep.scaled_gram, prep.scaled_spectrum.eigenvalues,
                                  w.reshape(-1, m), value.reshape(-1), dependent.reshape(-1))
-    if prep.vector_gram is None:
-        ell = np.full(value.shape, np.nan)
-    else:
-        with np.errstate(all="ignore"):  # frames that do not span are masked below
-            ell = _ellipsoid_residuals(prep.vector_gram, prep.analysis.shape[-1], tv, tol)
-        ell = np.where(np.asarray(prep.spans)[..., None], ell, np.nan)
-    return value, dependent, ell, check
+    with np.errstate(all="ignore"):  # frames that do not span are masked below
+        ell = _ellipsoid_residuals(prep.vector_gram, prep.analysis.shape[-1], tv, tol)
+    ell = np.where(prep.spans[..., None], ell, np.nan)
+    result = BatchClassification(candidates=candidates, tv=tv.reshape(-1, m),
+                                 elliptic_value=value.reshape(-1),
+                                 dependent=dependent.reshape(-1),
+                                 ellipsoid_residual=ell.reshape(-1), tol=tol,
+                                 permutation=prep.permutation)
+    return result, check
 
 
-def classify_batch(prep: PreparedFrame, candidates,
+def classify_batch(prep: PreparedBatch, candidates,
                    tol: float = DEFAULT_VERDICT_TOL) -> BatchClassification:
-    """Classify a (K, N) batch of unit candidates against a prepared frame.
+    """Classify a (K, N) batch of unit candidates against a prepared frame
+    (the one-frame state prepare builds).
 
     tv = C A^T gives every analysis image in one matmul; the elliptic
     values, verdicts and ellipsoid residuals are vectorised over the
@@ -531,40 +531,37 @@ def classify_batch(prep: PreparedFrame, candidates,
     through one stacked eigenvalue call (see _bordered_gram_check).
     Raises InternalInconsistency for the first candidate that disagrees.
     """
-    os_ = prep.outer
-    candidates = _check_candidates(candidates, os_.source, os_.rank == os_.m)
-    tv = candidates @ prep.analysis.T
-    value, dependent, ell, check = _verdicts(prep, tv, tol)
+    frames = prep.outer.frames
+    if len(frames) != 1:
+        raise ShapeMismatch(f"classify_batch takes one prepared frame, got {len(frames)}")
+    candidates = _check_candidates(candidates, frames[0])
+    result, check = _classified(prep, candidates, candidates @ prep.analysis.swapaxes(-1, -2),
+                                tol)
     if check.disagrees.any():
         i = int(check.disagrees.argmax())
-        verdict = "dependent" if dependent[i] else "independent"
+        verdict = "dependent" if result.dependent[i] else "independent"
         what = ("rank comparison" if check.flat[i] else
                 f"Schur complement {check.schur[i]:.3e} (bound {check.bound[i]:.1e})")
         raise InternalInconsistency(
-            f"candidate {i}: elliptic value {value[i]} "
+            f"candidate {i}: elliptic value {result.elliptic_value[i]} "
             f"(verdict {verdict}) disagrees with the extended-Gram {what}")
-    return BatchClassification(candidates=candidates, tv=tv, elliptic_value=value,
-                               dependent=dependent, ellipsoid_residual=ell, tol=tol,
-                               permutation=prep.permutation)
+    return result
 
 
 def classify_frames(prep: PreparedBatch, candidates, tol: float = DEFAULT_VERDICT_TOL) -> tuple:
     """Classify candidate k of a (K, N) batch against frame k of a prepared
-    batch, through the same stacked calls as classify_batch.
+    batch, through the same body as classify_batch.
 
     Returns (classification, disagrees).  Where disagrees[k] is False, row
     k of the classification is what classify(frame k, candidate k)
     reports; where it is True, classify raises InternalInconsistency.
     """
     frames = prep.outer.frames
-    candidates = _check_candidates(candidates, frames[0], True)
+    candidates = _check_candidates(candidates, frames[0])
     if len(candidates) != len(frames):
         raise ShapeMismatch(f"{len(candidates)} candidates for {len(frames)} frames")
-    tv = candidates[:, None, :] @ prep.analysis.swapaxes(-1, -2)
-    value, dependent, ell, check = _verdicts(prep, tv, tol)
-    result = BatchClassification(candidates=candidates, tv=tv[:, 0], elliptic_value=value[:, 0],
-                                 dependent=dependent[:, 0], ellipsoid_residual=ell[:, 0],
-                                 tol=tol, permutation=None)
+    result, check = _classified(prep, candidates,
+                                candidates[:, None, :] @ prep.analysis.swapaxes(-1, -2), tol)
     return result, check.disagrees
 
 
@@ -587,15 +584,10 @@ def mu2_subset_mu4_probe(f: Frame, samples: int, seed: int) -> float:
     containment of the ellipsoid in the quartic manifold predicts a
     residual of zero for every sample.
     """
-    os_ = induce(f)
-    if f.m < os_.ambient_dim or os_.rank < os_.ambient_dim:
-        raise RankDeficient(
-            f"outer products span {os_.rank} < {os_.ambient_dim} dimensions")
-    pf = f.subframe(independent_prefix(f))
+    prep = prepare(f)
+    rank, ambient = int(prep.outer.ranks[0]), ambient_outer_dim(f)
+    if rank < ambient:
+        raise RankDeficient(f"outer products span {rank} < {ambient} dimensions")
     psi = unit_vectors(Stream(seed), samples, f.n, f.field == "complex")
-    # A psi_k as one matrix-vector product per sample, the BLAS kernel a
-    # single sample goes through; (psi A^T) as one product differs in the
-    # last bits
-    w = np.abs((analysis(pf) @ psi[:, :, None])[:, :, 0]) ** 2
-    residual = np.abs(_inverse_gram_form(induce(pf).gram_spectrum, w) - 1.0)
-    return float(np.max(residual, initial=0.0))
+    value = _elliptic_values(prep, np.abs(psi @ prep.analysis.swapaxes(-1, -2)) ** 2)[1]
+    return float(np.max(np.abs(value - 1.0), initial=0.0))

@@ -51,7 +51,8 @@ def outer_distance(phi, psi) -> float:
     """
     phi = np.asarray(phi).reshape(-1)
     psi = np.asarray(psi).reshape(-1)
-    if abs(np.linalg.norm(phi) - 1.0) > UNIT_TOL or abs(np.linalg.norm(psi) - 1.0) > UNIT_TOL:
+    if not (abs(np.linalg.norm(phi) - 1.0) <= UNIT_TOL
+            and abs(np.linalg.norm(psi) - 1.0) <= UNIT_TOL):  # a NaN norm fails too
         raise NotUnitNorm("outer_distance is stated for unit vectors")
     ip = np.vdot(psi, phi)  # <phi, psi>
     value = 2.0 * (1.0 - abs(ip) ** 2)
@@ -138,10 +139,10 @@ def nearby_independent_basis(psi, eps: float) -> list:
     rank test to be meaningful (below that, the outer Gram's smallest
     eigenvalue scales like delta^4 and sinks toward machine epsilon).
     """
-    if eps <= 0.0:
-        raise BadParam("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise BadParam(f"eps must be finite and positive, got {eps}")
     psi = np.asarray(psi).reshape(-1)
-    if abs(np.linalg.norm(psi) - 1.0) > UNIT_TOL:
+    if not abs(np.linalg.norm(psi) - 1.0) <= UNIT_TOL:  # a NaN norm fails too
         raise NotUnitNorm("the reference vector must be unit norm")
     n = psi.shape[0]
     cplx = np.iscomplexobj(psi) and bool(np.any(psi.imag != 0.0))

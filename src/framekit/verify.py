@@ -15,8 +15,9 @@ classifier corpus is prepared and classified one shape group at a time
 (``geometry.prepare_batch`` and ``classify_frames``).  In
 ``psd-extension-roundtrip`` a case draws fewer words when its matrix lacks
 its r positive eigenvalues, so the forward block is drawn speculatively, as
-if no case stopped early; should one stop, that case and every later one
-are decided one at a time on a stream positioned at the case's first word.
+if no case stopped early; should one stop, it counts its failure and the
+same block function resumes at the next case, on a stream positioned at
+the word after the stopped case's eigenvalues.
 
 Ranks that LAPACK computes are checked against an exact oracle,
 ``rational_rank``: fraction-free (Bareiss) elimination over Python
@@ -115,11 +116,6 @@ def _orthonormal(g):
     columns signed by the diagonal of R."""
     q, r = np.linalg.qr(g)
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1).real)[..., None, :]
-
-
-def _random_orthonormal(stream, n, cplx):
-    g = (stream.complex_normals(n * n) if cplx else stream.normals(n * n)).reshape(n, n)
-    return _orthonormal(g)
 
 
 # ---------------------------------------------------------------------------
@@ -491,57 +487,27 @@ def _psd_forward_words(k) -> tuple:
             normal_words(n - r, cplx) if r < n else 0)
 
 
-def _psd_forward_case(stream, k) -> tuple:
-    """(forward failures, off-family failures) of forward case k, drawn from
-    the stream and decided one matrix at a time."""
-    n, r, cplx = _psd_case(k)
-    q = _random_orthonormal(stream, n, cplx)
-    t = _psd_matrix(q, 0.5 + 1.5 * stream.uniforms(r))
-    ext = geometry.psd_extension(t)
-    if len(ext.i_plus) != r:
-        return 1, 0
-    forward = offfam = 0
-    a = unit_vectors(stream, 1, r, cplx)[0]
-    v = geometry.admissible_vector(ext, a)
-    if not geometry.extension_rank_preserved(t, v):
-        forward += 1
-    back = geometry.admissible_coefficients(ext, v)
-    if back is None or abs(float(np.sum(np.abs(back) ** 2)) - 1.0) > 1e-9:
-        forward += 1
-    # off-family: wrong normalization always; kernel leak when rank deficient
-    scaled = 1.5 * v
-    if geometry.extension_rank_preserved(t, scaled) or \
-            geometry.admissible_coefficients(ext, scaled) is not None:
-        offfam += 1
-    if r < n:
-        kernel = ext.spectrum.eigenvectors[:, r:]
-        leak = v + kernel @ unit_vectors(stream, 1, n - r, cplx)[0] * 0.5
-        if geometry.extension_rank_preserved(t, leak) or \
-                geometry.admissible_coefficients(ext, leak) is not None:
-            offfam += 1
-    return forward, offfam
-
-
-def _psd_forward_block(stream, total) -> tuple:
-    """Forward cases 0 .. total-1 from one raw block, decided per (n, r,
+def _psd_forward_block(stream, first, total) -> tuple:
+    """Forward cases first .. total-1 from one raw block, decided per (n, r,
     field) by stacked calls.
 
-    The block is drawn as if every case drew all four parts of its words;
-    a case whose t has other than r positive eigenvalues stops after its
-    eigenvalues, and every later case then starts at another word (and
-    where t fails a PSD rule, the case raises NotPsd).  Returns (forward
-    failures, off-family failures, stop, word): the failure counts of the
-    cases before stop, the first such case (total if none) and the offset
-    of its first word.  Each case before stop is decided bit for bit as
-    _psd_forward_case decides it.
+    The block is drawn as if every case drew all four parts of its words.
+    A case whose t has other than r positive eigenvalues stops after its
+    eigenvalues and counts one forward failure; every later case then
+    starts at another word.  Should that case's t fail a PSD rule, it
+    raises NotPsd instead, as psd_extension and (once t has its r positive
+    eigenvalues) extension_rank_preserved raise.  Returns (forward
+    failures, off-family failures, stop, skip): the failure counts of the
+    cases up to the first that stops, that case (total if none), and the
+    offset from the block's first word to the word after its eigenvalues.
     """
-    parts = np.array([_psd_forward_words(k) for k in range(total)])
+    parts = np.array([_psd_forward_words(k) for k in range(first, total)])
     starts = np.cumsum(parts.sum(axis=1)) - parts.sum(axis=1)
     words = stream.raw(int(parts.sum()))
-    forward = np.zeros(total, dtype=int)
-    offfam = np.zeros(total, dtype=int)
-    fit = np.zeros(total, dtype=bool)
-    for (n, r, cplx), ks in _index_groups(_psd_case(k) for k in range(total)).items():
+    forward = np.zeros(total - first, dtype=int)
+    offfam = np.zeros(total - first, dtype=int)
+    stopped = {}  # case index -> (eigenvalues, eigvalsh eigenvalues, has r positive)
+    for (n, r, cplx), ks in _index_groups(_psd_case(k) for k in range(first, total)).items():
         ks = np.array(ks)
 
         def block(part):  # each case's words of one part, one row per case
@@ -553,12 +519,13 @@ def _psd_forward_block(stream, total) -> tuple:
         q = _orthonormal(g.reshape(-1, n, n))
         t = _psd_matrix(q, 0.5 + 1.5 * word_uniforms(block(1)))
         sd = matcore.hermitian_eig(t)
+        w_h = matcore.hermitian_eigvalues(t)
         # psd_extension's rule, its r positive eigenvalues, and the rule
         # extension_rank_preserved applies to eigvalsh
-        ok = (~geometry._psd_violations(sd.eigenvalues)
-              & (geometry._positive_eigenvalues(sd.eigenvalues, (n, n)).sum(axis=-1) == r)
-              & ~geometry._psd_violations(matcore.hermitian_eigvalues(t)))
-        fit[ks] = ok
+        full = geometry._positive_eigenvalues(sd.eigenvalues, (n, n)).sum(axis=-1) == r
+        ok = ~geometry._psd_violations(sd.eigenvalues) & full & ~geometry._psd_violations(w_h)
+        for i in np.flatnonzero(~ok):
+            stopped[ks[i]] = (sd.eigenvalues[i], w_h[i], full[i])
         ks, t = ks[ok], t[ok]
         if not len(ks):
             continue
@@ -581,9 +548,15 @@ def _psd_forward_block(stream, total) -> tuple:
             kernel = ext.spectrum.eigenvectors[..., r:]
             leak = v + (kernel @ unit_rows(block(3), n - r, cplx)[:, :, None])[..., 0] * 0.5
             offfam[ks] += ~rejected(leak)
-    stop = int(np.argmin(fit)) if not fit.all() else total
-    return (int(forward[:stop].sum()), int(offfam[:stop].sum()), stop,
-            int(starts[stop]) if stop < total else None)
+    if not stopped:
+        return int(forward.sum()), int(offfam.sum()), total, None
+    stop = min(stopped)
+    w, w_h, full = stopped[stop]
+    geometry._checked_psd(w)
+    if full:  # so t fails extension_rank_preserved's rule, and this raises
+        geometry._checked_psd(w_h)
+    return (int(forward[:stop].sum()) + 1, int(offfam[:stop].sum()), int(first + stop),
+            int(starts[stop] + parts[stop, :2].sum()))
 
 
 def _psd_oracle_cases(stream, count) -> list:
@@ -619,17 +592,18 @@ def _numerical_ranks(mats) -> list:
 
 
 def check_psd_extension_roundtrip():
-    stream = Stream(1000)
-    total = 1000
-    forward_fail, offfam_fail, stop, word = _psd_forward_block(stream, total)
-    if stop < total:
-        # case `stop` drew fewer words than the block assumed: decide it and
-        # the cases after it one by one, from its first word on
-        stream = Stream(1000, start=word)
-        for k in range(stop, total):
-            forward, offfam = _psd_forward_case(stream, k)
-            forward_fail += forward
-            offfam_fail += offfam
+    stream, word, first, total = Stream(1000), 0, 0, 1000
+    forward_fail = offfam_fail = 0
+    while first < total:
+        forward, offfam, stop, skip = _psd_forward_block(stream, first, total)
+        forward_fail += forward
+        offfam_fail += offfam
+        if stop < total:
+            # case `stop` drew fewer words than the block assumed: go on
+            # from the case after it, at the word after its eigenvalues
+            word += skip
+            stream = Stream(1000, start=word)
+        first = stop + 1
     rows = [
         _row("psd-extension-roundtrip", "forward family preserves rank (1000 cases)",
              forward_fail, "0 failures", None, forward_fail == 0),
@@ -848,9 +822,9 @@ CHECKS = {
 
 def run_checks(only=None):
     """Run the named checks (all by default); returns (rows, elapsed_by_check)."""
-    names = [only] if only else list(CHECKS)
-    if only and only not in CHECKS:
-        raise KeyError(f"unknown check {only!r}; see list_checks()")
+    names = list(CHECKS) if only is None else [only]
+    if only is not None and only not in CHECKS:
+        raise KeyError(f"unknown check {only!r}")
     rows = []
     timings = {}
     for name in names:

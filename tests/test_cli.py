@@ -132,6 +132,28 @@ def test_analyze_nan_entry_exits_2_without_traceback(tmp_path):
     assert "non-finite" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "simplex", "-o", "OUT"],
+    ["analyze", "F", "-o", "OUT"],
+    ["analyze", "F", "--gram-csv", "OUT"],
+    ["nudge", "F", "--eps", "0.1", "-o", "OUT"],
+    ["nudge", "F", "--eps", "0.1", "-o", "OK", "--report", "OUT"],
+])
+def test_unwritable_output_path_exits_2_without_traceback(tmp_path, argv):
+    frame_file = tmp_path / "b3.json"
+    with frame_file.open("w") as fp:
+        ser.write_frame(cons.biangular(3), fp)
+    paths = {"F": str(frame_file), "OK": str(tmp_path / "ok.json"),
+             "OUT": str(tmp_path / "missing" / "out")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "framekit.cli", *[paths.get(a, a) for a in argv]],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == f"framekit: cannot write {paths['OUT']}: No such file or directory\n"
+
+
 def test_classify_candidate(tmp_path, capsys):
     frame_file = tmp_path / "o3.json"
     run_cli(capsys, "construct", "orthonormal", "--n", "3", "-o", str(frame_file))
@@ -285,6 +307,13 @@ def test_verify_list_and_single_check(capsys):
 def test_verify_unknown_check(capsys):
     code, _, _ = run_cli(capsys, "verify", "--only", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("name", ["", "nope"])
+def test_verify_unknown_or_empty_check_name_exits_2_pointing_to_list(capsys, name):
+    code, out, err = run_cli(capsys, "verify", "--only", name)
+    assert (code, out) == (2, "")
+    assert err == f"framekit verify: unknown check '{name}'; see framekit verify --list\n"
 
 
 def test_rank_tolerance_env_override(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from framekit import constructions as cons
 from framekit import geometry, matcore, outer
 from framekit.frame import Frame, analysis
+from framekit.rng import Stream, unit_vectors
 from framekit.errors import (
     BadCoefficients,
     BadParam,
@@ -157,6 +158,8 @@ class TestEllipticValue:
         f = Frame.from_vectors(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
         with pytest.raises(NotIndependent):
             geometry.elliptic_value(f, [0.0, 1.0, 0.0])
+        with pytest.raises(NotIndependent):
+            geometry.quartic_residual(f, [1.0, 1.0])
 
 
 class TestQuarticAndEllipsoid:
@@ -315,6 +318,38 @@ class TestFramesOfAnyNorm:
         np.testing.assert_array_equal(batch.dependent, unit.dependent)
         np.testing.assert_allclose(batch.elliptic_value, unit.elliptic_value,
                                    rtol=1e-9, atol=1e-9)
+
+
+    @staticmethod
+    def equilibrated_values(f, w):
+        """(D w)^T (D G D)^{-1} (D w) for the rows of w, written out from the
+        outer Gram G of f and D = diag(G_ii^{-1/2})."""
+        g = outer.induce(f).gram_op
+        d = 1.0 / np.sqrt(np.diagonal(g))
+        sd = matcore.hermitian_eig(d[:, None] * g * d[None, :])
+        y = (w * d) @ sd.eigenvectors
+        return np.sum(y ** 2 / sd.eigenvalues, axis=-1)
+
+    @pytest.mark.parametrize("field, n, m, seed", [("real", 3, 5, 78), ("complex", 2, 3, 78),
+                                                   ("real", 3, 6, 1203), ("complex", 2, 4, 5)])
+    def test_every_formula_reads_the_equilibrated_spectrum(self, field, n, m, seed):
+        # norms over 10^-1.5..10^1.5: values from the unscaled outer Gram
+        # move by up to 1e-9 (elliptic) and 3e-6 (probe) on these frames
+        f = cons.random_unit(n, m, seed, field=field)
+        graded = Frame(field=field, vectors=f.vectors * 10.0 ** np.linspace(-1.5, 1.5, m)[:, None])
+        assert outer.induce(graded).rank == m
+        if m < outer.ambient_outer_dim(f):
+            for c in _unit_rows(np.random.default_rng(seed), 10, n, field == "complex"):
+                value = geometry.elliptic_value(graded, c)
+                assert value == geometry.classify(graded, c).elliptic_value
+                tv = analysis(graded) @ c
+                assert value == self.equilibrated_values(graded, np.abs(tv[None]) ** 2)[0]
+                assert geometry.quartic_residual(graded, tv) == abs(value - 1.0)
+        else:
+            psi = unit_vectors(Stream(3), 50, n, field == "complex")
+            w = np.abs(psi @ analysis(graded).T) ** 2
+            worst = np.max(np.abs(self.equilibrated_values(graded, w) - 1.0))
+            assert geometry.mu2_subset_mu4_probe(graded, 50, 3) == worst
 
 
 def _unit_rows(rng, k, n, cplx):
@@ -503,14 +538,13 @@ class TestPrepareBatch:
         for j, i in enumerate(keep):
             one = geometry.prepare(frames[i])
             assert one.permutation is None
-            assert bool(prep.spans[j]) == one.spans
-            pairs = [(prep.analysis[j], one.analysis), (prep.scale[j], one.scale),
-                     (prep.scaled_gram[j], one.scaled_gram)]
-            pairs += [(getattr(prep.scaled_spectrum, a)[j], getattr(one.scaled_spectrum, a))
+            assert bool(prep.spans[j]) == bool(one.spans[0])
+            pairs = [(prep.analysis[j], one.analysis[0]), (prep.scale[j], one.scale[0]),
+                     (prep.scaled_gram[j], one.scaled_gram[0])]
+            pairs += [(getattr(sd, a)[j], getattr(one_sd, a)[0])
+                      for sd, one_sd in ((prep.scaled_spectrum, one.scaled_spectrum),
+                                         (prep.vector_gram, one.vector_gram))
                       for a in ("eigenvalues", "eigenvectors")]
-            if one.spans:
-                pairs += [(getattr(prep.vector_gram, a)[j], getattr(one.vector_gram, a))
-                          for a in ("eigenvalues", "eigenvectors")]
             for got, want in pairs:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -568,6 +602,8 @@ class TestPrepareBatch:
         prep = geometry.prepare_batch(outer.induce_batch(self.frames(3, 4, "real", 3, 6500)))
         with pytest.raises(ShapeMismatch, match="2 candidates for 3 frames"):
             geometry.classify_frames(prep, np.eye(3)[:2])
+        with pytest.raises(ShapeMismatch, match="one prepared frame, got 3"):
+            geometry.classify_batch(prep, np.eye(3)[:1])
         with pytest.raises(NotUnitNorm):
             geometry.classify_frames(prep, 2.0 * np.eye(3))
         too_many = geometry.prepare_batch(outer.induce_batch(self.frames(2, 3, "real", 2, 6600)))

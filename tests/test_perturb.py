@@ -56,6 +56,15 @@ def test_outer_distance():
         perturb.outer_distance([2.0, 0.0], e1)
 
 
+@pytest.mark.parametrize("bad", [[np.nan, 0.0], [np.inf, 0.0], [1.0, np.nan]])
+def test_outer_distance_rejects_non_finite_vectors(bad):
+    e1 = np.array([1.0, 0.0])
+    with pytest.raises(NotUnitNorm):
+        perturb.outer_distance(bad, e1)
+    with pytest.raises(NotUnitNorm):
+        perturb.outer_distance(e1, bad)
+
+
 def test_outer_distance_closed_form_inequality():
     rng = np.random.default_rng(62)
     for cplx in (False, True):
@@ -147,6 +156,15 @@ class TestNearbyBasis:
     def test_bad_eps(self):
         with pytest.raises(BadParam):
             perturb.nearby_independent_basis(np.array([1.0, 0.0]), 0.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -0.1])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(BadParam, match="finite and positive"):
+            perturb.nearby_independent_basis(np.array([1.0, 0.0, 0.0]), eps)
+
+    def test_non_finite_reference_vector_rejected(self):
+        with pytest.raises(NotUnitNorm):
+            perturb.nearby_independent_basis(np.array([np.nan, 0.0, 0.0]), 0.1)
 
 
 class TestNudge:

@@ -18,6 +18,7 @@ import pytest
 
 from framekit import constructions as cons
 from framekit import geometry, matcore, outer, perturb, verify
+from framekit.errors import NotPsd
 from framekit.frame import Frame, gram, riesz_bounds
 from framekit.rng import Stream
 from framekit.verify import rational_rank
@@ -424,48 +425,113 @@ def _same_matrices(a, b):
     return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
+def _block_recorder(monkeypatch):
+    """Record the first case of every forward block verify decides."""
+    firsts = []
+    block = verify._psd_forward_block
+
+    def record(stream, first, total):
+        firsts.append(first)
+        return block(stream, first, total)
+
+    monkeypatch.setattr(verify, "_psd_forward_block", record)
+    return firsts
+
+
+def _eig_patched_at(monkeypatch, name, target, last):
+    """Make matcore's eigensolver `name` report `last` as the smallest
+    eigenvalue of the matrix target, wherever it sees it; returns the list
+    of matrices (or stacks) it is called with."""
+    solve = getattr(matcore, name)
+    seen = []
+
+    def patched(a):
+        seen.append(np.array(a))
+        out = solve(a)
+        w = np.array(out if name == "hermitian_eigvalues" else out.eigenvalues)
+        if np.shape(a)[-2:] == target.shape:
+            hit = np.all(np.asarray(a) == target, axis=(-2, -1))
+            w[..., -1] = np.where(hit, last, w[..., -1])
+        if name == "hermitian_eigvalues":
+            return w
+        return matcore.SpectralData(eigenvalues=w, eigenvectors=out.eigenvectors)
+
+    monkeypatch.setattr(matcore, name, patched)
+    return seen
+
+
+def _hits(inputs, target):
+    """How often target occurs among recorded matrices and stacks."""
+    return sum(int(np.all(a == target, axis=(-2, -1)).sum())
+               for a in inputs if a.shape[-2:] == target.shape)
+
+
 def test_psd_roundtrip_falls_back_after_a_forward_failure(monkeypatch):
     # make the eigensolver report a zero last eigenvalue for the t of forward
     # case 137 (order 6, rank 6, complex) only: that case stops after its
     # eigenvalues, and every later case draws other words than the
-    # speculative block assumed
+    # speculative block assumed, so the block resumes at case 138
     seen = _recorders(monkeypatch)
+    firsts = _block_recorder(monkeypatch)
     unpatched = reference_psd_extension_roundtrip()
     assert verify._psd_case(137) == (6, 6, True)
     target, unpatched_oracle = seen["psd"][137], seen["exact"]
-    seen["psd"], seen["exact"] = [], []
+    seen["exact"] = []
     verify.check_psd_extension_roundtrip()
-    assert seen["psd"] == []  # no case went through the fallback
+    assert firsts == [0]  # one block, no case stopped
     assert _same_matrices(seen["exact"], unpatched_oracle)  # the oracle block lines up
 
-    eig = matcore.hermitian_eig
-    hits = []
-
-    def eig_zeroing_target(a):
-        sd = eig(a)
-        if np.shape(a)[-2:] != target.shape:
-            return sd
-        hit = np.all(np.asarray(a) == target, axis=(-2, -1))
-        hits.append(int(np.sum(hit)))
-        w = np.array(sd.eigenvalues)
-        w[..., -1] = np.where(hit, 0.0, w[..., -1])
-        return matcore.SpectralData(eigenvalues=w, eigenvectors=sd.eigenvectors)
-
-    monkeypatch.setattr(matcore, "hermitian_eig", eig_zeroing_target)
+    eig_inputs = _eig_patched_at(monkeypatch, "hermitian_eig", target, 0.0)
     seen["psd"], seen["exact"] = [], []
     reference = reference_psd_extension_roundtrip()
     reference_psd, reference_oracle = seen["psd"], seen["exact"]
-    assert sum(hits) == 1
+    assert _hits(eig_inputs, target) == 1
     assert reference[0].measured == unpatched[0].measured + 1
     assert not _same_matrices(reference_oracle, unpatched_oracle)  # later draws moved
-    hits.clear()
-    seen["psd"], seen["exact"] = [], []
+    firsts.clear()
+    eig_inputs.clear()
+    seen["exact"] = []
     batched = verify.check_psd_extension_roundtrip()
-    assert sum(hits) == 2  # the speculative block, then the case-by-case rerun
-    # the rerun starts at case 137 and draws what the reference loop drew
-    assert _same_matrices(seen["psd"], reference_psd[137:])
+    assert firsts == [0, 138]
+    assert _hits(eig_inputs, target) == 1  # the first block; the resumed one starts past it
+    # the resumed block decides cases 138 on, one stack per (n, r, field) in
+    # order of first sight, on exactly the reference loop's matrices
+    groups = verify._index_groups(verify._psd_case(k) for k in range(138, 1000))
+    resumed = eig_inputs[-len(groups):]
+    expected = [np.stack([reference_psd[138 + i] for i in idx]) for idx in groups.values()]
+    assert _same_matrices(resumed, expected)
     assert _same_matrices(seen["exact"], reference_oracle)
     assert _same_rows(batched, reference)
+
+
+@pytest.mark.parametrize("name", ["hermitian_eig", "hermitian_eigvalues"])
+def test_psd_roundtrip_raises_where_the_reference_loop_does(monkeypatch, name):
+    # a negative eigenvalue for case 137's t under either PSD rule: the
+    # reference loop raises NotPsd (from psd_extension or from
+    # extension_rank_preserved), and so does the block
+    seen = _recorders(monkeypatch)
+    reference_psd_extension_roundtrip()
+    target = seen["psd"][137]
+    _eig_patched_at(monkeypatch, name, target, -1.0)
+    with pytest.raises(NotPsd) as expected:
+        reference_psd_extension_roundtrip()
+    with pytest.raises(NotPsd) as got:
+        verify.check_psd_extension_roundtrip()
+    assert str(got.value) == str(expected.value)
+
+
+def test_psd_roundtrip_counts_a_short_case_whatever_eigvalsh_says(monkeypatch):
+    # case 137's t lacks a positive eigenvalue under eigh and is not PSD
+    # under eigvalsh: the reference loop stops at the first and never asks
+    # the second, so both count one forward failure
+    seen = _recorders(monkeypatch)
+    reference_psd_extension_roundtrip()
+    target = seen["psd"][137]
+    _eig_patched_at(monkeypatch, "hermitian_eig", target, 0.0)
+    _eig_patched_at(monkeypatch, "hermitian_eigvalues", target, -1.0)
+    batched = verify.check_psd_extension_roundtrip()
+    assert batched[0].measured == 1
+    assert _same_rows(batched, reference_psd_extension_roundtrip())
 
 
 def test_classifier_coherence_counts_each_disagreement(monkeypatch):
