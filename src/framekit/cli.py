@@ -15,8 +15,11 @@ tolerance.
 
 import argparse
 import importlib.util
+import io
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -54,27 +57,47 @@ def _lazy_module(name: str):
 verify_mod = _lazy_module("framekit.verify")
 
 
-def _write_file(path, write, newline) -> None:
-    """write(fp) into the file at path; a path that cannot be written exits
-    2 with one line."""
+def _write_files(texts: dict) -> None:
+    """Write each text of {path: text} to its path, all or none.
+
+    Every path is opened, without truncating it, before any is written, so
+    a path that cannot be opened exits 2 with one line and leaves every
+    path as it was (a file this call created is removed again).
+    """
+    files, created = [], []
     try:
-        with open(path, "w", newline=newline) as fp:
-            write(fp)
+        for path, text in texts.items():
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                created.append(path)
+            except FileExistsError:
+                fd = os.open(path, os.O_WRONLY)
+            files.append((open(fd, "w", newline=""), path, text))
+        for fp, path, text in files:
+            with fp:
+                if stat.S_ISREG(os.fstat(fp.fileno()).st_mode):  # not a pipe or device
+                    fp.truncate()
+                fp.write(text)
     except OSError as exc:
+        for fp, _, _ in files:
+            fp.close()
+        for made in created:
+            os.remove(made)
         print(f"framekit: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
-def _dump(doc: dict, fp) -> None:
-    json.dump(doc, fp, indent=2)
-    fp.write("\n")
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def _emit(doc: dict, path) -> None:
-    if path:
-        _write_file(path, lambda fp: _dump(doc, fp), None)
-    else:
-        _dump(doc, sys.stdout)
+def _emit(*outputs) -> None:
+    """Write each (path, text) of outputs: those with a path to their files,
+    all or none (_write_files), then the others to stdout."""
+    _write_files({path: text for path, text in outputs if path})
+    for path, text in outputs:
+        if not path:
+            sys.stdout.write(text)
 
 
 def _load_frame(path):
@@ -123,8 +146,8 @@ def cmd_construct(args) -> int:
     except BadParam as exc:
         print(f"framekit construct: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    _emit(serialization.frame_to_doc(f, name=args.kind, construction=spec.to_dict()),
-          args.output)
+    _emit((args.output,
+           _json(serialization.frame_to_doc(f, name=args.kind, construction=spec.to_dict()))))
     return EXIT_OK
 
 
@@ -171,9 +194,12 @@ def cmd_analyze(args) -> int:
             "achieved_upper": rep.achieved_upper,
             "achieved_lower": rep.achieved_lower,
         }
+    outputs = [(args.output, _json(_report("analyze", {"frame": args.frame}, results, tol)))]
     if args.gram_csv:
-        _write_file(args.gram_csv, lambda fp: serialization.write_matrix_csv(os_.gram_op, fp), "")
-    _emit(_report("analyze", {"frame": args.frame}, results, tol), args.output)
+        csv_text = io.StringIO()
+        serialization.write_matrix_csv(os_.gram_op, csv_text)
+        outputs.append((args.gram_csv, csv_text.getvalue()))
+    _emit(*outputs)
     return EXIT_OK
 
 
@@ -226,11 +252,8 @@ def cmd_classify(args) -> int:
                    "dependent_fraction": len(rows) / args.grid,
                    "dependent_samples": rows}
         inputs["seed"] = args.seed
-        _emit(_report("classify", inputs, results, tolerances), args.output)
+        _emit((args.output, _json(_report("classify", inputs, results, tolerances))))
         return EXIT_OK
-    if args.candidate is None:
-        print("framekit classify: need --candidate or --grid", file=sys.stderr)
-        return EXIT_USAGE
     try:
         cand = _parse_candidate(args.candidate, f.n, f.field)
     except BadParam as exc:
@@ -244,8 +267,8 @@ def cmd_classify(args) -> int:
         "ellipsoid_residual": rep.ellipsoid_residual,
         "analysis_image": [[z.real, z.imag] for z in rep.tv.astype(complex)],
     }
-    _emit(_report("classify", inputs, results, tolerances,
-                  permutation=rep.permutation), args.output)
+    _emit((args.output, _json(_report("classify", inputs, results, tolerances,
+                                      permutation=rep.permutation))))
     return EXIT_OK
 
 
@@ -263,11 +286,10 @@ def cmd_nudge(args) -> int:
                       "outer_independent": os_.rank == g.m},
                      {"movement_budget": args.eps})
     frame_doc = serialization.frame_to_doc(g, name="nudged")
-    if args.output:
-        _emit(frame_doc, args.output)
-        _emit(report, args.report)
+    if args.output or args.report:
+        _emit((args.output, _json(frame_doc)), (args.report, _json(report)))
     else:
-        _emit({"frame": frame_doc, "report": report}, None)
+        _emit((None, _json({"frame": frame_doc, "report": report})))
     return EXIT_OK
 
 
@@ -294,12 +316,20 @@ def cmd_verify(args) -> int:
         "seconds": timings,
         "version": __version__,
     }
-    _emit(doc, args.output)
+    _emit((args.output, _json(doc)))
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (and, through add_subparsers, subcommand parsers)
+    whose usage errors exit 2 with one line on stderr."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="framekit",
+    parser = _Parser(prog="framekit",
                                      description="frames and their outer-product sequences")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -324,10 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="dependence classification of candidates")
     p.add_argument("frame")
-    p.add_argument("--candidate", default=None,
-                   help='JSON vector, e.g. "[0.6, 0.8]" or "[[re, im], ...]"')
-    p.add_argument("--grid", type=int, default=None,
-                   help="sample this many unit-sphere candidates")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--candidate", default=None,
+                       help='JSON vector, e.g. "[0.6, 0.8]" or "[[re, im], ...]"')
+    group.add_argument("--grid", type=int, default=None,
+                       help="sample this many unit-sphere candidates")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=geometry.DEFAULT_VERDICT_TOL)
     p.add_argument("-o", "--output", default=None)

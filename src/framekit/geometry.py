@@ -470,12 +470,7 @@ def _bordered_gram_check(gram: np.ndarray, lam_g: np.ndarray, w: np.ndarray,
     for start in range(0, k, step):
         part = slice(start, min(k, start + step))
         wb = w[part]
-        ext = np.empty((len(wb), m + 1, m + 1))
-        ext[:, :m, :m] = gram[part]
-        ext[:, :m, m] = wb
-        ext[:, m, :m] = wb
-        ext[:, m, m] = 1.0
-        lam = matcore.hermitian_eigvalues(ext)
+        lam = matcore.hermitian_eigvalues(bordered(gram[part], wb))
         rank = matcore.rank_from_singular_values(
             np.sort(np.abs(lam), axis=1)[:, ::-1], (m + 1, m + 1))
         lam_min = lam_g[part, -1]

@@ -103,8 +103,6 @@ def _aligned_base(n: int, cplx: bool) -> tuple:
     compressed copy (an invertible rescaling preserves independence).
     """
     base = (complex_eij_basis(n) if cplx else eij_basis(n)).vectors
-    if n == 1:
-        return (base[0].copy(),)
     u = np.full(n, 1.0 / np.sqrt(n))
     e1 = np.zeros(n)
     e1[0] = 1.0

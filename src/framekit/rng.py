@@ -72,13 +72,11 @@ def box_muller(words: np.ndarray, count: int) -> np.ndarray:
 
 
 class Stream:
-    """Splitmix64 counter stream with a persistent cursor, which starts at
-    word ``start``: ``Stream(seed, start=c)`` draws what ``Stream(seed)``
-    draws after its first c words."""
+    """Splitmix64 counter stream with a persistent cursor."""
 
-    def __init__(self, seed: int, start: int = 0):
+    def __init__(self, seed: int):
         self._seed = seed_words([seed])[0]
-        self._counter = start
+        self._counter = 0
 
     def raw(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit words."""

@@ -12,12 +12,9 @@ of seeds or of stream words) and decided by stacked LAPACK calls per
 (frame shape, field): every frame, vector and verdict is bit for bit what
 case-by-case evaluation gives, so the rows are the same either way.  The
 classifier corpus is prepared and classified one shape group at a time
-(``geometry.prepare_batch`` and ``classify_frames``).  In
-``psd-extension-roundtrip`` a case draws fewer words when its matrix lacks
-its r positive eigenvalues, so the forward block is drawn speculatively, as
-if no case stopped early; should one stop, it counts its failure and the
-same block function resumes at the next case, on a stream positioned at
-the word after the stopped case's eigenvalues.
+(``geometry.prepare_batch`` and ``classify_frames``).  Each forward case
+of ``psd-extension-roundtrip`` draws the same words whatever its outcome,
+so its corpus is one block of words.
 
 Ranks that LAPACK computes are checked against an exact oracle,
 ``rational_rank``: fraction-free (Bareiss) elimination over Python
@@ -487,50 +484,35 @@ def _psd_forward_words(k) -> tuple:
             normal_words(n - r, cplx) if r < n else 0)
 
 
-def _psd_forward_block(stream, first, total) -> tuple:
-    """Forward cases first .. total-1 from one raw block, decided per (n, r,
-    field) by stacked calls.
+def _psd_forward_failures(stream, count) -> tuple:
+    """(forward failures, off-family failures) of forward cases 0 .. count-1,
+    drawn in one raw block and decided per (n, r, field) by stacked calls.
 
-    The block is drawn as if every case drew all four parts of its words.
-    A case whose t has other than r positive eigenvalues stops after its
-    eigenvalues and counts one forward failure; every later case then
-    starts at another word.  Should that case's t fail a PSD rule, it
-    raises NotPsd instead, as psd_extension and (once t has its r positive
-    eigenvalues) extension_rank_preserved raise.  Returns (forward
-    failures, off-family failures, stop, skip): the failure counts of the
-    cases up to the first that stops, that case (total if none), and the
-    offset from the block's first word to the word after its eigenvalues.
+    Every case draws all four parts of its words, whatever its outcome.  A
+    case whose t has other than r positive eigenvalues counts one forward
+    failure.  A t that fails a PSD rule raises NotPsd, as psd_extension
+    and (once t has its r positive eigenvalues) extension_rank_preserved do.
     """
-    parts = np.array([_psd_forward_words(k) for k in range(first, total)])
-    starts = np.cumsum(parts.sum(axis=1)) - parts.sum(axis=1)
-    words = stream.raw(int(parts.sum()))
-    forward = np.zeros(total - first, dtype=int)
-    offfam = np.zeros(total - first, dtype=int)
-    stopped = {}  # case index -> (eigenvalues, eigvalsh eigenvalues, has r positive)
-    for (n, r, cplx), ks in _index_groups(_psd_case(k) for k in range(first, total)).items():
-        ks = np.array(ks)
-
-        def block(part):  # each case's words of one part, one row per case
-            return _word_rows(words, starts[ks] + parts[ks, :part].sum(axis=1), parts[ks[0], part])
-
-        g = box_muller(block(0), 2 * n * n if cplx else n * n)
+    parts = np.array([_psd_forward_words(k) for k in range(count)])
+    widths = parts.sum(axis=1)
+    words = stream.raw(int(widths.sum()))
+    starts = np.cumsum(widths) - widths
+    forward = offfam = 0
+    for (n, r, cplx), ks in _index_groups(_psd_case(k) for k in range(count)).items():
+        basis_w, lam_w, coef_w, leak_w = np.split(
+            _word_rows(words, starts[ks], widths[ks[0]]), np.cumsum(parts[ks[0]])[:-1], axis=1)
+        g = box_muller(basis_w, 2 * n * n if cplx else n * n)
         if cplx:
             g = g[:, :n * n] + 1j * g[:, n * n:]
-        q = _orthonormal(g.reshape(-1, n, n))
-        t = _psd_matrix(q, 0.5 + 1.5 * word_uniforms(block(1)))
+        t = _psd_matrix(_orthonormal(g.reshape(-1, n, n)), 0.5 + 1.5 * word_uniforms(lam_w))
         sd = matcore.hermitian_eig(t)
-        w_h = matcore.hermitian_eigvalues(t)
-        # psd_extension's rule, its r positive eigenvalues, and the rule
-        # extension_rank_preserved applies to eigvalsh
+        geometry._checked_psd(sd.eigenvalues)
         full = geometry._positive_eigenvalues(sd.eigenvalues, (n, n)).sum(axis=-1) == r
-        ok = ~geometry._psd_violations(sd.eigenvalues) & full & ~geometry._psd_violations(w_h)
-        for i in np.flatnonzero(~ok):
-            stopped[ks[i]] = (sd.eigenvalues[i], w_h[i], full[i])
-        ks, t = ks[ok], t[ok]
-        if not len(ks):
-            continue
+        geometry._checked_psd(matcore.hermitian_eigvalues(t)[full])
+        forward += int(np.count_nonzero(~full))
+        t = t[full]
         ext = geometry.PsdExtension(
-            t=t, spectrum=matcore.SpectralData(sd.eigenvalues[ok], sd.eigenvectors[ok]),
+            t=t, spectrum=matcore.SpectralData(sd.eigenvalues[full], sd.eigenvectors[full]),
             i_plus=tuple(range(r)))
         t_rank = geometry._border_rank(t)
 
@@ -538,25 +520,17 @@ def _psd_forward_block(stream, first, total) -> tuple:
             return ((geometry._border_rank(geometry.bordered(t, x)) != t_rank)
                     & np.isnan(geometry.admissible_coefficients(ext, x)[:, 0]))
 
-        v = geometry.admissible_vector(ext, unit_rows(block(2), r, cplx))
+        v = geometry.admissible_vector(ext, unit_rows(coef_w[full], r, cplx))
         grows = geometry._border_rank(geometry.bordered(t, v)) != t_rank
         back = geometry.admissible_coefficients(ext, v)
         lost = ~(np.abs(np.sum(np.abs(back) ** 2, axis=-1) - 1.0) <= 1e-9)  # NaN rows too
-        forward[ks] = grows.astype(int) + lost
-        offfam[ks] = ~rejected(1.5 * v)
+        forward += int(grows.sum() + lost.sum())
+        offfam += int((~rejected(1.5 * v)).sum())
         if r < n:
             kernel = ext.spectrum.eigenvectors[..., r:]
-            leak = v + (kernel @ unit_rows(block(3), n - r, cplx)[:, :, None])[..., 0] * 0.5
-            offfam[ks] += ~rejected(leak)
-    if not stopped:
-        return int(forward.sum()), int(offfam.sum()), total, None
-    stop = min(stopped)
-    w, w_h, full = stopped[stop]
-    geometry._checked_psd(w)
-    if full:  # so t fails extension_rank_preserved's rule, and this raises
-        geometry._checked_psd(w_h)
-    return (int(forward[:stop].sum()) + 1, int(offfam[:stop].sum()), int(first + stop),
-            int(starts[stop] + parts[stop, :2].sum()))
+            leak = v + (kernel @ unit_rows(leak_w[full], n - r, cplx)[:, :, None])[..., 0] * 0.5
+            offfam += int((~rejected(leak)).sum())
+    return forward, offfam
 
 
 def _psd_oracle_cases(stream, count) -> list:
@@ -592,18 +566,8 @@ def _numerical_ranks(mats) -> list:
 
 
 def check_psd_extension_roundtrip():
-    stream, word, first, total = Stream(1000), 0, 0, 1000
-    forward_fail = offfam_fail = 0
-    while first < total:
-        forward, offfam, stop, skip = _psd_forward_block(stream, first, total)
-        forward_fail += forward
-        offfam_fail += offfam
-        if stop < total:
-            # case `stop` drew fewer words than the block assumed: go on
-            # from the case after it, at the word after its eigenvalues
-            word += skip
-            stream = Stream(1000, start=word)
-        first = stop + 1
+    stream = Stream(1000)
+    forward_fail, offfam_fail = _psd_forward_failures(stream, 1000)
     rows = [
         _row("psd-extension-roundtrip", "forward family preserves rank (1000 cases)",
              forward_fail, "0 failures", None, forward_fail == 0),

@@ -152,6 +152,7 @@ def test_unwritable_output_path_exits_2_without_traceback(tmp_path, argv):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr == f"framekit: cannot write {paths['OUT']}: No such file or directory\n"
+    assert not Path(paths["OK"]).exists()  # all outputs or none
 
 
 def test_classify_candidate(tmp_path, capsys):
@@ -247,6 +248,17 @@ def test_classify_out_of_range_flags_exit_2(tmp_path, capsys, flags):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("flags", [[], ["--candidate", "[1, 0, 0]", "--grid", "5"]])
+def test_classify_takes_exactly_one_of_candidate_and_grid(tmp_path, capsys, flags):
+    frame_file = tmp_path / "o3.json"
+    run_cli(capsys, "construct", "orthonormal", "--n", "3", "-o", str(frame_file))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "classify", str(frame_file), *flags)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "simplex", "--n", "2"], ["analyze", "F"], ["classify", "F", "--grid", "3"],
     ["nudge", "F", "--eps", "0.1"], ["verify", "--only", "pc2-identity"],
@@ -283,6 +295,29 @@ def test_nudge(tmp_path, capsys):
     with open(out_file) as fp:
         g = ser.read_frame(fp)
     assert g.m == 6
+
+
+def test_nudge_leaves_every_output_as_it_was_when_one_cannot_be_written(tmp_path, capsys):
+    frame_file = tmp_path / "b3.json"
+    run_cli(capsys, "construct", "biangular", "--n", "3", "-o", str(frame_file))
+    ok = tmp_path / "ok.json"
+    ok.write_text("old")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "nudge", str(frame_file), "--eps", "0.1",
+                "-o", str(ok), "--report", str(tmp_path / "missing" / "r.json"))
+    assert exc.value.code == 2
+    assert ok.read_text() == "old"  # not truncated
+
+
+def test_nudge_report_without_output_prints_the_frame(tmp_path, capsys):
+    frame_file = tmp_path / "b3.json"
+    run_cli(capsys, "construct", "biangular", "--n", "3", "-o", str(frame_file))
+    report_file = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "nudge", str(frame_file), "--eps", "0.1",
+                           "--report", str(report_file))
+    assert code == 0
+    assert json.loads(report_file.read_text())["command"] == "nudge"
+    assert ser.frame_from_json(out).m == 6
 
 
 def test_nudge_combined_stdout(tmp_path, capsys):

@@ -226,10 +226,12 @@ def reference_psd_extension_roundtrip():
         t = (q[:, :r] * lam) @ q[:, :r].conj().T
         t = (t + t.conj().T) / 2
         ext = geometry.psd_extension(t)
+        # every case draws its coefficients and its leak, whatever its outcome
+        a = _random_unit_vector(stream, r, cplx)
+        leak_dir = _random_unit_vector(stream, n - r, cplx) if r < n else None
         if len(ext.i_plus) != r:
             forward_fail += 1
             continue
-        a = _random_unit_vector(stream, r, cplx)
         v = geometry.admissible_vector(ext, a)
         if not geometry.extension_rank_preserved(t, v):
             forward_fail += 1
@@ -243,7 +245,7 @@ def reference_psd_extension_roundtrip():
             offfam_fail += 1
         if r < n:
             kernel = ext.spectrum.eigenvectors[:, r:]
-            leak = v + kernel @ _random_unit_vector(stream, n - r, cplx) * 0.5
+            leak = v + kernel @ leak_dir * 0.5
             if geometry.extension_rank_preserved(t, leak) or \
                     geometry.admissible_coefficients(ext, leak) is not None:
                 offfam_fail += 1
@@ -425,19 +427,6 @@ def _same_matrices(a, b):
     return len(a) == len(b) and all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
-def _block_recorder(monkeypatch):
-    """Record the first case of every forward block verify decides."""
-    firsts = []
-    block = verify._psd_forward_block
-
-    def record(stream, first, total):
-        firsts.append(first)
-        return block(stream, first, total)
-
-    monkeypatch.setattr(verify, "_psd_forward_block", record)
-    return firsts
-
-
 def _eig_patched_at(monkeypatch, name, target, last):
     """Make matcore's eigensolver `name` report `last` as the smallest
     eigenvalue of the matrix target, wherever it sees it; returns the list
@@ -466,41 +455,35 @@ def _hits(inputs, target):
                for a in inputs if a.shape[-2:] == target.shape)
 
 
-def test_psd_roundtrip_falls_back_after_a_forward_failure(monkeypatch):
+def test_psd_roundtrip_counts_a_short_case_and_moves_no_draw(monkeypatch):
     # make the eigensolver report a zero last eigenvalue for the t of forward
-    # case 137 (order 6, rank 6, complex) only: that case stops after its
-    # eigenvalues, and every later case draws other words than the
-    # speculative block assumed, so the block resumes at case 138
+    # case 137 (order 6, rank 6, complex) only: that case counts one forward
+    # failure, and since every case draws the same words whatever its
+    # outcome, every t and every oracle matrix stays where it was
     seen = _recorders(monkeypatch)
-    firsts = _block_recorder(monkeypatch)
     unpatched = reference_psd_extension_roundtrip()
     assert verify._psd_case(137) == (6, 6, True)
-    target, unpatched_oracle = seen["psd"][137], seen["exact"]
-    seen["exact"] = []
-    verify.check_psd_extension_roundtrip()
-    assert firsts == [0]  # one block, no case stopped
-    assert _same_matrices(seen["exact"], unpatched_oracle)  # the oracle block lines up
+    unpatched_psd, unpatched_oracle = seen["psd"], seen["exact"]
+    target = unpatched_psd[137]
 
     eig_inputs = _eig_patched_at(monkeypatch, "hermitian_eig", target, 0.0)
     seen["psd"], seen["exact"] = [], []
     reference = reference_psd_extension_roundtrip()
-    reference_psd, reference_oracle = seen["psd"], seen["exact"]
     assert _hits(eig_inputs, target) == 1
     assert reference[0].measured == unpatched[0].measured + 1
-    assert not _same_matrices(reference_oracle, unpatched_oracle)  # later draws moved
-    firsts.clear()
+    assert _same_matrices(seen["psd"], unpatched_psd)
+    assert _same_matrices(seen["exact"], unpatched_oracle)
+
     eig_inputs.clear()
     seen["exact"] = []
     batched = verify.check_psd_extension_roundtrip()
-    assert firsts == [0, 138]
-    assert _hits(eig_inputs, target) == 1  # the first block; the resumed one starts past it
-    # the resumed block decides cases 138 on, one stack per (n, r, field) in
-    # order of first sight, on exactly the reference loop's matrices
-    groups = verify._index_groups(verify._psd_case(k) for k in range(138, 1000))
-    resumed = eig_inputs[-len(groups):]
-    expected = [np.stack([reference_psd[138 + i] for i in idx]) for idx in groups.values()]
-    assert _same_matrices(resumed, expected)
-    assert _same_matrices(seen["exact"], reference_oracle)
+    assert batched[0].measured == unpatched[0].measured + 1
+    # one stack per (n, r, field) in order of first sight, on exactly the
+    # unpatched matrices
+    groups = verify._index_groups(verify._psd_case(k) for k in range(1000))
+    expected = [np.stack([unpatched_psd[i] for i in idx]) for idx in groups.values()]
+    assert _same_matrices(eig_inputs, expected)
+    assert _same_matrices(seen["exact"], unpatched_oracle)
     assert _same_rows(batched, reference)
 
 
