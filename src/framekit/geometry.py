@@ -215,7 +215,8 @@ def _inverse_gram_form(spectrum: matcore.SpectralData, w: np.ndarray) -> np.ndar
     With G the outer Gram and w = |tv|^2 entrywise for an analysis image
     tv, the elliptic value and the quartic are this one quantity, and 1
     minus it is the Schur complement of G in the bordered Gram
-    [[G, w], [w^T, 1]].
+    [[G, w], [w^T, 1]].  The greedy scan's s / |phi|^4 (``outer._GreedyScan``)
+    is 1 minus it too, so that scan adds no third formula.
     """
     y = w @ spectrum.eigenvectors
     return np.sum(y ** 2 / spectrum.eigenvalues[..., None, :], axis=-1)

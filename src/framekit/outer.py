@@ -168,20 +168,76 @@ def outer_riesz_bounds(os_: OuterSequence) -> BoundsReport:
     return _bounds_report(w[-1], w[0], kind="riesz")
 
 
+#: The greedy scan accepts a step without an eig only when its lower bound on
+#: lambda_min exceeds this multiple of an upper bound on the rank threshold.
+CERTIFY_MARGIN = 2.0 ** 20
+
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
+
+
+class _GreedyScan:
+    """The greedy independence scan of a frame's outer products: K is the
+    outer Gram of the kept vectors, held as W with K^{-1} = W W^T.
+
+    ``grows(v)`` borders K with g_i = |<v, phi_i>|^2 and c = |v|^4 in O(k^2):
+    z = W^T g, the Schur complement s = c - |z|^2 (c times 1 minus
+    ``geometry._inverse_gram_form``'s value for v/|v|), and
+    W' = [[W, -W z / sqrt(s)], [0, 1/sqrt(s)]], so that
+    lambda_min(K') >= 1 / ||K'^{-1}||_F >= 1 / ||W'||_F^2.  The eig rule's
+    threshold is at most (k+1) eps trace(K'), or FRAMEKIT_TOL (read once);
+    a step is accepted without an eig only when the bound exceeds
+    CERTIFY_MARGIN times the larger, a normal float.  Rounding: while every
+    step is certified, K's condition number stays below 2^-20 / (k eps), so
+    W' is the exact inverse factor of a Gram within 2^-9 sqrt(k eps) trace
+    of K', and eigh's eigenvalues are within a small multiple of (k+1) eps
+    trace of the exact ones: under 1/8 and about 2^-20 of the bound.
+
+    Every other step, every reject included, is decided by the eig rule on
+    the trial vectors (``_outer_spectra`` rank k + 1).  An accept there ends
+    the certificates, since ||W||_F^2 and the threshold only grow as vectors
+    join.  So the scan keeps what re-``induce``-ing every trial keeps.
+    """
+
+    def __init__(self, f: Frame):
+        self.vectors = np.empty_like(f.vectors)  # the first k rows are kept
+        self._w = np.zeros((f.m, f.m))  # None once the eig rule decides every step
+        self._fro2 = self._trace = 0.0  # ||W||_F^2 and trace(K)
+        self._env_tol = matcore.env_rank_tol()
+        self.k = 0
+
+    def grows(self, v) -> bool:
+        """Whether v's outer product leaves the span of the kept ones; v is then kept."""
+        k, rows, w = self.k, self.vectors, self._w
+        rows[k] = v
+        c = float(np.vdot(rows[k], rows[k]).real) ** 2
+        trace = self._trace + c
+        thr = max(self._env_tol or 0.0, (k + 1) * _EPS * trace)
+        if w is not None and thr >= _TINY:
+            z = (np.abs(rows[:k].conj() @ rows[k]) ** 2) @ w[:k, :k]
+            s = c - float(z @ z)
+            if s > CERTIFY_MARGIN * thr:
+                with np.errstate(over="ignore"):  # an infinite ||W'||_F certifies nothing
+                    y = w[:k, :k] @ z
+                    fro2 = self._fro2 + (float(y @ y) + 1.0) / s
+                if fro2 * CERTIFY_MARGIN * thr < 1.0:
+                    w[:k, k], w[k, k] = -y / np.sqrt(s), 1.0 / np.sqrt(s)
+                    self._fro2, self._trace, self.k = fro2, trace, k + 1
+                    return True
+        if _outer_spectra(rows[:k + 1])[2] != k + 1:
+            return False
+        self._w, self.k = None, k + 1
+        return True
+
+
 def independent_prefix(f: Frame) -> tuple:
     """Greedy indices whose outer products are independent and span the rest.
 
     Scans vectors in order and keeps those that strictly grow the rank of
-    the running outer Gram.
+    the running outer Gram, one ``_GreedyScan`` step each.
     """
-    kept = []
-    rank = 0
-    for i in range(f.m):
-        os_try = induce(f.subframe(kept + [i]))
-        if os_try.rank == rank + 1:
-            kept.append(i)
-            rank += 1
-    return tuple(kept)
+    scan = _GreedyScan(f)
+    return tuple(i for i, v in enumerate(f.vectors) if scan.grows(v))
 
 
 @dataclass(frozen=True)
@@ -201,18 +257,17 @@ class DependenceCertificate:
 def dependence_certificate(os_: OuterSequence):
     """Minimal-support null coefficients of the outer products, or None.
 
-    The first vector j outside the greedy independent prefix is expanded
-    over the kept vectors before it (a solve in their outer Gram); the
-    coefficients (c, -1 at j) then form the unique circuit inside
-    kept + {j}, whatever null-space basis an eigensolver would return.
+    The first vector j the greedy scan rejects is expanded over the vectors
+    before it (a solve in their outer Gram); the coefficients (c, -1 at j)
+    then form the unique circuit inside {0, ..., j}, whatever null-space
+    basis an eigensolver would return.
     """
     if os_.rank == os_.m:
         return None
-    prefix = independent_prefix(os_.source)
-    j = next(i for i in range(os_.m) if i not in prefix)
-    kept = [i for i in prefix if i < j]
+    scan = _GreedyScan(os_.source)
+    j = next(i for i, v in enumerate(os_.source.vectors) if not scan.grows(v))
     a = np.zeros(os_.m)
-    a[kept] = np.linalg.solve(os_.gram_op[np.ix_(kept, kept)], os_.gram_op[kept, j])
+    a[:j] = np.linalg.solve(os_.gram_op[:j, :j], os_.gram_op[:j, j])
     a[j] = -1.0
     a /= np.linalg.norm(a)
     resid_matrix = sum(a[i] * os_.outers[i] for i in range(os_.m))

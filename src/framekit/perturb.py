@@ -23,7 +23,7 @@ from .errors import (
     TooMany,
 )
 from .frame import Frame
-from .outer import OuterSequence, ambient_outer_dim, induce
+from .outer import OuterSequence, _GreedyScan, ambient_outer_dim, induce
 
 UNIT_TOL = 1e-12
 
@@ -96,7 +96,8 @@ def rescale_invariance_check(f: Frame, s) -> bool:
 @lru_cache(maxsize=None)
 def _aligned_base(n: int, cplx: bool) -> tuple:
     """The E_ij family reflected so every member has a positive first
-    coordinate, with its outer products verified independent once.
+    coordinate, with its outer products verified independent once, and the
+    largest ratio sum_j>=2 |v(j)|^2 / |v(1)|^2 over its members.
 
     Cached: the family depends only on the dimension and field, and its
     outer Gram has order-one margins, so this single check certifies every
@@ -120,7 +121,20 @@ def _aligned_base(n: int, cplx: bool) -> tuple:
     family = Frame.from_vectors(np.array(rotated), field="complex" if cplx else "real")
     if induce(family).rank != len(rotated):
         raise InternalInconsistency("aligned E_ij family lost independence")
-    return tuple(rotated)
+    ratio = max(float(np.sum(np.abs(w[1:]) ** 2) / np.abs(w[0]) ** 2) for w in rotated)
+    return tuple(rotated), ratio
+
+
+@lru_cache(maxsize=None)
+def _compressed_base(n: int, cplx: bool, delta: float) -> np.ndarray:
+    """The aligned family, coordinates after the first scaled by delta, rows
+    renormalized.  Cached: delta is a power of two, so few values occur."""
+    scale = np.full(n, delta)
+    scale[0] = 1.0
+    sw = np.array(_aligned_base(n, cplx)[0]) * scale
+    sw /= matcore.row_norms(sw)[:, None]
+    sw.flags.writeable = False
+    return sw
 
 
 def nearby_independent_basis(psi, eps: float) -> list:
@@ -130,7 +144,8 @@ def nearby_independent_basis(psi, eps: float) -> list:
     inner product with the first coordinate axis, compress all later
     coordinates by the largest power-of-two delta satisfying
     delta^2 * sum_j>=2 |v(j)|^2 <= (eps/2) * |v(1)|^2, renormalize, then
-    carry e_1 to psi by a unitary.  Every output satisfies
+    carry e_1 to psi by a unitary.  The compressed family is cached; the
+    unitary and both checks below belong to each call.  Every output satisfies
     ||phi_i - psi||^2 < eps; independence of the outer products follows
     from the verified base via invertibility of the compression, and is
     re-checked directly whenever delta is large enough for a floating
@@ -146,19 +161,12 @@ def nearby_independent_basis(psi, eps: float) -> list:
     cplx = np.iscomplexobj(psi) and bool(np.any(psi.imag != 0.0))
     if n == 1:
         return [psi.copy()]
-    rotated = _aligned_base(n, cplx)
 
-    ratio = max(float(np.sum(np.abs(w[1:]) ** 2) / np.abs(w[0]) ** 2) for w in rotated)
+    ratio = _aligned_base(n, cplx)[1]
     delta = 1.0
     while ratio > 0.0 and delta * delta * ratio > eps / 2.0:
         delta /= 2.0
-
-    scale = np.full(n, delta)
-    scale[0] = 1.0
-    compressed = []
-    for w in rotated:
-        sw = scale * w
-        compressed.append(sw / np.linalg.norm(sw))
+    compressed = _compressed_base(n, cplx, delta)
 
     # unitary with U e_1 = psi (phase-adjusted Householder)
     if cplx:
@@ -194,7 +202,9 @@ def nudge_to_independence(f: Frame, eps: float) -> Frame:
     verbatim; each offender is replaced by the first member of a nearby
     independent basis (budget eps/M per vector, metric sum of norms) whose
     outer product leaves the current span.  Already-independent input
-    comes back unchanged.
+    comes back unchanged.  One ``outer._GreedyScan`` judges the original
+    vectors and the candidates alike: a certified Schur test per trial, and
+    the eig rule on the trial vectors only near the rank threshold.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise BadParam(f"eps must be finite and positive, got {eps}")
@@ -205,26 +215,18 @@ def nudge_to_independence(f: Frame, eps: float) -> Frame:
         raise NotUnitNorm("the density argument is stated for unit-norm frames")
 
     per_vector_sq = (eps / f.m) ** 2
-    kept: list = []
+    scan = _GreedyScan(f)
     replaced = False
-    for i in range(f.m):
-        current = f.vectors[i]
-        trial = kept + [current]
-        if induce(Frame.from_vectors(np.array(trial), field=f.field)).rank == len(trial):
-            kept.append(current)
+    for current in f.vectors:
+        if scan.grows(current):
             continue
         replaced = True
         if per_vector_sq == 0.0:
             raise BadParam(f"eps = {eps} is too small: the squared budget per vector, "
                            f"(eps / M)^2 with M = {f.m}, underflows to 0")
-        rank_before = len(kept)
-        for cand in nearby_independent_basis(current, per_vector_sq):
-            trial = kept + [cand]
-            if induce(Frame.from_vectors(np.array(trial), field=f.field)).rank == rank_before + 1:
-                kept.append(cand)
-                break
-        else:
+        if not any(scan.grows(cand)
+                   for cand in nearby_independent_basis(current, per_vector_sq)):
             raise InternalInconsistency("no basis member grew the outer span")
     if not replaced:
         return f
-    return Frame(field=f.field, vectors=np.array(kept))
+    return Frame(field=f.field, vectors=scan.vectors[:scan.k])

@@ -709,30 +709,30 @@ def check_perturbation_suite():
 # density and repair
 
 
-def _random_dependent_frame(k: int):
-    cplx = k % 4 == 3
-    if cplx:
-        n = 2
-        d = n * n
-        field = "complex"
-    else:
-        n = 2 + k % 3
-        d = n * (n + 1) // 2
-        field = "real"
-    m = max(2, 2 + k % (d - 1))
-    f = cons.random_unit(n, m, 14000 + k, field=field)
-    v = f.vectors.copy()
-    i = k % m
-    j = (k + 1 + k // m) % m
-    if i == j:
-        j = (j + 1) % m
-    phase = np.exp(1j * 2.0) if cplx else -1.0
-    v[j] = phase * v[i]  # same outer product, different vector
-    return Frame(field=field, vectors=v)
+def _random_dependent_frames(count: int) -> list:
+    """The nudge-repair corpus: base frames drawn in blocks, and in frame k
+    vector j replaced by vector i times a sign (real) or a phase (complex),
+    which repeats i's outer product."""
+    specs = []
+    for k in range(count):
+        cplx = k % 4 == 3
+        n = 2 if cplx else 2 + k % 3
+        d = n * n if cplx else n * (n + 1) // 2
+        specs.append((n, max(2, 2 + k % (d - 1)), 14000 + k, "complex" if cplx else "real"))
+    frames = []
+    for k, f in enumerate(_random_frames(specs)):
+        v = f.vectors.copy()
+        i = k % f.m
+        j = (k + 1 + k // f.m) % f.m
+        if i == j:
+            j = (j + 1) % f.m
+        v[j] = (np.exp(1j * 2.0) if f.field == "complex" else -1.0) * v[i]
+        frames.append(Frame(field=f.field, vectors=v))
+    return frames
 
 
 def check_nudge_repair():
-    inputs = [_random_dependent_frame(k) for k in range(200)]
+    inputs = _random_dependent_frames(200)
     # dependent by construction; an independent input is a fault of the
     # corpus and counts as a failure in each row
     repairable = [f for f, rank in zip(inputs, _outer_ranks(inputs)) if rank < f.m]

@@ -166,6 +166,17 @@ class TestNearbyBasis:
         with pytest.raises(NotUnitNorm):
             perturb.nearby_independent_basis(np.array([np.nan, 0.0, 0.0]), 0.1)
 
+    @pytest.mark.parametrize("n, cplx", [(2, False), (3, True), (4, False)])
+    def test_cached_family_equals_per_member_compression(self, n, cplx):
+        # the cache holds the rows a per-call, per-member compression gave
+        rotated, _ = perturb._aligned_base(n, cplx)
+        for delta in (1.0, 2.0 ** -5, 2.0 ** -12):
+            scale = np.full(n, delta)
+            scale[0] = 1.0
+            expected = [scale * w / np.linalg.norm(scale * w) for w in rotated]
+            got = perturb._compressed_base(n, cplx, delta)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
+
 
 class TestNudge:
     @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, -0.1, 0.0])

@@ -1,15 +1,20 @@
-"""The names perfbench's layer tracer wraps must exist in the package.
+"""What perfbench reads of the package must exist in it.
 
 The tracer looks each name up on its framekit module at run time, so a
 rename or deletion in src would otherwise surface only in a traced
 benchmark run.  The tracer's source is read, not imported: loading it by
 path leaves perfbench/ untouched (no bytecode cache is written there).
+Between in-process passes the harness calls ``cache_clear`` on every
+module attribute that has one, so every memo must be such an attribute.
 """
 
+import ast
 import importlib
+import pkgutil
 import types
 from pathlib import Path
 
+import framekit
 from framekit import geometry, outer, verify
 
 
@@ -30,3 +35,30 @@ def test_every_traced_name_resolves():
     assert missing == []
     assert geometry.induce is outer.induce
     assert list(tracer.VERIFY_CHECKS) == verify.list_checks()
+
+
+_MEMOS = ("lru_cache", "cache", "cached_property")
+
+
+def _memo_name(decorator):
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name if name in _MEMOS else None
+
+
+def test_every_memo_is_a_module_level_lru_cache():
+    found = []
+    for info in pkgutil.iter_modules(framekit.__path__):
+        module = importlib.import_module(f"framekit.{info.name}")
+        tree = ast.parse(Path(module.__file__).read_text())
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            for decorator in getattr(node, "decorator_list", []):
+                kind = _memo_name(decorator)
+                if kind is None:
+                    continue
+                where = f"framekit.{info.name}.{node.name}"
+                assert kind == "lru_cache" and id(node) in top, where
+                assert callable(getattr(getattr(module, node.name), "cache_clear", None)), where
+                found.append(where)
+    assert "framekit.perturb._compressed_base" in found

@@ -23,6 +23,7 @@ from framekit.frame import Frame, gram, riesz_bounds
 from framekit.rng import Stream
 from framekit.verify import rational_rank
 
+import scan_reference
 from oracles import rational_rank_exact
 
 
@@ -344,9 +345,9 @@ def reference_nudge_repair():
     for eps in (0.1, 0.01):
         failures = 0
         for k in range(200):
-            f = verify._random_dependent_frame(k)
+            f = scan_reference.dependent_frame(k)
             assert outer.induce(f).rank < f.m
-            g = perturb.nudge_to_independence(f, eps)
+            g = scan_reference.nudge_to_independence(f, eps)
             movement = float(sum(np.linalg.norm(g.vectors[i] - f.vectors[i])
                                  for i in range(f.m)))
             if outer.induce(g).rank < g.m or movement >= eps:
@@ -383,16 +384,23 @@ def test_batched_check_equals_per_case_reference(name, reference):
     assert json.dumps(batched) == json.dumps(expected)
 
 
+def test_nudge_repair_corpus_equals_per_case_draws():
+    stacked = verify._random_dependent_frames(200)
+    single = [scan_reference.dependent_frame(k) for k in range(200)]
+    assert [(f.field, f.vectors.tobytes()) for f in stacked] == \
+        [(f.field, f.vectors.tobytes()) for f in single]
+
+
 def test_nudge_repair_counts_an_independent_input_as_a_failure(monkeypatch):
-    dependent_frame = verify._random_dependent_frame
+    dependent_frames = verify._random_dependent_frames
 
-    def corpus(k):
-        if k == 5:
-            return cons.random_unit(3, 4, 99)  # independent outer products
-        return dependent_frame(k)
+    def corpus(count):
+        frames = dependent_frames(count)
+        frames[5] = cons.random_unit(3, 4, 99)  # independent outer products
+        return frames
 
-    monkeypatch.setattr(verify, "_random_dependent_frame", corpus)
-    assert outer.induce(corpus(5)).rank == 4
+    monkeypatch.setattr(verify, "_random_dependent_frames", corpus)
+    assert outer.induce(corpus(200)[5]).rank == 4
     rows = verify.check_nudge_repair()
     nudge = [r for r in rows if r.check == "nudge-repair"]
     assert [(r.measured, r.passed) for r in nudge] == [(1.0, False), (1.0, False)]
@@ -515,6 +523,35 @@ def test_psd_roundtrip_counts_a_short_case_whatever_eigvalsh_says(monkeypatch):
     batched = verify.check_psd_extension_roundtrip()
     assert batched[0].measured == 1
     assert _same_rows(batched, reference_psd_extension_roundtrip())
+
+
+def test_psd_roundtrip_gives_admissible_coefficients_the_reference_leaks(monkeypatch):
+    # every case of the corpus is full and its off-family vectors grow the
+    # rank, so the reference loop asks admissible_coefficients about v, 1.5 v
+    # and (when r < n) the kernel leak of each case in turn; the block asks
+    # about the same vectors, one stack per kind and (n, r, field) group
+    asked = []
+    admissible = geometry.admissible_coefficients
+
+    def record(ext, x):
+        asked.append(np.array(x))
+        return admissible(ext, x)
+
+    monkeypatch.setattr(geometry, "admissible_coefficients", record)
+    reference_psd_extension_roundtrip()
+    reference, asked[:] = list(asked), []
+    verify.check_psd_extension_roundtrip()
+    cases = {}
+    stacks = iter(asked)
+    for (n, r, _), idx in verify._index_groups(verify._psd_case(k) for k in range(1000)).items():
+        kinds = [next(stacks) for _ in range(3 if r < n else 2)]
+        for j, k in enumerate(idx):
+            cases[k] = [x[j] for x in kinds]
+    assert next(stacks, None) is None
+    in_case_order = [x for k in range(1000) for x in cases[k]]
+    leaks = sum(r < n for n, r, _ in map(verify._psd_case, range(1000)))
+    assert len(reference) == 2000 + leaks
+    assert _same_matrices(in_case_order, reference)
 
 
 def test_classifier_coherence_counts_each_disagreement(monkeypatch):
