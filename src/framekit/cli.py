@@ -9,8 +9,8 @@
 Frame documents travel as JSON on stdout (or -o FILE); diagnostics go to
 stderr.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
 error (an output path that cannot be written included), 3 domain
-precondition violation.  FRAMEKIT_TOL overrides the default rank
-tolerance.
+precondition violation or an input too large for memory.  FRAMEKIT_TOL
+overrides the default rank tolerance.
 """
 
 import argparse
@@ -28,6 +28,7 @@ from . import __version__, constructions as cons, geometry, matcore, outer, pert
 from .errors import BadParam, FramekitError, NotIndependent
 from .frame import frame_bounds, frame_potential, is_equiangular, riesz_bounds, spans
 from .rng import Stream, unit_vectors
+from .serialization import to_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -87,10 +88,6 @@ def _write_files(texts: dict) -> None:
         raise SystemExit(EXIT_USAGE)
 
 
-def _json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _emit(*outputs) -> None:
     """Write each (path, text) of outputs: those with a path to their files,
     all or none (_write_files), then the others to stdout."""
@@ -147,7 +144,7 @@ def cmd_construct(args) -> int:
         print(f"framekit construct: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     _emit((args.output,
-           _json(serialization.frame_to_doc(f, name=args.kind, construction=spec.to_dict()))))
+           to_json(serialization.frame_to_doc(f, name=args.kind, construction=spec.to_dict()))))
     return EXIT_OK
 
 
@@ -194,7 +191,7 @@ def cmd_analyze(args) -> int:
             "achieved_upper": rep.achieved_upper,
             "achieved_lower": rep.achieved_lower,
         }
-    outputs = [(args.output, _json(_report("analyze", {"frame": args.frame}, results, tol)))]
+    outputs = [(args.output, to_json(_report("analyze", {"frame": args.frame}, results, tol)))]
     if args.gram_csv:
         csv_text = io.StringIO()
         serialization.write_matrix_csv(os_.gram_op, csv_text)
@@ -244,7 +241,11 @@ def cmd_classify(args) -> int:
         print(f"framekit classify: --grid must be at least 1, got {args.grid}", file=sys.stderr)
         return EXIT_USAGE
     if args.grid is not None:
-        cands = unit_vectors(Stream(args.seed), args.grid, f.n, f.field == "complex")
+        try:
+            cands = unit_vectors(Stream(args.seed), args.grid, f.n, f.field == "complex")
+        except BadParam as exc:
+            print(f"framekit classify: --grid {args.grid}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         batch = geometry.classify_batch(geometry.prepare(f), cands, tol=args.tol)
         rows = [{"sample": int(k), "elliptic_value": float(batch.elliptic_value[k])}
                 for k in np.flatnonzero(batch.dependent)]
@@ -252,7 +253,7 @@ def cmd_classify(args) -> int:
                    "dependent_fraction": len(rows) / args.grid,
                    "dependent_samples": rows}
         inputs["seed"] = args.seed
-        _emit((args.output, _json(_report("classify", inputs, results, tolerances))))
+        _emit((args.output, to_json(_report("classify", inputs, results, tolerances))))
         return EXIT_OK
     try:
         cand = _parse_candidate(args.candidate, f.n, f.field)
@@ -267,8 +268,8 @@ def cmd_classify(args) -> int:
         "ellipsoid_residual": rep.ellipsoid_residual,
         "analysis_image": [[z.real, z.imag] for z in rep.tv.astype(complex)],
     }
-    _emit((args.output, _json(_report("classify", inputs, results, tolerances,
-                                      permutation=rep.permutation))))
+    _emit((args.output, to_json(_report("classify", inputs, results, tolerances,
+                                        permutation=rep.permutation))))
     return EXIT_OK
 
 
@@ -279,17 +280,16 @@ def cmd_nudge(args) -> int:
         return EXIT_USAGE
     f = _load_frame(args.frame)
     g = perturb.nudge_to_independence(f, args.eps)
-    movement = float(sum(np.linalg.norm(g.vectors[i] - f.vectors[i]) for i in range(f.m)))
     os_ = outer.induce(g)
     report = _report("nudge", {"frame": args.frame, "eps": args.eps},
-                     {"moved": movement, "outer_rank": os_.rank,
+                     {"moved": perturb.movement(f, g), "outer_rank": os_.rank,
                       "outer_independent": os_.rank == g.m},
                      {"movement_budget": args.eps})
     frame_doc = serialization.frame_to_doc(g, name="nudged")
     if args.output or args.report:
-        _emit((args.output, _json(frame_doc)), (args.report, _json(report)))
+        _emit((args.output, to_json(frame_doc)), (args.report, to_json(report)))
     else:
-        _emit((None, _json({"frame": frame_doc, "report": report})))
+        _emit((None, to_json({"frame": frame_doc, "report": report})))
     return EXIT_OK
 
 
@@ -316,7 +316,7 @@ def cmd_verify(args) -> int:
         "seconds": timings,
         "version": __version__,
     }
-    _emit((args.output, _json(doc)))
+    _emit((args.output, to_json(doc)))
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
@@ -390,6 +390,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
+    except MemoryError:
+        print(f"framekit {args.command}: the input is too large for memory", file=sys.stderr)
+        return EXIT_DOMAIN
     except FramekitError as exc:
         print(f"framekit {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -7,6 +7,7 @@ frame, the two-vector epsilon example, and spherical random frames
 driven by the portable counter-based generator in :mod:`framekit.rng`.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -15,11 +16,18 @@ from .errors import BadParam
 from .frame import COMPLEX, REAL, Frame
 from .rng import box_muller, counter_words, normal_words, seed_words
 
+#: the largest n whose n x n complex matrix numpy can hold in one array
+_MAX_DIMENSION = math.isqrt(np.iinfo(np.intp).max // 16)
+
+
+def _check_dimension(n: int) -> None:
+    if not 1 <= n <= _MAX_DIMENSION:
+        raise BadParam(f"n must be between 1 and {_MAX_DIMENSION}, got {n}")
+
 
 def orthonormal(n: int, field: str = REAL) -> Frame:
     """The standard basis of R^n or C^n."""
-    if n < 1:
-        raise BadParam("n must be at least 1")
+    _check_dimension(n)
     return Frame(field=field, vectors=np.eye(n))
 
 
@@ -29,8 +37,7 @@ def eij_basis(n: int) -> Frame:
     The n(n+1)/2 induced outer products form a Riesz basis for the
     symmetric n x n matrices.
     """
-    if n < 1:
-        raise BadParam("n must be at least 1")
+    _check_dimension(n)
     eye = np.eye(n)
     rows = [eye[i] for i in range(n)]
     for i in range(n):
@@ -45,8 +52,7 @@ def complex_eij_basis(n: int) -> Frame:
     Gives n^2 vectors whose outer products are independent in the real
     vector space of self-adjoint matrices (real dimension n^2).
     """
-    if n < 1:
-        raise BadParam("n must be at least 1")
+    _check_dimension(n)
     base = eij_basis(n).vectors.astype(np.complex128)
     eye = np.eye(n, dtype=np.complex128)
     rows = list(base)
@@ -65,8 +71,7 @@ def simplex(n: int) -> Frame:
     k leading ones, k = 1..n.  Since h_k is orthogonal to the ones vector,
     <h_k, P e_i> = h_k[i], and ||P e_i|| = sqrt(n / (n+1)).
     """
-    if n < 1:
-        raise BadParam("n must be at least 1")
+    _check_dimension(n)
     helmert = np.zeros((n + 1, n))
     for k in range(1, n + 1):
         helmert[:k, k - 1] = 1.0
@@ -121,13 +126,9 @@ def random_unit_stack(n: int, m: int, seeds, field: str = REAL) -> np.ndarray:
         raise BadParam("n and m must be at least 1")
     if field not in (REAL, COMPLEX):
         raise BadParam(f"unknown field {field!r}")
-    count = m * n
     cplx = field == COMPLEX
-    words = counter_words(seed_words(seeds), 0, normal_words(count, cplx))
-    z = box_muller(words, 2 * count if cplx else count)
-    if cplx:
-        z = z[:, :count] + 1j * z[:, count:]
-    v = z.reshape(-1, m, n)
+    words = counter_words(seed_words(seeds), 0, normal_words(m * n, cplx))
+    v = box_muller(words, m * n, cplx).reshape(-1, m, n)
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     return v
 
@@ -135,10 +136,6 @@ def random_unit_stack(n: int, m: int, seeds, field: str = REAL) -> np.ndarray:
 def random_unit(n: int, m: int, seed: int, field: str = REAL) -> Frame:
     """m vectors i.i.d. uniform on the unit sphere, deterministic in seed."""
     return Frame(field=field, vectors=random_unit_stack(n, m, [seed], field)[0])
-
-
-KINDS = ("orthonormal", "eij", "complex_eij", "simplex", "biangular",
-         "epsilon_pair", "random_unit")
 
 
 @dataclass(frozen=True)

@@ -159,9 +159,7 @@ def inverse_frame_operator(f: Frame) -> np.ndarray:
     """S^{-1} through the eigendecomposition (S is self-adjoint PD for frames)."""
     if not spans(f):
         raise NotAFrame("frame operator is singular for non-spanning sequences")
-    sd = matcore.hermitian_eig(frame_operator(f))
-    v = sd.eigenvectors
-    return v @ np.diag(1.0 / sd.eigenvalues) @ v.conj().T
+    return matcore.spectral_inverse(frame_operator(f))
 
 
 def canonical_duals(f: Frame) -> np.ndarray:

@@ -44,7 +44,7 @@ from .errors import (
     ShapeMismatch,
     TooMany,
 )
-from .frame import Frame, gram, spans, vector_gram
+from .frame import UNIT_NORM_TOL, Frame, gram, spans, vector_gram
 # induce is bound here although nothing below calls it: geometry.induce is
 # part of the module's namespace (perfbench's tracer and self-test read it)
 from .outer import OuterBatch, ambient_outer_dim, independent_prefix, induce, induce_batch
@@ -52,7 +52,6 @@ from .rng import Stream, unit_vectors
 
 PSD_RELTOL = 1e-10
 DEFAULT_VERDICT_TOL = 1e-8
-UNIT_TOL = 1e-12
 
 #: Bordered-rank comparisons run on vectors that were themselves computed
 #: through an eigendecomposition, whose backward error exceeds the bare
@@ -173,7 +172,7 @@ def admissible_vector(ext: PsdExtension, a) -> np.ndarray:
     if a.shape[-1] != len(ext.i_plus):
         raise BadCoefficients(
             f"need {len(ext.i_plus)} coefficients (one per positive eigenvalue), got {a.shape[-1]}")
-    if np.any(np.abs(np.sum(np.abs(a) ** 2, axis=-1) - 1.0) > UNIT_TOL):
+    if np.any(np.abs(np.sum(np.abs(a) ** 2, axis=-1) - 1.0) > UNIT_NORM_TOL):
         raise BadCoefficients("coefficients must have unit l2 norm")
     idx = list(ext.i_plus)
     lam = ext.spectrum.eigenvalues[..., idx]
@@ -236,7 +235,7 @@ def _check_candidates(candidates, f: Frame) -> np.ndarray:
             raise BadParam("a real frame takes real candidates only")
         candidates = candidates.real
     norms = np.sqrt(np.sum(np.abs(candidates) ** 2, axis=1))
-    if not np.all(np.abs(norms - 1.0) <= UNIT_TOL):  # a NaN norm fails too
+    if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):  # a NaN norm fails too
         raise NotUnitNorm("candidate must be unit norm")
     if f.m + 1 > ambient_outer_dim(f):
         raise TooMany(
@@ -472,8 +471,7 @@ def _bordered_gram_check(gram: np.ndarray, lam_g: np.ndarray, w: np.ndarray,
         part = slice(start, min(k, start + step))
         wb = w[part]
         lam = matcore.hermitian_eigvalues(bordered(gram[part], wb))
-        rank = matcore.rank_from_singular_values(
-            np.sort(np.abs(lam), axis=1)[:, ::-1], (m + 1, m + 1))
+        rank = matcore.rank_from_eigenvalues(lam, (m + 1, m + 1))
         lam_min = lam_g[part, -1]
         # interlacing puts lam[:, i] >= lam_g[i] > 0 for i < M, so only the
         # last eigenvalue can be zero or negative, and the product of the

@@ -56,27 +56,6 @@ def as_matrix(a) -> np.ndarray:
     return a
 
 
-def _adjoint(a: np.ndarray) -> np.ndarray:
-    return a.conj().swapaxes(-1, -2)
-
-
-def _within_skew(a: np.ndarray, adj: np.ndarray, reltol: float) -> bool:
-    """The self-adjointness rule: max|a - a*| <= reltol * ||a||_F for every
-    matrix of the stack a, given its adjoint adj."""
-    # the Frobenius norm exactly as numpy.linalg.norm(a, axis=(-2, -1)) forms it
-    scale = np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
-    skew = np.abs(a - adj).max(axis=(-2, -1), initial=0.0)
-    return bool(np.all(skew <= reltol * scale))
-
-
-def is_self_adjoint(a, reltol: float = SELF_ADJOINT_RELTOL) -> bool:
-    """Whether every matrix of a matrix or stack passes the self-adjointness test."""
-    a = as_stack(a)
-    if a.shape[-2] != a.shape[-1]:
-        return False
-    return _within_skew(a, _adjoint(a), reltol)
-
-
 def _canonical_phases(v: np.ndarray) -> np.ndarray:
     """First entry of each column with modulus > 1e-10 made real positive.
 
@@ -103,8 +82,11 @@ def _symmetrized(a) -> np.ndarray:
     a = as_stack(a)
     if a.shape[-2] != a.shape[-1]:
         raise NotSelfAdjoint(f"matrix is {a.shape[-2]}x{a.shape[-1]}, not square")
-    adj = _adjoint(a)
-    if not _within_skew(a, adj, SELF_ADJOINT_RELTOL):
+    adj = a.conj().swapaxes(-1, -2)
+    # the self-adjointness rule, max|a - a*| <= SELF_ADJOINT_RELTOL ||a||_F per matrix,
+    # with the Frobenius norm exactly as numpy.linalg.norm(a, axis=(-2, -1)) forms it
+    scale = np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
+    if not np.all(np.abs(a - adj).max(axis=(-2, -1), initial=0.0) <= SELF_ADJOINT_RELTOL * scale):
         raise NotSelfAdjoint("matrix is not self-adjoint within tolerance")
     return (a + adj) / 2.0
 
@@ -133,6 +115,14 @@ def hermitian_eigvalues(a) -> np.ndarray:
     the same self-adjointness test as a single one.
     """
     return np.linalg.eigvalsh(_symmetrized(a))[..., ::-1]
+
+
+def spectral_inverse(a) -> np.ndarray:
+    """a^{-1} of a self-adjoint positive definite matrix as V diag(1/w) V*,
+    from ``hermitian_eig``."""
+    sd = hermitian_eig(a)
+    v = sd.eigenvectors
+    return v @ np.diag(1.0 / sd.eigenvalues) @ v.conj().T
 
 
 def singular_values(a) -> np.ndarray:
@@ -207,6 +197,13 @@ def rank_from_singular_values(sigma, shape, tol=None):
     if sigma.ndim == 1:
         return int(np.count_nonzero(sigma > tol))
     return (sigma > np.asarray(tol)[..., None]).sum(axis=-1)
+
+
+def rank_from_eigenvalues(w, shape):
+    """The rank of a self-adjoint matrix of ``shape`` (or of each matrix of a
+    stack) from its eigenvalues: their moduli, sorted descending, are its
+    singular values, judged by ``rank_from_singular_values``."""
+    return rank_from_singular_values(np.sort(np.abs(w))[..., ::-1], shape)
 
 
 def numerical_rank(a, tol=None) -> int:

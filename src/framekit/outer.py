@@ -61,14 +61,17 @@ def _outer_spectra(v: np.ndarray):
     gram_op = np.abs(vector_gram(v)) ** 2
     gram_op.flags.writeable = False
     spectrum = matcore.hermitian_eig(gram_op)
-    sigma = np.sort(np.abs(spectrum.eigenvalues))[..., ::-1]
-    rank = matcore.rank_from_singular_values(sigma, gram_op.shape[-2:])
+    rank = matcore.rank_from_eigenvalues(spectrum.eigenvalues, gram_op.shape[-2:])
     return gram_op, spectrum, rank
 
 
+def _outer_products(v: np.ndarray) -> np.ndarray:
+    """The (M, N, N) outer products phi_i phi_i* of (M, N) vector rows."""
+    return v[:, :, None] * v.conj()[:, None, :]
+
+
 def _sequence(f: Frame, gram_op, spectrum, rank) -> OuterSequence:
-    v = f.vectors
-    outers = v[:, :, None] * v.conj()[:, None, :]
+    outers = _outer_products(f.vectors)
     outers.flags.writeable = False
     return OuterSequence(source=f, outers=tuple(outers), gram_op=gram_op,
                          rank=int(rank), ambient_dim=ambient_outer_dim(f),
@@ -139,7 +142,7 @@ def induce_batch(frames) -> OuterBatch:
 
 def vectorized_synthesis(f: Frame) -> np.ndarray:
     """M x N^2 matrix whose rows are the vectorized outer products."""
-    return np.vstack([matcore.vectorize_outer(v) for v in f.vectors])
+    return _outer_products(f.vectors).reshape(f.m, -1)
 
 
 def is_independent(os_: OuterSequence) -> bool:
@@ -377,10 +380,8 @@ def outer_duals(f: Frame) -> list:
     os_ = induce(f)
     if os_.rank < os_.m:
         raise NotIndependent("the outer products must be independent")
-    gsd = matcore.hermitian_eig(g)
     # biorthogonal vectors within the span: columns of T G^{-1}
-    dual_cols = synthesis(f) @ (gsd.eigenvectors @ np.diag(1.0 / gsd.eigenvalues)
-                                @ gsd.eigenvectors.conj().T)
+    dual_cols = synthesis(f) @ matcore.spectral_inverse(g)
     duals = []
     for i in range(f.m):
         dv = dual_cols[:, i]
@@ -412,13 +413,7 @@ def cross_duals(f: Frame, g: Frame) -> list:
     for h in (f, g):
         if matcore.numerical_rank(gram(h)) < h.n:
             raise NotABasis("input vectors do not form a basis")
-
-    def dual_matrix(h):
-        sd = matcore.hermitian_eig(gram(h))
-        return synthesis(h) @ (sd.eigenvectors @ np.diag(1.0 / sd.eigenvalues)
-                               @ sd.eigenvectors.conj().T)
-
-    fd = dual_matrix(f)
-    gd = dual_matrix(g)
+    fd = synthesis(f) @ matcore.spectral_inverse(gram(f))
+    gd = synthesis(g) @ matcore.spectral_inverse(gram(g))
     return [np.outer(fd[:, i], gd[:, j].conj())
             for i in range(f.n) for j in range(g.n)]

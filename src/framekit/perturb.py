@@ -22,10 +22,8 @@ from .errors import (
     SingularOperator,
     TooMany,
 )
-from .frame import Frame
+from .frame import UNIT_NORM_TOL, Frame
 from .outer import OuterSequence, _GreedyScan, ambient_outer_dim, induce
-
-UNIT_TOL = 1e-12
 
 
 def perturbed_riesz_bounds(a: float, b: float, eps_sq: float) -> tuple:
@@ -51,8 +49,8 @@ def outer_distance(phi, psi) -> float:
     """
     phi = np.asarray(phi).reshape(-1)
     psi = np.asarray(psi).reshape(-1)
-    if not (abs(np.linalg.norm(phi) - 1.0) <= UNIT_TOL
-            and abs(np.linalg.norm(psi) - 1.0) <= UNIT_TOL):  # a NaN norm fails too
+    if not (abs(np.linalg.norm(phi) - 1.0) <= UNIT_NORM_TOL
+            and abs(np.linalg.norm(psi) - 1.0) <= UNIT_NORM_TOL):  # a NaN norm fails too
         raise NotUnitNorm("outer_distance is stated for unit vectors")
     ip = np.vdot(psi, phi)  # <phi, psi>
     value = 2.0 * (1.0 - abs(ip) ** 2)
@@ -155,7 +153,7 @@ def nearby_independent_basis(psi, eps: float) -> list:
     if not (math.isfinite(eps) and eps > 0.0):
         raise BadParam(f"eps must be finite and positive, got {eps}")
     psi = np.asarray(psi).reshape(-1)
-    if not abs(np.linalg.norm(psi) - 1.0) <= UNIT_TOL:  # a NaN norm fails too
+    if not abs(np.linalg.norm(psi) - 1.0) <= UNIT_NORM_TOL:  # a NaN norm fails too
         raise NotUnitNorm("the reference vector must be unit norm")
     n = psi.shape[0]
     cplx = np.iscomplexobj(psi) and bool(np.any(psi.imag != 0.0))
@@ -184,7 +182,7 @@ def nearby_independent_basis(psi, eps: float) -> list:
         unitary = gamma * (np.eye(n, dtype=target.dtype) - 2.0 * np.outer(d, d.conj()) / dn)
 
     out = [unitary @ w for w in compressed]
-    worst = max(float(np.linalg.norm(v - psi)) ** 2 for v in out)
+    worst = float(matcore.row_norms(np.array(out) - psi).max()) ** 2
     if worst >= eps and eps < 2.0:
         raise InternalInconsistency(f"construction moved {worst} >= eps = {eps}")
     if delta >= 1e-2:
@@ -193,6 +191,11 @@ def nearby_independent_basis(psi, eps: float) -> list:
         if rank != len(out):
             raise InternalInconsistency("constructed basis has dependent outer products")
     return out
+
+
+def movement(f: Frame, g: Frame) -> float:
+    """sum_i ||g_i - f_i||, the metric the density repair budgets."""
+    return float(sum(np.linalg.norm(g.vectors[i] - f.vectors[i]) for i in range(f.m)))
 
 
 def nudge_to_independence(f: Frame, eps: float) -> Frame:

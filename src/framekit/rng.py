@@ -3,21 +3,25 @@
 The generator is counter based: output ``k`` of stream ``seed`` is
 ``mix64(seed + (k + 1) * GOLDEN)`` where ``mix64`` is the splitmix64
 finalizer.  Uniform doubles take the top 53 bits; normal deviates come
-from Box-Muller pairs.  The same (seed, counter) pair therefore yields
-the same values in any language, which is why this exists instead of
-``numpy.random``.  Many streams (``counter_words``) or a run of unit
-vectors from one stream (``unit_vectors``) are drawn in one block, with
-the values that one-at-a-time draws give.
+from Box-Muller pairs.  Complex deviate k of a run of c is real deviate k
+plus 1j times real deviate c + k of a run of 2c, in ``box_muller`` alone.  The
+same (seed, counter) pair therefore yields the same values in any language,
+which is why this exists instead of ``numpy.random``.  Many streams
+(``counter_words``) or a run of unit vectors from one stream
+(``unit_vectors``) are drawn in one block, with the values that
+one-at-a-time draws give.
 """
 
 import numpy as np
 
 from . import matcore
+from .errors import BadParam
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+#: the most uint64 words numpy can hold in one array
+_MAX_WORDS = np.iinfo(np.intp).max // 8
 
 
 def _mix64(z):
@@ -30,8 +34,11 @@ def counter_words(seeds, start: int, count: int) -> np.ndarray:
     """Raw words ``start .. start + count - 1`` of each stream in ``seeds``.
 
     ``seeds`` is one seed or an array of them; the result has shape
-    ``seeds.shape + (count,)``, all mixed in one ``_mix64`` call.
+    ``seeds.shape + (count,)``, all mixed in one ``_mix64`` call.  BadParam
+    for more words than one array holds, or counters past 2^64 - 1.
     """
+    if not 0 <= count <= _MAX_WORDS or start + count >= 2**64:
+        raise BadParam(f"cannot draw {count} words from counter {start} in one block")
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     # every operand is an array, so the uint64 products wrap silently; only
     # numpy scalar arithmetic reports overflow
@@ -55,12 +62,14 @@ def word_uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0**-53
 
 
-def box_muller(words: np.ndarray, count: int) -> np.ndarray:
-    """``count`` normal deviates from each row of 2 * pairs raw words.
+def box_muller(words: np.ndarray, count: int, cplx: bool) -> np.ndarray:
+    """``count`` normal deviates, complex when ``cplx``, from each row of
+    2 * pairs raw words.
 
     The first half of a row gives the radii, the second half the angles,
     and the cosines come before the sines, so a (K, 2 * pairs) block of
-    consecutive words gives row by row what K ``normals(count)`` calls do.
+    consecutive words gives row by row what K ``normals(count)`` (or
+    ``complex_normals(count)``) calls do.
     """
     pairs = words.shape[-1] // 2
     u = word_uniforms(words)
@@ -68,6 +77,8 @@ def box_muller(words: np.ndarray, count: int) -> np.ndarray:
     r = np.sqrt(-2.0 * np.log(u[..., :pairs] + 2.0**-54))
     theta = 2.0 * np.pi * u[..., pairs:]
     out = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    if cplx:
+        return out[..., :count] + 1j * out[..., count:2 * count]
     return out[..., :count]
 
 
@@ -90,11 +101,10 @@ class Stream:
 
     def normals(self, count: int) -> np.ndarray:
         """Standard normal deviates via Box-Muller."""
-        return box_muller(self.raw(normal_words(count, False)), count)
+        return box_muller(self.raw(normal_words(count, False)), count, False)
 
     def complex_normals(self, count: int) -> np.ndarray:
-        z = self.normals(2 * count)
-        return z[:count] + 1j * z[count:]
+        return box_muller(self.raw(normal_words(count, True)), count, True)
 
 
 def unit_rows(words: np.ndarray, n: int, cplx: bool) -> np.ndarray:
@@ -103,9 +113,7 @@ def unit_rows(words: np.ndarray, n: int, cplx: bool) -> np.ndarray:
     Row i is the vector that ``normals(n)`` (or ``complex_normals(n)``),
     divided by its ``np.linalg.norm``, gives on that row's words.
     """
-    z = box_muller(words, 2 * n if cplx else n)
-    if cplx:
-        z = z[:, :n] + 1j * z[:, n:]
+    z = box_muller(words, n, cplx)
     return z / matcore.row_norms(z)[:, None]
 
 

@@ -7,7 +7,6 @@ shortest-round-trip decimal formatting.
 """
 
 import csv
-import io
 import json
 
 import numpy as np
@@ -83,9 +82,13 @@ def _pair(z) -> tuple:
     return _number(z[0]), _number(z[1])
 
 
+def to_json(doc: dict) -> str:
+    """The JSON text of a document: indent 2, then a newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def write_frame(f: Frame, fp, **meta) -> None:
-    json.dump(frame_to_doc(f, **meta), fp, indent=2)
-    fp.write("\n")
+    fp.write(frame_to_json(f, **meta))
 
 
 def read_frame(fp) -> Frame:
@@ -93,9 +96,7 @@ def read_frame(fp) -> Frame:
 
 
 def frame_to_json(f: Frame, **meta) -> str:
-    out = io.StringIO()
-    write_frame(f, out, **meta)
-    return out.getvalue()
+    return to_json(frame_to_doc(f, **meta))
 
 
 def frame_from_json(text: str) -> Frame:

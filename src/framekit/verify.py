@@ -501,10 +501,8 @@ def _psd_forward_failures(stream, count) -> tuple:
     for (n, r, cplx), ks in _index_groups(_psd_case(k) for k in range(count)).items():
         basis_w, lam_w, coef_w, leak_w = np.split(
             _word_rows(words, starts[ks], widths[ks[0]]), np.cumsum(parts[ks[0]])[:-1], axis=1)
-        g = box_muller(basis_w, 2 * n * n if cplx else n * n)
-        if cplx:
-            g = g[:, :n * n] + 1j * g[:, n * n:]
-        t = _psd_matrix(_orthonormal(g.reshape(-1, n, n)), 0.5 + 1.5 * word_uniforms(lam_w))
+        g = box_muller(basis_w, n * n, cplx).reshape(-1, n, n)
+        t = _psd_matrix(_orthonormal(g), 0.5 + 1.5 * word_uniforms(lam_w))
         sd = matcore.hermitian_eig(t)
         geometry._checked_psd(sd.eigenvalues)
         full = geometry._positive_eigenvalues(sd.eigenvalues, (n, n)).sum(axis=-1) == r
@@ -741,9 +739,7 @@ def check_nudge_repair():
         failures = len(inputs) - len(repairable)
         nudged = [perturb.nudge_to_independence(f, eps) for f in repairable]
         for f, g, rank in zip(repairable, nudged, _outer_ranks(nudged)):
-            movement = float(sum(np.linalg.norm(g.vectors[i] - f.vectors[i])
-                                 for i in range(f.m)))
-            if rank < g.m or movement >= eps:
+            if rank < g.m or perturb.movement(f, g) >= eps:
                 failures += 1
         rows.append(_row("nudge-repair", f"200 dependent frames, eps={eps}", failures,
                          "0 failures", None, failures == 0))

@@ -132,6 +132,38 @@ def test_analyze_nan_entry_exits_2_without_traceback(tmp_path):
     assert "non-finite" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["construct", "eij", "--n", "3000000000"], 3),
+    (["construct", "orthonormal", "--n", "100000000000"], 3),
+    (["classify", "F", "--grid", "9223372036854775807"], 2),
+    (["classify", "F", "--grid", "2305843009213693951"], 2),
+])
+def test_sizes_too_large_to_hold_exit_without_traceback(tmp_path, argv, code):
+    # each is refused before anything is allocated, so the outcome does not
+    # depend on how the host overcommits memory
+    frame_file = tmp_path / "r.json"
+    with frame_file.open("w") as fp:
+        ser.write_frame(cons.random_unit(3, 4, 1), fp)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [str(frame_file) if a == "F" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "framekit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code
+    assert proc.stdout == "" and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"framekit {argv[0]}: ") and "Traceback" not in proc.stderr
+
+
+def test_memory_error_exits_3_with_one_line(capsys, monkeypatch):
+    def refuse(spec):
+        raise MemoryError()
+    monkeypatch.setattr(cons, "build", refuse)
+    code, out, err = run_cli(capsys, "construct", "eij", "--n", "3")
+    assert code == 3 and out == ""
+    assert err == "framekit construct: the input is too large for memory\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "simplex", "-o", "OUT"],
     ["analyze", "F", "-o", "OUT"],

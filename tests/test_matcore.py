@@ -214,6 +214,45 @@ class TestStackedSingularValues:
             matcore.singular_values([1.0, 2.0])
 
 
+class TestSpectralInverse:
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_equals_the_inline_eigendecomposition_form(self, cplx):
+        rng = np.random.default_rng(19 + cplx)
+        for n in (1, 2, 5, 9):
+            b = rng.standard_normal((n, n))
+            if cplx:
+                b = b + 1j * rng.standard_normal((n, n))
+            a = b @ b.conj().T + 0.1 * np.eye(n)
+            sd = matcore.hermitian_eig(a)
+            v = sd.eigenvectors
+            want = v @ np.diag(1.0 / sd.eigenvalues) @ v.conj().T
+            got = matcore.spectral_inverse(a)
+            assert got.tobytes() == want.tobytes()
+            np.testing.assert_allclose(got @ a, np.eye(n), atol=1e-8)
+
+
+class TestRankFromEigenvalues:
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_stack_equals_one_matrix_at_a_time(self, cplx):
+        # indefinite members of every rank, so the moduli and the sort matter
+        rng = np.random.default_rng(23 + cplx)
+        for n in (1, 3, 6):
+            mats = []
+            for k in range(8):
+                b = rng.standard_normal((n, k % (n + 1)))
+                if cplx:
+                    b = b + 1j * rng.standard_normal(b.shape)
+                mats.append(b @ np.diag(rng.choice([-1.0, 1.0], b.shape[1])) @ b.conj().T)
+            w = matcore.hermitian_eigvalues(np.array(mats))
+            ranks = matcore.rank_from_eigenvalues(w, (n, n))
+            assert ranks.shape == (8,)
+            for k in range(8):
+                sigma = np.sort(np.abs(w[k]))[::-1]  # the inline original
+                want = matcore.rank_from_singular_values(sigma, (n, n))
+                assert ranks[k] == want == matcore.rank_from_eigenvalues(w[k], (n, n))
+                assert want == min(k % (n + 1), n)
+
+
 class TestRowNorms:
     @pytest.mark.parametrize("cplx", [False, True])
     def test_equal_to_linalg_norm_of_each_row(self, cplx):

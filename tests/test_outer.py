@@ -424,3 +424,13 @@ def test_pc2_identity_property(seed, cplx):
     lhs = matcore.frobenius_ip(np.outer(phi, phi.conj()), np.outer(psi, psi.conj()))
     lhs = lhs.real if cplx else lhs
     assert abs(lhs - abs(np.vdot(psi, phi)) ** 2) <= 1e-12
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_vectorized_synthesis_equals_stacked_kron_rows(cplx):
+    rng = np.random.default_rng(61 + cplx)
+    for n, m in ((1, 1), (2, 3), (4, 9), (12, 77)):
+        f = random_unit_frame(rng, n, m, cplx)
+        want = np.vstack([np.kron(v, np.conj(v)) for v in f.vectors])
+        got = outer.vectorized_synthesis(f)
+        assert got.shape == (m, n * n) and got.tobytes() == want.tobytes()

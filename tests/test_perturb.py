@@ -210,6 +210,16 @@ class TestNudge:
         moved = sum(np.linalg.norm(g.vectors[i] - f.vectors[i]) for i in range(6))
         assert moved < 0.1
 
+    def test_movement_equals_the_sum_of_vector_distances(self):
+        for field in ("real", "complex"):
+            v = cons.random_unit(3, 6, 41, field=field).vectors.copy()
+            v[5] = -v[0]
+            f = Frame(field=field, vectors=v)
+            g = perturb.nudge_to_independence(f, 0.1)
+            want = float(sum(np.linalg.norm(g.vectors[i] - f.vectors[i]) for i in range(f.m)))
+            assert 0.0 < perturb.movement(f, g) == want < 0.1
+            assert perturb.movement(f, f) == 0.0
+
     def test_too_many(self):
         v = np.vstack([np.eye(2), np.eye(2)])
         with pytest.raises(TooMany):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from framekit.rng import Stream, counter_words, seed_words, unit_vectors
+from framekit.errors import BadParam
+from framekit.rng import Stream, box_muller, counter_words, normal_words, seed_words, unit_vectors
 
 
 def _hex(xs):
@@ -51,3 +52,31 @@ def test_counter_words_of_many_seeds_equal_each_stream():
         stream = Stream(seed)
         stream.raw(4)
         assert row.tobytes() == stream.raw(6).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_complex_box_muller_equals_the_split_of_2n_real_normals(n):
+    split, joined = Stream(77), Stream(77)
+    z = split.normals(2 * n)
+    want = z[:n] + 1j * z[n:]  # real parts first, then imaginary parts
+    assert joined.complex_normals(n).tobytes() == want.tobytes()
+    assert split.raw(3).tobytes() == joined.raw(3).tobytes()
+    words = counter_words(seed_words([5, 6, 7]), 0, normal_words(n, True))
+    real = box_muller(words, 2 * n, False)
+    assert box_muller(words, n, True).tobytes() == (real[:, :n] + 1j * real[:, n:]).tobytes()
+
+
+@pytest.mark.parametrize("count", [-1, 2**60, 2**61, 2**63 - 4, 2**64])
+def test_raw_refuses_a_block_it_cannot_draw_and_keeps_its_cursor(count):
+    # numpy's arange gives no words at all for 2**63 - 4 rather than raising
+    stream, reference = Stream(0), Stream(0)
+    with pytest.raises(BadParam, match="cannot draw"):
+        stream.raw(count)
+    assert stream.raw(3).tobytes() == reference.raw(3).tobytes()
+
+
+def test_counter_words_reach_the_last_counter_and_stop_there():
+    last = counter_words(0, 2**64 - 3, 2)
+    assert last[1] == counter_words(0, 2**64 - 2, 1)[0]
+    with pytest.raises(BadParam, match="cannot draw"):
+        counter_words(0, 2**64 - 2, 2)

@@ -98,3 +98,19 @@ def test_frame_document_schema_fields():
     doc = json.loads(ser.frame_to_json(f))
     assert set(doc) >= {"schema", "field", "n", "vectors"}
     assert doc["n"] == 2
+
+
+def test_to_json_equals_json_dump_of_each_document():
+    # the two renderings it replaces: cli's dumps + newline, and write_frame's
+    # json.dump to a stream + newline
+    f = cons.random_unit(3, 4, 9, field="complex")
+    for doc in (ser.frame_to_doc(f, name="r", construction={"kind": "random_unit"}),
+                {"command": "verify", "rows": [{"x": 1.5, "y": None}], "failures": 0}):
+        assert ser.to_json(doc) == json.dumps(doc, indent=2) + "\n"
+        buf = io.StringIO()
+        json.dump(doc, buf, indent=2)
+        assert ser.to_json(doc) == buf.getvalue() + "\n"
+    out = io.StringIO()
+    ser.write_frame(f, out, name="r")
+    assert out.getvalue() == ser.frame_to_json(f, name="r") == ser.to_json(
+        ser.frame_to_doc(f, name="r"))

@@ -6,6 +6,8 @@ benchmark run.  The tracer's source is read, not imported: loading it by
 path leaves perfbench/ untouched (no bytecode cache is written there).
 Between in-process passes the harness calls ``cache_clear`` on every
 module attribute that has one, so every memo must be such an attribute.
+In the other direction, every top-level name of the package must be read
+somewhere in the repository's code, or it is dead and goes.
 """
 
 import ast
@@ -62,3 +64,40 @@ def test_every_memo_is_a_module_level_lru_cache():
                 assert callable(getattr(getattr(module, node.name), "cache_clear", None)), where
                 found.append(where)
     assert "framekit.perturb._compressed_base" in found
+
+
+def _read_names(tree) -> set:
+    """The names a module reads: identifiers, attributes, imported names,
+    and string constants, through which the tracer names functions."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_top_level_name_of_the_package_is_read_somewhere():
+    root = Path(__file__).resolve().parents[1]
+    read = set()
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in (root / folder).rglob("*.py"):
+            read |= _read_names(ast.parse(path.read_text()))
+    dead = []
+    for path in sorted((root / "src" / "framekit").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"framekit.{path.stem}.{name}" for name in defined
+                     if name not in read and not name.startswith("__")]
+    assert dead == []
