@@ -12,6 +12,7 @@ same or better bounds.
 import numpy as np
 
 import framekit as fk
+from framekit.outer import vectorized_synthesis
 
 print("== the Gram of outer products is |G|^2 entrywise ==")
 pair = fk.epsilon_pair(0.25)
@@ -49,10 +50,10 @@ print("the simplex attains both: equiangular tight frames are the extremal case"
 
 print("\n== biorthogonal duals need a projection ==")
 f = fk.Frame.from_vectors(np.array([[1.0, 0.0], [np.cos(0.7), np.sin(0.7)]]))
-duals = fk.outer_duals(f)
-os_f = fk.induce(f)
-bio = np.array([[fk.frobenius_ip(os_f.outers[i], duals[j]) for j in range(2)]
-                for i in range(2)])
+duals = fk.outer_duals(f)  # an (M, N, N) stack, from one solve in the outer Gram
+# entry (i, j) is <phi_i phi_i*, dual_j>: rows of the vectorized synthesis
+# against the vectorized duals
+bio = vectorized_synthesis(f).conj() @ duals.reshape(f.m, -1).T
 print("biorthogonality matrix (projected duals):")
 print(np.round(bio, 12))
 

@@ -12,12 +12,14 @@ import numpy as np
 
 import framekit as fk
 from framekit.constructions import simplex_pairs
+from framekit.outer import ambient_outer_dim
 
 print("== E_ij bases: outer products span the symmetric matrices ==")
 for n in (2, 3, 4):
-    os_ = fk.induce(fk.eij_basis(n))
+    f = fk.eij_basis(n)
+    os_ = fk.induce(f)
     print(f"  n={n}: M = {os_.m}, outer rank = {os_.rank}, "
-          f"dim sym = {os_.ambient_dim}")
+          f"dim sym = {ambient_outer_dim(f)}")
 
 print("\n== complex extension: dimension jumps to n^2 ==")
 for n in (2, 3):

@@ -68,7 +68,6 @@ from .matcore import (
 from .outer import (
     DependenceCertificate,
     OuterBatch,
-    OuterSequence,
     cross_duals,
     cross_gram,
     dependence_certificate,

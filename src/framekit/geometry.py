@@ -23,7 +23,10 @@ two-sided: an independent verdict must grow the bordered rank, and for
 every candidate det([[G, w], [w^T, 1]]) / det(G) must agree with
 1 - elliptic value within its backward-error bound.  ``elliptic_value``,
 ``quartic_residual`` and ``mu2_subset_mu4_probe`` read the same prepared
-state, so every value comes from the one equilibrated spectrum.
+state, so every value comes from the one equilibrated spectrum.  A
+prepared state's ``outer`` is the ``outer.OuterBatch`` of its frames, with
+a leading frame axis even for one frame (``prepare`` builds it by
+``induce_batch([f])``).
 """
 
 from dataclasses import dataclass
@@ -579,7 +582,7 @@ def mu2_subset_mu4_probe(f: Frame, samples: int, seed: int) -> float:
     residual of zero for every sample.
     """
     prep = prepare(f)
-    rank, ambient = int(prep.outer.ranks[0]), ambient_outer_dim(f)
+    rank, ambient = int(prep.outer.rank[0]), ambient_outer_dim(f)
     if rank < ambient:
         raise RankDeficient(f"outer products span {rank} < {ambient} dimensions")
     psi = unit_vectors(Stream(seed), samples, f.n, f.field == "complex")

@@ -2,9 +2,16 @@
 
 The Gram matrix of the induced outer products is the Hadamard square
 |G|^2 of the vector Gram matrix, a real PSD object even over C.  Its
-rank decides independence; the vectorized M x N^2 synthesis matrix gives
+rank decides independence; the vectorized M x N^2 synthesis matrix S gives
 a second, independent rank path that is asserted against the first
 rather than voted with it.
+
+``OuterBatch`` is the one outer state: ``induce(f)`` gives a frame's with
+no leading axis, ``induce_batch`` those of K frames stacked along one.
+Every sum over the outer products is one product with S: a certificate's
+residual is a^T S, the split frame operators are two coefficient vectors
+times S, and projections onto the span (the outer duals included) solve
+one system in the outer Gram for all their right sides at once.
 """
 
 from dataclasses import dataclass
@@ -19,6 +26,7 @@ from .errors import (
     NotABasis,
     NotIndependent,
     NotUnitNorm,
+    ShapeMismatch,
     ZeroVector,
 )
 from .frame import BoundsReport, Frame, _bounds_report, gram, synthesis, vector_gram
@@ -32,29 +40,6 @@ def ambient_outer_dim(f: Frame) -> int:
     return n * (n + 1) // 2 if f.field == "real" else n * n
 
 
-@dataclass(frozen=True)
-class OuterSequence:
-    """A frame together with its induced rank-one projections.
-
-    outers : tuple of N x N self-adjoint matrices phi_i phi_i*
-    gram_op : M x M real matrix of |<phi_i, phi_j>|^2
-    rank : numerical rank of gram_op
-    ambient_dim : dim of the self-adjoint matrix space the outers live in
-    gram_spectrum : cached eigendecomposition of gram_op
-    """
-
-    source: Frame
-    outers: tuple
-    gram_op: np.ndarray
-    rank: int
-    ambient_dim: int
-    gram_spectrum: matcore.SpectralData
-
-    @property
-    def m(self) -> int:
-        return self.source.m
-
-
 def _outer_spectra(v: np.ndarray):
     """gram_op = |G|^2, its eigendecomposition and its rank for (..., M, N)
     vector rows: the one place these are formed, for a frame or a stack."""
@@ -66,59 +51,65 @@ def _outer_spectra(v: np.ndarray):
 
 
 def _outer_products(v: np.ndarray) -> np.ndarray:
-    """The (M, N, N) outer products phi_i phi_i* of (M, N) vector rows."""
-    return v[:, :, None] * v.conj()[:, None, :]
+    """The (..., M, N, N) outer products phi_i phi_i* of (..., M, N) vector rows."""
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
-def _sequence(f: Frame, gram_op, spectrum, rank) -> OuterSequence:
-    outers = _outer_products(f.vectors)
-    outers.flags.writeable = False
-    return OuterSequence(source=f, outers=tuple(outers), gram_op=gram_op,
-                         rank=int(rank), ambient_dim=ambient_outer_dim(f),
-                         gram_spectrum=spectrum)
-
-
-def induce(f: Frame) -> OuterSequence:
-    """Build the outer-product sequence induced by a frame."""
-    return _sequence(f, *_outer_spectra(f.vectors))
+def _cross_products(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The (M L, N, N) cross products u_i w_j* of (M, N) and (L, N) vector
+    rows, u_i w_j* at row i L + j."""
+    n = u.shape[1]
+    return (u[:, None, :, None] * w.conj()[None, :, None, :]).reshape(-1, n, n)
 
 
 @dataclass(frozen=True)
 class OuterBatch:
-    """The outer sequences of K frames of one shape and field, decided by one
-    stacked eigendecomposition.
+    """The induced outer products of one frame, or of K frames of one shape
+    and field decided by one stacked eigendecomposition.
 
-    vectors : (K, M, N) stacked frame vectors; gram_op : (K, M, M);
-    ranks : (K,) integers; gram_spectrum : stacked eigenvalues (K, M) and
-    eigenvectors (K, M, M).
+    ``induce(f)`` gives one frame's state, with no leading axis: vectors
+    (M, N), gram_op (M, M) = |G|^2, rank an int, gram_spectrum its
+    eigendecomposition.  ``induce_batch`` gives K frames' states stacked
+    along a leading axis: vectors (K, M, N), gram_op (K, M, M), rank (K,)
+    integers, gram_spectrum eigenvalues (K, M) and eigenvectors (K, M, M).
+    frames holds the frames, one for ``induce``.
     """
 
     frames: tuple
     vectors: np.ndarray
     gram_op: np.ndarray
-    ranks: np.ndarray
     gram_spectrum: matcore.SpectralData
+    rank: int | np.ndarray
 
     @property
-    def independent(self) -> np.ndarray:
-        """Per frame, whether its outer products are independent (rank == M)."""
-        return self.ranks == self.gram_op.shape[-1]
+    def m(self) -> int:
+        return self.gram_op.shape[-1]
 
-    def sequence(self, i: int) -> OuterSequence:
-        """Frame i's OuterSequence, equal to ``induce(frames[i])``, from the
-        batch's decomposition."""
-        spectrum = matcore.SpectralData(eigenvalues=self.gram_spectrum.eigenvalues[i],
-                                        eigenvectors=self.gram_spectrum.eigenvectors[i])
-        return _sequence(self.frames[i], self.gram_op[i], spectrum, self.ranks[i])
+    @property
+    def outers(self) -> np.ndarray:
+        """The (..., M, N, N) outer products phi_i phi_i*, read-only."""
+        outers = _outer_products(self.vectors)
+        outers.flags.writeable = False
+        return outers
+
+    @property
+    def independent(self):
+        """Whether the outer products are independent (rank == M), per frame."""
+        return self.rank == self.m
 
     def take(self, rows) -> "OuterBatch":
-        """The batch of the frames at the given rows, sliced from this one."""
+        """The batch of the frames at the given rows of a stacked batch."""
         rows = np.asarray(rows, dtype=int)
         spectrum = matcore.SpectralData(eigenvalues=self.gram_spectrum.eigenvalues[rows],
                                         eigenvectors=self.gram_spectrum.eigenvectors[rows])
         return OuterBatch(frames=tuple(self.frames[i] for i in rows), vectors=self.vectors[rows],
-                          gram_op=self.gram_op[rows], ranks=self.ranks[rows],
-                          gram_spectrum=spectrum)
+                          gram_op=self.gram_op[rows], gram_spectrum=spectrum,
+                          rank=self.rank[rows])
+
+
+def induce(f: Frame) -> OuterBatch:
+    """The outer products induced by a frame, with no leading axis."""
+    return OuterBatch((f,), f.vectors, *_outer_spectra(f.vectors))
 
 
 def induce_batch(frames) -> OuterBatch:
@@ -135,9 +126,7 @@ def induce_batch(frames) -> OuterBatch:
         raise DimensionMismatch("induce_batch needs frames of one shape and field")
     vectors = np.stack([f.vectors for f in frames])
     vectors.flags.writeable = False
-    gram_op, spectrum, ranks = _outer_spectra(vectors)
-    return OuterBatch(frames=frames, vectors=vectors, gram_op=gram_op, ranks=ranks,
-                      gram_spectrum=spectrum)
+    return OuterBatch(frames, vectors, *_outer_spectra(vectors))
 
 
 def vectorized_synthesis(f: Frame) -> np.ndarray:
@@ -145,7 +134,7 @@ def vectorized_synthesis(f: Frame) -> np.ndarray:
     return _outer_products(f.vectors).reshape(f.m, -1)
 
 
-def is_independent(os_: OuterSequence) -> bool:
+def is_independent(os_: OuterBatch) -> bool:
     """True when the outer products are linearly independent (over R).
 
     The gram_op rank is the verdict; the rank of the vectorized synthesis
@@ -155,7 +144,7 @@ def is_independent(os_: OuterSequence) -> bool:
     so both paths judge that one quantity by one rule: the squares go
     through the same rank threshold, with gram_op's shape.
     """
-    sigma = matcore.singular_values(vectorized_synthesis(os_.source))
+    sigma = matcore.singular_values(vectorized_synthesis(os_.frames[0]))
     vec_rank = matcore.rank_from_singular_values(sigma ** 2, os_.gram_op.shape)
     if vec_rank != os_.rank:
         raise InternalInconsistency(
@@ -163,7 +152,7 @@ def is_independent(os_: OuterSequence) -> bool:
     return os_.rank == os_.m
 
 
-def outer_riesz_bounds(os_: OuterSequence) -> BoundsReport:
+def outer_riesz_bounds(os_: OuterBatch) -> BoundsReport:
     """Riesz bounds of the outer products: extreme eigenvalues of gram_op."""
     if os_.rank < os_.m:
         raise NotIndependent("outer products are dependent at tolerance")
@@ -257,7 +246,7 @@ class DependenceCertificate:
     split: tuple
 
 
-def dependence_certificate(os_: OuterSequence):
+def dependence_certificate(os_: OuterBatch):
     """Minimal-support null coefficients of the outer products, or None.
 
     The first vector j the greedy scan rejects is expanded over the vectors
@@ -267,30 +256,26 @@ def dependence_certificate(os_: OuterSequence):
     """
     if os_.rank == os_.m:
         return None
-    scan = _GreedyScan(os_.source)
-    j = next(i for i, v in enumerate(os_.source.vectors) if not scan.grows(v))
+    f = os_.frames[0]
+    scan = _GreedyScan(f)
+    j = next(i for i, v in enumerate(f.vectors) if not scan.grows(v))
     a = np.zeros(os_.m)
     a[:j] = np.linalg.solve(os_.gram_op[:j, :j], os_.gram_op[:j, j])
     a[j] = -1.0
     a /= np.linalg.norm(a)
-    resid_matrix = sum(a[i] * os_.outers[i] for i in range(os_.m))
-    residual = float(np.linalg.norm(resid_matrix))
+    residual = float(np.linalg.norm(a @ vectorized_synthesis(f)))
     split = tuple(int(i) for i in np.flatnonzero(a >= 0.0))
     a.flags.writeable = False
     return DependenceCertificate(coefficients=a, residual=residual, split=split)
 
 
-def split_frame_operators(os_: OuterSequence, cert: DependenceCertificate):
+def split_frame_operators(os_: OuterBatch, cert: DependenceCertificate):
     """The two partial sums S_I and S_{I^c} named by a certificate."""
-    n = os_.source.n
-    dtype = os_.outers[0].dtype
-    s_pos = np.zeros((n, n), dtype=dtype)
-    s_neg = np.zeros((n, n), dtype=dtype)
-    for i, ai in enumerate(cert.coefficients):
-        if i in cert.split:
-            s_pos += ai * os_.outers[i]
-        else:
-            s_neg += -ai * os_.outers[i]
+    f = os_.frames[0]
+    a = cert.coefficients
+    in_split = np.isin(np.arange(f.m), cert.split)
+    parts = np.stack([np.where(in_split, a, 0.0), np.where(in_split, 0.0, -a)])
+    s_pos, s_neg = (parts @ vectorized_synthesis(f)).reshape(2, f.n, f.n)
     return s_pos, s_neg
 
 
@@ -330,8 +315,8 @@ class OptimalBoundReport:
     lower_gap: float | None
 
 
-def optimal_bound_report(os_: OuterSequence) -> OptimalBoundReport:
-    f = os_.source
+def optimal_bound_report(os_: OuterBatch) -> OptimalBoundReport:
+    f = os_.frames[0]
     if not f.is_unit_norm:
         raise NotUnitNorm("optimal bound comparisons require unit-norm vectors")
     m, n = f.m, f.n
@@ -350,29 +335,38 @@ def optimal_bound_report(os_: OuterSequence) -> OptimalBoundReport:
 
 
 def _spectral_solve(spectrum: matcore.SpectralData, b: np.ndarray) -> np.ndarray:
-    v = spectrum.eigenvectors
-    return v @ ((v.conj().T @ b) / spectrum.eigenvalues)
+    """G^{-1} b from G's eigendecomposition V diag(w) V*, for an (M,) vector b
+    or an (M, K) matrix b of K right sides."""
+    v, w = spectrum.eigenvectors, spectrum.eigenvalues
+    return v @ ((v.conj().T @ b) / w.reshape(w.shape + (1,) * (b.ndim - 1)))
 
 
-def project_onto_outer_span(os_: OuterSequence, x) -> np.ndarray:
-    """Frobenius-orthogonal projection of a self-adjoint x onto span{phi_i phi_i*}."""
+def project_onto_outer_span(os_: OuterBatch, x) -> np.ndarray:
+    """Frobenius-orthogonal projection of a self-adjoint N x N x, or of each
+    matrix of a (..., N, N) stack, onto span{phi_i phi_i*}.
+
+    With S the vectorized synthesis and G = S S* the outer Gram, the
+    coefficients of the projections are C = G^{-1} Re(conj(S) X^T), for
+    the rows X of the vectorized x, and the projections are C^T S.
+    """
     if os_.rank < os_.m:
         raise NotIndependent("projection onto the span needs independent outer products")
-    x = matcore.as_matrix(x)
-    b = np.array([matcore.frobenius_ip(o, x) for o in os_.outers])
-    coeff = _spectral_solve(os_.gram_spectrum, np.real(b))
-    out = np.zeros_like(os_.outers[0], dtype=np.result_type(x, os_.outers[0]))
-    for c, o in zip(coeff, os_.outers):
-        out = out + c * o
-    return out
+    f = os_.frames[0]
+    x = matcore.as_stack(x)
+    if x.shape[-2:] != (f.n, f.n):
+        raise ShapeMismatch(f"x has shape {x.shape}, the outer products are {f.n} x {f.n}")
+    s = vectorized_synthesis(f)
+    b = np.real(s.conj() @ x.reshape(-1, f.n * f.n).T)
+    return (_spectral_solve(os_.gram_spectrum, b).T @ s).reshape(x.shape)
 
 
-def outer_duals(f: Frame) -> list:
-    """Biorthogonal system for independent outer products.
+def outer_duals(f: Frame) -> np.ndarray:
+    """Biorthogonal system for independent outer products, as an (M, N, N) stack.
 
     Takes the biorthogonal vectors of the frame, forms their outer
-    products, and projects each onto the span of the original outers.
-    Without the projection the candidates fail to lie in the span.
+    products, and projects them onto the span of the original outers in
+    one solve.  Without the projection the candidates fail to lie in the
+    span.
     """
     g = gram(f)
     if matcore.numerical_rank(g) < f.m:
@@ -382,11 +376,7 @@ def outer_duals(f: Frame) -> list:
         raise NotIndependent("the outer products must be independent")
     # biorthogonal vectors within the span: columns of T G^{-1}
     dual_cols = synthesis(f) @ matcore.spectral_inverse(g)
-    duals = []
-    for i in range(f.m):
-        dv = dual_cols[:, i]
-        duals.append(project_onto_outer_span(os_, np.outer(dv, dv.conj())))
-    return duals
+    return project_onto_outer_span(os_, _outer_products(dual_cols.T))
 
 
 def cross_gram(f: Frame, g: Frame) -> np.ndarray:
@@ -400,8 +390,9 @@ def cross_gram(f: Frame, g: Frame) -> np.ndarray:
     return matcore.kronecker(gram(f), gram(g).T)
 
 
-def cross_duals(f: Frame, g: Frame) -> list:
-    """Dual basis {dual(phi)_i dual(psi)_j*} of the cross products of two bases.
+def cross_duals(f: Frame, g: Frame) -> np.ndarray:
+    """Dual basis {dual(phi)_i dual(psi)_j*} of the cross products of two
+    bases, as an (N^2, N, N) stack in the order of ``cross_gram``.
 
     No projection is needed here: the cross products of two bases span
     the full N x N matrix space.
@@ -415,5 +406,4 @@ def cross_duals(f: Frame, g: Frame) -> list:
             raise NotABasis("input vectors do not form a basis")
     fd = synthesis(f) @ matcore.spectral_inverse(gram(f))
     gd = synthesis(g) @ matcore.spectral_inverse(gram(g))
-    return [np.outer(fd[:, i], gd[:, j].conj())
-            for i in range(f.n) for j in range(g.n)]
+    return _cross_products(fd.T, gd.T)

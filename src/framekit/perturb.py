@@ -23,7 +23,7 @@ from .errors import (
     TooMany,
 )
 from .frame import UNIT_NORM_TOL, Frame
-from .outer import OuterSequence, _GreedyScan, ambient_outer_dim, induce
+from .outer import OuterBatch, _GreedyScan, ambient_outer_dim, induce
 
 
 def perturbed_riesz_bounds(a: float, b: float, eps_sq: float) -> tuple:
@@ -61,16 +61,16 @@ def outer_distance(phi, psi) -> float:
     return float(value)
 
 
-def independence_radius(os_: OuterSequence) -> float:
-    """Half the lower outer Riesz bound.
+def independence_radius(os_: OuterBatch):
+    """Half the lower outer Riesz bound; for a stacked batch, each frame's.
 
     Any unit-norm perturbation with sum ||phi_i - psi_i||^2 below this
     radius keeps the outer products independent; the resulting bounds are
     perturbed_riesz_bounds(A, B, 2 * eps) as a function of the budget eps.
     """
-    if os_.rank < os_.m:
+    if not np.all(os_.independent):
         raise NotIndependent("independence radius needs independent outer products")
-    return float(os_.gram_spectrum.eigenvalues[-1]) / 2.0
+    return os_.gram_spectrum.eigenvalues[..., -1] / 2.0
 
 
 def rescale_invariance_check(f: Frame, s) -> bool:

@@ -86,7 +86,7 @@ def _batches(frames) -> list:
 
 def _outer_ranks(frames) -> list:
     """``induce(f).rank`` for each frame, from stacked calls."""
-    return [int(batch.ranks[j]) for batch, j in _batches(frames)]
+    return [int(batch.rank[j]) for batch, j in _batches(frames)]
 
 
 def _word_rows(words, starts, width) -> np.ndarray:
@@ -368,10 +368,8 @@ def check_outer_duals():
         os_ = outer.induce(f)
         if os_.rank < m:
             continue
-        duals = outer.outer_duals(f)
-        bio = np.array([[matcore.frobenius_ip(os_.outers[i], duals[j]).real
-                         if cplx else matcore.frobenius_ip(os_.outers[i], duals[j])
-                         for j in range(m)] for i in range(m)])
+        duals = outer.outer_duals(f).reshape(m, -1)
+        bio = np.real(outer.vectorized_synthesis(f).conj() @ duals.T)
         worst = max(worst, float(np.max(np.abs(bio - np.eye(m)))))
         count += 1
     return [_row("outer-duals", "biorthogonality over 100 configurations", worst,
@@ -443,10 +441,9 @@ def check_cross_products():
         g = cons.random_unit(n, n, 9900 + k, field=field)
         if matcore.numerical_rank(gram(f)) < n or matcore.numerical_rank(gram(g)) < n:
             continue
-        duals = outer.cross_duals(f, g)
-        originals = [np.outer(f.vectors[i], g.vectors[j].conj())
-                     for i in range(n) for j in range(n)]
-        bio = np.array([[abs(matcore.frobenius_ip(d, o)) for o in originals] for d in duals])
+        duals = outer.cross_duals(f, g).reshape(n * n, -1)
+        originals = outer._cross_products(f.vectors, g.vectors).reshape(n * n, -1)
+        bio = np.abs(duals.conj() @ originals.T)
         worst_dual = max(worst_dual, float(np.max(np.abs(bio - np.eye(n * n)))))
     return [
         _row("cross-gram-spectrum", "eigenvalue products over 100 pairs", worst_spec,
@@ -690,7 +687,7 @@ def check_perturbation_suite():
             continue
         m, n, field = f.m, f.n, f.field
         cplx = field == "complex"
-        radius = perturb.independence_radius(batch.sequence(i))
+        radius = perturb.independence_radius(batch.take([i]))[0]
         noise = (stream.complex_normals(m * n) if cplx else stream.normals(m * n)).reshape(m, n)
         noise *= 0.9 * np.sqrt(radius) / np.linalg.norm(noise)
         moved = f.vectors + noise

@@ -29,15 +29,14 @@ def independent_prefix(f: Frame) -> tuple:
 def dependence_certificate(os_):
     if os_.rank == os_.m:
         return None
-    prefix = independent_prefix(os_.source)
+    prefix = independent_prefix(os_.frames[0])
     j = next(i for i in range(os_.m) if i not in prefix)
     kept = [i for i in prefix if i < j]
     a = np.zeros(os_.m)
     a[kept] = np.linalg.solve(os_.gram_op[np.ix_(kept, kept)], os_.gram_op[kept, j])
     a[j] = -1.0
     a /= np.linalg.norm(a)
-    resid_matrix = sum(a[i] * os_.outers[i] for i in range(os_.m))
-    residual = float(np.linalg.norm(resid_matrix))
+    residual = float(np.linalg.norm(a @ outer.vectorized_synthesis(os_.frames[0])))
     split = tuple(int(i) for i in np.flatnonzero(a >= 0.0))
     return outer.DependenceCertificate(coefficients=a, residual=residual, split=split)
 

@@ -20,6 +20,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_python(*args):
+    """A new Python process with args (``-m framekit.cli ...`` or ``-c ...``),
+    this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
 def test_construct_simplex(tmp_path, capsys):
     out = tmp_path / "s.json"
     code, _, _ = run_cli(capsys, "construct", "simplex", "--n", "3", "-o", str(out))
@@ -122,11 +132,7 @@ def test_analyze_parse_error_exits_2(tmp_path, capsys):
 def test_analyze_nan_entry_exits_2_without_traceback(tmp_path):
     bad = tmp_path / "nan.json"
     bad.write_text('{"field": "real", "n": 2, "vectors": [[1.0, 0.0], [NaN, 1.0]]}')
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "framekit.cli", "analyze", str(bad)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_python("-m", "framekit.cli", "analyze", str(bad))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "non-finite" in proc.stderr
@@ -144,12 +150,8 @@ def test_sizes_too_large_to_hold_exit_without_traceback(tmp_path, argv, code):
     frame_file = tmp_path / "r.json"
     with frame_file.open("w") as fp:
         ser.write_frame(cons.random_unit(3, 4, 1), fp)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [str(frame_file) if a == "F" else a for a in argv]
-    proc = subprocess.run([sys.executable, "-m", "framekit.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_python("-m", "framekit.cli", *argv)
     assert proc.returncode == code
     assert proc.stdout == "" and proc.stderr.count("\n") == 1
     assert proc.stderr.startswith(f"framekit {argv[0]}: ") and "Traceback" not in proc.stderr
@@ -177,11 +179,7 @@ def test_unwritable_output_path_exits_2_without_traceback(tmp_path, argv):
         ser.write_frame(cons.biangular(3), fp)
     paths = {"F": str(frame_file), "OK": str(tmp_path / "ok.json"),
              "OUT": str(tmp_path / "missing" / "out")}
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "framekit.cli", *[paths.get(a, a) for a in argv]],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_python("-m", "framekit.cli", *[paths.get(a, a) for a in argv])
     assert proc.returncode == 2
     assert proc.stderr == f"framekit: cannot write {paths['OUT']}: No such file or directory\n"
     assert not Path(paths["OK"]).exists()  # all outputs or none
@@ -493,9 +491,6 @@ def test_nudge_eps_whose_budget_underflows(tmp_path, capsys):
 def test_commands_other_than_verify_leave_the_suite_unrun(tmp_path, argv):
     frame_file = tmp_path / "b3.json"
     ser.write_frame(cons.biangular(3), frame_file.open("w"))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     paths = {"F": str(frame_file), "R": str(tmp_path / "report.json")}
     argv = [paths.get(a, a) for a in argv] + ["-o", str(tmp_path / "out.json")]
     # the suite's module is registered but its code has not run: its
@@ -505,19 +500,12 @@ def test_commands_other_than_verify_leave_the_suite_unrun(tmp_path, argv):
               "m = sys.modules['framekit.verify']; "
               "ran = lambda: 'CHECKS' in object.__getattribute__(m, '__dict__'); "
               "before = ran(); m.list_checks(); print(code, before, ran())")
-    proc = subprocess.run([sys.executable, "-c", script, *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_python("-c", script, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False", "True"]
 
 
 def test_cli_import_does_not_load_fractions():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, framekit.cli; print('fractions' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = run_python("-c", "import sys, framekit.cli; print('fractions' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

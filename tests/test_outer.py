@@ -12,10 +12,11 @@ from framekit.errors import (
     NotABasis,
     NotIndependent,
     NotUnitNorm,
+    ShapeMismatch,
     ZeroVector,
 )
 
-from oracles import eig_desc, random_unit_vec, rational_rank_exact
+from oracles import eig_desc, random_self_adjoint, random_unit_vec, rational_rank_exact
 
 
 def frame_of(*rows):
@@ -32,11 +33,12 @@ def random_unit_frame(rng, n, m, cplx=False):
 
 class TestInduce:
     def test_orthonormal(self):
-        os_ = outer.induce(cons.orthonormal(2))
+        f = cons.orthonormal(2)
+        os_ = outer.induce(f)
         np.testing.assert_array_equal(os_.outers[0], np.diag([1.0, 0.0]))
         np.testing.assert_array_equal(os_.outers[1], np.diag([0.0, 1.0]))
         np.testing.assert_array_equal(os_.gram_op, np.eye(2))
-        assert os_.rank == 2 and os_.ambient_dim == 3
+        assert os_.rank == 2 and outer.ambient_outer_dim(f) == 3
 
     def test_epsilon_gram(self):
         os_ = outer.induce(cons.epsilon_pair(0.25))
@@ -136,12 +138,12 @@ class TestInduceBatch:
                 assert spectrum.eigenvalues[i].tobytes() == one.gram_spectrum.eigenvalues.tobytes()
                 assert spectrum.eigenvectors[i].tobytes() == \
                     one.gram_spectrum.eigenvectors.tobytes()
-                assert batch.ranks[i] == one.rank
+                assert batch.rank[i] == one.rank and type(one.rank) is int
                 assert bool(batch.independent[i]) == (one.rank == m)
-                seq = batch.sequence(i)
-                assert seq.source is f and seq.rank == one.rank and type(seq.rank) is int
-                assert seq.ambient_dim == one.ambient_dim
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(seq.outers, one.outers))
+                assert one.independent == (one.rank == m) and one.m == m
+                assert batch.frames[i] is f and one.frames == (f,)
+                assert batch.vectors[i].tobytes() == one.vectors.tobytes()
+                assert batch.outers[i].tobytes() == one.outers.tobytes()
             if m > 1:
                 assert not batch.independent[3]
 
@@ -149,14 +151,15 @@ class TestInduceBatch:
         monkeypatch.setenv("FRAMEKIT_TOL", "0.5")
         frames = self._frames(np.random.default_rng(35), 3, 4, False)
         batch = outer.induce_batch(frames)
-        assert [int(r) for r in batch.ranks] == [outer.induce(f).rank for f in frames]
+        assert [int(r) for r in batch.rank] == [outer.induce(f).rank for f in frames]
 
     def test_independence_radius_from_a_batch_sequence(self):
         frames = self._frames(np.random.default_rng(36), 2, 3, False)
         batch = outer.induce_batch(frames)
-        for i in (0, 1, 2):
-            assert perturb.independence_radius(batch.sequence(i)) == \
-                perturb.independence_radius(outer.induce(frames[i]))
+        rows = [0, 1, 2]
+        radii = perturb.independence_radius(batch.take(rows))
+        assert radii.tolist() == [perturb.independence_radius(outer.induce(frames[i]))
+                                  for i in rows]
 
     def test_mixed_or_empty_input_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -386,6 +389,28 @@ class TestCrossProducts:
             np.testing.assert_allclose(duals[idx], np.outer(tilde[i], tilde[j].conj()),
                                        atol=1e-10)
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_cross_duals_equal_the_per_pair_outer_products(self, cplx):
+        rng = np.random.default_rng(41 + cplx)
+        for n in (2, 3):
+            f = random_unit_frame(rng, n, n, cplx)
+            g = random_unit_frame(rng, n, n, cplx)
+            fd = f.vectors.T @ matcore.spectral_inverse(gram(f))
+            gd = g.vectors.T @ matcore.spectral_inverse(gram(g))
+            want = np.array([np.outer(fd[:, i], gd[:, j].conj())
+                             for i in range(n) for j in range(n)])
+            assert outer.cross_duals(f, g).tobytes() == want.tobytes()
+
+    def test_stacked_cross_products_have_the_cross_gram_order(self):
+        rng = np.random.default_rng(43)
+        f = random_unit_frame(rng, 3, 2, cplx=True)
+        g = random_unit_frame(rng, 3, 4, cplx=True)
+        o = outer._cross_products(f.vectors, g.vectors)
+        assert o.shape == (8, 3, 3)
+        assert o[1 * 4 + 2].tobytes() == np.outer(f.vectors[1], g.vectors[2].conj()).tobytes()
+        o = o.reshape(8, -1)
+        np.testing.assert_allclose(outer.cross_gram(f, g), o.conj() @ o.T, atol=1e-12)
+
     def test_cross_duals_rejects_non_basis(self):
         with pytest.raises(NotABasis):
             outer.cross_duals(cons.simplex(2), cons.simplex(2))
@@ -434,3 +459,111 @@ def test_vectorized_synthesis_equals_stacked_kron_rows(cplx):
         want = np.vstack([np.kron(v, np.conj(v)) for v in f.vectors])
         got = outer.vectorized_synthesis(f)
         assert got.shape == (m, n * n) and got.tobytes() == want.tobytes()
+
+
+def _loop_projection(os_, x):
+    """The per-matrix projection: M frobenius_ip calls, then M additions."""
+    v, w = os_.gram_spectrum.eigenvectors, os_.gram_spectrum.eigenvalues
+    b = np.real([matcore.frobenius_ip(o, x) for o in os_.outers])
+    coeff = v @ ((v.conj().T @ b) / w)
+    out = np.zeros_like(os_.outers[0], dtype=np.result_type(x, os_.outers[0]))
+    for c, o in zip(coeff, os_.outers):
+        out = out + c * o
+    return out
+
+
+def _dependent_frame(rng, n, m, cplx):
+    f = random_unit_frame(rng, n, m, cplx)
+    v = f.vectors.copy()
+    v[-1] = v[1] * (np.exp(0.3j) if cplx else -1.0)  # same outer product
+    return Frame(field=f.field, vectors=v)
+
+
+class TestProductsWithTheVectorizedSynthesis:
+    """Each sum over the outer products is one product with the vectorized
+    synthesis S, against the per-matrix loop it replaced, kept here inline.
+    The two differ only in summation order; the frames here have outer Grams
+    of condition number below 1e4, so they agree within RTOL of the norm
+    of the reference (observed: below 3e-15)."""
+
+    RTOL = 1e-11
+    SHAPES = [(2, 3, False), (3, 5, False), (3, 6, False), (2, 3, True), (2, 4, True),
+              (3, 7, True)]
+    BASES = [(2, 2, False), (3, 2, False), (4, 4, False), (2, 2, True), (3, 3, True)]
+
+    def close(self, got, want):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= self.RTOL * max(np.linalg.norm(want), 1.0)
+
+    def independent_frames(self, seed, shapes):
+        rng = np.random.default_rng(seed)
+        for n, m, cplx in shapes:
+            f = random_unit_frame(rng, n, m, cplx)
+            os_ = outer.induce(f)
+            assert os_.rank == m and np.linalg.cond(os_.gram_op) < 1e4
+            yield f, os_
+
+    def test_projection_equals_the_loop(self):
+        rng = np.random.default_rng(70)
+        for f, os_ in self.independent_frames(71, self.SHAPES):
+            xs = np.array([random_self_adjoint(rng, f.n, f.field == "complex")
+                           for _ in range(3)])
+            for x in xs:
+                self.close(outer.project_onto_outer_span(os_, x), _loop_projection(os_, x))
+            stacked = outer.project_onto_outer_span(os_, xs)
+            assert stacked.shape == xs.shape
+            for got, x in zip(stacked, xs):
+                self.close(got, _loop_projection(os_, x))
+
+    def test_duals_equal_the_per_dual_loop(self):
+        # the vectors themselves must be independent, so M <= N
+        for f, os_ in self.independent_frames(72, self.BASES):
+            dual_cols = f.vectors.T @ np.linalg.inv(gram(f))
+            want = np.array([_loop_projection(os_, np.outer(dv, dv.conj()))
+                             for dv in dual_cols.T])
+            self.close(outer.outer_duals(f), want)
+
+    def test_residual_and_split_equal_the_loops(self):
+        rng = np.random.default_rng(75)
+        for n, m, cplx in self.SHAPES:
+            f = _dependent_frame(rng, n, m, cplx)
+            os_ = outer.induce(f)
+            cert = outer.dependence_certificate(os_)
+            a = cert.coefficients
+            residual = float(np.linalg.norm(sum(a[i] * os_.outers[i] for i in range(m))))
+            assert abs(cert.residual - residual) <= 1e-14
+            want_pos = np.zeros((n, n), dtype=os_.outers.dtype)
+            want_neg = np.zeros((n, n), dtype=os_.outers.dtype)
+            for i, ai in enumerate(a):
+                if i in cert.split:
+                    want_pos += ai * os_.outers[i]
+                else:
+                    want_neg += -ai * os_.outers[i]
+            s_pos, s_neg = outer.split_frame_operators(os_, cert)
+            assert s_pos.dtype == want_pos.dtype and s_neg.dtype == want_neg.dtype
+            self.close(s_pos, want_pos)
+            self.close(s_neg, want_neg)
+
+    def test_projection_keeps_its_shape_check(self):
+        f = cons.random_unit(2, 3, 76)
+        os_ = outer.induce(f)
+        for bad in (np.eye(3), np.ones((1, 4)), np.ones(4)):
+            with pytest.raises(ShapeMismatch):
+                outer.project_onto_outer_span(os_, bad)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_spectral_solve_takes_a_vector_or_a_matrix_right_side(k):
+    # distinct eigenvalues, so dividing along the wrong axis cannot pass;
+    # k = 5 is the square case, where it would not raise either
+    rng = np.random.default_rng(77)
+    q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    g = q @ np.diag([8.0, 4.0, 2.0, 1.0, 0.5]) @ q.T
+    spectrum = matcore.hermitian_eig(g)
+    b = rng.standard_normal((5, k))
+    got = outer._spectral_solve(spectrum, b)
+    assert got.shape == (5, k)
+    np.testing.assert_allclose(g @ got, b, atol=1e-12)
+    for j in range(k):
+        np.testing.assert_allclose(outer._spectral_solve(spectrum, b[:, j]), got[:, j],
+                                   atol=1e-12)

@@ -152,7 +152,7 @@ def reference_outer_bound_extremes():
     worst_upper = -np.inf
     worst_lower = -np.inf
     for os_ in cases:
-        m, n = os_.m, os_.source.n
+        m, n = os_.m, os_.frames[0].n
         w = os_.gram_spectrum.eigenvalues
         worst_upper = max(worst_upper, m / n - w[0])
         if m > n:
