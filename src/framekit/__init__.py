@@ -76,6 +76,7 @@ from .outer import (
     is_independent,
     optimal_bound_report,
     outer_duals,
+    outer_duals_of,
     outer_riesz_bounds,
     sparsity_check,
 )

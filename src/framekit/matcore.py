@@ -119,10 +119,15 @@ def hermitian_eigvalues(a) -> np.ndarray:
 
 def spectral_inverse(a) -> np.ndarray:
     """a^{-1} of a self-adjoint positive definite matrix as V diag(1/w) V*,
-    from ``hermitian_eig``."""
+    from ``hermitian_eig``; a (K, n, n) stack gives its K inverses from one
+    call, each bit for bit that of its matrix alone.
+
+    V diag(1/w) is formed as the column scaling V * (1/w): each entry is the
+    one product that a matmul with the diagonal matrix sums with zeros.
+    """
     sd = hermitian_eig(a)
     v = sd.eigenvectors
-    return v @ np.diag(1.0 / sd.eigenvalues) @ v.conj().T
+    return (v * (1.0 / sd.eigenvalues)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def singular_values(a) -> np.ndarray:
@@ -157,6 +162,16 @@ def row_norms(z) -> np.ndarray:
     z = np.asarray(z)
     parts = (z.real, z.imag) if np.iscomplexobj(z) else (z,)
     return np.sqrt(sum((p[..., None, :] @ p[..., :, None])[..., 0, 0] for p in parts))
+
+
+def scalar_square(x):
+    """x ** 2 of each entry, bit for bit as a Python or numpy scalar forms it.
+
+    A scalar's ** 2 is libm ``pow``, an array's is a product, and the two
+    differ in the last bit for about one value in a thousand; ``float_power``
+    calls ``pow`` on every entry.
+    """
+    return np.float_power(x, 2)
 
 
 def default_rank_tol(shape: tuple[int, int], sigma_max: float) -> float:
@@ -228,8 +243,12 @@ def hadamard(a, b) -> np.ndarray:
 
 
 def kronecker(a, b) -> np.ndarray:
-    """Block matrix [a[i,j] * b]."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Block matrix [a[i,j] * b], in the product order of ``np.kron``; for
+    (..., m, n) and (..., p, q) stacks, the (..., m p, n q) block matrix of
+    each pair of matrices."""
+    a, b = as_stack(a), as_stack(b)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def frobenius_ip(s, t):

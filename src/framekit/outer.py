@@ -11,7 +11,8 @@ no leading axis, ``induce_batch`` those of K frames stacked along one.
 Every sum over the outer products is one product with S: a certificate's
 residual is a^T S, the split frame operators are two coefficient vectors
 times S, and projections onto the span (the outer duals included) solve
-one system in the outer Gram for all their right sides at once.
+one system in the outer Gram for all their right sides at once, one per
+frame of a stacked batch.
 """
 
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .errors import (
     ShapeMismatch,
     ZeroVector,
 )
-from .frame import BoundsReport, Frame, _bounds_report, gram, synthesis, vector_gram
+from .frame import BoundsReport, Frame, _bounds_report, vector_gram
 
 ZERO_ENTRY_TOL = 1e-12
 
@@ -56,10 +57,16 @@ def _outer_products(v: np.ndarray) -> np.ndarray:
 
 
 def _cross_products(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The (M L, N, N) cross products u_i w_j* of (M, N) and (L, N) vector
-    rows, u_i w_j* at row i L + j."""
-    n = u.shape[1]
-    return (u[:, None, :, None] * w.conj()[None, :, None, :]).reshape(-1, n, n)
+    """The (..., M L, N, N) cross products u_i w_j* of (..., M, N) and
+    (..., L, N) vector rows, u_i w_j* at row i L + j."""
+    n = u.shape[-1]
+    out = u[..., :, None, :, None] * w.conj()[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (-1, n, n))
+
+
+def _vectorized(v: np.ndarray) -> np.ndarray:
+    """The (..., M, N^2) vectorized outer products of (..., M, N) vector rows."""
+    return _outer_products(v).reshape(v.shape[:-1] + (-1,))
 
 
 @dataclass(frozen=True)
@@ -131,7 +138,7 @@ def induce_batch(frames) -> OuterBatch:
 
 def vectorized_synthesis(f: Frame) -> np.ndarray:
     """M x N^2 matrix whose rows are the vectorized outer products."""
-    return _outer_products(f.vectors).reshape(f.m, -1)
+    return _vectorized(f.vectors)
 
 
 def is_independent(os_: OuterBatch) -> bool:
@@ -335,75 +342,115 @@ def optimal_bound_report(os_: OuterBatch) -> OptimalBoundReport:
 
 
 def _spectral_solve(spectrum: matcore.SpectralData, b: np.ndarray) -> np.ndarray:
-    """G^{-1} b from G's eigendecomposition V diag(w) V*, for an (M,) vector b
-    or an (M, K) matrix b of K right sides."""
+    """G^{-1} b from G's eigendecomposition V diag(w) V*, for G one matrix or
+    a (..., M, M) stack, and b one (..., M) vector or an (..., M, K) matrix
+    of K right sides per matrix."""
     v, w = spectrum.eigenvectors, spectrum.eigenvalues
-    return v @ ((v.conj().T @ b) / w.reshape(w.shape + (1,) * (b.ndim - 1)))
+    if b.ndim == w.ndim:  # one right side per matrix, solved as a column
+        return _spectral_solve(spectrum, b[..., None])[..., 0]
+    return v @ ((v.conj().swapaxes(-1, -2) @ b) / w[..., None])
+
+
+def _projections(os_: OuterBatch, x: np.ndarray) -> np.ndarray:
+    """The projections onto the outer span of (..., K, N^2) vectorized
+    self-adjoint rows x, one set of K per frame of os_.
+
+    With S the vectorized synthesis and G = S S* the outer Gram, the
+    coefficients of the projections are C = G^{-1} Re(conj(S) X^T), and
+    the projections are C^T S.
+    """
+    s = _vectorized(os_.vectors)
+    b = np.real(s.conj() @ x.swapaxes(-1, -2))
+    return _spectral_solve(os_.gram_spectrum, b).swapaxes(-1, -2) @ s
 
 
 def project_onto_outer_span(os_: OuterBatch, x) -> np.ndarray:
     """Frobenius-orthogonal projection of a self-adjoint N x N x, or of each
-    matrix of a (..., N, N) stack, onto span{phi_i phi_i*}.
-
-    With S the vectorized synthesis and G = S S* the outer Gram, the
-    coefficients of the projections are C = G^{-1} Re(conj(S) X^T), for
-    the rows X of the vectorized x, and the projections are C^T S.
-    """
+    matrix of a (..., N, N) stack, onto span{phi_i phi_i*} of one frame."""
     if os_.rank < os_.m:
         raise NotIndependent("projection onto the span needs independent outer products")
     f = os_.frames[0]
     x = matcore.as_stack(x)
     if x.shape[-2:] != (f.n, f.n):
         raise ShapeMismatch(f"x has shape {x.shape}, the outer products are {f.n} x {f.n}")
-    s = vectorized_synthesis(f)
-    b = np.real(s.conj() @ x.reshape(-1, f.n * f.n).T)
-    return (_spectral_solve(os_.gram_spectrum, b).T @ s).reshape(x.shape)
+    return _projections(os_, x.reshape(-1, f.n * f.n)).reshape(x.shape)
+
+
+def _vector_ranks(v: np.ndarray):
+    """``matcore.numerical_rank`` of the vector Gram of (..., M, N) vector
+    rows, per frame, from one stacked SVD."""
+    g = vector_gram(v)
+    return matcore.rank_from_singular_values(matcore.stacked_singular_values(g), g.shape[-2:])
+
+
+def _dual_vectors(v: np.ndarray) -> np.ndarray:
+    """The (..., M, N) biorthogonal vectors within the span of independent
+    (..., M, N) vector rows: the columns of T G^{-1}, per frame."""
+    return (v.swapaxes(-1, -2) @ matcore.spectral_inverse(vector_gram(v))).swapaxes(-1, -2)
+
+
+def outer_duals_of(os_: OuterBatch) -> np.ndarray:
+    """Biorthogonal systems for independent outer products: (M, N, N) for
+    ``induce(f)``, (K, M, N, N) for a stacked ``induce_batch``.
+
+    Takes the biorthogonal vectors of each frame, forms their outer
+    products, and projects them onto the span of the original outers in
+    one solve per frame, all frames in stacked calls.  Without the
+    projection the candidates fail to lie in the span.  NotIndependent
+    when the vectors of some frame, or their outer products, are dependent.
+    """
+    if np.any(_vector_ranks(os_.vectors) < os_.m):
+        raise NotIndependent("the vectors themselves must be independent")
+    if np.any(os_.rank < os_.m):
+        raise NotIndependent("the outer products must be independent")
+    duals = _vectorized(_dual_vectors(os_.vectors))
+    n = os_.vectors.shape[-1]
+    return _projections(os_, duals).reshape(duals.shape[:-1] + (n, n))
 
 
 def outer_duals(f: Frame) -> np.ndarray:
-    """Biorthogonal system for independent outer products, as an (M, N, N) stack.
-
-    Takes the biorthogonal vectors of the frame, forms their outer
-    products, and projects them onto the span of the original outers in
-    one solve.  Without the projection the candidates fail to lie in the
-    span.
-    """
-    g = gram(f)
-    if matcore.numerical_rank(g) < f.m:
-        raise NotIndependent("the vectors themselves must be independent")
-    os_ = induce(f)
-    if os_.rank < os_.m:
-        raise NotIndependent("the outer products must be independent")
-    # biorthogonal vectors within the span: columns of T G^{-1}
-    dual_cols = synthesis(f) @ matcore.spectral_inverse(g)
-    return project_onto_outer_span(os_, _outer_products(dual_cols.T))
+    """Biorthogonal system for independent outer products, as an (M, N, N)
+    stack: ``outer_duals_of(induce(f))``."""
+    return outer_duals_of(induce(f))
 
 
-def cross_gram(f: Frame, g: Frame) -> np.ndarray:
-    """Gram matrix of all cross outer products phi_i psi_j*.
+def _rows(f) -> np.ndarray:
+    """The vector rows of a frame, or an (..., M, N) stack of them as given."""
+    return f.vectors if isinstance(f, Frame) else np.asarray(f)
+
+
+def _common_space(u: np.ndarray, w: np.ndarray) -> None:
+    if u.shape[-1] != w.shape[-1] or np.iscomplexobj(u) != np.iscomplexobj(w):
+        raise DimensionMismatch("cross products need a common ambient space")
+
+
+def cross_gram(f, g) -> np.ndarray:
+    """Gram matrix of all cross outer products phi_i psi_j* of two frames,
+    or of each pair of frames of two (..., M, N) and (..., L, N) stacks of
+    vector rows of one field.
 
     Equals kron(gram(f), gram(g).T) for the row-major ordering
     (phi_1 psi_1*, phi_1 psi_2*, ..., phi_M psi_L*).
     """
-    if f.n != g.n or f.field != g.field:
-        raise DimensionMismatch("cross products need a common ambient space")
-    return matcore.kronecker(gram(f), gram(g).T)
+    u, w = _rows(f), _rows(g)
+    _common_space(u, w)
+    return matcore.kronecker(vector_gram(u), vector_gram(w).swapaxes(-1, -2))
 
 
-def cross_duals(f: Frame, g: Frame) -> np.ndarray:
+def cross_duals(f, g) -> np.ndarray:
     """Dual basis {dual(phi)_i dual(psi)_j*} of the cross products of two
-    bases, as an (N^2, N, N) stack in the order of ``cross_gram``.
+    bases, as an (N^2, N, N) stack in the order of ``cross_gram``; for two
+    (..., N, N) stacks of basis rows, an (..., N^2, N, N) stack per pair.
 
     No projection is needed here: the cross products of two bases span
     the full N x N matrix space.
     """
-    if f.n != g.n or f.field != g.field:
-        raise DimensionMismatch("cross products need a common ambient space")
-    if f.m != f.n or g.m != g.n:
+    u, w = _rows(f), _rows(g)
+    _common_space(u, w)
+    n = u.shape[-1]
+    if u.shape[-2] != n or w.shape[-2] != n:
         raise NotABasis("cross duals are defined for bases (M = N)")
-    for h in (f, g):
-        if matcore.numerical_rank(gram(h)) < h.n:
+    for h in (u, w):
+        if np.any(_vector_ranks(h) < n):
             raise NotABasis("input vectors do not form a basis")
-    fd = synthesis(f) @ matcore.spectral_inverse(gram(f))
-    gd = synthesis(g) @ matcore.spectral_inverse(gram(g))
-    return _cross_products(fd.T, gd.T)
+    return _cross_products(_dual_vectors(u), _dual_vectors(w))

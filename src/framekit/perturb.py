@@ -7,7 +7,8 @@ operation documents which one it enforces.
 """
 
 import math
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -26,39 +27,46 @@ from .frame import UNIT_NORM_TOL, Frame
 from .outer import OuterBatch, _GreedyScan, ambient_outer_dim, induce
 
 
-def perturbed_riesz_bounds(a: float, b: float, eps_sq: float) -> tuple:
-    """Riesz bound envelope after a perturbation of squared size eps_sq.
+def perturbed_riesz_bounds(a, b, eps_sq) -> tuple:
+    """Riesz bound envelope after a perturbation of squared size eps_sq;
+    for arrays a, b and eps_sq, the envelope of each entry.
 
     A Riesz sequence with bounds (a, b) stays Riesz under any perturbation
     with sum ||phi_i - psi_i||^2 < eps_sq < a, with bounds
     ((sqrt(a) - eps)^2, (sqrt(b) + eps)^2) for eps = sqrt(eps_sq).
     """
-    if not 0.0 < a <= b:
+    if not np.all((0.0 < a) & (a <= b)):
         raise BadParam("need 0 < a <= b")
-    if eps_sq >= a:
+    if np.any(eps_sq >= a):
         raise BudgetTooLarge(f"squared budget {eps_sq} must stay below the lower bound {a}")
     eps = np.sqrt(eps_sq)
-    return (np.sqrt(a) - eps) ** 2, (np.sqrt(b) + eps) ** 2
+    return matcore.scalar_square(np.sqrt(a) - eps), matcore.scalar_square(np.sqrt(b) + eps)
 
 
-def outer_distance(phi, psi) -> float:
-    """||phi phi* - psi psi*||_F^2 for unit vectors, as 2(1 - |<phi, psi>|^2).
+def outer_distance(phi, psi):
+    """||phi phi* - psi psi*||_F^2 for unit vectors, as 2(1 - |<phi, psi>|^2):
+    a float for two vectors, an (...,) array for two (..., N) stacks of them,
+    pair by pair.
 
     Checks the closed form against its bound 2||phi - psi||^2 and fails
-    loudly if the inequality is violated.
+    loudly if the inequality is violated; both checks hold for every pair.
+    Each value is bit for bit what ``np.vdot``, ``np.linalg.norm`` and
+    scalar arithmetic give on its pair alone: the inner product is a matmul
+    dot, its modulus a hypot (numpy's scalar abs), the norms come from
+    ``matcore.row_norms``, and the squares are ``matcore.scalar_square``.
     """
-    phi = np.asarray(phi).reshape(-1)
-    psi = np.asarray(psi).reshape(-1)
-    if not (abs(np.linalg.norm(phi) - 1.0) <= UNIT_NORM_TOL
-            and abs(np.linalg.norm(psi) - 1.0) <= UNIT_NORM_TOL):  # a NaN norm fails too
+    phi, psi = np.asarray(phi), np.asarray(psi)
+    if not (np.all(np.abs(matcore.row_norms(phi) - 1.0) <= UNIT_NORM_TOL)
+            and np.all(np.abs(matcore.row_norms(psi) - 1.0) <= UNIT_NORM_TOL)):  # NaN fails
         raise NotUnitNorm("outer_distance is stated for unit vectors")
-    ip = np.vdot(psi, phi)  # <phi, psi>
-    value = 2.0 * (1.0 - abs(ip) ** 2)
-    bound = 2.0 * float(np.linalg.norm(phi - psi)) ** 2
-    if value > bound + 1e-12:
-        raise InternalInconsistency(
-            f"closed form {value} exceeds the distance bound {bound}")
-    return float(value)
+    ip = (psi.conj()[..., None, :] @ phi[..., :, None])[..., 0, 0]  # <phi, psi>
+    value = 2.0 * (1.0 - matcore.scalar_square(np.hypot(ip.real, ip.imag)))
+    bound = 2.0 * matcore.scalar_square(matcore.row_norms(phi - psi))
+    if np.any(value > bound + 1e-12):
+        worst = np.argmax(value - bound)
+        raise InternalInconsistency(f"closed form {value.flat[worst]} exceeds the distance "
+                                    f"bound {bound.flat[worst]}")
+    return float(value) if value.ndim == 0 else value
 
 
 def independence_radius(os_: OuterBatch):
@@ -194,8 +202,9 @@ def nearby_independent_basis(psi, eps: float) -> list:
 
 
 def movement(f: Frame, g: Frame) -> float:
-    """sum_i ||g_i - f_i||, the metric the density repair budgets."""
-    return float(sum(np.linalg.norm(g.vectors[i] - f.vectors[i]) for i in range(f.m)))
+    """sum_i ||g_i - f_i||, the metric the density repair budgets, summed
+    left to right."""
+    return float(reduce(operator.add, matcore.row_norms(g.vectors - f.vectors)))
 
 
 def nudge_to_independence(f: Frame, eps: float) -> Frame:

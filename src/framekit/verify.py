@@ -7,14 +7,17 @@ subcommand runs them all and exits non-zero on any failure; the pytest
 acceptance module drives the same functions.  All randomness comes from
 the package's own counter-based generator so every run is identical.
 
-Monte Carlo corpora are drawn in blocks (one counter-word mix per block
-of seeds or of stream words) and decided by stacked LAPACK calls per
-(frame shape, field): every frame, vector and verdict is bit for bit what
-case-by-case evaluation gives, so the rows are the same either way.  The
-classifier corpus is prepared and classified one shape group at a time
-(``geometry.prepare_batch`` and ``classify_frames``).  Each forward case
-of ``psd-extension-roundtrip`` draws the same words whatever its outcome,
-so its corpus is one block of words.
+Every Monte Carlo check is stacked.  Its frames are drawn in blocks (one
+counter-word mix per (n, m, field) of seeds), its stream draws are one
+``raw`` block cut by per-case widths (a case that a filter skips draws
+nothing, so the widths are set after the filters), and its filters and
+decisions are stacked LAPACK calls per (frame shape, field): every frame,
+vector and verdict is bit for bit what case-by-case evaluation gives, so
+the rows are the same either way.  The classifier corpus is prepared and
+classified one shape group at a time (``geometry.prepare_batch`` and
+``classify_frames``), and the outer duals come from ``outer.outer_duals_of``
+on the kept frames' ``induce_batch`` state.  Each forward case of
+``psd-extension-roundtrip`` draws the same words whatever its outcome.
 
 Ranks that LAPACK computes are checked against an exact oracle,
 ``rational_rank``: fraction-free (Bareiss) elimination over Python
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import constructions as cons
 from . import geometry, matcore, outer, perturb
-from .frame import Frame, gram, riesz_bounds, vector_gram
+from .frame import Frame, riesz_bounds, vector_gram
 from .rng import Stream, box_muller, normal_words, unit_rows, unit_vectors, word_uniforms
 
 
@@ -57,14 +60,22 @@ def _index_groups(keys) -> dict:
     return groups
 
 
+def _random_stacks(specs) -> list:
+    """The vectors of ``random_unit(n, m, seed, field)`` for the specs
+    (n, m, seed, field): per (n, m, field), in order of first sight, the
+    indices of its specs and their (K, m, n) vectors, drawn in one block."""
+    groups = _index_groups((n, m, field) for n, m, _, field in specs)
+    return [(np.array(idx), cons.random_unit_stack(n, m, [specs[i][2] for i in idx], field))
+            for (n, m, field), idx in groups.items()]
+
+
 def _random_frames(specs) -> list:
     """``random_unit(n, m, seed, field)`` for each spec (n, m, seed, field),
     in order; the seeds of one (n, m, field) are drawn in one block."""
     frames = [None] * len(specs)
-    for (n, m, field), idx in _index_groups((n, m, field) for n, m, _, field in specs).items():
-        block = cons.random_unit_stack(n, m, [specs[i][2] for i in idx], field)
+    for idx, block in _random_stacks(specs):
         for i, v in zip(idx, block):
-            frames[i] = Frame(field=field, vectors=v)
+            frames[i] = Frame(field=specs[i][3], vectors=v)
     return frames
 
 
@@ -89,6 +100,13 @@ def _outer_ranks(frames) -> list:
     return [int(batch.rank[j]) for batch, j in _batches(frames)]
 
 
+def _case_words(stream, widths) -> tuple:
+    """One raw block for cases that draw widths[i] words each, in order: the
+    words, and where the run of each case starts in them."""
+    widths = np.asarray(widths, dtype=int)
+    return stream.raw(int(widths.sum())), np.cumsum(widths) - widths
+
+
 def _word_rows(words, starts, width) -> np.ndarray:
     """A (len(starts), width) block whose row i is words[starts[i]:][:width]."""
     return words[np.asarray(starts)[:, None] + np.arange(width)]
@@ -97,9 +115,7 @@ def _word_rows(words, starts, width) -> np.ndarray:
 def _unit_vector_draws(stream, shapes) -> list:
     """For each (n, cplx) of shapes, in order, what successive
     ``unit_vectors(stream, 1, n, cplx)[0]`` calls give, from one raw block."""
-    widths = np.array([normal_words(n, cplx) for n, cplx in shapes], dtype=int)
-    starts = np.cumsum(widths) - widths
-    words = stream.raw(int(widths.sum()))
+    words, starts = _case_words(stream, [normal_words(n, cplx) for n, cplx in shapes])
     out = [None] * len(shapes)
     for (n, cplx), idx in _index_groups(shapes).items():
         block = unit_rows(_word_rows(words, starts[idx], normal_words(n, cplx)), n, cplx)
@@ -207,11 +223,13 @@ def check_hadamard_gram():
     specs = [(2 + k % 3, 2 + (k // 2) % 4, 3000 + k, "complex" if k % 2 else "real")
              for k in range(500)]
     frames = _random_frames(specs)
-    for k in range(0, 500, 3):
-        # non-unit norms so the diagonal envelope is exercised
+    # non-unit norms so the diagonal envelope is exercised: every third frame
+    # takes its m scales in turn from one block of uniforms
+    scaled = range(0, 500, 3)
+    ms = [frames[k].m for k in scaled]
+    for k, u in zip(scaled, np.split(stream.uniforms(sum(ms)), np.cumsum(ms)[:-1])):
         f = frames[k]
-        scales = 0.5 + stream.uniforms(f.m)
-        frames[k] = Frame(field=f.field, vectors=f.vectors * scales[:, None])
+        frames[k] = Frame(field=f.field, vectors=f.vectors * (0.5 + u)[:, None])
     worst_id = 0.0
     worst_env = -np.inf
     for batch, _ in _induce_groups(frames):
@@ -353,25 +371,29 @@ def check_eij_ranks():
 # dual systems
 
 
+def _outer_duals_spec(k):
+    n = 2 + k % 2
+    return n, 2 + k % n if n > 2 else 2, 8000 + k, "complex" if k % 2 else "real"
+
+
 def check_outer_duals():
+    # the first 100 k whose vectors and outer products are independent, drawn
+    # in blocks just large enough to reach 100 if every frame is
     worst = 0.0
-    count = 0
-    k = 0
+    count = k = 0
     while count < 100:
-        cplx = k % 2 == 1
-        n = 2 + k % 2
-        m = 2 + k % n if n > 2 else 2
-        f = cons.random_unit(n, m, 8000 + k, field="complex" if cplx else "real")
-        k += 1
-        if matcore.numerical_rank(gram(f)) < m:
-            continue
-        os_ = outer.induce(f)
-        if os_.rank < m:
-            continue
-        duals = outer.outer_duals(f).reshape(m, -1)
-        bio = np.real(outer.vectorized_synthesis(f).conj() @ duals.T)
-        worst = max(worst, float(np.max(np.abs(bio - np.eye(m)))))
-        count += 1
+        ks = range(k, k + 100 - count)
+        for batch, _ in _induce_groups(_random_frames([_outer_duals_spec(j) for j in ks])):
+            m = batch.m
+            kept = np.flatnonzero((outer._vector_ranks(batch.vectors) == m) & batch.independent)
+            if not len(kept):
+                continue
+            batch = batch.take(kept)
+            duals = outer.outer_duals_of(batch).reshape(len(kept), m, -1)
+            bio = np.real(outer._vectorized(batch.vectors).conj() @ duals.swapaxes(-1, -2))
+            worst = max(worst, float(np.max(np.abs(bio - np.eye(m)))))
+            count += len(kept)
+        k = ks.stop
     return [_row("outer-duals", "biorthogonality over 100 configurations", worst,
                  "identity", 1e-9, worst <= 1e-9)]
 
@@ -380,8 +402,8 @@ def check_unprojected_dual():
     stream = Stream(860)
     worst_det = 0.0
     least_residual = np.inf
-    for _ in range(20):
-        alpha = 0.2 + 1.1 * float(stream.uniforms(1)[0])  # angle away from 0 and pi/2
+    for u in stream.uniforms(20):
+        alpha = 0.2 + 1.1 * float(u)  # angle away from 0 and pi/2
         phi1 = np.array([1.0, 0.0])
         phi2 = np.array([np.cos(alpha), np.sin(alpha)])
         f = Frame.from_vectors(np.array([phi1, phi2]))
@@ -409,41 +431,55 @@ def check_unprojected_dual():
 # cross products
 
 
+def _pair_stacks(specs_f, specs_g) -> list:
+    """The random frame pairs of two spec lists, stacked per (shape of f,
+    shape of g, field): (K, M, N) and (K, L, N) vectors each, drawn in blocks."""
+    u, w = [None] * len(specs_f), [None] * len(specs_g)
+    for specs, out in ((specs_f, u), (specs_g, w)):
+        for idx, block in _random_stacks(specs):
+            for i, v in zip(idx, block):
+                out[i] = v
+    groups = _index_groups((a.shape, b.shape, a.dtype) for a, b in zip(u, w))
+    return [(np.stack([u[i] for i in idx]), np.stack([w[i] for i in idx]))
+            for idx in groups.values()]
+
+
 def check_cross_products():
     worst_spec = 0.0
     worst_bounds = 0.0
+    specs_f, specs_g = [], []
     for k in range(100):
-        cplx = k % 2 == 1
         n = 2 + k % 2
-        mf = 2 + k % 2
-        mg = 2 + (k // 2) % 2
-        field = "complex" if cplx else "real"
-        f = cons.random_unit(n, min(mf, n), 9000 + k, field=field)
-        g = cons.random_unit(n, min(mg, n), 9500 + k, field=field)
-        h = outer.cross_gram(f, g)
-        wf = matcore.hermitian_eigvalues(gram(f))
-        wg = matcore.hermitian_eigvalues(gram(g))
-        products = np.sort(np.outer(wf, wg).ravel())[::-1]
-        wh = matcore.hermitian_eigvalues(h)
+        field = "complex" if k % 2 else "real"
+        specs_f.append((n, min(2 + k % 2, n), 9000 + k, field))
+        specs_g.append((n, min(2 + (k // 2) % 2, n), 9500 + k, field))
+    for u, w in _pair_stacks(specs_f, specs_g):
+        wf = matcore.hermitian_eigvalues(vector_gram(u))
+        wg = matcore.hermitian_eigvalues(vector_gram(w))
+        products = np.sort((wf[:, :, None] * wg[:, None, :]).reshape(len(u), -1))[:, ::-1]
+        wh = matcore.hermitian_eigvalues(outer.cross_gram(u, w))
         worst_spec = max(worst_spec, float(np.max(np.abs(wh - products))))
-        if matcore.numerical_rank(gram(f)) == f.m and matcore.numerical_rank(gram(g)) == g.m:
-            fb = riesz_bounds(f)
-            gb = riesz_bounds(g)
-            worst_bounds = max(worst_bounds,
-                               abs(wh[-1] - fb.lower * gb.lower),
-                               abs(wh[0] - fb.upper * gb.upper))
+        # the Riesz bounds of the pairs with independent vectors: the extreme
+        # eigenvalues of each Gram, as riesz_bounds reads them
+        riesz = (outer._vector_ranks(u) == u.shape[1]) & (outer._vector_ranks(w) == w.shape[1])
+        ends = np.abs(wh[:, [-1, 0]] - wf[:, [-1, 0]] * wg[:, [-1, 0]])[riesz]
+        worst_bounds = max(worst_bounds, float(np.max(ends, initial=0.0)))
     worst_dual = 0.0
+    specs_f, specs_g = [], []
     for k in range(20):
-        cplx = k % 2 == 1
         n = 2 + k % 2
-        field = "complex" if cplx else "real"
-        f = cons.random_unit(n, n, 9800 + k, field=field)
-        g = cons.random_unit(n, n, 9900 + k, field=field)
-        if matcore.numerical_rank(gram(f)) < n or matcore.numerical_rank(gram(g)) < n:
+        field = "complex" if k % 2 else "real"
+        specs_f.append((n, n, 9800 + k, field))
+        specs_g.append((n, n, 9900 + k, field))
+    for u, w in _pair_stacks(specs_f, specs_g):
+        n = u.shape[-1]
+        bases = (outer._vector_ranks(u) == n) & (outer._vector_ranks(w) == n)
+        if not bases.any():
             continue
-        duals = outer.cross_duals(f, g).reshape(n * n, -1)
-        originals = outer._cross_products(f.vectors, g.vectors).reshape(n * n, -1)
-        bio = np.abs(duals.conj() @ originals.T)
+        u, w = u[bases], w[bases]
+        duals = outer.cross_duals(u, w).reshape(len(u), n * n, -1)
+        originals = outer._cross_products(u, w).reshape(len(u), n * n, -1)
+        bio = np.abs(duals.conj() @ originals.swapaxes(-1, -2))
         worst_dual = max(worst_dual, float(np.max(np.abs(bio - np.eye(n * n)))))
     return [
         _row("cross-gram-spectrum", "eigenvalue products over 100 pairs", worst_spec,
@@ -492,8 +528,7 @@ def _psd_forward_failures(stream, count) -> tuple:
     """
     parts = np.array([_psd_forward_words(k) for k in range(count)])
     widths = parts.sum(axis=1)
-    words = stream.raw(int(widths.sum()))
-    starts = np.cumsum(widths) - widths
+    words, starts = _case_words(stream, widths)
     forward = offfam = 0
     for (n, r, cplx), ks in _index_groups(_psd_case(k) for k in range(count)).items():
         basis_w, lam_w, coef_w, leak_w = np.split(
@@ -638,67 +673,96 @@ def check_mu2_mu4_probe():
 # perturbation envelopes
 
 
-def check_perturbation_suite():
-    stream = Stream(1300)
-    # k = 2j draws a real (phi, psi), k = 2j + 1 a complex one: one block of
-    # words, each row holding a real pair and then a complex pair
+def _outer_distance_gap(stream) -> float:
+    """The largest outer_distance(phi, psi) - 2||phi - psi||^2 over 1000
+    pairs: k = 2j draws a real (phi, psi), k = 2j + 1 a complex one, from one
+    block of words, each row holding a real pair and then a complex pair."""
     w_real, w_cplx = 2 * normal_words(3, False), 2 * normal_words(3, True)
     words = stream.raw(500 * (w_real + w_cplx)).reshape(500, w_real + w_cplx)
     real_pairs = unit_rows(words[:, :w_real].reshape(1000, -1), 3, False).reshape(500, 2, 3)
     cplx_pairs = unit_rows(words[:, w_real:].reshape(1000, -1), 3, True).reshape(500, 2, 3)
-    worst_gap = -np.inf
-    for k in range(1000):
-        phi, psi = (cplx_pairs if k % 2 else real_pairs)[k // 2]
-        d = perturb.outer_distance(phi, psi)
-        worst_gap = max(worst_gap, d - 2 * float(np.linalg.norm(phi - psi)) ** 2)
-    rows = [_row("outer-distance-bound", "closed form under 2||phi-psi||^2 (1000 pairs)",
-                 worst_gap, "<= 0", 1e-12, worst_gap <= 1e-12)]
+    worst = -np.inf
+    for phi, psi in (real_pairs.swapaxes(0, 1), cplx_pairs.swapaxes(0, 1)):
+        gap = (perturb.outer_distance(phi, psi)
+               - 2 * matcore.scalar_square(matcore.row_norms(phi - psi)))
+        worst = max(worst, float(gap.max()))
+    return worst
 
-    worst_env = -np.inf
+
+def _envelope_excess(stream) -> float:
+    """How far the Riesz bounds of 200 noisy frames leave the perturbation
+    envelope, at most: each frame with independent vectors, in order, draws
+    m n normal deviates and then one uniform, the budget's share it moves."""
+    specs = []
     for k in range(200):
-        cplx = k % 2 == 1
         n = 2 + k % 3
-        m = 2 + k % n if n > 2 else 2
-        field = "complex" if cplx else "real"
-        f = cons.random_unit(n, m, 13000 + k, field=field)
-        if matcore.numerical_rank(gram(f)) < m:
-            continue
-        rb = riesz_bounds(f)
-        noise = (stream.complex_normals(m * n) if cplx else stream.normals(m * n)).reshape(m, n)
-        budget_sq = 0.8 * rb.lower
-        noise *= np.sqrt(budget_sq) / np.linalg.norm(noise) * float(stream.uniforms(1)[0])
-        pf = Frame(field=field, vectors=f.vectors + noise)
-        eps = float(np.linalg.norm(noise))
-        lo, hi = perturb.perturbed_riesz_bounds(rb.lower, rb.upper, eps ** 2)
-        w = matcore.hermitian_eigvalues(gram(pf))
-        worst_env = max(worst_env, lo - w[-1], w[0] - hi)
-    rows.append(_row("perturbed-bounds-envelope", "measured bounds inside lem1 envelope "
-                     "(200 frames)", worst_env, "<= 0", 1e-9, worst_env <= 1e-9))
+        specs.append((n, 2 + k % n if n > 2 else 2, 13000 + k, "complex" if k % 2 else "real"))
+    groups = [(idx[ok], v[ok]) for idx, v in _random_stacks(specs)
+              for ok in [outer._vector_ranks(v) == v.shape[1]] if ok.any()]
+    widths = np.zeros(len(specs), dtype=int)
+    for idx, v in groups:
+        widths[idx] = normal_words(v[0].size, np.iscomplexobj(v)) + 1
+    words, starts = _case_words(stream, widths)
+    worst = -np.inf
+    for idx, v in groups:
+        drawn = _word_rows(words, starts[idx], widths[idx[0]])
+        noise = box_muller(drawn[:, :-1], v[0].size, np.iscomplexobj(v)).reshape(v.shape)
+        # the Riesz bounds: the extreme eigenvalues of the Gram, as riesz_bounds reads them
+        w = matcore.hermitian_eigvalues(vector_gram(v))
+        lower, upper = w[:, -1], w[:, 0]
+        noise *= (np.sqrt(0.8 * lower) / matcore.row_norms(noise.reshape(len(v), -1))
+                  * word_uniforms(drawn[:, -1]))[:, None, None]
+        eps = matcore.row_norms(noise.reshape(len(v), -1))
+        lo, hi = perturb.perturbed_riesz_bounds(lower, upper, matcore.scalar_square(eps))
+        w = matcore.hermitian_eigvalues(vector_gram(v + noise))
+        worst = max(worst, float(np.max(lo - w[:, -1])), float(np.max(w[:, 0] - hi)))
+    return worst
 
+
+def _radius_fuzz_failures(stream) -> int:
+    """How many of 500 frames lose outer independence when moved by less
+    than the independence radius: each frame with independent outer
+    products, in order, draws m n normal deviates."""
     specs = []
     for k in range(500):
         n = 2 + k % 2
         d = n * n if k % 2 else n * (n + 1) // 2
         specs.append((n, min(2 + k % 3, d), 13500 + k, "complex" if k % 2 else "real"))
-    frames = _random_frames(specs)
-    moved_frames = []
-    for f, (batch, i) in zip(frames, _batches(frames)):
-        if not batch.independent[i]:
-            continue
-        m, n, field = f.m, f.n, f.field
-        cplx = field == "complex"
-        radius = perturb.independence_radius(batch.take([i]))[0]
-        noise = (stream.complex_normals(m * n) if cplx else stream.normals(m * n)).reshape(m, n)
-        noise *= 0.9 * np.sqrt(radius) / np.linalg.norm(noise)
-        moved = f.vectors + noise
-        moved /= np.linalg.norm(moved, axis=1, keepdims=True)
-        if float(np.sum(np.abs(moved - f.vectors) ** 2)) >= radius:
-            continue
-        moved_frames.append(Frame(field=field, vectors=moved))
-    failures = sum(rank < pf.m for pf, rank in zip(moved_frames, _outer_ranks(moved_frames)))
-    rows.append(_row("independence-radius-fuzz", "500 perturbations inside A/2",
-                     failures, "0 failures", None, failures == 0))
-    return rows
+    groups = [(np.array(idx)[batch.independent], batch.take(np.flatnonzero(batch.independent)))
+              for batch, idx in _induce_groups(_random_frames(specs)) if batch.independent.any()]
+    widths = np.zeros(len(specs), dtype=int)
+    for idx, batch in groups:
+        widths[idx] = normal_words(batch.vectors[0].size, np.iscomplexobj(batch.vectors))
+    words, starts = _case_words(stream, widths)
+    failures = 0
+    for idx, batch in groups:
+        v = batch.vectors
+        radius = perturb.independence_radius(batch)
+        noise = box_muller(_word_rows(words, starts[idx], widths[idx[0]]), v[0].size,
+                           np.iscomplexobj(v)).reshape(v.shape)
+        noise *= (0.9 * np.sqrt(radius)
+                  / matcore.row_norms(noise.reshape(len(v), -1)))[:, None, None]
+        moved = v + noise
+        moved /= np.linalg.norm(moved, axis=-1, keepdims=True)
+        inside = np.sum((np.abs(moved - v) ** 2).reshape(len(v), -1), axis=-1) < radius
+        if inside.any():
+            failures += int(np.count_nonzero(outer._outer_spectra(moved[inside])[2] < batch.m))
+    return failures
+
+
+def check_perturbation_suite():
+    stream = Stream(1300)
+    worst_gap = _outer_distance_gap(stream)
+    worst_env = _envelope_excess(stream)
+    failures = _radius_fuzz_failures(stream)
+    return [
+        _row("outer-distance-bound", "closed form under 2||phi-psi||^2 (1000 pairs)",
+             worst_gap, "<= 0", 1e-12, worst_gap <= 1e-12),
+        _row("perturbed-bounds-envelope", "measured bounds inside lem1 envelope (200 frames)",
+             worst_env, "<= 0", 1e-9, worst_env <= 1e-9),
+        _row("independence-radius-fuzz", "500 perturbations inside A/2",
+             failures, "0 failures", None, failures == 0),
+    ]
 
 
 # density and repair

@@ -230,6 +230,19 @@ class TestSpectralInverse:
             assert got.tobytes() == want.tobytes()
             np.testing.assert_allclose(got @ a, np.eye(n), atol=1e-8)
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_stack_equals_one_matrix_at_a_time(self, cplx):
+        rng = np.random.default_rng(21 + cplx)
+        for n in (1, 2, 5, 9):
+            b = rng.standard_normal((6, n, n))
+            if cplx:
+                b = b + 1j * rng.standard_normal((6, n, n))
+            a = b @ b.conj().swapaxes(-1, -2) + 0.1 * np.eye(n)
+            got = matcore.spectral_inverse(a)
+            assert got.shape == (6, n, n)
+            for k in range(6):
+                assert got[k].tobytes() == matcore.spectral_inverse(a[k]).tobytes()
+
 
 class TestRankFromEigenvalues:
     @pytest.mark.parametrize("cplx", [False, True])
@@ -265,6 +278,17 @@ class TestRowNorms:
             assert norms.shape == (4, 6)
             for i in np.ndindex(4, 6):
                 assert norms[i] == np.linalg.norm(z[i])
+
+
+class TestScalarSquare:
+    def test_equals_the_scalar_power_of_each_entry(self):
+        # a product and libm's pow differ in the last bit for some of these
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(2000) * rng.choice([1e-3, 1.0, 1e3], 2000)
+        got = matcore.scalar_square(x)
+        assert [float(v) for v in got] == [float(v) ** 2 for v in x]
+        assert [float(v) for v in got] == [float(np.float64(v) ** 2) for v in x]
+        assert matcore.scalar_square(1.5) == 2.25
 
 
 class TestHadamard:
@@ -317,6 +341,19 @@ class TestKronecker:
             got = eig_desc(matcore.kronecker(a, b))
             want = np.sort(np.outer(eig_desc(a), eig_desc(b)).ravel())[::-1]
             np.testing.assert_allclose(got, want, atol=1e-9)
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_stack_equals_np_kron_of_each_pair(self, cplx):
+        rng = np.random.default_rng(14 + cplx)
+        a = rng.standard_normal((5, 2, 3))
+        b = rng.standard_normal((5, 4, 2))
+        if cplx:
+            b = b + 1j * rng.standard_normal((5, 4, 2))
+        got = matcore.kronecker(a, b)
+        assert got.shape == (5, 8, 6)
+        for k in range(5):
+            assert got[k].tobytes() == np.kron(a[k], b[k]).tobytes()
+        assert matcore.kronecker(a[0], b[0]).tobytes() == np.kron(a[0], b[0]).tobytes()
 
 
 class TestFrobeniusInnerProduct:

@@ -338,6 +338,22 @@ class TestOuterDuals:
         with pytest.raises(NotIndependent):
             outer.outer_duals(frame_of([1.0, 0.0], [1.0, 0.0]))
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_stacked_duals_equal_one_frame_at_a_time(self, cplx):
+        field = "complex" if cplx else "real"
+        for n, m in ((2, 2), (3, 2), (3, 3)):
+            frames = [cons.random_unit(n, m, 600 + k, field) for k in range(8)]
+            duals = outer.outer_duals_of(outer.induce_batch(frames))
+            assert duals.shape == (8, m, n, n)
+            for k, f in enumerate(frames):
+                assert duals[k].tobytes() == outer.outer_duals(f).tobytes()
+
+    def test_stacked_duals_reject_one_dependent_frame(self):
+        frames = [cons.random_unit(2, 2, 600 + k) for k in range(4)]
+        frames[2] = frame_of([1.0, 0.0], [-1.0, 0.0])
+        with pytest.raises(NotIndependent, match="vectors themselves"):
+            outer.outer_duals_of(outer.induce_batch(frames))
+
 
 class TestCrossProducts:
     def test_orthonormal_cross_identity(self):
@@ -410,6 +426,28 @@ class TestCrossProducts:
         assert o[1 * 4 + 2].tobytes() == np.outer(f.vectors[1], g.vectors[2].conj()).tobytes()
         o = o.reshape(8, -1)
         np.testing.assert_allclose(outer.cross_gram(f, g), o.conj() @ o.T, atol=1e-12)
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_stacked_cross_gram_and_duals_equal_one_pair_at_a_time(self, cplx):
+        field = "complex" if cplx else "real"
+        for n in (2, 3):
+            fs = [cons.random_unit(n, n, 700 + k, field) for k in range(6)]
+            gs = [cons.random_unit(n, n - 1, 800 + k, field) for k in range(6)]
+            u = np.array([f.vectors for f in fs])
+            w = np.array([g.vectors for g in gs])
+            h = outer.cross_gram(u, w)
+            for k in range(6):
+                assert h[k].tobytes() == outer.cross_gram(fs[k], gs[k]).tobytes()
+            w = np.array([cons.random_unit(n, n, 900 + k, field).vectors for k in range(6)])
+            duals = outer.cross_duals(u, w)
+            assert duals.shape == (6, n * n, n, n)
+            for k in range(6):
+                g = Frame(field=field, vectors=w[k])
+                assert duals[k].tobytes() == outer.cross_duals(fs[k], g).tobytes()
+        with pytest.raises(DimensionMismatch):
+            outer.cross_gram(u, w[..., :-1])
+        with pytest.raises(DimensionMismatch):
+            outer.cross_gram(u, w.astype(complex) if not cplx else w.real)
 
     def test_cross_duals_rejects_non_basis(self):
         with pytest.raises(NotABasis):
@@ -567,3 +605,18 @@ def test_spectral_solve_takes_a_vector_or_a_matrix_right_side(k):
     for j in range(k):
         np.testing.assert_allclose(outer._spectral_solve(spectrum, b[:, j]), got[:, j],
                                    atol=1e-12)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_spectral_solve_with_a_leading_axis_equals_one_matrix_at_a_time(cplx):
+    rng = np.random.default_rng(78 + cplx)
+    field = "complex" if cplx else "real"
+    batch = outer.induce_batch([cons.random_unit(3, 4, 610 + k, field) for k in range(7)])
+    b = rng.standard_normal((7, 4, 3))
+    got = outer._spectral_solve(batch.gram_spectrum, b)
+    vec = outer._spectral_solve(batch.gram_spectrum, b[..., 0])
+    assert got.shape == (7, 4, 3) and vec.shape == (7, 4)
+    for k, f in enumerate(batch.frames):
+        spectrum = outer.induce(f).gram_spectrum
+        assert got[k].tobytes() == outer._spectral_solve(spectrum, b[k]).tobytes()
+        assert vec[k].tobytes() == outer._spectral_solve(spectrum, b[k, :, 0]).tobytes()

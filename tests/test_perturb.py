@@ -26,6 +26,20 @@ def test_perturbed_riesz_bounds():
         perturb.perturbed_riesz_bounds(-1.0, 4.0, 0.1)
 
 
+def test_perturbed_riesz_bounds_of_arrays_equal_one_entry_at_a_time():
+    rng = np.random.default_rng(63)
+    a = rng.uniform(0.1, 2.0, 300)
+    b = a + rng.uniform(0.0, 2.0, 300)
+    eps_sq = a * rng.uniform(0.0, 1.0, 300)
+    lo, hi = perturb.perturbed_riesz_bounds(a, b, eps_sq)
+    for k in range(300):
+        assert (lo[k], hi[k]) == perturb.perturbed_riesz_bounds(float(a[k]), float(b[k]),
+                                                                float(eps_sq[k]))
+    eps_sq[7] = a[7]
+    with pytest.raises(BudgetTooLarge):
+        perturb.perturbed_riesz_bounds(a, b, eps_sq)
+
+
 def test_perturbed_bounds_envelope_fuzz():
     rng = np.random.default_rng(61)
     for _ in range(40):
@@ -63,6 +77,36 @@ def test_outer_distance_rejects_non_finite_vectors(bad):
         perturb.outer_distance(bad, e1)
     with pytest.raises(NotUnitNorm):
         perturb.outer_distance(e1, bad)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_outer_distance_of_a_stack_equals_one_pair_at_a_time(cplx):
+    rng = np.random.default_rng(64 + cplx)
+    phi = np.array([random_unit_vec(rng, 3, cplx) for _ in range(500)])
+    psi = np.array([random_unit_vec(rng, 3, cplx) for _ in range(500)])
+    got = perturb.outer_distance(phi, psi)
+    assert got.shape == (500,)
+    for k in range(500):
+        one = perturb.outer_distance(phi[k], psi[k])
+        assert type(one) is float and got[k] == one
+    two = perturb.outer_distance(phi.reshape(20, 25, 3), psi.reshape(20, 25, 3))
+    assert two.reshape(-1).tobytes() == got.tobytes()
+
+
+def test_outer_distance_of_a_stack_checks_every_pair():
+    rng = np.random.default_rng(66)
+    phi = np.array([random_unit_vec(rng, 3, False) for _ in range(40)])
+    psi = np.array([random_unit_vec(rng, 3, False) for _ in range(40)])
+    for bad in (phi, psi):
+        saved = bad[23].copy()
+        bad[23] *= 1.001
+        with pytest.raises(NotUnitNorm):
+            perturb.outer_distance(phi, psi)
+        bad[23] = np.nan
+        with pytest.raises(NotUnitNorm):
+            perturb.outer_distance(phi, psi)
+        bad[23] = saved
+    perturb.outer_distance(phi, psi)
 
 
 def test_outer_distance_closed_form_inequality():

@@ -7,11 +7,14 @@ path leaves perfbench/ untouched (no bytecode cache is written there).
 Between in-process passes the harness calls ``cache_clear`` on every
 module attribute that has one, so every memo must be such an attribute.
 In the other direction, every top-level name of the package must be read
-somewhere in the repository's code, or it is dead and goes.
+somewhere in the repository's code, or it is dead and goes.  Every check
+of ``framekit verify`` that draws a random corpus is compared, bit for
+bit, with a per-case reference loop in ``test_verify``.
 """
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import types
 from pathlib import Path
@@ -101,3 +104,46 @@ def test_every_top_level_name_of_the_package_is_read_somewhere():
             dead += [f"framekit.{path.stem}.{name}" for name in defined
                      if name not in read and not name.startswith("__")]
     assert dead == []
+
+
+#: What marks a check as drawing a random corpus, in its own source or in that
+#: of a ``verify`` function it reaches.
+_CORPUS_MARKERS = ("Stream(", "_random_frames", "random_unit")
+#: Checks with a marker that draw no corpus of their own, and why.
+_NO_CORPUS = {
+    "mu2-mu4-probe": "three fixed frames, one a single random_unit draw; the samples are "
+                     "drawn and evaluated in one block by geometry.mu2_subset_mu4_probe",
+}
+
+
+def _referenced_checks() -> set:
+    """The check names that test_verify compares with a per-case reference."""
+    path = Path(__file__).resolve().parent / "test_verify.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef) and \
+                node.name == "test_batched_check_equals_per_case_reference":
+            (decorator,) = node.decorator_list
+            return {case.elts[0].value for case in decorator.args[1].elts}
+    raise AssertionError("test_batched_check_equals_per_case_reference is gone")
+
+
+def _source_reached(check) -> str:
+    """The source of a check and of every function of ``verify`` it calls,
+    directly or through other such functions."""
+    own = {name for name, fn in vars(verify).items()
+           if inspect.isfunction(fn) and fn.__module__ == verify.__name__}
+    sources, todo = {}, [check.__name__]
+    while todo:
+        name = todo.pop()
+        if name not in sources:
+            sources[name] = inspect.getsource(getattr(verify, name))
+            todo += [node.id for node in ast.walk(ast.parse(sources[name]))
+                     if isinstance(node, ast.Name) and node.id in own]
+    return "\n".join(sources.values())
+
+
+def test_every_check_that_draws_a_corpus_has_a_per_case_reference():
+    drawing = {name for name, check in verify.CHECKS.items()
+               if any(marker in _source_reached(check) for marker in _CORPUS_MARKERS)}
+    assert set(_NO_CORPUS) <= drawing
+    assert sorted(drawing - set(_NO_CORPUS) - _referenced_checks()) == []

@@ -172,6 +172,104 @@ def reference_outer_bound_extremes():
     return rows
 
 
+def reference_outer_duals():
+    worst = 0.0
+    count = 0
+    k = 0
+    while count < 100:
+        cplx = k % 2 == 1
+        n = 2 + k % 2
+        m = 2 + k % n if n > 2 else 2
+        f = cons.random_unit(n, m, 8000 + k, field="complex" if cplx else "real")
+        k += 1
+        if matcore.numerical_rank(gram(f)) < m:
+            continue
+        os_ = outer.induce(f)
+        if os_.rank < m:
+            continue
+        duals = outer.outer_duals(f).reshape(m, -1)
+        bio = np.real(outer.vectorized_synthesis(f).conj() @ duals.T)
+        worst = max(worst, float(np.max(np.abs(bio - np.eye(m)))))
+        count += 1
+    return [verify._row("outer-duals", "biorthogonality over 100 configurations", worst,
+                        "identity", 1e-9, worst <= 1e-9)]
+
+
+def reference_unprojected_dual():
+    stream = Stream(860)
+    worst_det = 0.0
+    least_residual = np.inf
+    for _ in range(20):
+        alpha = 0.2 + 1.1 * float(stream.uniforms(1)[0])  # angle away from 0 and pi/2
+        phi1 = np.array([1.0, 0.0])
+        phi2 = np.array([np.cos(alpha), np.sin(alpha)])
+        f = Frame.from_vectors(np.array([phi1, phi2]))
+        c = abs(phi1 @ phi2) ** 2
+        psi1 = np.array([-np.sin(alpha), np.cos(alpha)])  # unit, orthogonal to phi2
+        dual1 = psi1 / (psi1 @ phi1)
+        b = np.array([
+            [1.0, c, abs(phi1 @ dual1) ** 2],
+            [c, 1.0, abs(phi2 @ dual1) ** 2],
+            [abs(phi1 @ dual1) ** 2, abs(phi2 @ dual1) ** 2, 1.0],
+        ])
+        det = float(np.linalg.det(b))
+        worst_det = max(worst_det, abs(det - (-(c ** 2))) / c ** 2)
+        os_ = outer.induce(f)
+        u1 = np.outer(dual1, dual1)
+        residual = float(np.linalg.norm(u1 - outer.project_onto_outer_span(os_, u1)))
+        least_residual = min(least_residual, residual)
+    ok = worst_det <= 1e-9 and least_residual > 1e-6
+    return [verify._row("unprojected-dual", "determinant -|<phi1,phi2>|^4 and span failure",
+                        worst_det, "0 (relative)", 1e-9, ok)]
+
+
+def reference_cross_products():
+    worst_spec = 0.0
+    worst_bounds = 0.0
+    for k in range(100):
+        cplx = k % 2 == 1
+        n = 2 + k % 2
+        mf = 2 + k % 2
+        mg = 2 + (k // 2) % 2
+        field = "complex" if cplx else "real"
+        f = cons.random_unit(n, min(mf, n), 9000 + k, field=field)
+        g = cons.random_unit(n, min(mg, n), 9500 + k, field=field)
+        h = outer.cross_gram(f, g)
+        wf = matcore.hermitian_eigvalues(gram(f))
+        wg = matcore.hermitian_eigvalues(gram(g))
+        products = np.sort(np.outer(wf, wg).ravel())[::-1]
+        wh = matcore.hermitian_eigvalues(h)
+        worst_spec = max(worst_spec, float(np.max(np.abs(wh - products))))
+        if matcore.numerical_rank(gram(f)) == f.m and matcore.numerical_rank(gram(g)) == g.m:
+            fb = riesz_bounds(f)
+            gb = riesz_bounds(g)
+            worst_bounds = max(worst_bounds,
+                               abs(wh[-1] - fb.lower * gb.lower),
+                               abs(wh[0] - fb.upper * gb.upper))
+    worst_dual = 0.0
+    for k in range(20):
+        cplx = k % 2 == 1
+        n = 2 + k % 2
+        field = "complex" if cplx else "real"
+        f = cons.random_unit(n, n, 9800 + k, field=field)
+        g = cons.random_unit(n, n, 9900 + k, field=field)
+        if matcore.numerical_rank(gram(f)) < n or matcore.numerical_rank(gram(g)) < n:
+            continue
+        duals = outer.cross_duals(f, g).reshape(n * n, -1)
+        originals = np.array([np.outer(f.vectors[i], g.vectors[j].conj())
+                              for i in range(n) for j in range(n)]).reshape(n * n, -1)
+        bio = np.abs(duals.conj() @ originals.T)
+        worst_dual = max(worst_dual, float(np.max(np.abs(bio - np.eye(n * n)))))
+    return [
+        verify._row("cross-gram-spectrum", "eigenvalue products over 100 pairs", worst_spec,
+                    "lambda_i * nu_j", 1e-9, worst_spec <= 1e-9),
+        verify._row("cross-gram-spectrum", "Riesz bounds multiply", worst_bounds, "(AC, BD)",
+                    1e-9, worst_bounds <= 1e-9),
+        verify._row("cross-duals", "biorthogonality of dual bases", worst_dual, "identity",
+                    1e-9, worst_dual <= 1e-9),
+    ]
+
+
 def reference_classifier_coherence():
     stream = Stream(1100)
     disagreements = 0
@@ -372,6 +470,9 @@ def reference_nudge_repair():
     ("pc2-identity", reference_pc2_identity),
     ("hadamard-gram", reference_hadamard_gram),
     ("outer-bound-extremes", reference_outer_bound_extremes),
+    ("outer-duals", reference_outer_duals),
+    ("unprojected-dual", reference_unprojected_dual),
+    ("cross-products", reference_cross_products),
     ("psd-extension-roundtrip", reference_psd_extension_roundtrip),
     ("classifier-coherence", reference_classifier_coherence),
     ("perturbation-suite", reference_perturbation_suite),
@@ -382,6 +483,25 @@ def test_batched_check_equals_per_case_reference(name, reference):
     expected = verify.rows_to_dicts(reference())
     # json keeps every float's full repr, so this is a bit-for-bit comparison
     assert json.dumps(batched) == json.dumps(expected)
+
+
+def test_perturbation_suite_judges_the_frames_the_reference_loop_does(monkeypatch):
+    # the radius fuzz row counts failures, which stay 0 whatever noise a frame
+    # draws, so the row cannot show a wrong draw: compare the frames whose
+    # outer ranks the two loops decide, the moved ones among them
+    seen = []
+    spectra = outer._outer_spectra
+
+    def record(v):
+        seen.extend(np.asarray(v).reshape((-1,) + np.shape(v)[-2:]))
+        return spectra(v)
+
+    monkeypatch.setattr(outer, "_outer_spectra", record)
+    reference_perturbation_suite()
+    reference, seen[:] = sorted(v.tobytes() for v in seen), []
+    verify.check_perturbation_suite()
+    assert len(reference) > 500
+    assert sorted(v.tobytes() for v in seen) == reference
 
 
 def test_nudge_repair_corpus_equals_per_case_draws():
