@@ -83,6 +83,7 @@ from .outer import (
 from .perturb import (
     independence_radius,
     nearby_independent_basis,
+    nudge_batch,
     nudge_to_independence,
     outer_distance,
     perturbed_riesz_bounds,

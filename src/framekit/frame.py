@@ -78,11 +78,16 @@ class Frame:
 
     @property
     def is_unit_norm(self) -> bool:
-        norms = np.linalg.norm(self.vectors, axis=1)
-        return bool(np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
+        return unit_norm(self.vectors)
 
     def subframe(self, indices) -> "Frame":
         return Frame(field=self.field, vectors=self.vectors[list(indices)])
+
+
+def unit_norm(v) -> bool:
+    """Whether every vector row of a frame, or of an (..., M, N) stack of
+    them, has norm 1 within UNIT_NORM_TOL."""
+    return bool(np.all(np.abs(np.linalg.norm(v, axis=-1) - 1.0) <= UNIT_NORM_TOL))
 
 
 @dataclass(frozen=True)

@@ -125,15 +125,22 @@ def induce_batch(frames) -> OuterBatch:
     Frame i's gram_op, spectrum and rank are bit for bit those of
     ``induce(frames[i])``.
     """
-    frames = tuple(frames)
-    if not frames:
-        raise BadParam("induce_batch needs at least one frame")
-    f0 = frames[0]
-    if any(f.field != f0.field or f.vectors.shape != f0.vectors.shape for f in frames):
-        raise DimensionMismatch("induce_batch needs frames of one shape and field")
-    vectors = np.stack([f.vectors for f in frames])
+    frames, vectors = _frame_stack(frames, "induce_batch")
     vectors.flags.writeable = False
     return OuterBatch(frames, vectors, *_outer_spectra(vectors))
+
+
+def _frame_stack(frames, who: str) -> tuple:
+    """The frames as a tuple and their (K, M, N) stacked vectors, for a
+    non-empty run of frames of one shape and field (BadParam when empty,
+    DimensionMismatch when mixed); ``who`` names the caller in the error."""
+    frames = tuple(frames)
+    if not frames:
+        raise BadParam(f"{who} needs at least one frame")
+    f0 = frames[0]
+    if any(f.field != f0.field or f.vectors.shape != f0.vectors.shape for f in frames):
+        raise DimensionMismatch(f"{who} needs frames of one shape and field")
+    return frames, np.stack([f.vectors for f in frames])
 
 
 def vectorized_synthesis(f: Frame) -> np.ndarray:
@@ -176,57 +183,85 @@ _TINY = np.finfo(np.float64).tiny
 
 
 class _GreedyScan:
-    """The greedy independence scan of a frame's outer products: K is the
-    outer Gram of the kept vectors, held as W with K^{-1} = W W^T.
+    """The greedy independence scan of the outer products of K frames of one
+    shape and field, run in lockstep: per frame, K_j is the outer Gram of its
+    kept vectors, held as W_j with K_j^{-1} = W_j W_j^T.
 
-    ``grows(v)`` borders K with g_i = |<v, phi_i>|^2 and c = |v|^4 in O(k^2):
-    z = W^T g, the Schur complement s = c - |z|^2 (c times 1 minus
-    ``geometry._inverse_gram_form``'s value for v/|v|), and
-    W' = [[W, -W z / sqrt(s)], [0, 1/sqrt(s)]], so that
-    lambda_min(K') >= 1 / ||K'^{-1}||_F >= 1 / ||W'||_F^2.  The eig rule's
-    threshold is at most (k+1) eps trace(K'), or FRAMEKIT_TOL (read once);
-    a step is accepted without an eig only when the bound exceeds
-    CERTIFY_MARGIN times the larger, a normal float.  Rounding: while every
-    step is certified, K's condition number stays below 2^-20 / (k eps), so
-    W' is the exact inverse factor of a Gram within 2^-9 sqrt(k eps) trace
-    of K', and eigh's eigenvalues are within a small multiple of (k+1) eps
-    trace of the exact ones: under 1/8 and about 2^-20 of the bound.
+    ``grows(v, at)`` tries one vector per frame, row i of the (r, N) v at
+    frame at[i] of the stack (every frame by default); the frames it names
+    keep the same count k of vectors.  Each trial borders K_j with
+    g_i = |<v, phi_i>|^2 and c = |v|^4 in O(k^2): z = W_j^T g, the Schur
+    complement s = c - |z|^2 (c times 1 minus ``geometry._inverse_gram_form``'s
+    value for v/|v|), and W' = [[W_j, -W_j z / sqrt(s)], [0, 1/sqrt(s)]], so
+    that lambda_min(K') >= 1 / ||K'^{-1}||_F >= 1 / ||W'||_F^2; all r trials
+    go through one stacked product.  The eig rule's threshold is at most
+    (k+1) eps trace(K'), or FRAMEKIT_TOL (read once); a step is accepted
+    without an eig only when the bound exceeds CERTIFY_MARGIN times the
+    larger, a normal float.  Rounding: while every step of a frame is
+    certified, K_j's condition number stays below 2^-20 / (k eps), so W' is
+    the exact inverse factor of a Gram within 2^-9 sqrt(k eps) trace of K',
+    and eigh's eigenvalues are within a small multiple of (k+1) eps trace of
+    the exact ones: under 1/8 and about 2^-20 of the bound.
 
     Every other step, every reject included, is decided by the eig rule on
-    the trial vectors (``_outer_spectra`` rank k + 1).  An accept there ends
-    the certificates, since ||W||_F^2 and the threshold only grow as vectors
-    join.  So the scan keeps what re-``induce``-ing every trial keeps.
+    the trial vectors (``_outer_spectra`` rank k + 1), for all the frames of
+    one call that need it in one stacked eigendecomposition.  An accept there
+    ends that frame's certificates, since ||W_j||_F^2 and the threshold only
+    grow as vectors join.  So each frame keeps what re-``induce``-ing every
+    trial keeps, whichever frames share its stack.
     """
 
-    def __init__(self, f: Frame):
-        self.vectors = np.empty_like(f.vectors)  # the first k rows are kept
-        self._w = np.zeros((f.m, f.m))  # None once the eig rule decides every step
-        self._fro2 = self._trace = 0.0  # ||W||_F^2 and trace(K)
-        self._env_tol = matcore.env_rank_tol()
-        self.k = 0
+    def __init__(self, vectors: np.ndarray):
+        """Scan space for the (K, M, N) stack ``vectors`` (its shape and dtype)."""
+        count, m = vectors.shape[:2]
+        self.vectors = np.empty_like(vectors)  # frame j keeps its first k[j] rows
+        self._w = np.zeros((count, m, m))
+        self._certified = np.ones(count, dtype=bool)  # False once the eig rule decides
+        self._fro2 = np.zeros(count)  # ||W_j||_F^2
+        self._trace = np.zeros(count)  # trace(K_j)
+        self._env_tol = matcore.env_rank_tol() or 0.0
+        self.k = np.zeros(count, dtype=int)
+        self._every = np.arange(count)
 
-    def grows(self, v) -> bool:
-        """Whether v's outer product leaves the span of the kept ones; v is then kept."""
-        k, rows, w = self.k, self.vectors, self._w
-        rows[k] = v
-        c = float(np.vdot(rows[k], rows[k]).real) ** 2
-        trace = self._trace + c
-        thr = max(self._env_tol or 0.0, (k + 1) * _EPS * trace)
-        if w is not None and thr >= _TINY:
-            z = (np.abs(rows[:k].conj() @ rows[k]) ** 2) @ w[:k, :k]
-            s = c - float(z @ z)
-            if s > CERTIFY_MARGIN * thr:
-                with np.errstate(over="ignore"):  # an infinite ||W'||_F certifies nothing
-                    y = w[:k, :k] @ z
-                    fro2 = self._fro2 + (float(y @ y) + 1.0) / s
-                if fro2 * CERTIFY_MARGIN * thr < 1.0:
-                    w[:k, k], w[k, k] = -y / np.sqrt(s), 1.0 / np.sqrt(s)
-                    self._fro2, self._trace, self.k = fro2, trace, k + 1
-                    return True
-        if _outer_spectra(rows[:k + 1])[2] != k + 1:
-            return False
-        self._w, self.k = None, k + 1
-        return True
+    def grows(self, v, at=None) -> np.ndarray:
+        """Per trial, whether v's outer product leaves the span of its frame's
+        kept ones; a vector that does is kept."""
+        at = self._every if at is None else np.asarray(at)
+        k, rows = int(self.k[at[0]]), self.vectors
+        rows[at, k] = v
+        grown = self._certified[at]  # narrowed below to the certified accepts
+        if np.count_nonzero(grown):
+            # g_i = |<v, phi_i>|^2 over the kept vectors and v itself, whose entry is c
+            trials = rows[at, :k + 1]
+            g = np.abs(trials.conj() @ trials[:, k, :, None]) ** 2
+            c = g[:, k, 0]
+            trace = self._trace[at] + c
+            thr = np.maximum(self._env_tol, (k + 1) * _EPS * trace)
+            w = self._w[at, :k, :k]
+            z = g[:, :k].swapaxes(-1, -2) @ w
+            s = c - (z @ z.swapaxes(-1, -2))[:, 0, 0]
+            margin = CERTIFY_MARGIN * thr
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                # an infinite ||W'||_F certifies nothing, nor does s <= 0
+                y = w @ z.swapaxes(-1, -2)
+                fro2 = self._fro2[at] + ((y.swapaxes(-1, -2) @ y)[:, 0, 0] + 1.0) / s
+                grown &= (thr >= _TINY) & (s > margin) & (fro2 * margin < 1.0)
+            ok = grown.nonzero()[0]
+            if ok.size:
+                j, root = at[ok], np.sqrt(s[ok])
+                self._w[j, :k, k] = -y[ok, :, 0] / root[:, None]
+                self._w[j, k, k] = 1.0 / root
+                self._fro2[j], self._trace[j] = fro2[ok], trace[ok]
+        rest = (~grown).nonzero()[0]
+        if rest.size:
+            trials = rows[at[rest], :k + 1]
+            if rest.size == 1:  # a lone trial goes as one matrix, hermitian_eig's cheaper path
+                trials = trials[0]
+            kept = rest[np.atleast_1d(_outer_spectra(trials)[2]) == k + 1]
+            self._certified[at[kept]] = False
+            grown[kept] = True
+        self.k[at[grown]] = k + 1
+        return grown
 
 
 def independent_prefix(f: Frame) -> tuple:
@@ -235,8 +270,8 @@ def independent_prefix(f: Frame) -> tuple:
     Scans vectors in order and keeps those that strictly grow the rank of
     the running outer Gram, one ``_GreedyScan`` step each.
     """
-    scan = _GreedyScan(f)
-    return tuple(i for i, v in enumerate(f.vectors) if scan.grows(v))
+    scan = _GreedyScan(f.vectors[None])
+    return tuple(i for i, v in enumerate(f.vectors) if scan.grows(v[None])[0])
 
 
 @dataclass(frozen=True)
@@ -264,8 +299,8 @@ def dependence_certificate(os_: OuterBatch):
     if os_.rank == os_.m:
         return None
     f = os_.frames[0]
-    scan = _GreedyScan(f)
-    j = next(i for i, v in enumerate(f.vectors) if not scan.grows(v))
+    scan = _GreedyScan(f.vectors[None])
+    j = next(i for i, v in enumerate(f.vectors) if not scan.grows(v[None])[0])
     a = np.zeros(os_.m)
     a[:j] = np.linalg.solve(os_.gram_op[:j, :j], os_.gram_op[:j, j])
     a[j] = -1.0

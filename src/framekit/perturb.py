@@ -4,11 +4,17 @@ Two perturbation metrics appear side by side: the open-neighborhood
 guarantees budget the sum of squared vector distances, while the density
 repair budgets the plain sum of norms (each summand below eps/M).  Each
 operation documents which one it enforces.
+
+The repair runs on stacks: ``nudge_batch`` nudges K frames of one shape and
+field in one lockstep ``outer._GreedyScan``, the offenders of a step taking
+their candidate bases from one ``nearby_independent_basis`` call, and
+``nudge_to_independence`` is its one-frame case.  ``movement``,
+``outer_distance`` and ``perturbed_riesz_bounds`` take stacks as well; every
+result is bit for bit that of its frame or pair alone.
 """
 
 import math
-import operator
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,8 +29,9 @@ from .errors import (
     SingularOperator,
     TooMany,
 )
-from .frame import UNIT_NORM_TOL, Frame
-from .outer import OuterBatch, _GreedyScan, ambient_outer_dim, induce
+from .frame import UNIT_NORM_TOL, Frame, unit_norm
+from .outer import (OuterBatch, _frame_stack, _GreedyScan, _outer_spectra, _rows,
+                    ambient_outer_dim, induce)
 
 
 def perturbed_riesz_bounds(a, b, eps_sq) -> tuple:
@@ -143,15 +150,62 @@ def _compressed_base(n: int, cplx: bool, delta: float) -> np.ndarray:
     return sw
 
 
+def _rotated_bases(psi: np.ndarray, cplx: bool, eps: float) -> np.ndarray:
+    """The (K, D, N) bases of ``nearby_independent_basis`` for a (K, N) stack
+    of unit rows of one family (``cplx``): one Householder per row carries
+    e_1 to it, and one stacked eigendecomposition re-checks them all."""
+    n = psi.shape[-1]
+    ratio = _aligned_base(n, cplx)[1]
+    delta = 1.0
+    while ratio > 0.0 and delta * delta * ratio > eps / 2.0:
+        delta /= 2.0
+    compressed = _compressed_base(n, cplx, delta)
+
+    # unitaries with U e_1 = psi (phase-adjusted Householder); the phase is
+    # psi[0] / |psi[0]| with numpy's scalar abs (hypot), 1 when psi[0] is 0
+    first = psi[:, 0]
+    if cplx:
+        size = np.hypot(first.real, first.imag)
+        gamma = np.where(size > 0, first / np.where(size > 0, size, 1.0), 1.0)
+    else:
+        gamma = np.where(first >= 0, 1.0, -1.0)
+    target = np.conj(gamma)[:, None] * psi
+    e1 = np.zeros(n, dtype=target.dtype)
+    e1[0] = 1.0
+    d = target - e1
+    dn = (d.conj()[:, None, :] @ d[:, :, None])[:, 0, 0].real  # np.vdot(d, d) per row
+    eye = np.eye(n, dtype=target.dtype)
+    flat = (dn <= 1e-30)[:, None, None]  # psi is e_1 up to the phase
+    outer_d = d[:, :, None] * d.conj()[:, None, :]
+    reflection = eye - 2.0 * outer_d / np.where(flat, 1.0, dn[:, None, None])
+    unitary = gamma[:, None, None] * np.where(flat, eye, reflection)
+
+    out = (unitary[:, None] @ compressed[None, :, :, None])[..., 0]
+    worst = matcore.scalar_square(matcore.row_norms(out - psi[:, None]).max(axis=-1))
+    if eps < 2.0 and np.any(worst >= eps):
+        raise InternalInconsistency(f"construction moved {worst.max()} >= eps = {eps}")
+    if delta >= 1e-2:
+        # the real family is checked on real vectors, as a real frame holds them
+        ranks = _outer_spectra(out if cplx else np.ascontiguousarray(out.real))[2]
+        if np.any(ranks != len(compressed)):
+            raise InternalInconsistency("constructed basis has dependent outer products")
+    return out
+
+
 def nearby_independent_basis(psi, eps: float) -> list:
-    """A unit-norm outer-product basis clustered within sqrt(eps) of psi.
+    """A unit-norm outer-product basis clustered within sqrt(eps) of psi:
+    a list of its vectors for one vector psi, and for a (K, N) stack of
+    them a list of K (D, N) arrays, the basis of each row.
 
     Construction: rotate the E_ij family so every member has positive
     inner product with the first coordinate axis, compress all later
     coordinates by the largest power-of-two delta satisfying
     delta^2 * sum_j>=2 |v(j)|^2 <= (eps/2) * |v(1)|^2, renormalize, then
-    carry e_1 to psi by a unitary.  The compressed family is cached; the
-    unitary and both checks below belong to each call.  Every output satisfies
+    carry e_1 to psi by a unitary.  A row with an imaginary part takes the
+    complex family (D = N^2), any other row the real one (D = N(N+1)/2).
+    The compressed family is cached; the unitaries and both checks below
+    belong to each call, stacked over the rows of each family, and each
+    row's basis is bit for bit what it gets alone.  Every output satisfies
     ||phi_i - psi||^2 < eps; independence of the outer products follows
     from the verified base via invertibility of the compression, and is
     re-checked directly whenever delta is large enough for a floating
@@ -160,85 +214,87 @@ def nearby_independent_basis(psi, eps: float) -> list:
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise BadParam(f"eps must be finite and positive, got {eps}")
-    psi = np.asarray(psi).reshape(-1)
-    if not abs(np.linalg.norm(psi) - 1.0) <= UNIT_NORM_TOL:  # a NaN norm fails too
+    rows = np.asarray(psi)
+    if rows.ndim == 1:
+        return list(nearby_independent_basis(rows[None], eps)[0])
+    if not np.all(np.abs(matcore.row_norms(rows) - 1.0) <= UNIT_NORM_TOL):  # NaN fails
         raise NotUnitNorm("the reference vector must be unit norm")
-    n = psi.shape[0]
-    cplx = np.iscomplexobj(psi) and bool(np.any(psi.imag != 0.0))
-    if n == 1:
-        return [psi.copy()]
-
-    ratio = _aligned_base(n, cplx)[1]
-    delta = 1.0
-    while ratio > 0.0 and delta * delta * ratio > eps / 2.0:
-        delta /= 2.0
-    compressed = _compressed_base(n, cplx, delta)
-
-    # unitary with U e_1 = psi (phase-adjusted Householder)
-    if cplx:
-        gamma = psi[0] / abs(psi[0]) if abs(psi[0]) > 0 else 1.0
-    else:
-        gamma = 1.0 if psi[0] >= 0 else -1.0
-    target = np.conj(gamma) * psi
-    e1 = np.zeros(n, dtype=target.dtype)
-    e1[0] = 1.0
-    d = target - e1
-    dn = float(np.real(np.vdot(d, d)))
-    if dn <= 1e-30:
-        unitary = gamma * np.eye(n, dtype=target.dtype)
-    else:
-        unitary = gamma * (np.eye(n, dtype=target.dtype) - 2.0 * np.outer(d, d.conj()) / dn)
-
-    out = [unitary @ w for w in compressed]
-    worst = float(matcore.row_norms(np.array(out) - psi).max()) ** 2
-    if worst >= eps and eps < 2.0:
-        raise InternalInconsistency(f"construction moved {worst} >= eps = {eps}")
-    if delta >= 1e-2:
-        rank = induce(Frame.from_vectors(np.array(out),
-                                         field="complex" if cplx else "real")).rank
-        if rank != len(out):
-            raise InternalInconsistency("constructed basis has dependent outer products")
+    if rows.shape[-1] == 1:
+        return list(rows[:, None].copy())
+    cplx = np.iscomplexobj(rows) & np.any(rows.imag != 0.0, axis=-1)
+    out = [None] * len(rows)
+    for family in (False, True):
+        idx = np.flatnonzero(cplx == family)
+        if idx.size:
+            for i, basis in zip(idx, _rotated_bases(rows[idx], family, eps)):
+                out[i] = basis
     return out
 
 
-def movement(f: Frame, g: Frame) -> float:
+def movement(f, g):
     """sum_i ||g_i - f_i||, the metric the density repair budgets, summed
-    left to right."""
-    return float(reduce(operator.add, matcore.row_norms(g.vectors - f.vectors)))
+    left to right: a float for two frames, an (...,) array for two
+    (..., M, N) stacks of vector rows, frame by frame (a cumulative sum
+    adds in order, where ``np.sum`` adds pairwise)."""
+    total = np.cumsum(matcore.row_norms(_rows(g) - _rows(f)), axis=-1)[..., -1]
+    return float(total) if total.ndim == 0 else total
 
 
-def nudge_to_independence(f: Frame, eps: float) -> Frame:
-    """Repair dependent outer products by moving vectors less than eps total.
+def nudge_batch(frames, eps: float) -> list:
+    """``nudge_to_independence`` for K frames of one shape and field, from one
+    lockstep greedy scan; each frame's result is bit for bit what it gets in
+    a stack of its own.
 
     Greedy: vectors whose outer product grows the running rank are kept
     verbatim; each offender is replaced by the first member of a nearby
     independent basis (budget eps/M per vector, metric sum of norms) whose
-    outer product leaves the current span.  Already-independent input
-    comes back unchanged.  One ``outer._GreedyScan`` judges the original
-    vectors and the candidates alike: a certified Schur test per trial, and
-    the eig rule on the trial vectors only near the rank threshold.
+    outer product leaves the current span.  Either way vector i leaves each
+    frame with i + 1 kept vectors, so one ``outer._GreedyScan`` of the K
+    frames judges vector i of every frame in one trial, and the offenders'
+    candidates, from one ``nearby_independent_basis`` call, a member at a
+    time; it certifies by a Schur test and takes the eig rule on the trial
+    vectors only near the rank threshold.  A frame whose outer products are
+    already independent comes back unchanged (the same object).
+
+    BadParam for an empty run or an eps that is not finite and positive, or
+    whose budget per vector underflows once a vector must move;
+    DimensionMismatch for mixed shapes or fields; TooMany when M exceeds
+    the ambient self-adjoint dimension; NotUnitNorm for a frame that is not
+    unit norm.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise BadParam(f"eps must be finite and positive, got {eps}")
-    d = ambient_outer_dim(f)
-    if f.m > d:
-        raise TooMany(f"M = {f.m} exceeds the ambient self-adjoint dimension {d}")
-    if not f.is_unit_norm:
+    frames, vectors = _frame_stack(frames, "nudge_batch")
+    m, d = frames[0].m, ambient_outer_dim(frames[0])
+    if m > d:
+        raise TooMany(f"M = {m} exceeds the ambient self-adjoint dimension {d}")
+    if not unit_norm(vectors):
         raise NotUnitNorm("the density argument is stated for unit-norm frames")
 
-    per_vector_sq = (eps / f.m) ** 2
-    scan = _GreedyScan(f)
-    replaced = False
-    for current in f.vectors:
-        if scan.grows(current):
+    per_vector_sq = (eps / m) ** 2
+    scan = _GreedyScan(vectors)
+    replaced = np.zeros(len(frames), dtype=bool)
+    for i in range(m):
+        offenders = (~scan.grows(vectors[:, i])).nonzero()[0]
+        if not offenders.size:
             continue
-        replaced = True
+        replaced[offenders] = True
         if per_vector_sq == 0.0:
             raise BadParam(f"eps = {eps} is too small: the squared budget per vector, "
-                           f"(eps / M)^2 with M = {f.m}, underflows to 0")
-        if not any(scan.grows(cand)
-                   for cand in nearby_independent_basis(current, per_vector_sq)):
-            raise InternalInconsistency("no basis member grew the outer span")
-    if not replaced:
-        return f
-    return Frame(field=f.field, vectors=scan.vectors[:scan.k])
+                           f"(eps / M)^2 with M = {m}, underflows to 0")
+        bases = nearby_independent_basis(vectors[offenders, i], per_vector_sq)
+        pending, c = np.arange(offenders.size), 0  # offenders still to replace, candidate c
+        while pending.size:
+            if any(c == len(bases[p]) for p in pending):
+                raise InternalInconsistency("no basis member grew the outer span")
+            grew = scan.grows(np.array([bases[p][c] for p in pending]), offenders[pending])
+            pending, c = pending[~grew], c + 1
+    return [Frame(field=f.field, vectors=scan.vectors[j]) if replaced[j] else f
+            for j, f in enumerate(frames)]
+
+
+def nudge_to_independence(f: Frame, eps: float) -> Frame:
+    """Repair dependent outer products by moving vectors less than eps total:
+    the one-frame case of ``nudge_batch``.  Already-independent input comes
+    back unchanged."""
+    return nudge_batch((f,), eps)[0]

@@ -15,9 +15,12 @@ decisions are stacked LAPACK calls per (frame shape, field): every frame,
 vector and verdict is bit for bit what case-by-case evaluation gives, so
 the rows are the same either way.  The classifier corpus is prepared and
 classified one shape group at a time (``geometry.prepare_batch`` and
-``classify_frames``), and the outer duals come from ``outer.outer_duals_of``
-on the kept frames' ``induce_batch`` state.  Each forward case of
-``psd-extension-roundtrip`` draws the same words whatever its outcome.
+``classify_frames``), the outer duals come from ``outer.outer_duals_of``
+on the kept frames' ``induce_batch`` state, and ``nudge-repair`` nudges each
+(shape, field) group of its corpus with one ``perturb.nudge_batch`` call per
+budget and judges the nudged frames' ranks and movements stacked.  Each
+forward case of ``psd-extension-roundtrip`` draws the same words whatever
+its outcome.
 
 Ranks that LAPACK computes are checked against an exact oracle,
 ``rational_rank``: fraction-free (Bareiss) elimination over Python
@@ -93,11 +96,6 @@ def _batches(frames) -> list:
         for j, i in enumerate(idx):
             where[i] = (batch, j)
     return where
-
-
-def _outer_ranks(frames) -> list:
-    """``induce(f).rank`` for each frame, from stacked calls."""
-    return [int(batch.rank[j]) for batch, j in _batches(frames)]
 
 
 def _case_words(stream, widths) -> tuple:
@@ -181,20 +179,27 @@ def rational_rank(matrix) -> int:
 # outer brace identity
 
 
+def _pc2_sides(cplx: bool) -> tuple:
+    """Both sides of <P_phi, P_psi> = |<phi, psi>|^2 for 1000 (phi, psi)
+    pairs drawn alternately from one stream: the trace inner products and
+    the squared moduli, each bit for bit what its pair gives alone."""
+    pairs = unit_vectors(Stream(101 if cplx else 100), 2000, 3, cplx).reshape(1000, 2, 3)
+    phi, psi = pairs[:, 0], pairs[:, 1]
+    p_phi = phi[:, :, None] * phi.conj()[:, None, :]
+    p_psi = psi[:, :, None] * psi.conj()[:, None, :]
+    lhs = np.sum(np.conj(p_phi) * p_psi, axis=(-2, -1))
+    ip = (psi.conj()[:, None, :] @ phi[:, :, None])[:, 0, 0]  # vdot(psi, phi)
+    # |ip| as hypot, which is numpy's scalar abs; its array abs of complex
+    # numbers can differ in the last bit, and so can an array's ** 2
+    rhs = matcore.scalar_square(np.hypot(ip.real, ip.imag) if cplx else np.abs(ip))
+    return (lhs.real if cplx else lhs), rhs
+
+
 def check_pc2_identity():
     rows = []
     for field, cplx in (("real", False), ("complex", True)):
-        # 1000 (phi, psi) pairs, drawn alternately from one stream
-        pairs = unit_vectors(Stream(101 if cplx else 100), 2000, 3, cplx).reshape(1000, 2, 3)
-        phi, psi = pairs[:, 0], pairs[:, 1]
-        p_phi = phi[:, :, None] * phi.conj()[:, None, :]
-        p_psi = psi[:, :, None] * psi.conj()[:, None, :]
-        lhs = np.sum(np.conj(p_phi) * p_psi, axis=(-2, -1))
-        ip = (psi.conj()[:, None, :] @ phi[:, :, None])[:, 0, 0]  # vdot(psi, phi)
-        # |ip| as hypot, which is numpy's scalar abs; its array abs of complex
-        # numbers can differ in the last bit
-        rhs = np.hypot(ip.real, ip.imag) ** 2 if cplx else np.abs(ip) ** 2
-        worst = float(np.max(np.abs((lhs.real if cplx else lhs) - rhs), initial=0.0))
+        lhs, rhs = _pc2_sides(cplx)
+        worst = float(np.max(np.abs(lhs - rhs), initial=0.0))
         rows.append(_row("pc2-identity", field, worst, "0", 1e-12, worst <= 1e-12))
     return rows
 
@@ -794,14 +799,15 @@ def check_nudge_repair():
     inputs = _random_dependent_frames(200)
     # dependent by construction; an independent input is a fault of the
     # corpus and counts as a failure in each row
-    repairable = [f for f, rank in zip(inputs, _outer_ranks(inputs)) if rank < f.m]
+    repairable = [batch.take(np.flatnonzero(~batch.independent))
+                  for batch, _ in _induce_groups(inputs) if not batch.independent.all()]
     rows = []
     for eps in (0.1, 0.01):
-        failures = len(inputs) - len(repairable)
-        nudged = [perturb.nudge_to_independence(f, eps) for f in repairable]
-        for f, g, rank in zip(repairable, nudged, _outer_ranks(nudged)):
-            if rank < g.m or perturb.movement(f, g) >= eps:
-                failures += 1
+        failures = len(inputs) - sum(len(batch.frames) for batch in repairable)
+        for batch in repairable:  # one (shape, field) group each
+            nudged = outer.induce_batch(perturb.nudge_batch(batch.frames, eps))
+            moved = perturb.movement(batch.vectors, nudged.vectors)
+            failures += int(np.count_nonzero(~nudged.independent | (moved >= eps)))
         rows.append(_row("nudge-repair", f"200 dependent frames, eps={eps}", failures,
                          "0 failures", None, failures == 0))
     specs = []
@@ -811,8 +817,8 @@ def check_nudge_repair():
         d = n * n if cplx else n * (n + 1) // 2
         m = 2 + k % (d - 1) if d > 2 else 2
         specs.append((n, m, 14500 + k, "complex" if cplx else "real"))
-    frames = _random_frames(specs)
-    dependent = sum(rank < f.m for f, rank in zip(frames, _outer_ranks(frames)))
+    dependent = sum(int(np.count_nonzero(outer._outer_spectra(v)[2] < v.shape[1]))
+                    for _, v in _random_stacks(specs))
     rows.append(_row("independence-density", "1000 random frames at M <= dim",
                      dependent, "0 dependent", None, dependent == 0))
     return rows

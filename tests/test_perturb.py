@@ -163,6 +163,32 @@ def test_rescale_invariance():
         perturb.rescale_invariance_check(dup, np.zeros((2, 2)))
 
 
+def reference_nearby_basis(psi, eps):
+    """The one-vector construction as a per-vector loop forms it: a scalar
+    phase, one Householder matrix, and one matrix-vector product per
+    member of the cached compressed family (the re-checks left out)."""
+    n = psi.shape[0]
+    cplx = np.iscomplexobj(psi) and bool(np.any(psi.imag != 0.0))
+    ratio = perturb._aligned_base(n, cplx)[1]
+    delta = 1.0
+    while ratio > 0.0 and delta * delta * ratio > eps / 2.0:
+        delta /= 2.0
+    if cplx:
+        gamma = psi[0] / abs(psi[0]) if abs(psi[0]) > 0 else 1.0
+    else:
+        gamma = 1.0 if psi[0] >= 0 else -1.0
+    target = np.conj(gamma) * psi
+    e1 = np.zeros(n, dtype=target.dtype)
+    e1[0] = 1.0
+    d = target - e1
+    dn = float(np.real(np.vdot(d, d)))
+    if dn <= 1e-30:
+        unitary = gamma * np.eye(n, dtype=target.dtype)
+    else:
+        unitary = gamma * (np.eye(n, dtype=target.dtype) - 2.0 * np.outer(d, d.conj()) / dn)
+    return np.array([unitary @ w for w in perturb._compressed_base(n, cplx, delta)])
+
+
 class TestNearbyBasis:
     def test_real_example(self):
         out = perturb.nearby_independent_basis(np.array([1.0, 0.0]), 0.5)
@@ -209,6 +235,42 @@ class TestNearbyBasis:
     def test_non_finite_reference_vector_rejected(self):
         with pytest.raises(NotUnitNorm):
             perturb.nearby_independent_basis(np.array([np.nan, 0.0, 0.0]), 0.1)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_a_stack_gives_each_row_the_per_vector_basis(self, n):
+        # complex rows, real rows in a complex array (they take the real
+        # family), rows with a zero first coordinate and e_1 itself, each
+        # bit for bit what the per-vector construction gives it
+        rng = np.random.default_rng(66 + n)
+        rows = [random_unit_vec(rng, n, k % 3 == 0) for k in range(10)]
+        rows[4] = np.roll(np.eye(n)[0], n - 1)
+        rows[5] = np.exp(0.3j) * np.roll(np.eye(n)[0], n - 1)
+        rows[6] = -rows[6]
+        rows[7] = np.eye(n)[0]
+        real = [rows[1], -rows[2], rows[4], rows[7]]
+        for psi in (np.array(rows, dtype=complex), np.array(real, dtype=float)):
+            for eps in (0.2, 1e-5):
+                bases = perturb.nearby_independent_basis(psi, eps)
+                assert len(bases) == len(psi)
+                for p, basis in zip(psi, bases):
+                    want = reference_nearby_basis(p, eps)
+                    d = n * n if np.any(p.imag != 0.0) else n * (n + 1) // 2
+                    assert basis.shape == (d, n)
+                    assert basis.tobytes() == want.tobytes()
+                    alone = perturb.nearby_independent_basis(p, eps)
+                    assert np.array(alone).tobytes() == want.tobytes()
+
+    def test_one_dimensional_rows_are_their_own_basis(self):
+        psi = np.array([[1.0], [-1.0]])
+        assert [b.tolist() for b in perturb.nearby_independent_basis(psi, 0.1)] == \
+            [[[1.0]], [[-1.0]]]
+        assert [v.tolist() for v in perturb.nearby_independent_basis(np.array([1j]), 0.1)] == \
+            [[1j]]
+
+    def test_a_stack_with_one_row_off_the_unit_sphere_is_rejected(self):
+        psi = np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]])
+        with pytest.raises(NotUnitNorm):
+            perturb.nearby_independent_basis(psi, 0.1)
 
     @pytest.mark.parametrize("n, cplx", [(2, False), (3, True), (4, False)])
     def test_cached_family_equals_per_member_compression(self, n, cplx):
@@ -263,6 +325,22 @@ class TestNudge:
             want = float(sum(np.linalg.norm(g.vectors[i] - f.vectors[i]) for i in range(f.m)))
             assert 0.0 < perturb.movement(f, g) == want < 0.1
             assert perturb.movement(f, f) == 0.0
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_movement_of_stacks_equals_one_frame_at_a_time(self, field):
+        # each frame's norms are summed left to right, as a loop adds them
+        rng = np.random.default_rng(67)
+        for m in range(1, 11):
+            f = cons.random_unit_stack(3, m, list(range(68, 80)), field)
+            g = f + 1e-3 * rng.standard_normal(f.shape)
+            moved = perturb.movement(f, g)
+            assert moved.shape == (12,)
+            for a, b, got in zip(f, g, moved):
+                one = perturb.movement(Frame(field=field, vectors=a), Frame(field=field, vectors=b))
+                total = 0.0
+                for i in range(m):
+                    total = total + np.linalg.norm(b[i] - a[i])
+                assert got == one == total
 
     def test_too_many(self):
         v = np.vstack([np.eye(2), np.eye(2)])

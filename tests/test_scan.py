@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from framekit import constructions as cons
 from framekit import outer, perturb, verify
-from framekit.errors import InternalInconsistency
+from framekit.errors import (BadParam, DimensionMismatch, InternalInconsistency, NotUnitNorm,
+                             TooMany)
 from framekit.frame import Frame
 
 import scan_reference
@@ -160,3 +161,151 @@ def test_planted_copies_property(seed, n, cplx, plants):
     _assert_prefix_and_certificate(f)
     if unit and f.m <= d:
         _assert_nudge(f, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# stacks: ``perturb.nudge_batch`` scans the frames of one shape and field in
+# lockstep, and each member must come out as the reference loop nudges it alone
+
+
+def _assert_nudge_batch(frames, eps):
+    """nudge_batch on each (shape, field) group of frames, against the
+    reference loop member by member: the object kept for an independent
+    frame, and the field and vector bytes of each result."""
+    for idx in verify._index_groups((f.field, f.vectors.shape) for f in frames).values():
+        group = [frames[i] for i in idx]
+        want = [_nudge_outcome(scan_reference.nudge_to_independence, f, eps) for f in group]
+        try:
+            nudged = perturb.nudge_batch(group, eps)
+        except InternalInconsistency as exc:
+            assert str(exc) in want  # a member fails alone too
+            continue
+        assert [(g is f, g.field, g.vectors.tobytes()) for f, g in zip(group, nudged)] == want
+
+
+def _with_copy(f, src, at, factor):
+    """f with factor times vector src inserted before position at."""
+    v = np.insert(f.vectors, at, factor * f.vectors[src], axis=0)
+    return Frame(field=f.field, vectors=v)
+
+
+def test_nudge_batch_on_the_nudge_repair_corpus():
+    frames = verify._random_dependent_frames(200)
+    # independent members of the same shapes come back as themselves
+    frames += [cons.random_unit(f.n, f.m, 15000 + k, f.field) for k, f in enumerate(frames[:24])]
+    for eps in (0.1, 0.01):
+        _assert_nudge_batch(frames, eps)
+
+
+def test_nudge_batch_on_perfbench_shaped_frames():
+    frames = [_perfbench_shaped(seed, *spec) for spec in [(8, 35, 3, False), (10, 54, 5, False),
+                                                         (4, 15, 4, True)]
+              for seed in range(1, 11)]
+    _assert_nudge_batch(frames, 0.1)
+
+
+def test_nudge_batch_on_single_inputs():
+    near = Frame.from_vectors(np.array([[1.0, 0.0], [np.cos(1e-8), np.sin(1e-8)]]))
+    _assert_nudge_batch([cons.biangular(3), cons.biangular(4), near], 0.1)
+
+
+@pytest.mark.parametrize("tol", ["1e-3", "0"])
+def test_nudge_batch_under_env_threshold(monkeypatch, tol):
+    f = Frame.from_vectors(np.vstack([cons.epsilon_pair(0.9999).vectors,
+                                      cons.random_unit(2, 1, 3).vectors]))
+    monkeypatch.setenv("FRAMEKIT_TOL", tol)
+    _assert_nudge_batch([f, cons.random_unit(2, 3, 4), _with_copy(cons.random_unit(2, 2, 5), 0,
+                                                                  2, -1.0)], 0.1)
+    _assert_nudge_batch([_perfbench_shaped(seed, 3, 6, 1, False) for seed in range(1, 6)], 0.1)
+
+
+@pytest.mark.parametrize("n, cplx", [(2, False), (3, False), (4, False), (2, True), (3, True)])
+def test_nudge_batch_members_reject_at_different_positions(n, cplx):
+    # M = dim members with one or two copies of earlier vectors, placed so
+    # that the first reject moves from member to member
+    field = "complex" if cplx else "real"
+    d = n * n if cplx else n * (n + 1) // 2
+    factor = np.exp(0.7j) if cplx else -1.0
+    frames = []
+    for seed in range(12):
+        copies = 1 + seed % 2
+        f = cons.random_unit(n, d - copies, 16000 + seed, field)
+        for c in range(copies):
+            at = 1 + (seed // 2 + c) % f.m
+            f = _with_copy(f, (seed + 3 * c) % at, at, factor)
+        frames.append(f)
+    first_reject = {next(i for i in range(d) if i not in outer.independent_prefix(f))
+                    for f in frames}
+    assert len(first_reject) > 1
+    for eps in (0.1, 0.01):
+        _assert_nudge_batch(frames, eps)
+
+
+def test_nudge_batch_member_that_needs_a_later_candidate():
+    # the first candidate for -v is kept before -v comes, so the scan
+    # rejects it and takes the second; the other members take their first
+    eps = 0.1
+    v = cons.random_unit(2, 1, 17).vectors[0]
+    c0 = perturb.nearby_independent_basis(-v, (eps / 3) ** 2)[0]
+    late = Frame.from_vectors(np.array([v, c0, -v]))
+    others = [_with_copy(cons.random_unit(2, 2, 18 + k), 0, 2, -1.0) for k in range(4)]
+    assert outer.independent_prefix(late) == (0, 1)
+    g = perturb.nudge_batch([others[0], late, *others[1:]], eps)[1]
+    assert g.vectors[2].tobytes() == \
+        perturb.nearby_independent_basis(-v, (eps / 3) ** 2)[1].tobytes()
+    _assert_nudge_batch([others[0], late, *others[1:]], eps)
+
+
+def test_nudge_batch_real_valued_row_of_a_complex_frame_takes_the_real_family():
+    rng = np.random.default_rng(19)
+    real_row = rng.standard_normal(2)
+    real_row /= np.linalg.norm(real_row)
+    mixed = Frame(field="complex", vectors=np.array([cons.random_unit(2, 1, 20, "complex")
+                                                     .vectors[0], real_row, -real_row]))
+    others = [_with_copy(cons.random_unit(2, 2, 21 + k, "complex"), 1, 2, np.exp(0.4j))
+              for k in range(3)]
+    eps = 0.1
+    g = perturb.nudge_batch([others[0], mixed, *others[1:]], eps)[1]
+    real_basis = perturb.nearby_independent_basis(-real_row.astype(complex), (eps / 3) ** 2)
+    assert len(real_basis) == 3  # the real family, not the complex one of 4
+    assert any(g.vectors[2].tobytes() == b.tobytes() for b in real_basis)
+    assert np.all(g.vectors[2].imag == 0.0)
+    _assert_nudge_batch([others[0], mixed, *others[1:]], eps)
+
+
+def test_nudge_batch_on_planted_copies():
+    rng = np.random.default_rng(22)
+    frames = []
+    for seed in range(60):
+        n, cplx = 2 + seed % 3, seed % 2 == 1
+        field = "complex" if cplx else "real"
+        d = n * n if cplx else n * (n + 1) // 2
+        f = cons.random_unit(n, d - 1, 23000 + seed, field)
+        f = _with_copy(f, int(rng.integers(d - 1)), int(rng.integers(d)),
+                       np.exp(1j * rng.uniform(0, 2 * np.pi)) if cplx else -1.0)
+        frames.append(Frame(field=field, vectors=f.vectors[:d]))
+    _assert_nudge_batch(frames, 0.1)
+
+
+def test_nudge_batch_errors():
+    dependent = _with_copy(cons.random_unit(3, 4, 24), 0, 4, -1.0)
+    independent = cons.random_unit(3, 5, 25)
+    with pytest.raises(BadParam, match="underflows"):
+        perturb.nudge_batch([independent, dependent], 1e-300)
+    # nothing to repair, so nothing to spend
+    kept = perturb.nudge_batch([independent, cons.random_unit(3, 5, 26)], 1e-300)
+    assert kept[0] is independent
+    for eps in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(BadParam, match="finite and positive"):
+            perturb.nudge_batch([dependent], eps)
+    with pytest.raises(BadParam, match="at least one frame"):
+        perturb.nudge_batch([], 0.1)
+    with pytest.raises(DimensionMismatch):
+        perturb.nudge_batch([dependent, cons.random_unit(3, 4, 27)], 0.1)
+    with pytest.raises(DimensionMismatch):
+        perturb.nudge_batch([dependent, Frame(field="complex", vectors=dependent.vectors)], 0.1)
+    with pytest.raises(TooMany):
+        perturb.nudge_batch([cons.random_unit(2, 4, 28), cons.random_unit(2, 4, 29)], 0.1)
+    off = Frame.from_vectors(np.vstack([dependent.vectors[:4], [[0.0, 0.0, 2.0]]]))
+    with pytest.raises(NotUnitNorm):
+        perturb.nudge_batch([dependent, off], 0.1)

@@ -92,19 +92,35 @@ def _random_unit_vector(stream, n, cplx):
     return v / np.linalg.norm(v)
 
 
+def reference_pc2_sides(cplx):
+    """Per pair, in order, both sides of the identity as the per-pair loop
+    forms them."""
+    stream = Stream(101 if cplx else 100)
+    for _ in range(1000):
+        phi = _random_unit_vector(stream, 3, cplx)
+        psi = _random_unit_vector(stream, 3, cplx)
+        lhs = matcore.frobenius_ip(np.outer(phi, phi.conj()), np.outer(psi, psi.conj()))
+        yield (lhs.real if cplx else lhs), abs(np.vdot(psi, phi)) ** 2
+
+
 def reference_pc2_identity():
     rows = []
     for field, cplx in (("real", False), ("complex", True)):
-        stream = Stream(101 if cplx else 100)
         worst = 0.0
-        for _ in range(1000):
-            phi = _random_unit_vector(stream, 3, cplx)
-            psi = _random_unit_vector(stream, 3, cplx)
-            lhs = matcore.frobenius_ip(np.outer(phi, phi.conj()), np.outer(psi, psi.conj()))
-            rhs = abs(np.vdot(psi, phi)) ** 2
-            worst = max(worst, abs((lhs.real if cplx else lhs) - rhs))
+        for lhs, rhs in reference_pc2_sides(cplx):
+            worst = max(worst, abs(lhs - rhs))
         rows.append(verify._row("pc2-identity", field, worst, "0", 1e-12, worst <= 1e-12))
     return rows
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_pc2_sides_equal_the_per_pair_scalars(cplx):
+    # the row is a maximum, which a last-bit difference elsewhere leaves
+    # unchanged: compare every pair's two sides
+    lhs, rhs = verify._pc2_sides(cplx)
+    want_lhs, want_rhs = (np.array(side) for side in zip(*reference_pc2_sides(cplx)))
+    assert rhs.tobytes() == want_rhs.tobytes()
+    assert lhs.tobytes() == want_lhs.tobytes()
 
 
 def reference_hadamard_gram():
@@ -502,6 +518,45 @@ def test_perturbation_suite_judges_the_frames_the_reference_loop_does(monkeypatc
     verify.check_perturbation_suite()
     assert len(reference) > 500
     assert sorted(v.tobytes() for v in seen) == reference
+
+
+def test_nudge_repair_nudges_the_frames_the_reference_loop_does(monkeypatch):
+    # the rows count failures, which stay 0 whatever frame a wrong nudge
+    # returns as long as it is independent and moved little: compare the
+    # nudged frames themselves, with the frames and budgets they came from,
+    # and the movements the check measures with the reference loop's sums
+    seen, moves = [], []
+    batch, single, movement = perturb.nudge_batch, scan_reference.nudge_to_independence, \
+        perturb.movement
+
+    def record_movement(f, g):
+        moved = movement(f, g)
+        for a, b, x in zip(f, g, moved):
+            summed = float(sum(np.linalg.norm(b[i] - a[i]) for i in range(len(a))))
+            moves.append((a.tobytes(), b.tobytes(), x == summed))
+        return moved
+
+    def record_batch(frames, eps):
+        frames = list(frames)
+        nudged = batch(frames, eps)
+        seen.extend((eps, f.vectors.tobytes(), g.field, g.vectors.tobytes())
+                    for f, g in zip(frames, nudged))
+        return nudged
+
+    def record_single(f, eps):
+        g = single(f, eps)
+        seen.append((eps, f.vectors.tobytes(), g.field, g.vectors.tobytes()))
+        return g
+
+    monkeypatch.setattr(perturb, "nudge_batch", record_batch)
+    monkeypatch.setattr(perturb, "movement", record_movement)
+    monkeypatch.setattr(scan_reference, "nudge_to_independence", record_single)
+    reference_nudge_repair()
+    reference, seen[:] = sorted(seen), []
+    verify.check_nudge_repair()
+    assert len(reference) == 400
+    assert sorted(seen) == reference
+    assert sorted(moves) == sorted((f, g, True) for _, f, _, g in reference)
 
 
 def test_nudge_repair_corpus_equals_per_case_draws():
