@@ -183,7 +183,7 @@ def admissible_vector(ext: PsdExtension, a) -> np.ndarray:
     return (vecs @ (a * np.sqrt(lam))[..., None])[..., 0]
 
 
-def admissible_coefficients(ext: PsdExtension, v, tol: float = DEFAULT_VERDICT_TOL):
+def admissible_coefficients(ext: PsdExtension, v):
     """Recover the border coefficients of v, or None when v is off-family.
 
     None exactly when the bordered extension increases rank: v must lie in
@@ -203,7 +203,8 @@ def admissible_coefficients(ext: PsdExtension, v, tol: float = DEFAULT_VERDICT_T
     inside[idx] = True
     leakage = matcore.row_norms(coords[..., ~inside])
     a = coords[..., idx] / np.sqrt(ext.spectrum.eigenvalues[..., idx])
-    off = (leakage > tol) | (np.abs(np.sum(np.abs(a) ** 2, axis=-1) - 1.0) > tol)
+    off = ((leakage > DEFAULT_VERDICT_TOL)
+           | (np.abs(np.sum(np.abs(a) ** 2, axis=-1) - 1.0) > DEFAULT_VERDICT_TOL))
     if ext.t.ndim == 2:
         return None if off else a
     return np.where(off[..., None], np.nan, a)
@@ -291,7 +292,7 @@ def _ellipsoid_residuals(sd: matcore.SpectralData, n: int, v: np.ndarray,
     return out
 
 
-def ellipsoid_residual(f: Frame, v, tol: float = DEFAULT_VERDICT_TOL) -> float:
+def ellipsoid_residual(f: Frame, v) -> float:
     """Membership residual of v on the analysis image of the unit sphere.
 
     Expands v in the Gram eigenbasis; any component outside the positive
@@ -303,7 +304,7 @@ def ellipsoid_residual(f: Frame, v, tol: float = DEFAULT_VERDICT_TOL) -> float:
     if v.shape[0] != f.m:
         raise ShapeMismatch(f"v has length {v.shape[0]}, expected M = {f.m}")
     sd = matcore.hermitian_eig(gram(f))
-    return float(_ellipsoid_residuals(sd, f.n, v.reshape(1, -1), tol)[0])
+    return float(_ellipsoid_residuals(sd, f.n, v.reshape(1, -1), DEFAULT_VERDICT_TOL)[0])
 
 
 @dataclass(frozen=True)

@@ -257,7 +257,8 @@ def nudge_batch(frames, eps: float) -> list:
     already independent comes back unchanged (the same object).
 
     BadParam for an empty run or an eps that is not finite and positive, or
-    whose budget per vector underflows once a vector must move;
+    whose budget per vector underflows once a vector must move, or is too
+    small for the rank rule to see any basis member grow the span;
     DimensionMismatch for mixed shapes or fields; TooMany when M exceeds
     the ambient self-adjoint dimension; NotUnitNorm for a frame that is not
     unit norm.
@@ -286,7 +287,12 @@ def nudge_batch(frames, eps: float) -> list:
         pending, c = np.arange(offenders.size), 0  # offenders still to replace, candidate c
         while pending.size:
             if any(c == len(bases[p]) for p in pending):
-                raise InternalInconsistency("no basis member grew the outer span")
+                # the basis's outers span the whole space, so in exact
+                # arithmetic some member grows any proper span: the budget
+                # is below what the rank rule can resolve
+                raise BadParam(f"eps = {eps} is too small: the squared budget per vector, "
+                               f"(eps / M)^2 = {per_vector_sq:g} with M = {m}, is below what "
+                               "the rank rule resolves; no nearby basis member grows the span")
             grew = scan.grows(np.array([bases[p][c] for p in pending]), offenders[pending])
             pending, c = pending[~grew], c + 1
     return [Frame(field=f.field, vectors=scan.vectors[j]) if replaced[j] else f

@@ -17,7 +17,7 @@ from .frame import COMPLEX, REAL, Frame
 SCHEMA_VERSION = "framekit/1"
 
 
-def frame_to_doc(f: Frame, name=None, construction=None, seed=None) -> dict:
+def frame_to_doc(f: Frame, name=None, construction=None) -> dict:
     if f.field == COMPLEX:
         vectors = [[[float(z.real), float(z.imag)] for z in row] for row in f.vectors]
     else:
@@ -25,8 +25,6 @@ def frame_to_doc(f: Frame, name=None, construction=None, seed=None) -> dict:
     doc = {"schema": SCHEMA_VERSION, "field": f.field, "n": f.n, "vectors": vectors}
     if name is not None:
         doc["name"] = name
-    if seed is not None:
-        doc["seed"] = seed
     if construction is not None:
         doc["construction"] = construction
     return doc

@@ -7,20 +7,23 @@ subcommand runs them all and exits non-zero on any failure; the pytest
 acceptance module drives the same functions.  All randomness comes from
 the package's own counter-based generator so every run is identical.
 
-Every Monte Carlo check is stacked.  Its frames are drawn in blocks (one
-counter-word mix per (n, m, field) of seeds), its stream draws are one
-``raw`` block cut by per-case widths (a case that a filter skips draws
-nothing, so the widths are set after the filters), and its filters and
-decisions are stacked LAPACK calls per (frame shape, field): every frame,
-vector and verdict is bit for bit what case-by-case evaluation gives, so
-the rows are the same either way.  The classifier corpus is prepared and
-classified one shape group at a time (``geometry.prepare_batch`` and
-``classify_frames``), the outer duals come from ``outer.outer_duals_of``
-on the kept frames' ``induce_batch`` state, and ``nudge-repair`` nudges each
-(shape, field) group of its corpus with one ``perturb.nudge_batch`` call per
-budget and judges the nudged frames' ranks and movements stacked.  Each
-forward case of ``psd-extension-roundtrip`` draws the same words whatever
-its outcome.
+Every Monte Carlo check is stacked, and its corpus takes one path.
+``_random_stacks`` draws the frames of each (n, m, field) of specs in one
+counter-word mix; ``_kept_groups`` induces each such group in one
+``outer.induce_batch`` and cuts it to the frames that pass the check's
+filter, and ``_first_kept`` does so for the first count k that pass, in
+blocks just large enough; ``_group_words`` then hands the check's stream
+words out of one ``raw`` block in case order, a run of words to each kept
+case and none to a case the filter skips.  Filters and decisions are
+stacked LAPACK calls per (frame shape, field), and every frame, vector and
+verdict is bit for bit what case-by-case evaluation gives, so the rows are
+the same either way.  The classifier corpus is prepared and classified one
+shape group at a time (``geometry.prepare_batch`` and
+``classify_frames``), the outer duals come from ``outer.outer_duals_of`` on
+the kept groups, and ``nudge-repair`` nudges each (shape, field) group of
+its corpus with one ``perturb.nudge_batch`` call per budget and judges the
+nudged frames' ranks and movements stacked.  Each forward case of
+``psd-extension-roundtrip`` draws the same words whatever its outcome.
 
 Ranks that LAPACK computes are checked against an exact oracle,
 ``rational_rank``: fraction-free (Bareiss) elimination over Python
@@ -72,54 +75,45 @@ def _random_stacks(specs) -> list:
             for (n, m, field), idx in groups.items()]
 
 
-def _random_frames(specs) -> list:
-    """``random_unit(n, m, seed, field)`` for each spec (n, m, seed, field),
-    in order; the seeds of one (n, m, field) are drawn in one block."""
-    frames = [None] * len(specs)
+def _kept_groups(specs, keep) -> list:
+    """Per (n, m, field) group of the specs (n, m, seed, field), in order of
+    first sight, that has a frame passing keep (an ``OuterBatch`` -> (K,)
+    bool rule): the indices of the specs that pass and the group's
+    ``induce_batch``, cut to their frames."""
+    groups = []
     for idx, block in _random_stacks(specs):
-        for i, v in zip(idx, block):
-            frames[i] = Frame(field=specs[i][3], vectors=v)
-    return frames
+        field = specs[idx[0]][3]
+        batch = outer.induce_batch(Frame(field=field, vectors=v) for v in block)
+        rows = np.flatnonzero(keep(batch))
+        if rows.size:
+            groups.append((idx[rows], batch.take(rows)))
+    return groups
 
 
-def _induce_groups(frames) -> list:
-    """One ``outer.induce_batch`` per (field, shape) of frames, each with the
-    indices of the frames it holds."""
-    groups = _index_groups((f.field, f.vectors.shape) for f in frames)
-    return [(outer.induce_batch(frames[i] for i in idx), idx) for idx in groups.values()]
+def _first_kept(spec, count, keep) -> list:
+    """``_kept_groups`` of the first count k whose frame spec(k) passes keep,
+    k counting from 0: blocks of k just large enough to reach count if every
+    frame passes, each block's groups with k for spec indices."""
+    groups, kept, k = [], 0, 0
+    while kept < count:
+        ks = range(k, k + count - kept)
+        block = _kept_groups([spec(j) for j in ks], keep)
+        groups += [(idx + k, batch) for idx, batch in block]
+        kept += sum(len(idx) for idx, _ in block)
+        k = ks.stop
+    return groups
 
 
-def _batches(frames) -> list:
-    """Per frame, in order, its (batch, index within the batch)."""
-    where = [None] * len(frames)
-    for batch, idx in _induce_groups(frames):
-        for j, i in enumerate(idx):
-            where[i] = (batch, j)
-    return where
-
-
-def _case_words(stream, widths) -> tuple:
-    """One raw block for cases that draw widths[i] words each, in order: the
-    words, and where the run of each case starts in them."""
-    widths = np.asarray(widths, dtype=int)
-    return stream.raw(int(widths.sum())), np.cumsum(widths) - widths
-
-
-def _word_rows(words, starts, width) -> np.ndarray:
-    """A (len(starts), width) block whose row i is words[starts[i]:][:width]."""
-    return words[np.asarray(starts)[:, None] + np.arange(width)]
-
-
-def _unit_vector_draws(stream, shapes) -> list:
-    """For each (n, cplx) of shapes, in order, what successive
-    ``unit_vectors(stream, 1, n, cplx)[0]`` calls give, from one raw block."""
-    words, starts = _case_words(stream, [normal_words(n, cplx) for n, cplx in shapes])
-    out = [None] * len(shapes)
-    for (n, cplx), idx in _index_groups(shapes).items():
-        block = unit_rows(_word_rows(words, starts[idx], normal_words(n, cplx)), n, cplx)
-        for i, u in zip(idx, block):
-            out[i] = u
-    return out
+def _group_words(stream, count, groups) -> list:
+    """One ``raw`` block for cases 0 .. count-1 in order, where each case of
+    a group (its case indices, width) draws width words and every other case
+    draws none: per group, a (len(indices), width) block of its cases' words."""
+    widths = np.zeros(count, dtype=int)
+    for idx, width in groups:
+        widths[idx] = width
+    words = stream.raw(int(widths.sum()))
+    starts = np.cumsum(widths) - widths
+    return [words[starts[idx][:, None] + np.arange(width)] for idx, width in groups]
 
 
 def _orthonormal(g):
@@ -227,21 +221,20 @@ def check_hadamard_gram():
     stream = Stream(300)
     specs = [(2 + k % 3, 2 + (k // 2) % 4, 3000 + k, "complex" if k % 2 else "real")
              for k in range(500)]
-    frames = _random_frames(specs)
-    # non-unit norms so the diagonal envelope is exercised: every third frame
-    # takes its m scales in turn from one block of uniforms
-    scaled = range(0, 500, 3)
-    ms = [frames[k].m for k in scaled]
-    for k, u in zip(scaled, np.split(stream.uniforms(sum(ms)), np.cumsum(ms)[:-1])):
-        f = frames[k]
-        frames[k] = Frame(field=f.field, vectors=f.vectors * (0.5 + u)[:, None])
+    stacks = _random_stacks(specs)
+    # non-unit norms so the diagonal envelope is exercised: every third frame,
+    # in order, scales its m vectors by one block of uniforms
+    scales = _group_words(stream, len(specs),
+                          [(idx[idx % 3 == 0], v.shape[1]) for idx, v in stacks])
     worst_id = 0.0
     worst_env = -np.inf
-    for batch, _ in _induce_groups(frames):
-        g = vector_gram(batch.vectors)
-        dev = np.linalg.norm(batch.gram_op - np.abs(g) ** 2, axis=(-2, -1))
+    for (idx, v), words in zip(stacks, scales):
+        v[idx % 3 == 0] *= (0.5 + word_uniforms(words))[..., None]
+        gram_op, spectrum, _ = outer._outer_spectra(v)
+        g = vector_gram(v)
+        dev = np.linalg.norm(gram_op - np.abs(g) ** 2, axis=(-2, -1))
         worst_id = max(worst_id, float(dev.max()))
-        w = batch.gram_spectrum.eigenvalues
+        w = spectrum.eigenvalues
         gw = matcore.hermitian_eigvalues(g)
         d = np.diagonal(g, axis1=-2, axis2=-1).real
         lo = d.min(axis=-1) * gw[:, -1]
@@ -266,23 +259,15 @@ def _bound_extremes_spec(k):
 
 
 def check_outer_bound_extremes():
-    # the first 200 k whose frame has independent outer products, drawn in
-    # blocks just large enough to reach 200 if every frame is independent
-    cases = []
-    k = 0
-    while len(cases) < 200:
-        ks = range(k, k + 200 - len(cases))
-        frames = _random_frames([_bound_extremes_spec(j) for j in ks])
-        for f, (batch, i) in zip(frames, _batches(frames)):
-            if batch.independent[i]:
-                cases.append((f.m, f.n, batch.gram_spectrum.eigenvalues[i]))
-        k = ks.stop
     worst_upper = -np.inf
     worst_lower = -np.inf
-    for m, n, w in cases:
-        worst_upper = max(worst_upper, m / n - w[0])
+    # the first 200 k whose frame has independent outer products
+    for _, batch in _first_kept(_bound_extremes_spec, 200, lambda b: b.independent):
+        m, n = batch.m, batch.vectors.shape[-1]
+        w = batch.gram_spectrum.eigenvalues
+        worst_upper = max(worst_upper, float(np.max(m / n - w[:, 0])))
         if m > n:
-            worst_lower = max(worst_lower, w[-1] - m * (n - 1) / (n * (m - 1)))
+            worst_lower = max(worst_lower, float(np.max(w[:, -1] - m * (n - 1) / (n * (m - 1)))))
     rows = [
         _row("outer-bound-extremes", "upper bound floor M/N", worst_upper, "<= 0",
              1e-9, worst_upper <= 1e-9),
@@ -382,23 +367,14 @@ def _outer_duals_spec(k):
 
 
 def check_outer_duals():
-    # the first 100 k whose vectors and outer products are independent, drawn
-    # in blocks just large enough to reach 100 if every frame is
     worst = 0.0
-    count = k = 0
-    while count < 100:
-        ks = range(k, k + 100 - count)
-        for batch, _ in _induce_groups(_random_frames([_outer_duals_spec(j) for j in ks])):
-            m = batch.m
-            kept = np.flatnonzero((outer._vector_ranks(batch.vectors) == m) & batch.independent)
-            if not len(kept):
-                continue
-            batch = batch.take(kept)
-            duals = outer.outer_duals_of(batch).reshape(len(kept), m, -1)
-            bio = np.real(outer._vectorized(batch.vectors).conj() @ duals.swapaxes(-1, -2))
-            worst = max(worst, float(np.max(np.abs(bio - np.eye(m)))))
-            count += len(kept)
-        k = ks.stop
+    # the first 100 k whose vectors and outer products are independent
+    kept = _first_kept(_outer_duals_spec, 100,
+                       lambda b: (outer._vector_ranks(b.vectors) == b.m) & b.independent)
+    for _, batch in kept:
+        duals = outer.outer_duals_of(batch).reshape(len(batch.vectors), batch.m, -1)
+        bio = np.real(outer._vectorized(batch.vectors).conj() @ duals.swapaxes(-1, -2))
+        worst = max(worst, float(np.max(np.abs(bio - np.eye(batch.m)))))
     return [_row("outer-duals", "biorthogonality over 100 configurations", worst,
                  "identity", 1e-9, worst <= 1e-9)]
 
@@ -514,10 +490,10 @@ def _psd_matrix(q, lam):
     return (t + t.conj().swapaxes(-1, -2)) / 2
 
 
-def _psd_forward_words(k) -> tuple:
-    """Raw words forward case k draws, by part: the orthonormal basis, the
-    r eigenvalues, the border coefficients and the kernel leak."""
-    n, r, cplx = _psd_case(k)
+def _psd_forward_words(n, r, cplx) -> tuple:
+    """Raw words a forward case of ``_psd_case`` (n, r, cplx) draws, by part:
+    the orthonormal basis, the r eigenvalues, the border coefficients and
+    the kernel leak."""
     return (normal_words(n * n, cplx), r, normal_words(r, cplx),
             normal_words(n - r, cplx) if r < n else 0)
 
@@ -531,13 +507,13 @@ def _psd_forward_failures(stream, count) -> tuple:
     failure.  A t that fails a PSD rule raises NotPsd, as psd_extension
     and (once t has its r positive eigenvalues) extension_rank_preserved do.
     """
-    parts = np.array([_psd_forward_words(k) for k in range(count)])
-    widths = parts.sum(axis=1)
-    words, starts = _case_words(stream, widths)
+    groups = _index_groups(_psd_case(k) for k in range(count))
+    draws = _group_words(stream, count, [(ks, sum(_psd_forward_words(*case)))
+                                         for case, ks in groups.items()])
     forward = offfam = 0
-    for (n, r, cplx), ks in _index_groups(_psd_case(k) for k in range(count)).items():
+    for ((n, r, cplx), ks), words in zip(groups.items(), draws):
         basis_w, lam_w, coef_w, leak_w = np.split(
-            _word_rows(words, starts[ks], widths[ks[0]]), np.cumsum(parts[ks[0]])[:-1], axis=1)
+            words, np.cumsum(_psd_forward_words(n, r, cplx))[:-1], axis=1)
         g = box_muller(basis_w, n * n, cplx).reshape(-1, n, n)
         t = _psd_matrix(_orthonormal(g), 0.5 + 1.5 * word_uniforms(lam_w))
         sd = matcore.hermitian_eig(t)
@@ -634,24 +610,19 @@ def check_classifier_coherence():
             d = n * (n + 1) // 2
             # keep M + 1 within the ambient dimension
             specs.append((n, 2 + k % max(1, d - 2), 11000 + k, "real"))
-    frames = _random_frames(specs)
-    groups = [(batch, np.array(idx)[batch.independent], np.flatnonzero(batch.independent))
-              for batch, idx in _induce_groups(frames)]
+    groups = _kept_groups(specs, lambda b: b.independent)
     # frames with independent outers, in order: every tenth takes one of its
     # own vectors (an exact dependent extension), the others the stream's
     # next unit vector
-    kept = sorted(k for _, ks, _ in groups for k in ks)
-    drawn = [k for k in kept if k % 10]
-    candidates = dict(zip(drawn, _unit_vector_draws(
-        stream, [(frames[k].n, frames[k].field == "complex") for k in drawn])))
+    shapes = [(b.vectors.shape[-1], np.iscomplexobj(b.vectors)) for _, b in groups]
+    draws = _group_words(stream, total, [(ks[ks % 10 != 0], normal_words(n, cplx))
+                                         for (ks, _), (n, cplx) in zip(groups, shapes)])
     disagreements = dependents = 0
-    for batch, ks, rows in groups:
-        if not len(ks):
-            continue
-        cands = np.array([candidates[k] if k % 10 else frames[k].vectors[k % frames[k].m]
-                          for k in ks])
-        result, disagrees = geometry.classify_frames(geometry.prepare_batch(batch.take(rows)),
-                                                     cands, tol=1e-8)
+    for (ks, batch), (n, cplx), words in zip(groups, shapes, draws):
+        cands = batch.vectors[np.arange(len(ks)), ks % batch.m]
+        cands[ks % 10 != 0] = unit_rows(words, n, cplx)
+        result, disagrees = geometry.classify_frames(geometry.prepare_batch(batch), cands,
+                                                     tol=1e-8)
         disagreements += int(disagrees.sum())
         dependents += int((result.dependent & ~disagrees).sum())
     return [_row("classifier-coherence",
@@ -704,13 +675,10 @@ def _envelope_excess(stream) -> float:
         specs.append((n, 2 + k % n if n > 2 else 2, 13000 + k, "complex" if k % 2 else "real"))
     groups = [(idx[ok], v[ok]) for idx, v in _random_stacks(specs)
               for ok in [outer._vector_ranks(v) == v.shape[1]] if ok.any()]
-    widths = np.zeros(len(specs), dtype=int)
-    for idx, v in groups:
-        widths[idx] = normal_words(v[0].size, np.iscomplexobj(v)) + 1
-    words, starts = _case_words(stream, widths)
+    draws = _group_words(stream, len(specs), [
+        (idx, normal_words(v[0].size, np.iscomplexobj(v)) + 1) for idx, v in groups])
     worst = -np.inf
-    for idx, v in groups:
-        drawn = _word_rows(words, starts[idx], widths[idx[0]])
+    for (_, v), drawn in zip(groups, draws):
         noise = box_muller(drawn[:, :-1], v[0].size, np.iscomplexobj(v)).reshape(v.shape)
         # the Riesz bounds: the extreme eigenvalues of the Gram, as riesz_bounds reads them
         w = matcore.hermitian_eigvalues(vector_gram(v))
@@ -733,18 +701,14 @@ def _radius_fuzz_failures(stream) -> int:
         n = 2 + k % 2
         d = n * n if k % 2 else n * (n + 1) // 2
         specs.append((n, min(2 + k % 3, d), 13500 + k, "complex" if k % 2 else "real"))
-    groups = [(np.array(idx)[batch.independent], batch.take(np.flatnonzero(batch.independent)))
-              for batch, idx in _induce_groups(_random_frames(specs)) if batch.independent.any()]
-    widths = np.zeros(len(specs), dtype=int)
-    for idx, batch in groups:
-        widths[idx] = normal_words(batch.vectors[0].size, np.iscomplexobj(batch.vectors))
-    words, starts = _case_words(stream, widths)
+    groups = _kept_groups(specs, lambda b: b.independent)
+    draws = _group_words(stream, len(specs), [
+        (idx, normal_words(b.vectors[0].size, np.iscomplexobj(b.vectors))) for idx, b in groups])
     failures = 0
-    for idx, batch in groups:
+    for (_, batch), words in zip(groups, draws):
         v = batch.vectors
         radius = perturb.independence_radius(batch)
-        noise = box_muller(_word_rows(words, starts[idx], widths[idx[0]]), v[0].size,
-                           np.iscomplexobj(v)).reshape(v.shape)
+        noise = box_muller(words, v[0].size, np.iscomplexobj(v)).reshape(v.shape)
         noise *= (0.9 * np.sqrt(radius)
                   / matcore.row_norms(noise.reshape(len(v), -1)))[:, None, None]
         moved = v + noise
@@ -783,15 +747,16 @@ def _random_dependent_frames(count: int) -> list:
         n = 2 if cplx else 2 + k % 3
         d = n * n if cplx else n * (n + 1) // 2
         specs.append((n, max(2, 2 + k % (d - 1)), 14000 + k, "complex" if cplx else "real"))
-    frames = []
-    for k, f in enumerate(_random_frames(specs)):
-        v = f.vectors.copy()
-        i = k % f.m
-        j = (k + 1 + k // f.m) % f.m
-        if i == j:
-            j = (j + 1) % f.m
-        v[j] = (np.exp(1j * 2.0) if f.field == "complex" else -1.0) * v[i]
-        frames.append(Frame(field=f.field, vectors=v))
+    frames = [None] * count
+    for idx, block in _random_stacks(specs):
+        for k, v in zip(idx, block):
+            m = len(v)
+            i = k % m
+            j = (k + 1 + k // m) % m
+            if i == j:
+                j = (j + 1) % m
+            v[j] = (np.exp(1j * 2.0) if np.iscomplexobj(v) else -1.0) * v[i]
+            frames[k] = Frame(field=specs[k][3], vectors=v)
     return frames
 
 
@@ -799,8 +764,10 @@ def check_nudge_repair():
     inputs = _random_dependent_frames(200)
     # dependent by construction; an independent input is a fault of the
     # corpus and counts as a failure in each row
+    batches = [outer.induce_batch(inputs[i] for i in idx)
+               for idx in _index_groups((f.field, f.vectors.shape) for f in inputs).values()]
     repairable = [batch.take(np.flatnonzero(~batch.independent))
-                  for batch, _ in _induce_groups(inputs) if not batch.independent.all()]
+                  for batch in batches if not batch.independent.all()]
     rows = []
     for eps in (0.1, 0.01):
         failures = len(inputs) - sum(len(batch.frames) for batch in repairable)

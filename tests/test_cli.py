@@ -486,6 +486,15 @@ def test_nudge_eps_whose_budget_underflows(tmp_path, capsys):
     assert "too small" in err and "underflows" in err
 
 
+def test_nudge_eps_below_what_the_rank_rule_resolves(tmp_path, capsys):
+    frame_file = tmp_path / "b3.json"
+    run_cli(capsys, "construct", "biangular", "--n", "3", "-o", str(frame_file))
+    code, out, err = run_cli(capsys, "nudge", str(frame_file), "--eps", "1e-6")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "InternalInconsistency" not in err
+    assert err.startswith("framekit nudge: BadParam: eps = 1e-06 is too small")
+
+
 @pytest.mark.parametrize("argv", [["analyze", "F"], ["classify", "F", "--grid", "5"],
                                   ["nudge", "F", "--eps", "0.1", "--report", "R"]])
 def test_commands_other_than_verify_leave_the_suite_unrun(tmp_path, argv):

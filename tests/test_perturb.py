@@ -298,6 +298,17 @@ class TestNudge:
         g = cons.eij_basis(2)
         assert perturb.nudge_to_independence(g, 1e-300) is g
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9])
+    def test_eps_below_what_the_rank_rule_resolves(self, eps):
+        # the biangular N = 3 frame repeats outer products, and within
+        # (eps / M)^2 = (eps / 6)^2 of an offender no basis member grows the
+        # outer span at the rank tolerance: a parameter error, not a fault
+        with pytest.raises(BadParam) as exc:
+            perturb.nudge_to_independence(cons.biangular(3), eps)
+        msg = str(exc.value)
+        assert f"eps = {eps} is too small" in msg and "M = 6" in msg
+        assert f"(eps / M)^2 = {(eps / 6) ** 2:g}" in msg
+
     def test_identity_on_independent(self):
         f = cons.eij_basis(2)
         assert perturb.nudge_to_independence(f, 0.1) is f

@@ -24,8 +24,7 @@ def test_json_round_trip_bit_identical():
 
 def test_json_metadata():
     f = cons.simplex(2)
-    doc = ser.frame_to_doc(f, name="simplex", seed=None,
-                           construction={"kind": "simplex", "n": 2})
+    doc = ser.frame_to_doc(f, name="simplex", construction={"kind": "simplex", "n": 2})
     assert doc["name"] == "simplex"
     assert doc["construction"]["kind"] == "simplex"
     assert ser.doc_to_frame(doc).m == 3

@@ -108,7 +108,7 @@ def test_every_top_level_name_of_the_package_is_read_somewhere():
 
 #: What marks a check as drawing a random corpus, in its own source or in that
 #: of a ``verify`` function it reaches.
-_CORPUS_MARKERS = ("Stream(", "_random_frames", "random_unit")
+_CORPUS_MARKERS = ("Stream(", "_random_stacks", "random_unit")
 #: Checks with a marker that draw no corpus of their own, and why.
 _NO_CORPUS = {
     "mu2-mu4-probe": "three fixed frames, one a single random_unit draw; the samples are "

@@ -744,11 +744,56 @@ def test_classifier_coherence_counts_each_disagreement(monkeypatch):
     assert _same_rows(batched, reference)
 
 
-@pytest.mark.parametrize("seed", [1100, 5])
-def test_unit_vector_draws_equal_successive_draws(seed):
-    shapes = [(2 + k % 3, k % 4 == 3) for k in range(50)]
+@pytest.mark.parametrize("seed", [1100, 5, 300])
+def test_group_words_equal_successive_draws(seed):
+    # three interleaved groups with gaps, one of them empty: each grouped
+    # case draws its group's width from the stream in case order, every
+    # other case nothing, and the stream ends where the per-case draws do
+    groups = [(np.array([0, 3, 4, 9]), 6), (np.array([], dtype=int), 5),
+              (np.array([1, 7, 10, 11, 16]), 3), (np.array([2, 8, 14]), 1)]
     one, many = Stream(seed), Stream(seed)
-    drawn = verify._unit_vector_draws(many, shapes)
-    for (n, cplx), u in zip(shapes, drawn):
-        assert u.tobytes() == _random_unit_vector(one, n, cplx).tobytes()
+    drawn = verify._group_words(many, 18, groups)
+    width = {int(k): w for idx, w in groups for k in idx}
+    expected = {k: one.raw(width[k]) for k in range(18) if k in width}
+    assert [d.shape for d in drawn] == [(len(idx), w) for idx, w in groups]
+    for (idx, _), block in zip(groups, drawn):
+        for k, words in zip(idx, block):
+            assert words.tobytes() == expected[int(k)].tobytes()
     assert one.raw(3).tobytes() == many.raw(3).tobytes()
+
+
+def test_first_kept_takes_the_first_passing_frames(monkeypatch):
+    # a filter that rejects about two frames in three, so reaching 40 takes
+    # several blocks: the groups hold exactly the frames of the first 40
+    # passing k, each with the outer state induce gives it alone
+    def spec(k):
+        return 2 + k % 3, 2 + k % 2, 700 + k, "complex" if k % 4 == 3 else "real"
+
+    def keep(batch):
+        return batch.vectors[:, 0, 0].real > 0.5
+
+    calls = []
+    kept_groups = verify._kept_groups
+
+    def record(specs, rule):
+        calls.append(len(specs))
+        return kept_groups(specs, rule)
+
+    expected, k = [], 0
+    while len(expected) < 40:
+        f = cons.random_unit(*spec(k))
+        if keep(outer.induce_batch([f]))[0]:
+            expected.append((k, f))
+        k += 1
+    monkeypatch.setattr(verify, "_kept_groups", record)
+    groups = verify._first_kept(spec, 40, keep)
+    assert len(calls) > 2 and calls[0] == 40
+    got = sorted((int(k), batch, i) for idx, batch in groups for i, k in enumerate(idx))
+    assert [k for k, _, _ in got] == [k for k, _ in expected]
+    for (_, batch, i), (_, f) in zip(got, expected):
+        assert batch.frames[i].field == f.field
+        assert batch.vectors[i].tobytes() == f.vectors.tobytes()
+        alone = outer.induce(f)
+        assert batch.gram_op[i].tobytes() == alone.gram_op.tobytes()
+        assert batch.gram_spectrum.eigenvalues[i].tobytes() == \
+            alone.gram_spectrum.eigenvalues.tobytes()
