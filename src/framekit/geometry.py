@@ -22,8 +22,8 @@ call over the bordered Grams [[G, w], [w^T, 1]], whose Schur complement is
 two-sided: an independent verdict must grow the bordered rank, and for
 every candidate det([[G, w], [w^T, 1]]) / det(G) must agree with
 1 - elliptic value within its backward-error bound.  ``elliptic_value``,
-``quartic_residual`` and ``mu2_subset_mu4_probe`` read the same prepared
-state, so every value comes from the one equilibrated spectrum.  A
+``quartic_residual`` and ``mu2_subset_mu4_probe`` go through one checked
+body, so every value is cross-checked and comes from the equilibrated spectrum.  A
 prepared state's ``outer`` is the ``outer.OuterBatch`` of its frames, with
 a leading frame axis even for one frame (``prepare`` builds it by
 ``induce_batch([f])``).
@@ -270,14 +270,17 @@ def quartic_residual(f: Frame, v) -> float:
     """Distance of sum |<v o conj(v), e'_i>|^2 / lambda'_i from 1.
 
     Zero within tolerance exactly when v lies on the quartic membership
-    manifold for the frame's outer products.
+    manifold for the frame's outer products.  Cross-checked as classify's
+    values are, so BadParam unless every |v_i|^2 is finite.
     """
     prep = _independent(f)
     v = np.asarray(v).reshape(-1)
     if v.shape[0] != f.m:
         raise ShapeMismatch(f"v has length {v.shape[0]}, expected M = {f.m}")
-    _, value = _elliptic_values(prep, np.abs(v.reshape(1, 1, -1)) ** 2)  # one frame, one row
-    return abs(float(value[0, 0]) - 1.0)
+    if not np.all(np.abs(v) < np.sqrt(np.finfo(np.float64).max)):  # NaN fails too
+        raise BadParam("quartic_residual needs v with finite squared moduli")
+    value = _checked(prep, None, v.reshape(1, 1, -1)).elliptic_value  # one frame, one row
+    return abs(float(value[0]) - 1.0)
 
 
 def _ellipsoid_residuals(sd: matcore.SpectralData, n: int, v: np.ndarray,
@@ -378,11 +381,9 @@ def prepare_batch(batch: OuterBatch) -> PreparedBatch:
         raise NotIndependent(f"frame {int(np.argmin(batch.independent))} of the batch has "
                              "dependent outer products")
     v = batch.vectors
-    m, n = v.shape[-2:]
-    sigma = matcore.stacked_singular_values(v.swapaxes(-1, -2))  # each synthesis matrix
     scale, scaled_gram = _equilibrated(batch.gram_op)
-    return PreparedBatch(outer=batch, analysis=v.conj(),
-                         spans=matcore.rank_from_singular_values(sigma, (n, m)) == n,
+    return PreparedBatch(outer=batch, analysis=v.conj(),  # spans: each synthesis matrix's rank
+                         spans=matcore.numerical_rank(v.swapaxes(-1, -2)) == v.shape[-1],
                          vector_gram=matcore.hermitian_eig(vector_gram(v)), scale=scale,
                          scaled_gram=scaled_gram, scaled_spectrum=matcore.hermitian_eig(scaled_gram),
                          permutation=None)
@@ -488,22 +489,14 @@ def _bordered_gram_check(gram: np.ndarray, lam_g: np.ndarray, w: np.ndarray,
     return _BorderCheck(disagrees=disagrees, flat=flat, schur=schur, bound=bound)
 
 
-def _elliptic_values(prep: PreparedBatch, w: np.ndarray) -> tuple:
-    """(D w, w^T G^{-1} w) for a (..., K, M) batch w = |tv|^2 of squared
-    analysis coefficients against the prepared frames (one frame for
-    every row, or one per leading index), with the value formed as
-    (D w)^T (D G D)^{-1} (D w) from the equilibrated spectrum."""
-    dw = w * prep.scale[..., None, :]
-    return dw, _inverse_gram_form(prep.scaled_spectrum, dw)
-
-
-def _classified(prep: PreparedBatch, candidates: np.ndarray, tv: np.ndarray,
-                tol: float) -> tuple:
+def _classified(prep: PreparedBatch, candidates, tv: np.ndarray, tol: float) -> tuple:
     """(BatchClassification, bordered-Gram check) for the analysis images
     tv: (1, K, M) for K candidates against the one frame of prep, or
-    (K, 1, M) for candidate k against frame k."""
+    (K, 1, M) for candidate k against frame k; each elliptic value of the
+    package is formed here, as (D w)^T (D G D)^{-1} (D w) for w = |tv|^2."""
     m = tv.shape[-1]
-    w, value = _elliptic_values(prep, np.abs(tv) ** 2)
+    w = np.abs(tv) ** 2 * prep.scale[..., None, :]
+    value = _inverse_gram_form(prep.scaled_spectrum, w)
     dependent = np.abs(value - 1.0) <= tol
     check = _bordered_gram_check(prep.scaled_gram, prep.scaled_spectrum.eigenvalues,
                                  w.reshape(-1, m), value.reshape(-1), dependent.reshape(-1))
@@ -516,6 +509,21 @@ def _classified(prep: PreparedBatch, candidates: np.ndarray, tv: np.ndarray,
                                  ellipsoid_residual=ell.reshape(-1), tol=tol,
                                  permutation=prep.permutation)
     return result, check
+
+
+def _checked(prep: PreparedBatch, candidates, tv, tol=DEFAULT_VERDICT_TOL) -> BatchClassification:
+    """``_classified``'s classification, or InternalInconsistency naming the
+    first candidate that disagrees with its bordered Gram."""
+    result, check = _classified(prep, candidates, tv, tol)
+    if check.disagrees.any():
+        i = int(check.disagrees.argmax())
+        verdict = "dependent" if result.dependent[i] else "independent"
+        what = ("rank comparison" if check.flat[i] else
+                f"Schur complement {check.schur[i]:.3e} (bound {check.bound[i]:.1e})")
+        raise InternalInconsistency(
+            f"candidate {i}: elliptic value {result.elliptic_value[i]} "
+            f"(verdict {verdict}) disagrees with the extended-Gram {what}")
+    return result
 
 
 def classify_batch(prep: PreparedBatch, candidates,
@@ -533,17 +541,7 @@ def classify_batch(prep: PreparedBatch, candidates,
     if len(frames) != 1:
         raise ShapeMismatch(f"classify_batch takes one prepared frame, got {len(frames)}")
     candidates = _check_candidates(candidates, frames[0])
-    result, check = _classified(prep, candidates, candidates @ prep.analysis.swapaxes(-1, -2),
-                                tol)
-    if check.disagrees.any():
-        i = int(check.disagrees.argmax())
-        verdict = "dependent" if result.dependent[i] else "independent"
-        what = ("rank comparison" if check.flat[i] else
-                f"Schur complement {check.schur[i]:.3e} (bound {check.bound[i]:.1e})")
-        raise InternalInconsistency(
-            f"candidate {i}: elliptic value {result.elliptic_value[i]} "
-            f"(verdict {verdict}) disagrees with the extended-Gram {what}")
-    return result
+    return _checked(prep, candidates, candidates @ prep.analysis.swapaxes(-1, -2), tol)
 
 
 def classify_frames(prep: PreparedBatch, candidates, tol: float = DEFAULT_VERDICT_TOL) -> tuple:
@@ -587,5 +585,5 @@ def mu2_subset_mu4_probe(f: Frame, samples: int, seed: int) -> float:
     if rank < ambient:
         raise RankDeficient(f"outer products span {rank} < {ambient} dimensions")
     psi = unit_vectors(Stream(seed), samples, f.n, f.field == "complex")
-    value = _elliptic_values(prep, np.abs(psi @ prep.analysis.swapaxes(-1, -2)) ** 2)[1]
+    value = _checked(prep, psi, psi @ prep.analysis.swapaxes(-1, -2)).elliptic_value
     return float(np.max(np.abs(value - 1.0), initial=0.0))

@@ -6,10 +6,10 @@ numerical rank, so both live here with explicit, reportable tolerances.
 Each spectral entry point is one LAPACK call through numpy (``eigh``,
 ``eigvalsh``, ``svd``); this module adds only the self-adjointness test,
 descending order, canonical eigenvector phases and the rank threshold.
-``hermitian_eig``, ``hermitian_eigvalues``, ``singular_values`` and the
-rank rule also take a stack of matrices and decide every matrix of it in
-the same LAPACK call, with the same result per matrix as a call on that
-matrix alone.
+``hermitian_eig``, ``hermitian_eigvalues``, ``singular_values``,
+``numerical_rank`` and the rank rule also take a stack of matrices (and
+``vectorize_outer`` one of vectors), down the one path a matrix takes, with
+the same result per matrix as a call on that matrix alone.
 """
 
 import math
@@ -59,19 +59,15 @@ def as_matrix(a) -> np.ndarray:
 def _canonical_phases(v: np.ndarray) -> np.ndarray:
     """First entry of each column with modulus > 1e-10 made real positive.
 
-    ``v`` is a matrix or a stack of matrices.  A column with no such entry
-    is returned unchanged.  One vectorised pass: each column is multiplied
-    by conj(z) / |z| for its first large entry z, the same product a
-    column-by-column loop would form (|z| as hypot, which is how numpy's
-    scalar abs forms it; its array abs can differ in the last bit).
+    ``v`` is a matrix or a stack of matrices, one path for both.  A column
+    with no such entry is returned unchanged.  One vectorised pass: each
+    column is multiplied by conj(z) / |z| for its first large entry z, the
+    same product a column-by-column loop would form (|z| as hypot, which is
+    how numpy's scalar abs forms it; its array abs can differ in the last bit).
     """
     big = np.abs(v) > 1e-10
     has = big.any(axis=-2, keepdims=True)
-    first = big.argmax(axis=-2)
-    if v.ndim == 2:  # plain indexing: take_along_axis costs more than the rest
-        z = v[first, np.arange(v.shape[1])]
-    else:
-        z = np.take_along_axis(v, first[..., None, :], axis=-2)
+    z = np.take_along_axis(v, big.argmax(axis=-2)[..., None, :], axis=-2)
     z = np.where(has, z, 1.0)
     return np.where(has, v * (np.conj(z) / np.hypot(z.real, z.imag)), v)
 
@@ -143,7 +139,7 @@ def singular_values(a) -> np.ndarray:
 
 def stacked_singular_values(a) -> np.ndarray:
     """``singular_values`` of a matrix or a stack, for the package's stacked
-    callers.
+    callers (``numerical_rank`` of a stack and ``geometry._border_rank``).
 
     A function of its own so that the layer tracer of ``perfbench``, which
     wraps ``singular_values`` and reads the work of each call from a 2-d
@@ -221,16 +217,17 @@ def rank_from_eigenvalues(w, shape):
     return rank_from_singular_values(np.sort(np.abs(w))[..., ::-1], shape)
 
 
-def numerical_rank(a, tol=None) -> int:
-    """Count of singular values above ``tol``.
+def numerical_rank(a, tol=None):
+    """Count of singular values above ``tol``: an int for a matrix, the
+    ranks for an (..., m, n) stack (from ``stacked_singular_values``).
 
     Default tol is max(rows, cols) * eps * sigma_max, overridable by the
     FRAMEKIT_TOL environment variable.  Dependence verdicts downstream
     hinge on this count, so the threshold is explicit and reportable.
     """
-    a = as_matrix(a)
-    sigma = singular_values(a)
-    return rank_from_singular_values(sigma, a.shape, tol)
+    a = as_stack(a)
+    sigma = singular_values(a) if a.ndim == 2 else stacked_singular_values(a)
+    return rank_from_singular_values(sigma, a.shape[-2:], tol)
 
 
 def hadamard(a, b) -> np.ndarray:
@@ -262,9 +259,10 @@ def frobenius_ip(s, t):
 
 
 def vectorize_outer(phi) -> np.ndarray:
-    """Flatten phi phi* into the stacked blocks phi[k] * conj(phi), k = 1..N."""
-    phi = np.asarray(phi).reshape(-1)
-    return np.kron(phi, np.conj(phi))
+    """Flatten phi phi* into the stacked blocks phi[k] * conj(phi), k = 1..N;
+    for (..., N) rows, the (..., N^2) vectorized outer product of each row."""
+    phi = np.asarray(phi)
+    return (phi[..., :, None] * phi.conj()[..., None, :]).reshape(phi.shape[:-1] + (-1,))
 
 
 def sylvester_det_check(s, t):

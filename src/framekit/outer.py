@@ -53,7 +53,7 @@ def _outer_spectra(v: np.ndarray):
 
 def _outer_products(v: np.ndarray) -> np.ndarray:
     """The (..., M, N, N) outer products phi_i phi_i* of (..., M, N) vector rows."""
-    return v[..., :, None] * v.conj()[..., None, :]
+    return matcore.vectorize_outer(v).reshape(v.shape + v.shape[-1:])
 
 
 def _cross_products(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -62,11 +62,6 @@ def _cross_products(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     n = u.shape[-1]
     out = u[..., :, None, :, None] * w.conj()[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (-1, n, n))
-
-
-def _vectorized(v: np.ndarray) -> np.ndarray:
-    """The (..., M, N^2) vectorized outer products of (..., M, N) vector rows."""
-    return _outer_products(v).reshape(v.shape[:-1] + (-1,))
 
 
 @dataclass(frozen=True)
@@ -145,7 +140,7 @@ def _frame_stack(frames, who: str) -> tuple:
 
 def vectorized_synthesis(f: Frame) -> np.ndarray:
     """M x N^2 matrix whose rows are the vectorized outer products."""
-    return _vectorized(f.vectors)
+    return matcore.vectorize_outer(f.vectors)
 
 
 def is_independent(os_: OuterBatch) -> bool:
@@ -156,10 +151,10 @@ def is_independent(os_: OuterBatch) -> bool:
     InternalInconsistency instead of silently picking a side.  Since
     gram_op = S S*, its eigenvalues are the squared singular values of S,
     so both paths judge that one quantity by one rule: the squares go
-    through the same rank threshold, with gram_op's shape.
+    through gram_op's rank rule, ``matcore.rank_from_eigenvalues``.
     """
     sigma = matcore.singular_values(vectorized_synthesis(os_.frames[0]))
-    vec_rank = matcore.rank_from_singular_values(sigma ** 2, os_.gram_op.shape)
+    vec_rank = matcore.rank_from_eigenvalues(sigma ** 2, os_.gram_op.shape)
     if vec_rank != os_.rank:
         raise InternalInconsistency(
             f"gram_op rank {os_.rank} != vectorized rank {vec_rank}")
@@ -225,7 +220,8 @@ class _GreedyScan:
 
     def grows(self, v, at=None) -> np.ndarray:
         """Per trial, whether v's outer product leaves the span of its frame's
-        kept ones; a vector that does is kept."""
+        kept ones; a vector that does is kept.  The trials no certificate
+        decides, a lone one included, go through one stacked eig rule."""
         at = self._every if at is None else np.asarray(at)
         k, rows = int(self.k[at[0]]), self.vectors
         rows[at, k] = v
@@ -254,10 +250,7 @@ class _GreedyScan:
                 self._fro2[j], self._trace[j] = fro2[ok], trace[ok]
         rest = (~grown).nonzero()[0]
         if rest.size:
-            trials = rows[at[rest], :k + 1]
-            if rest.size == 1:  # a lone trial goes as one matrix, hermitian_eig's cheaper path
-                trials = trials[0]
-            kept = rest[np.atleast_1d(_outer_spectra(trials)[2]) == k + 1]
+            kept = rest[_outer_spectra(rows[at[rest], :k + 1])[2] == k + 1]
             self._certified[at[kept]] = False
             grown[kept] = True
         self.k[at[grown]] = k + 1
@@ -394,7 +387,7 @@ def _projections(os_: OuterBatch, x: np.ndarray) -> np.ndarray:
     coefficients of the projections are C = G^{-1} Re(conj(S) X^T), and
     the projections are C^T S.
     """
-    s = _vectorized(os_.vectors)
+    s = matcore.vectorize_outer(os_.vectors)
     b = np.real(s.conj() @ x.swapaxes(-1, -2))
     return _spectral_solve(os_.gram_spectrum, b).swapaxes(-1, -2) @ s
 
@@ -409,13 +402,6 @@ def project_onto_outer_span(os_: OuterBatch, x) -> np.ndarray:
     if x.shape[-2:] != (f.n, f.n):
         raise ShapeMismatch(f"x has shape {x.shape}, the outer products are {f.n} x {f.n}")
     return _projections(os_, x.reshape(-1, f.n * f.n)).reshape(x.shape)
-
-
-def _vector_ranks(v: np.ndarray):
-    """``matcore.numerical_rank`` of the vector Gram of (..., M, N) vector
-    rows, per frame, from one stacked SVD."""
-    g = vector_gram(v)
-    return matcore.rank_from_singular_values(matcore.stacked_singular_values(g), g.shape[-2:])
 
 
 def _dual_vectors(v: np.ndarray) -> np.ndarray:
@@ -434,11 +420,11 @@ def outer_duals_of(os_: OuterBatch) -> np.ndarray:
     projection the candidates fail to lie in the span.  NotIndependent
     when the vectors of some frame, or their outer products, are dependent.
     """
-    if np.any(_vector_ranks(os_.vectors) < os_.m):
+    if np.any(matcore.numerical_rank(vector_gram(os_.vectors)) < os_.m):
         raise NotIndependent("the vectors themselves must be independent")
     if np.any(os_.rank < os_.m):
         raise NotIndependent("the outer products must be independent")
-    duals = _vectorized(_dual_vectors(os_.vectors))
+    duals = matcore.vectorize_outer(_dual_vectors(os_.vectors))
     n = os_.vectors.shape[-1]
     return _projections(os_, duals).reshape(duals.shape[:-1] + (n, n))
 
@@ -486,6 +472,6 @@ def cross_duals(f, g) -> np.ndarray:
     if u.shape[-2] != n or w.shape[-2] != n:
         raise NotABasis("cross duals are defined for bases (M = N)")
     for h in (u, w):
-        if np.any(_vector_ranks(h) < n):
+        if np.any(matcore.numerical_rank(vector_gram(h)) < n):
             raise NotABasis("input vectors do not form a basis")
     return _cross_products(_dual_vectors(u), _dual_vectors(w))

@@ -106,6 +106,17 @@ def rescale_invariance_check(f: Frame, s) -> bool:
     return before == after
 
 
+def _dependent_basis(what: str) -> Exception:
+    """The error of a re-check that finds a constructed basis dependent: its
+    rank rule follows FRAMEKIT_TOL, so with that set the tolerance is too
+    coarse for the basis (BadParam), and without it the fault is internal."""
+    tol = matcore.env_rank_tol()
+    if tol is None:
+        return InternalInconsistency(what)
+    return BadParam(f"FRAMEKIT_TOL = {tol:g} is too coarse to resolve the nearby "
+                    f"independent basis ({what})")
+
+
 @lru_cache(maxsize=None)
 def _aligned_base(n: int, cplx: bool) -> tuple:
     """The E_ij family reflected so every member has a positive first
@@ -133,7 +144,7 @@ def _aligned_base(n: int, cplx: bool) -> tuple:
         rotated.append(w)
     family = Frame.from_vectors(np.array(rotated), field="complex" if cplx else "real")
     if induce(family).rank != len(rotated):
-        raise InternalInconsistency("aligned E_ij family lost independence")
+        raise _dependent_basis("aligned E_ij family lost independence")
     ratio = max(float(np.sum(np.abs(w[1:]) ** 2) / np.abs(w[0]) ** 2) for w in rotated)
     return tuple(rotated), ratio
 
@@ -188,7 +199,7 @@ def _rotated_bases(psi: np.ndarray, cplx: bool, eps: float) -> np.ndarray:
         # the real family is checked on real vectors, as a real frame holds them
         ranks = _outer_spectra(out if cplx else np.ascontiguousarray(out.real))[2]
         if np.any(ranks != len(compressed)):
-            raise InternalInconsistency("constructed basis has dependent outer products")
+            raise _dependent_basis("constructed basis has dependent outer products")
     return out
 
 
@@ -211,6 +222,8 @@ def nearby_independent_basis(psi, eps: float) -> list:
     re-checked directly whenever delta is large enough for a floating
     rank test to be meaningful (below that, the outer Gram's smallest
     eigenvalue scales like delta^4 and sinks toward machine epsilon).
+    A failed re-check raises BadParam when FRAMEKIT_TOL is set, else
+    InternalInconsistency.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise BadParam(f"eps must be finite and positive, got {eps}")
@@ -258,7 +271,8 @@ def nudge_batch(frames, eps: float) -> list:
 
     BadParam for an empty run or an eps that is not finite and positive, or
     whose budget per vector underflows once a vector must move, or is too
-    small for the rank rule to see any basis member grow the span;
+    small for the rank rule to see any basis member grow the span, or when
+    FRAMEKIT_TOL is too coarse to resolve the nearby basis;
     DimensionMismatch for mixed shapes or fields; TooMany when M exceeds
     the ambient self-adjoint dimension; NotUnitNorm for a frame that is not
     unit norm.

@@ -370,10 +370,11 @@ def check_outer_duals():
     worst = 0.0
     # the first 100 k whose vectors and outer products are independent
     kept = _first_kept(_outer_duals_spec, 100,
-                       lambda b: (outer._vector_ranks(b.vectors) == b.m) & b.independent)
+                       lambda b: (matcore.numerical_rank(vector_gram(b.vectors)) == b.m)
+                       & b.independent)
     for _, batch in kept:
         duals = outer.outer_duals_of(batch).reshape(len(batch.vectors), batch.m, -1)
-        bio = np.real(outer._vectorized(batch.vectors).conj() @ duals.swapaxes(-1, -2))
+        bio = np.real(matcore.vectorize_outer(batch.vectors).conj() @ duals.swapaxes(-1, -2))
         worst = max(worst, float(np.max(np.abs(bio - np.eye(batch.m)))))
     return [_row("outer-duals", "biorthogonality over 100 configurations", worst,
                  "identity", 1e-9, worst <= 1e-9)]
@@ -442,7 +443,8 @@ def check_cross_products():
         worst_spec = max(worst_spec, float(np.max(np.abs(wh - products))))
         # the Riesz bounds of the pairs with independent vectors: the extreme
         # eigenvalues of each Gram, as riesz_bounds reads them
-        riesz = (outer._vector_ranks(u) == u.shape[1]) & (outer._vector_ranks(w) == w.shape[1])
+        riesz = ((matcore.numerical_rank(vector_gram(u)) == u.shape[1])
+                 & (matcore.numerical_rank(vector_gram(w)) == w.shape[1]))
         ends = np.abs(wh[:, [-1, 0]] - wf[:, [-1, 0]] * wg[:, [-1, 0]])[riesz]
         worst_bounds = max(worst_bounds, float(np.max(ends, initial=0.0)))
     worst_dual = 0.0
@@ -454,7 +456,8 @@ def check_cross_products():
         specs_g.append((n, n, 9900 + k, field))
     for u, w in _pair_stacks(specs_f, specs_g):
         n = u.shape[-1]
-        bases = (outer._vector_ranks(u) == n) & (outer._vector_ranks(w) == n)
+        bases = ((matcore.numerical_rank(vector_gram(u)) == n)
+                 & (matcore.numerical_rank(vector_gram(w)) == n))
         if not bases.any():
             continue
         u, w = u[bases], w[bases]
@@ -566,12 +569,11 @@ def _psd_oracle_cases(stream, count) -> list:
 
 
 def _numerical_ranks(mats) -> list:
-    """``matcore.numerical_rank`` of each matrix, one stacked SVD per shape
+    """``matcore.numerical_rank`` of each matrix, one stacked call per shape
     and dtype."""
     ranks = [None] * len(mats)
-    for (shape, _), idx in _index_groups((a.shape, a.dtype) for a in mats).items():
-        sigma = matcore.stacked_singular_values(np.stack([mats[i] for i in idx]))
-        for i, rank in zip(idx, matcore.rank_from_singular_values(sigma, shape)):
+    for idx in _index_groups((a.shape, a.dtype) for a in mats).values():
+        for i, rank in zip(idx, matcore.numerical_rank(np.stack([mats[i] for i in idx]))):
             ranks[i] = int(rank)
     return ranks
 
@@ -674,7 +676,7 @@ def _envelope_excess(stream) -> float:
         n = 2 + k % 3
         specs.append((n, 2 + k % n if n > 2 else 2, 13000 + k, "complex" if k % 2 else "real"))
     groups = [(idx[ok], v[ok]) for idx, v in _random_stacks(specs)
-              for ok in [outer._vector_ranks(v) == v.shape[1]] if ok.any()]
+              for ok in [matcore.numerical_rank(vector_gram(v)) == v.shape[1]] if ok.any()]
     draws = _group_words(stream, len(specs), [
         (idx, normal_words(v[0].size, np.iscomplexobj(v)) + 1) for idx, v in groups])
     worst = -np.inf

@@ -495,6 +495,19 @@ def test_nudge_eps_below_what_the_rank_rule_resolves(tmp_path, capsys):
     assert err.startswith("framekit nudge: BadParam: eps = 1e-06 is too small")
 
 
+def test_nudge_framekit_tol_too_coarse_for_the_nearby_basis(tmp_path, capsys, monkeypatch):
+    frame_file = tmp_path / "near.json"
+    f = Frame.from_vectors(np.vstack([cons.epsilon_pair(0.9999).vectors,
+                                      cons.random_unit(2, 1, 3).vectors]))
+    with frame_file.open("w") as fp:
+        ser.write_frame(f, fp)
+    monkeypatch.setenv("FRAMEKIT_TOL", "1e-3")
+    code, out, err = run_cli(capsys, "nudge", str(frame_file), "--eps", "0.1")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "InternalInconsistency" not in err
+    assert err.startswith("framekit nudge: BadParam: FRAMEKIT_TOL = 0.001 is too coarse")
+
+
 @pytest.mark.parametrize("argv", [["analyze", "F"], ["classify", "F", "--grid", "5"],
                                   ["nudge", "F", "--eps", "0.1", "--report", "R"]])
 def test_commands_other_than_verify_leave_the_suite_unrun(tmp_path, argv):

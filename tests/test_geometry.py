@@ -168,6 +168,9 @@ class TestQuarticAndEllipsoid:
         assert geometry.quartic_residual(f, [1.0, 0.0]) == pytest.approx(0.0)
         assert geometry.quartic_residual(
             f, np.array([1.0, 1.0]) / np.sqrt(2)) == pytest.approx(0.5)
+        for bad in ([np.nan, 0.0], [1e200, 0.0]):
+            with pytest.raises(BadParam, match="finite squared moduli"):
+                geometry.quartic_residual(f, bad)
 
     def test_analysis_image_of_dependent_candidate_lies_on_quartic(self):
         f = cons.orthonormal(3)
@@ -416,6 +419,26 @@ class TestClassifyBatch:
                             lambda os_, tv: exact(os_, tv) + np.where(np.arange(30) == 23, 1e-6, 0.0))
         with pytest.raises(InternalInconsistency, match="candidate 23"):
             geometry.classify_batch(geometry.prepare(f), cands)
+
+    def test_quartic_and_probe_values_are_cross_checked(self, monkeypatch):
+        # every route to an elliptic value checks it against its bordered Gram
+        f = cons.random_unit(2, 3, 61, field="complex")
+        tv = analysis(f) @ _unit_rows(np.random.default_rng(62), 1, 2, True)[0]
+        probe = cons.eij_basis(2)
+        geometry.quartic_residual(f, tv)
+        geometry.mu2_subset_mu4_probe(probe, 30, 7)
+        exact = geometry._inverse_gram_form
+
+        def shift(at):
+            monkeypatch.setattr(geometry, "_inverse_gram_form", lambda sd, w: exact(sd, w)
+                                + np.where(np.arange(w.shape[-2]) == at, 1e-6, 0.0))
+
+        shift(0)
+        with pytest.raises(InternalInconsistency, match="candidate 0"):
+            geometry.quartic_residual(f, tv)
+        shift(23)
+        with pytest.raises(InternalInconsistency, match="candidate 23"):
+            geometry.mu2_subset_mu4_probe(probe, 30, 7)
 
     def test_values_match_lapack_solve(self):
         f = cons.random_unit(3, 5, 60, field="complex")

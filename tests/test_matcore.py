@@ -189,6 +189,31 @@ class TestNumericalRank:
             [matcore.numerical_rank(a) for a in stack])
         assert matcore.rank_from_singular_values(sigma, (4, 4))[1] == 0
 
+        # numerical_rank itself takes a stack: per-matrix ranks by the same rule
+        def per_matrix(deep, **kw):
+            ranks = matcore.numerical_rank(deep, **kw)
+            assert ranks.shape == (2, 3)
+            for i in np.ndindex(2, 3):
+                one = matcore.numerical_rank(deep[i], **kw)
+                assert isinstance(one, int) and ranks[i] == one
+            return ranks.tolist()
+
+        for cplx in (False, True):
+            deep = rng.standard_normal((2, 3, 4, 4))
+            if cplx:
+                deep = deep + 1j * rng.standard_normal((2, 3, 4, 4))
+            deep[:, ::2, 3] = deep[:, ::2, 0]  # the first and last of each row rank-deficient
+            deep[0, 1] *= 1e-16  # its own default tolerance, not the stack's
+            deep[1, 1, 2:] *= 1e-5  # two singular values near 1e-5
+            monkeypatch.delenv("FRAMEKIT_TOL")
+            assert per_matrix(deep) == [[3, 4, 3], [3, 4, 3]]
+            assert per_matrix(deep, tol=1e-3) == [[3, 0, 3], [3, 2, 3]]
+            monkeypatch.setenv("FRAMEKIT_TOL", "1e-3")
+            assert per_matrix(deep) == [[3, 0, 3], [3, 2, 3]]
+            assert per_matrix(deep, tol=1e-12) == [[3, 0, 3], [3, 4, 3]]  # tol beats the env
+        with pytest.raises(ShapeMismatch):  # a vector is no matrix
+            matcore.numerical_rank(np.ones(3))
+
 
 class TestStackedSingularValues:
     @pytest.mark.parametrize("cplx", [False, True])
@@ -388,6 +413,18 @@ class TestVectorizeOuter:
         # phi[k] * conj(phi) blocks, worked by hand for (1, i)/sqrt(2)
         out = matcore.vectorize_outer(np.array([1.0, 1.0j]) / np.sqrt(2))
         np.testing.assert_allclose(out, [0.5, -0.5j, 0.5j, 0.5])
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_rows_equal_kron_row_by_row(self, cplx):
+        rng = np.random.default_rng(15 + cplx)
+        rows = rng.standard_normal((2, 5, 3))
+        if cplx:
+            rows = rows + 1j * rng.standard_normal((2, 5, 3))
+        out = matcore.vectorize_outer(rows)
+        assert out.shape == (2, 5, 9) and out.dtype == rows.dtype
+        for i in np.ndindex(2, 5):
+            assert out[i].tobytes() == np.kron(rows[i], np.conj(rows[i])).tobytes()
+            assert matcore.vectorize_outer(rows[i]).tobytes() == out[i].tobytes()
 
 
 class TestSylvester:

@@ -7,6 +7,7 @@ from framekit.frame import Frame, gram, riesz_bounds
 from framekit.errors import (
     BadParam,
     BudgetTooLarge,
+    InternalInconsistency,
     NotIndependent,
     NotUnitNorm,
     SingularOperator,
@@ -308,6 +309,31 @@ class TestNudge:
         msg = str(exc.value)
         assert f"eps = {eps} is too small" in msg and "M = 6" in msg
         assert f"(eps / M)^2 = {(eps / 6) ** 2:g}" in msg
+
+    @pytest.mark.parametrize("tol, what", [
+        ("1e-3", "constructed basis has dependent outer products"),
+        ("0.5", "aligned E_ij family lost independence")])
+    def test_framekit_tol_too_coarse_for_the_nearby_basis(self, monkeypatch, tol, what):
+        # the rank rule of both re-checks follows FRAMEKIT_TOL: a dependent
+        # verdict there is a tolerance the basis cannot pass, not a fault
+        f = Frame.from_vectors(np.vstack([cons.epsilon_pair(0.9999).vectors,
+                                          cons.random_unit(2, 1, 3).vectors]))
+        perturb._aligned_base.cache_clear()  # so the family is checked at tol
+        monkeypatch.setenv("FRAMEKIT_TOL", tol)
+        with pytest.raises(BadParam) as exc:
+            perturb.nudge_to_independence(f, 0.1)
+        assert str(exc.value) == (f"FRAMEKIT_TOL = {float(tol):g} is too coarse to resolve "
+                                  f"the nearby independent basis ({what})")
+        monkeypatch.delenv("FRAMEKIT_TOL")
+        assert outer.induce(perturb.nudge_to_independence(f, 0.1)).independent
+
+    def test_dependent_nearby_basis_is_a_fault_without_framekit_tol(self, monkeypatch):
+        monkeypatch.delenv("FRAMEKIT_TOL", raising=False)
+        monkeypatch.setattr(perturb, "_outer_spectra",
+                            lambda v: (None, None, np.zeros(len(v), dtype=int)))
+        with pytest.raises(InternalInconsistency,
+                           match="^constructed basis has dependent outer products$"):
+            perturb.nearby_independent_basis(np.array([1.0, 0.0]), 0.1)
 
     def test_identity_on_independent(self):
         f = cons.eij_basis(2)

@@ -9,7 +9,9 @@ module attribute that has one, so every memo must be such an attribute.
 In the other direction, every top-level name of the package must be read
 somewhere in the repository's code, or it is dead and goes.  Every check
 of ``framekit verify`` that draws a random corpus is compared, bit for
-bit, with a per-case reference loop in ``test_verify``.
+bit, with a per-case reference loop in ``test_verify``.  The package keeps
+one spectral path: its decompositions are the ``np.linalg`` calls listed in
+``_LINALG_CALLS``, and no module adds its own.
 """
 
 import ast
@@ -147,3 +149,32 @@ def test_every_check_that_draws_a_corpus_has_a_per_case_reference():
                if any(marker in _source_reached(check) for marker in _CORPUS_MARKERS)}
     assert set(_NO_CORPUS) <= drawing
     assert sorted(drawing - set(_NO_CORPUS) - _referenced_checks()) == []
+
+
+#: Every ``np.linalg`` call of the package other than ``norm``, by module.
+#: ``matcore`` holds the spectral path (eigh, eigvalsh, the svd of
+#: ``singular_values`` and of ``stacked_singular_values``) and the two
+#: determinants of ``sylvester_det_check``; ``outer``'s solve is
+#: ``dependence_certificate``'s, which ``tests/scan_reference.py`` pins;
+#: ``verify`` builds its orthonormal bases by qr and checks one displayed
+#: determinant.
+_LINALG_CALLS = [
+    ("matcore", "det"), ("matcore", "det"), ("matcore", "eigh"), ("matcore", "eigvalsh"),
+    ("matcore", "svd"), ("matcore", "svd"), ("outer", "solve"), ("verify", "det"),
+    ("verify", "qr"),
+]
+
+
+def test_one_spectral_path():
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "framekit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr != "norm" and \
+                    isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+                found.append((path.stem, node.attr))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                # any other way to a decomposition: numpy.linalg or scipy imported
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                found += [(path.stem, f"import {name}") for name in names
+                          if "linalg" in name or name.split(".")[0] == "scipy"]
+    assert sorted(found) == _LINALG_CALLS
