@@ -7,7 +7,8 @@ positive eigenpairs with sum |a_i|^2 = 1.  Applied to the Gram matrix of
 an independent outer-product sequence, that criterion becomes a scalar
 function of the candidate vector: expand |T_analysis(candidate)|^2 in
 the eigenbasis of the outer Gram and weight by reciprocal eigenvalues.
-Value 1 means the extended sequence is dependent.
+Value 1 means the extended sequence is dependent.  ``matcore.weighted_norm``
+owns the criterion: the elliptic, ellipsoid and admissible values are its.
 
 Classification runs in two steps.  ``prepare_batch`` builds, from stacked
 LAPACK calls, the candidate-independent state of K independent frames of
@@ -196,33 +197,28 @@ def admissible_coefficients(ext: PsdExtension, v):
         v = v.reshape(-1)
     if v.shape[-1] != ext.n:
         raise ShapeMismatch(f"vector length {v.shape[-1]} does not match {ext.n}")
-    vecs = ext.spectrum.eigenvectors
-    coords = (vecs.conj().swapaxes(-1, -2) @ v[..., None])[..., 0]
-    idx = list(ext.i_plus)
-    inside = np.zeros(ext.n, dtype=bool)
-    inside[idx] = True
-    leakage = matcore.row_norms(coords[..., ~inside])
-    a = coords[..., idx] / np.sqrt(ext.spectrum.eigenvalues[..., idx])
-    off = ((leakage > DEFAULT_VERDICT_TOL)
-           | (np.abs(np.sum(np.abs(a) ** 2, axis=-1) - 1.0) > DEFAULT_VERDICT_TOL))
+    # the eigenvalues descend, so i_plus is their first len(i_plus)
+    a, norm, leak = matcore.weighted_norm(ext.spectrum, v[..., None, :], len(ext.i_plus))
+    off = _membership_residual(norm, leak, DEFAULT_VERDICT_TOL) > DEFAULT_VERDICT_TOL
     if ext.t.ndim == 2:
-        return None if off else a
-    return np.where(off[..., None], np.nan, a)
+        return None if off[0] else a[0]
+    return np.where(off[..., None], np.nan, a)[..., 0, :]
+
+
+def _membership_residual(norm, leak, tol: float) -> np.ndarray:
+    """|norm - 1| per ``matcore.weighted_norm`` row, or inf where leak > tol^2."""
+    return np.where(leak > tol * tol, np.inf, np.abs(norm - 1.0))
 
 
 def _inverse_gram_form(spectrum: matcore.SpectralData, w: np.ndarray) -> np.ndarray:
     """w^T G^{-1} w for each row of a (..., K, M) batch w, given the
-    eigendecomposition of G: one (M, M) G for every row, or a (..., M, M)
-    stack with one G per leading index.  The result has shape (..., K).
-
-    With G the outer Gram and w = |tv|^2 entrywise for an analysis image
-    tv, the elliptic value and the quartic are this one quantity, and 1
-    minus it is the Schur complement of G in the bordered Gram
-    [[G, w], [w^T, 1]].  The greedy scan's s / |phi|^4 (``outer._GreedyScan``)
-    is 1 minus it too, so that scan adds no third formula.
+    eigendecomposition of G (one for every row, or one per leading index):
+    ``matcore.weighted_norm`` over all M eigenpairs.  With G the outer Gram
+    and w = |tv|^2 for an analysis image tv, the elliptic value and the
+    quartic are this one quantity, and 1 minus it is the Schur complement
+    of G in [[G, w], [w^T, 1]], as is the greedy scan's s / |phi|^4.
     """
-    y = w @ spectrum.eigenvectors
-    return np.sum(y ** 2 / spectrum.eigenvalues[..., None, :], axis=-1)
+    return matcore.weighted_norm(spectrum, w, w.shape[-1])[1]
 
 
 def _check_candidates(candidates, f: Frame) -> np.ndarray:
@@ -283,18 +279,6 @@ def quartic_residual(f: Frame, v) -> float:
     return abs(float(value[0]) - 1.0)
 
 
-def _ellipsoid_residuals(sd: matcore.SpectralData, n: int, v: np.ndarray,
-                         tol: float) -> np.ndarray:
-    """ellipsoid_residual for each row of a (..., K, M) batch, given the
-    eigendecomposition sd of the vector Gram of a frame spanning C^n or R^n,
-    or a (..., M, M) stack of them with one per leading index."""
-    coords = v @ sd.eigenvectors.conj()
-    out = np.abs(np.sum(np.abs(coords[..., :n]) ** 2 / sd.eigenvalues[..., None, :n], axis=-1)
-                 - 1.0)
-    out[np.sum(np.abs(coords[..., n:]) ** 2, axis=-1) > tol * tol] = np.inf
-    return out
-
-
 def ellipsoid_residual(f: Frame, v) -> float:
     """Membership residual of v on the analysis image of the unit sphere.
 
@@ -306,8 +290,8 @@ def ellipsoid_residual(f: Frame, v) -> float:
     v = np.asarray(v).reshape(-1)
     if v.shape[0] != f.m:
         raise ShapeMismatch(f"v has length {v.shape[0]}, expected M = {f.m}")
-    sd = matcore.hermitian_eig(gram(f))
-    return float(_ellipsoid_residuals(sd, f.n, v.reshape(1, -1), DEFAULT_VERDICT_TOL)[0])
+    _, norm, leak = matcore.weighted_norm(matcore.hermitian_eig(gram(f)), v[None], f.n)
+    return float(_membership_residual(norm, leak, DEFAULT_VERDICT_TOL)[0])
 
 
 @dataclass(frozen=True)
@@ -501,8 +485,8 @@ def _classified(prep: PreparedBatch, candidates, tv: np.ndarray, tol: float) -> 
     check = _bordered_gram_check(prep.scaled_gram, prep.scaled_spectrum.eigenvalues,
                                  w.reshape(-1, m), value.reshape(-1), dependent.reshape(-1))
     with np.errstate(all="ignore"):  # frames that do not span are masked below
-        ell = _ellipsoid_residuals(prep.vector_gram, prep.analysis.shape[-1], tv, tol)
-    ell = np.where(prep.spans[..., None], ell, np.nan)
+        _, norm, leak = matcore.weighted_norm(prep.vector_gram, tv, prep.analysis.shape[-1])
+    ell = np.where(prep.spans[..., None], _membership_residual(norm, leak, tol), np.nan)
     result = BatchClassification(candidates=candidates, tv=tv.reshape(-1, m),
                                  elliptic_value=value.reshape(-1),
                                  dependent=dependent.reshape(-1),

@@ -9,7 +9,8 @@ descending order, canonical eigenvector phases and the rank threshold.
 ``hermitian_eig``, ``hermitian_eigvalues``, ``singular_values``,
 ``numerical_rank`` and the rank rule also take a stack of matrices (and
 ``vectorize_outer`` one of vectors), down the one path a matrix takes, with
-the same result per matrix as a call on that matrix alone.
+the same result per matrix as a call on that matrix alone.  Every use of
+Lambda^{-1} in an eigenbasis is ``spectral_solve``'s or ``weighted_norm``'s.
 """
 
 import math
@@ -113,17 +114,40 @@ def hermitian_eigvalues(a) -> np.ndarray:
     return np.linalg.eigvalsh(_symmetrized(a))[..., ::-1]
 
 
-def spectral_inverse(a) -> np.ndarray:
-    """a^{-1} of a self-adjoint positive definite matrix as V diag(1/w) V*,
-    from ``hermitian_eig``; a (K, n, n) stack gives its K inverses from one
-    call, each bit for bit that of its matrix alone.
+def spectral_solve(sd: SpectralData, b) -> np.ndarray:
+    """G^{-1} b from G's eigendecomposition sd = V diag(w) V*, for G one
+    matrix or a (..., n, n) stack, and b one (..., n) vector or an
+    (..., n, k) matrix of k right sides per matrix: the column scaling
+    (V * (1/w)) @ (V* b), with V* b formed as (b^T conj(V))^T so that at
+    b = I it is laid out, and multiplied by BLAS, as V* itself."""
+    v, w = sd.eigenvectors, sd.eigenvalues
+    b = np.asarray(b)
+    if b.ndim == w.ndim:  # one right side per matrix, solved as a column
+        return spectral_solve(sd, b[..., None])[..., 0]
+    return (v * (1.0 / w)[..., None, :]) @ (b.swapaxes(-1, -2) @ v.conj()).swapaxes(-1, -2)
 
-    V diag(1/w) is formed as the column scaling V * (1/w): each entry is the
-    one product that a matmul with the diagonal matrix sums with zeros.
-    """
+
+def spectral_inverse(a) -> np.ndarray:
+    """a^{-1} = V diag(1/w) V* of a self-adjoint positive definite matrix,
+    or of each matrix of a stack (each bit for bit that of its matrix
+    alone): ``spectral_solve`` of ``hermitian_eig(a)`` with b = I."""
     sd = hermitian_eig(a)
-    v = sd.eigenvectors
-    return (v * (1.0 / sd.eigenvalues)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return spectral_solve(sd, np.broadcast_to(np.eye(sd.eigenvalues.shape[-1]),
+                                              sd.eigenvectors.shape))
+
+
+def weighted_norm(sd: SpectralData, x, r: int) -> tuple:
+    """(a, norm, leak) for each row x of a (..., K, n) batch in the
+    eigenbasis e_i, lambda_i of sd (one for every row, or a (..., n, n)
+    stack with one per leading index): a_i = <x, e_i> / sqrt(lambda_i) for
+    i < r, norm = sum_{i<r} |<x, e_i>|^2 / lambda_i and the leak
+    sum_{i>=r} |<x, e_i>|^2.  Bordering a PSD matrix with (x, 1) keeps its
+    rank iff, over its r positive eigenpairs, norm = 1 and leak = 0."""
+    coords = x @ sd.eigenvectors.conj()
+    lam = sd.eigenvalues[..., None, :r]
+    sq = np.abs(coords) ** 2
+    return (coords[..., :r] / np.sqrt(lam), np.sum(sq[..., :r] / lam, axis=-1),
+            np.sum(sq[..., r:], axis=-1))
 
 
 def singular_values(a) -> np.ndarray:

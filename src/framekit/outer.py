@@ -7,12 +7,13 @@ a second, independent rank path that is asserted against the first
 rather than voted with it.
 
 ``OuterBatch`` is the one outer state: ``induce(f)`` gives a frame's with
-no leading axis, ``induce_batch`` those of K frames stacked along one.
-Every sum over the outer products is one product with S: a certificate's
-residual is a^T S, the split frame operators are two coefficient vectors
-times S, and projections onto the span (the outer duals included) solve
-one system in the outer Gram for all their right sides at once, one per
-frame of a stacked batch.
+no leading axis, ``induce_batch`` those of K frames stacked along one (the
+functions of one frame raise ShapeMismatch on those).  Every sum over the
+outer products is one product with S: a certificate's residual is a^T S,
+the split frame operators are two coefficient vectors times S, and
+projections onto the span (the outer duals included) are one
+``matcore.spectral_solve`` in the outer Gram for all their right sides,
+one Gram per frame of a stacked batch.
 """
 
 from dataclasses import dataclass
@@ -138,6 +139,14 @@ def _frame_stack(frames, who: str) -> tuple:
     return frames, np.stack([f.vectors for f in frames])
 
 
+def _one_frame(os_: OuterBatch, who: str) -> Frame:
+    """The frame of ``induce``'s batch; ShapeMismatch naming who for a stack."""
+    if os_.gram_op.ndim != 2:
+        raise ShapeMismatch(f"{who} takes the OuterBatch of one frame (induce), "
+                            f"got a stack of {len(os_.frames)}")
+    return os_.frames[0]
+
+
 def vectorized_synthesis(f: Frame) -> np.ndarray:
     """M x N^2 matrix whose rows are the vectorized outer products."""
     return matcore.vectorize_outer(f.vectors)
@@ -153,7 +162,7 @@ def is_independent(os_: OuterBatch) -> bool:
     so both paths judge that one quantity by one rule: the squares go
     through gram_op's rank rule, ``matcore.rank_from_eigenvalues``.
     """
-    sigma = matcore.singular_values(vectorized_synthesis(os_.frames[0]))
+    sigma = matcore.singular_values(vectorized_synthesis(_one_frame(os_, "is_independent")))
     vec_rank = matcore.rank_from_eigenvalues(sigma ** 2, os_.gram_op.shape)
     if vec_rank != os_.rank:
         raise InternalInconsistency(
@@ -163,6 +172,7 @@ def is_independent(os_: OuterBatch) -> bool:
 
 def outer_riesz_bounds(os_: OuterBatch) -> BoundsReport:
     """Riesz bounds of the outer products: extreme eigenvalues of gram_op."""
+    _one_frame(os_, "outer_riesz_bounds")
     if os_.rank < os_.m:
         raise NotIndependent("outer products are dependent at tolerance")
     w = os_.gram_spectrum.eigenvalues
@@ -186,9 +196,9 @@ class _GreedyScan:
     frame at[i] of the stack (every frame by default); the frames it names
     keep the same count k of vectors.  Each trial borders K_j with
     g_i = |<v, phi_i>|^2 and c = |v|^4 in O(k^2): z = W_j^T g, the Schur
-    complement s = c - |z|^2 (c times 1 minus ``geometry._inverse_gram_form``'s
-    value for v/|v|), and W' = [[W_j, -W_j z / sqrt(s)], [0, 1/sqrt(s)]], so
-    that lambda_min(K') >= 1 / ||K'^{-1}||_F >= 1 / ||W'||_F^2; all r trials
+    complement s = c - |z|^2 (c times 1 minus the elliptic value of v/|v|,
+    ``matcore.weighted_norm``), W' = [[W_j, -W_j z / sqrt(s)], [0, 1/sqrt(s)]],
+    so that lambda_min(K') >= 1 / ||K'^{-1}||_F >= 1 / ||W'||_F^2; all r trials
     go through one stacked product.  The eig rule's threshold is at most
     (k+1) eps trace(K'), or FRAMEKIT_TOL (read once); a step is accepted
     without an eig only when the bound exceeds CERTIFY_MARGIN times the
@@ -289,9 +299,9 @@ def dependence_certificate(os_: OuterBatch):
     then form the unique circuit inside {0, ..., j}, whatever null-space
     basis an eigensolver would return.
     """
+    f = _one_frame(os_, "dependence_certificate")
     if os_.rank == os_.m:
         return None
-    f = os_.frames[0]
     scan = _GreedyScan(f.vectors[None])
     j = next(i for i, v in enumerate(f.vectors) if not scan.grows(v[None])[0])
     a = np.zeros(os_.m)
@@ -306,7 +316,7 @@ def dependence_certificate(os_: OuterBatch):
 
 def split_frame_operators(os_: OuterBatch, cert: DependenceCertificate):
     """The two partial sums S_I and S_{I^c} named by a certificate."""
-    f = os_.frames[0]
+    f = _one_frame(os_, "split_frame_operators")
     a = cert.coefficients
     in_split = np.isin(np.arange(f.m), cert.split)
     parts = np.stack([np.where(in_split, a, 0.0), np.where(in_split, 0.0, -a)])
@@ -351,7 +361,7 @@ class OptimalBoundReport:
 
 
 def optimal_bound_report(os_: OuterBatch) -> OptimalBoundReport:
-    f = os_.frames[0]
+    f = _one_frame(os_, "optimal_bound_report")
     if not f.is_unit_norm:
         raise NotUnitNorm("optimal bound comparisons require unit-norm vectors")
     m, n = f.m, f.n
@@ -369,16 +379,6 @@ def optimal_bound_report(os_: OuterBatch) -> OptimalBoundReport:
     )
 
 
-def _spectral_solve(spectrum: matcore.SpectralData, b: np.ndarray) -> np.ndarray:
-    """G^{-1} b from G's eigendecomposition V diag(w) V*, for G one matrix or
-    a (..., M, M) stack, and b one (..., M) vector or an (..., M, K) matrix
-    of K right sides per matrix."""
-    v, w = spectrum.eigenvectors, spectrum.eigenvalues
-    if b.ndim == w.ndim:  # one right side per matrix, solved as a column
-        return _spectral_solve(spectrum, b[..., None])[..., 0]
-    return v @ ((v.conj().swapaxes(-1, -2) @ b) / w[..., None])
-
-
 def _projections(os_: OuterBatch, x: np.ndarray) -> np.ndarray:
     """The projections onto the outer span of (..., K, N^2) vectorized
     self-adjoint rows x, one set of K per frame of os_.
@@ -389,15 +389,15 @@ def _projections(os_: OuterBatch, x: np.ndarray) -> np.ndarray:
     """
     s = matcore.vectorize_outer(os_.vectors)
     b = np.real(s.conj() @ x.swapaxes(-1, -2))
-    return _spectral_solve(os_.gram_spectrum, b).swapaxes(-1, -2) @ s
+    return matcore.spectral_solve(os_.gram_spectrum, b).swapaxes(-1, -2) @ s
 
 
 def project_onto_outer_span(os_: OuterBatch, x) -> np.ndarray:
     """Frobenius-orthogonal projection of a self-adjoint N x N x, or of each
     matrix of a (..., N, N) stack, onto span{phi_i phi_i*} of one frame."""
+    f = _one_frame(os_, "project_onto_outer_span")
     if os_.rank < os_.m:
         raise NotIndependent("projection onto the span needs independent outer products")
-    f = os_.frames[0]
     x = matcore.as_stack(x)
     if x.shape[-2:] != (f.n, f.n):
         raise ShapeMismatch(f"x has shape {x.shape}, the outer products are {f.n} x {f.n}")

@@ -118,14 +118,14 @@ def _dependent_basis(what: str) -> Exception:
 
 
 @lru_cache(maxsize=None)
-def _aligned_base(n: int, cplx: bool) -> tuple:
+def _aligned_base(n: int, cplx: bool, tol) -> tuple:
     """The E_ij family reflected so every member has a positive first
     coordinate, with its outer products verified independent once, and the
     largest ratio sum_j>=2 |v(j)|^2 / |v(1)|^2 over its members.
 
-    Cached: the family depends only on the dimension and field, and its
-    outer Gram has order-one margins, so this single check certifies every
-    compressed copy (an invertible rescaling preserves independence).
+    Cached per dimension, field and FRAMEKIT_TOL value ``tol``, which the
+    check follows; the outer Gram's order-one margins let this one check
+    certify every compressed copy (invertible rescalings keep independence).
     """
     base = (complex_eij_basis(n) if cplx else eij_basis(n)).vectors
     u = np.full(n, 1.0 / np.sqrt(n))
@@ -150,12 +150,12 @@ def _aligned_base(n: int, cplx: bool) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _compressed_base(n: int, cplx: bool, delta: float) -> np.ndarray:
-    """The aligned family, coordinates after the first scaled by delta, rows
-    renormalized.  Cached: delta is a power of two, so few values occur."""
+def _compressed_base(n: int, cplx: bool, delta: float, tol) -> np.ndarray:
+    """The aligned family checked at tol, coordinates after the first scaled
+    by delta, rows renormalized.  Cached: delta is a power of two."""
     scale = np.full(n, delta)
     scale[0] = 1.0
-    sw = np.array(_aligned_base(n, cplx)[0]) * scale
+    sw = np.array(_aligned_base(n, cplx, tol)[0]) * scale
     sw /= matcore.row_norms(sw)[:, None]
     sw.flags.writeable = False
     return sw
@@ -165,12 +165,12 @@ def _rotated_bases(psi: np.ndarray, cplx: bool, eps: float) -> np.ndarray:
     """The (K, D, N) bases of ``nearby_independent_basis`` for a (K, N) stack
     of unit rows of one family (``cplx``): one Householder per row carries
     e_1 to it, and one stacked eigendecomposition re-checks them all."""
-    n = psi.shape[-1]
-    ratio = _aligned_base(n, cplx)[1]
+    n, tol = psi.shape[-1], matcore.env_rank_tol()
+    ratio = _aligned_base(n, cplx, tol)[1]
     delta = 1.0
     while ratio > 0.0 and delta * delta * ratio > eps / 2.0:
         delta /= 2.0
-    compressed = _compressed_base(n, cplx, delta)
+    compressed = _compressed_base(n, cplx, delta, tol)
 
     # unitaries with U e_1 = psi (phase-adjusted Householder); the phase is
     # psi[0] / |psi[0]| with numpy's scalar abs (hypot), 1 when psi[0] is 0

@@ -82,8 +82,7 @@ def _kept_groups(specs, keep) -> list:
     ``induce_batch``, cut to their frames."""
     groups = []
     for idx, block in _random_stacks(specs):
-        field = specs[idx[0]][3]
-        batch = outer.induce_batch(Frame(field=field, vectors=v) for v in block)
+        batch = outer.induce_batch(map(Frame.from_vectors, block))
         rows = np.flatnonzero(keep(batch))
         if rows.size:
             groups.append((idx[rows], batch.take(rows)))
@@ -254,8 +253,7 @@ def check_hadamard_gram():
 def _bound_extremes_spec(k):
     n = 2 + k % 3
     d = n * (n + 1) // 2
-    m = 2 + k % (d - 1) if d > 2 else 2
-    return n, m, 4000 + k, "real"
+    return n, 2 + k % (d - 1), 4000 + k, "real"
 
 
 def check_outer_bound_extremes():
@@ -739,53 +737,46 @@ def check_perturbation_suite():
 # density and repair
 
 
-def _random_dependent_frames(count: int) -> list:
-    """The nudge-repair corpus: base frames drawn in blocks, and in frame k
-    vector j replaced by vector i times a sign (real) or a phase (complex),
-    which repeats i's outer product."""
-    specs = []
-    for k in range(count):
-        cplx = k % 4 == 3
-        n = 2 if cplx else 2 + k % 3
-        d = n * n if cplx else n * (n + 1) // 2
-        specs.append((n, max(2, 2 + k % (d - 1)), 14000 + k, "complex" if cplx else "real"))
-    frames = [None] * count
-    for idx, block in _random_stacks(specs):
-        for k, v in zip(idx, block):
-            m = len(v)
-            i = k % m
-            j = (k + 1 + k // m) % m
-            if i == j:
-                j = (j + 1) % m
-            v[j] = (np.exp(1j * 2.0) if np.iscomplexobj(v) else -1.0) * v[i]
-            frames[k] = Frame(field=specs[k][3], vectors=v)
-    return frames
+def _density_spec(k: int, seed: int) -> tuple:
+    """Spec k of the density corpora: every fourth frame complex with N = 2,
+    the others real with N = 2 + k % 3, and 2 <= M < the ambient dimension."""
+    cplx = k % 4 == 3
+    n = 2 if cplx else 2 + k % 3
+    d = n * n if cplx else n * (n + 1) // 2
+    return n, 2 + k % (d - 1), seed + k, "complex" if cplx else "real"
+
+
+def _random_dependent_stacks(count: int) -> list:
+    """The nudge-repair corpus, as ``_random_stacks`` groups (the indices of
+    their frames, their (K, m, n) vectors): base frames drawn in blocks, and
+    in frame k vector j replaced by vector i times a sign (real) or a phase
+    (complex), which repeats i's outer product."""
+    stacks = _random_stacks([_density_spec(k, 14000) for k in range(count)])
+    for idx, block in stacks:
+        m, rows = block.shape[1], np.arange(len(idx))
+        i, j = idx % m, (idx + 1 + idx // m) % m
+        j = np.where(i == j, (j + 1) % m, j)
+        block[rows, j] = (np.exp(1j * 2.0) if np.iscomplexobj(block) else -1.0) * block[rows, i]
+    return stacks
 
 
 def check_nudge_repair():
-    inputs = _random_dependent_frames(200)
+    batches = [outer.induce_batch(map(Frame.from_vectors, block))
+               for _, block in _random_dependent_stacks(200)]
     # dependent by construction; an independent input is a fault of the
     # corpus and counts as a failure in each row
-    batches = [outer.induce_batch(inputs[i] for i in idx)
-               for idx in _index_groups((f.field, f.vectors.shape) for f in inputs).values()]
     repairable = [batch.take(np.flatnonzero(~batch.independent))
                   for batch in batches if not batch.independent.all()]
     rows = []
     for eps in (0.1, 0.01):
-        failures = len(inputs) - sum(len(batch.frames) for batch in repairable)
+        failures = 200 - sum(len(batch.frames) for batch in repairable)
         for batch in repairable:  # one (shape, field) group each
             nudged = outer.induce_batch(perturb.nudge_batch(batch.frames, eps))
             moved = perturb.movement(batch.vectors, nudged.vectors)
             failures += int(np.count_nonzero(~nudged.independent | (moved >= eps)))
         rows.append(_row("nudge-repair", f"200 dependent frames, eps={eps}", failures,
                          "0 failures", None, failures == 0))
-    specs = []
-    for k in range(1000):
-        cplx = k % 4 == 3
-        n = 2 + k % 3 if not cplx else 2
-        d = n * n if cplx else n * (n + 1) // 2
-        m = 2 + k % (d - 1) if d > 2 else 2
-        specs.append((n, m, 14500 + k, "complex" if cplx else "real"))
+    specs = [_density_spec(k, 14500) for k in range(1000)]
     dependent = sum(int(np.count_nonzero(outer._outer_spectra(v)[2] < v.shape[1]))
                     for _, v in _random_stacks(specs))
     rows.append(_row("independence-density", "1000 random frames at M <= dim",

@@ -117,6 +117,8 @@ class TestAdmissibleVectors:
     def test_kernel_component_returns_none(self):
         ext = geometry.psd_extension(np.diag([2.0, 1.0, 0.0]))
         assert geometry.admissible_coefficients(ext, [0.0, 0.0, 1.0]) is None
+        # a leak of 1e-6 beside unit coefficients: its square exceeds tol^2
+        assert geometry.admissible_coefficients(ext, [np.sqrt(2.0), 0.0, 1e-6]) is None
 
     def test_wrong_scale_returns_none(self):
         # rank preserved iff |c| = sqrt(lambda_i)
@@ -186,6 +188,7 @@ class TestQuarticAndEllipsoid:
         assert geometry.ellipsoid_residual(s, tv) <= 1e-12
         outside = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
         assert geometry.ellipsoid_residual(s, outside) == np.inf
+        assert geometry.ellipsoid_residual(s, tv + 1e-6 * outside) == np.inf
 
     def test_ellipsoid_needs_spanning(self):
         with pytest.raises(NotAFrame):
@@ -441,11 +444,13 @@ class TestClassifyBatch:
             geometry.mu2_subset_mu4_probe(probe, 30, 7)
 
     def test_values_match_lapack_solve(self):
-        f = cons.random_unit(3, 5, 60, field="complex")
-        cands = _unit_rows(np.random.default_rng(60), 200, 3, True)
-        batch = geometry.classify_batch(geometry.prepare(f), cands)
-        np.testing.assert_allclose(batch.elliptic_value,
-                                   elliptic_values_solve(f.vectors, cands), rtol=1e-12)
+        # the last two at the shapes of the benchmark's analyze frames
+        for f in (cons.random_unit(3, 5, 60, field="complex"), cons.random_unit(12, 77, 5),
+                  cons.random_unit(8, 63, 5, field="complex")):
+            cands = _unit_rows(np.random.default_rng(60), 200, f.n, f.field == "complex")
+            batch = geometry.classify_batch(geometry.prepare(f), cands)
+            np.testing.assert_allclose(batch.elliptic_value,
+                                       elliptic_values_solve(f.vectors, cands), rtol=1e-12)
 
     def test_batch_validation(self):
         prep = geometry.prepare(cons.orthonormal(3))

@@ -599,11 +599,11 @@ def test_spectral_solve_takes_a_vector_or_a_matrix_right_side(k):
     g = q @ np.diag([8.0, 4.0, 2.0, 1.0, 0.5]) @ q.T
     spectrum = matcore.hermitian_eig(g)
     b = rng.standard_normal((5, k))
-    got = outer._spectral_solve(spectrum, b)
+    got = matcore.spectral_solve(spectrum, b)
     assert got.shape == (5, k)
     np.testing.assert_allclose(g @ got, b, atol=1e-12)
     for j in range(k):
-        np.testing.assert_allclose(outer._spectral_solve(spectrum, b[:, j]), got[:, j],
+        np.testing.assert_allclose(matcore.spectral_solve(spectrum, b[:, j]), got[:, j],
                                    atol=1e-12)
 
 
@@ -613,10 +613,29 @@ def test_spectral_solve_with_a_leading_axis_equals_one_matrix_at_a_time(cplx):
     field = "complex" if cplx else "real"
     batch = outer.induce_batch([cons.random_unit(3, 4, 610 + k, field) for k in range(7)])
     b = rng.standard_normal((7, 4, 3))
-    got = outer._spectral_solve(batch.gram_spectrum, b)
-    vec = outer._spectral_solve(batch.gram_spectrum, b[..., 0])
+    got = matcore.spectral_solve(batch.gram_spectrum, b)
+    vec = matcore.spectral_solve(batch.gram_spectrum, b[..., 0])
     assert got.shape == (7, 4, 3) and vec.shape == (7, 4)
     for k, f in enumerate(batch.frames):
         spectrum = outer.induce(f).gram_spectrum
-        assert got[k].tobytes() == outer._spectral_solve(spectrum, b[k]).tobytes()
-        assert vec[k].tobytes() == outer._spectral_solve(spectrum, b[k, :, 0]).tobytes()
+        assert got[k].tobytes() == matcore.spectral_solve(spectrum, b[k]).tobytes()
+        assert vec[k].tobytes() == matcore.spectral_solve(spectrum, b[k, :, 0]).tobytes()
+
+
+@pytest.mark.parametrize("name, args", [
+    ("is_independent", ()), ("outer_riesz_bounds", ()), ("dependence_certificate", ()),
+    ("project_onto_outer_span", (np.eye(2),)), ("optimal_bound_report", ())])
+@pytest.mark.parametrize("count", [1, 2])
+def test_one_frame_functions_reject_a_stacked_batch(name, args, count):
+    batch = outer.induce_batch([cons.random_unit(2, 3, 620 + k) for k in range(count)])
+    with pytest.raises(ShapeMismatch, match=f"^{name} takes the OuterBatch of one frame"):
+        getattr(outer, name)(batch, *args)
+    getattr(outer, name)(outer.induce(batch.frames[0]), *args)  # one frame is fine
+
+
+def test_split_frame_operators_rejects_a_stacked_batch():
+    f = frame_of([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0])
+    cert = outer.dependence_certificate(outer.induce(f))
+    with pytest.raises(ShapeMismatch, match="^split_frame_operators takes the OuterBatch"):
+        outer.split_frame_operators(outer.induce_batch([f, f]), cert)
+    outer.split_frame_operators(outer.induce(f), cert)

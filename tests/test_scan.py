@@ -76,8 +76,17 @@ def _perfbench_shaped(seed, n, m, dups, cplx):
     return Frame.from_vectors(np.vstack([v, v[src] * flips[:, None]]))
 
 
+def _nudge_repair_corpus() -> list:
+    """The frames of ``verify``'s nudge-repair corpus, in case order."""
+    frames = [None] * 200
+    for idx, block in verify._random_dependent_stacks(200):
+        for k, v in zip(idx, block):
+            frames[k] = Frame.from_vectors(v)
+    return frames
+
+
 def test_nudge_repair_corpus():
-    for f in verify._random_dependent_frames(200):
+    for f in _nudge_repair_corpus():
         _assert_prefix_and_certificate(f)
         for eps in (0.1, 0.01):
             _assert_nudge(f, eps)
@@ -210,7 +219,7 @@ def _with_copy(f, src, at, factor):
 
 
 def test_nudge_batch_on_the_nudge_repair_corpus():
-    frames = verify._random_dependent_frames(200)
+    frames = _nudge_repair_corpus()
     # independent members of the same shapes come back as themselves
     frames += [cons.random_unit(f.n, f.m, 15000 + k, f.field) for k, f in enumerate(frames[:24])]
     for eps in (0.1, 0.01):

@@ -11,7 +11,8 @@ somewhere in the repository's code, or it is dead and goes.  Every check
 of ``framekit verify`` that draws a random corpus is compared, bit for
 bit, with a per-case reference loop in ``test_verify``.  The package keeps
 one spectral path: its decompositions are the ``np.linalg`` calls listed in
-``_LINALG_CALLS``, and no module adds its own.
+``_LINALG_CALLS``, and no module adds its own; nor does any module outside
+``matcore`` divide by eigenvalues but the listed exception.
 """
 
 import ast
@@ -178,3 +179,60 @@ def test_one_spectral_path():
                 found += [(path.stem, f"import {name}") for name in names
                           if "linalg" in name or name.split(".")[0] == "scipy"]
     assert sorted(found) == _LINALG_CALLS
+
+
+#: Functions outside ``matcore`` that may divide by eigenvalues, and why.
+_EIGENVALUE_DIVISIONS = {
+    ("geometry", "_bordered_gram_check"):
+        "its determinant ratio is the cross-check's independent second path, so it must "
+        "not share the owner whose values it checks",
+}
+
+
+def _reads_eigenvalues(node, tainted) -> bool:
+    """Whether an expression reads an ``eigenvalues`` attribute or a name in tainted."""
+    return any((isinstance(n, ast.Attribute) and n.attr == "eigenvalues")
+               or (isinstance(n, ast.Name) and n.id in tainted) for n in ast.walk(node))
+
+
+def _eigenvalue_divisions(tree) -> set:
+    """The functions of a module that divide by an eigenvalues array, read
+    directly or through a name bound to one: a local assigned from it, or a
+    parameter that a call in the module passes it to."""
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    tainted = {name: set() for name in functions}
+    changed = True
+    while changed:  # to a fixed point: locals within a function, parameters across calls
+        changed = False
+        for name, fn in functions.items():
+            for node in ast.walk(fn):
+                bound = []
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and \
+                        node.value is not None and _reads_eigenvalues(node.value, tainted[name]):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    bound = [(name, t.id) for target in targets for t in ast.walk(target)
+                             if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
+                        node.func.id in functions:
+                    params = [a.arg for a in functions[node.func.id].args.args]
+                    passed = list(zip(params, node.args))
+                    passed += [(k.arg, k.value) for k in node.keywords]
+                    bound = [(node.func.id, param) for param, arg in passed
+                             if param is not None and _reads_eigenvalues(arg, tainted[name])]
+                for where, local in bound:
+                    if local not in tainted[where]:
+                        tainted[where].add(local)
+                        changed = True
+    return {name for name, fn in functions.items() for node in ast.walk(fn)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+            and _reads_eigenvalues(node.right if isinstance(node, ast.BinOp) else node.value,
+                                   tainted[name])}
+
+
+def test_one_owner_of_the_inverse_eigenvalues():
+    # Lambda^{-1} in an eigenbasis is matcore's (spectral_solve, weighted_norm)
+    found = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "framekit").glob("*.py")):
+        if path.stem != "matcore":
+            found |= {(path.stem, fn) for fn in _eigenvalue_divisions(ast.parse(path.read_text()))}
+    assert sorted(found) == sorted(_EIGENVALUE_DIVISIONS)

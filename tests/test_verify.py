@@ -560,22 +560,26 @@ def test_nudge_repair_nudges_the_frames_the_reference_loop_does(monkeypatch):
 
 
 def test_nudge_repair_corpus_equals_per_case_draws():
-    stacked = verify._random_dependent_frames(200)
+    stacked = [(int(k), v.dtype, v.tobytes())
+               for idx, block in verify._random_dependent_stacks(200) for k, v in zip(idx, block)]
     single = [scan_reference.dependent_frame(k) for k in range(200)]
-    assert [(f.field, f.vectors.tobytes()) for f in stacked] == \
-        [(f.field, f.vectors.tobytes()) for f in single]
+    assert sorted(stacked) == [(k, f.vectors.dtype, f.vectors.tobytes())
+                               for k, f in enumerate(single)]
 
 
 def test_nudge_repair_counts_an_independent_input_as_a_failure(monkeypatch):
-    dependent_frames = verify._random_dependent_frames
+    dependent_stacks = verify._random_dependent_stacks
+    independent = cons.random_unit(4, 7, 99)  # the shape of frame 5, outers independent
+    assert outer.induce(independent).independent
 
     def corpus(count):
-        frames = dependent_frames(count)
-        frames[5] = cons.random_unit(3, 4, 99)  # independent outer products
-        return frames
+        stacks = dependent_stacks(count)
+        for idx, block in stacks:
+            if 5 in idx:
+                block[idx == 5] = independent.vectors
+        return stacks
 
-    monkeypatch.setattr(verify, "_random_dependent_frames", corpus)
-    assert outer.induce(corpus(200)[5]).rank == 4
+    monkeypatch.setattr(verify, "_random_dependent_stacks", corpus)
     rows = verify.check_nudge_repair()
     nudge = [r for r in rows if r.check == "nudge-repair"]
     assert [(r.measured, r.passed) for r in nudge] == [(1.0, False), (1.0, False)]
