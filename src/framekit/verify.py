@@ -26,18 +26,24 @@ nudged frames' ranks and movements stacked.  Each forward case of
 ``psd-extension-roundtrip`` draws the same words whatever its outcome.
 
 Ranks that LAPACK computes are checked against an exact oracle,
-``rational_rank``: fraction-free (Bareiss) elimination over Python
-integers, with a complex matrix handled through its real embedding
-[[A, -B], [B, A]].
+``rational_rank``: Gaussian elimination of a stack of matrices, scaled to
+integers, modulo enough primes below 2^31 that their product exceeds every
+minor's Hadamard bound, all in lockstep in int64; the rank is the largest
+over the primes.  A complex matrix goes through its real embedding
+[[A, -B], [B, A]].  ``psd-extension-roundtrip`` builds its exact-rank
+cases per shape and takes both ranks once per (shape, field) stack.
 """
 
+import math
 import time
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import constructions as cons
 from . import geometry, matcore, outer, perturb
+from .errors import BadParam, ShapeMismatch
 from .frame import Frame, riesz_bounds, vector_gram
 from .rng import Stream, box_muller, normal_words, unit_rows, unit_vectors, word_uniforms
 
@@ -123,49 +129,140 @@ def _orthonormal(g):
 
 
 # ---------------------------------------------------------------------------
-# exact integer elimination, the independent rank oracle
+# exact modular elimination, the independent rank oracle
 
 
-def _integer_rows(a: np.ndarray) -> list:
-    """Rows of a real matrix of finite floats scaled to integers by one
-    power of two.
+@lru_cache(maxsize=None)
+def _prime_window(width: int) -> np.ndarray:
+    """The primes in [2^31 - width, 2^31), largest first, by a sieve of the
+    window with the primes up to 46341 (> sqrt(2^31))."""
+    small = np.ones(46342, dtype=bool)
+    small[:2] = False
+    for p in range(2, 216):  # 216^2 > 46341
+        if small[p]:
+            small[p * p::p] = False
+    sieving = np.flatnonzero(small)
+    lo = 2**31 - width
+    first = -lo % sieving  # each sieving prime's first multiple in the window
+    composite = np.zeros(width, dtype=bool)
+    for p, at in zip(sieving[sieving < width], first[sieving < width]):
+        composite[at::p] = True
+    wide = first[sieving >= width]  # one multiple in the window at most
+    composite[wide[wide < width]] = True
+    return lo + np.flatnonzero(~composite)[::-1]
 
-    Every float is p / 2^k exactly (``float.as_integer_ratio``), so
-    multiplying by the largest 2^k leaves each entry an integer without a
-    float product that could overflow or round.
-    """
-    ratios = [[x.as_integer_ratio() for x in row] for row in a.tolist()]
-    shift = max((q.bit_length() for row in ratios for _, q in row), default=1)
-    return [[p << (shift - q.bit_length()) for p, q in row] for row in ratios]
+
+def _moduli(count: int) -> np.ndarray:
+    """The count largest primes below 2^31, largest first.  Each is above
+    2^30, and a product of two residues fits int64."""
+    width = 1024
+    while len(_prime_window(width)) < count:
+        width *= 2
+    return _prime_window(width)[:count]
 
 
-def rational_rank(matrix) -> int:
-    """Exact rank of a matrix of finite floats, real or complex.
+def _exact_entries(a: np.ndarray) -> np.ndarray:
+    """a as int64, float64 or complex128, the first that holds every entry
+    exactly; BadParam if none does, since a rounded entry can change the rank."""
+    if a.dtype.kind in "biu" and np.can_cast(a.dtype, np.int64):
+        return a.astype(np.int64)
+    if a.dtype.kind in "fc" and np.can_cast(a.dtype, np.complex128):
+        return a.astype(np.float64 if a.dtype.kind == "f" else np.complex128)
+    for kind in (np.int64, np.float64, np.complex128):  # object arrays and the like
+        try:
+            cast = a.astype(kind)
+        except (TypeError, ValueError, OverflowError):
+            continue
+        if np.all(cast.astype(object) == a.astype(object)):
+            return cast
+    raise BadParam("rational_rank needs entries that int64, float64 or complex128 holds exactly")
 
-    Fraction-free (Bareiss) elimination over Python integers: after each
-    pivot p the rows below are updated as (x p - f y) / p_prev, a division
-    that is always exact, so entries stay integers of bounded size.  A
-    complex A + iB is handled as the real [[A, -B], [B, A]], whose rank is
-    twice that of A + iB.  Entirely independent of the floating-point
-    LAPACK path.
+
+def _binary_integers(a: np.ndarray) -> tuple:
+    """For a stack of int64 or finite float64 matrices, odd or zero int64 m
+    and exponents d >= 0 with each matrix m 2^d times one power of two, and
+    bits with |m 2^d| < 2^bits: (m, d, bits)."""
+    if a.dtype == np.int64:
+        m, e = a, np.zeros(a.shape, dtype=np.int64)
+    else:
+        mantissa, exponent = np.frexp(a)
+        m, e = (mantissa * 2.0**53).astype(np.int64), exponent.astype(np.int64) - 53
+    nonzero = m != 0
+    zeros = np.where(nonzero, np.frexp(m & -m)[1] - 1, 0)  # trailing zero bits
+    m, e = m >> zeros, e + zeros
+    shift = e.min(axis=(-2, -1), where=nonzero, initial=np.iinfo(np.int64).max, keepdims=True)
+    d = np.where(nonzero, e - shift, 0)
+    return m, d, np.where(nonzero, np.frexp(m)[1] + d, 0)
+
+
+def _ranks_modulo(r: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Rank of each residue matrix r[:, :, b] modulo p[b], for a (cols, rows,
+    B) stack whose batch axis is innermost: (B,), one column step for all."""
+    rank = np.zeros(r.shape[-1], dtype=np.int64)
+    batch = np.arange(r.shape[-1])
+    for _ in range(len(r)):
+        col = r[0]
+        nonzero = col != 0
+        found = nonzero.any(axis=0)
+        top = r[:, nonzero.argmax(axis=0), batch]
+        pivot = np.where(found, top[0], 1)
+        # each row times the pivot minus its entry times the pivot row, which
+        # zeroes the column and the pivot row; both products are below 2^62,
+        # and adding p - top in place of subtracting top keeps the sum
+        # nonnegative, where numpy's % is about twice as fast
+        r = (r[1:] * pivot + col * (p - top[1:, None])) % p
+        rank += found
+    return rank
+
+
+def rational_rank(matrix):
+    """Exact rank of a matrix of binary numbers (finite float64 or int64
+    entries), real or complex: an int for a matrix, the ranks for an
+    (..., m, n) stack.
+
+    Each matrix becomes integers by one power of two (``_binary_integers``),
+    and the stack is eliminated modulo the count largest primes below 2^31
+    in lockstep, a pivot per matrix and prime.  The rank modulo a prime is
+    never above the rank r over Q, and count is such that the primes'
+    product exceeds the Hadamard bound H on every minor: the product of the
+    row norms.  A nonzero r x r minor D has |D| <= H < the product, so some
+    prime does not divide it, and the largest rank over the primes is r.
+    A complex A + iB is taken as the real [[A, -B], [B, A]], whose rank is
+    twice that of A + iB.  Residues and elimination are int64 arithmetic,
+    and only the prime count is a float bound, with a margin: independent
+    of LAPACK.
     """
     a = np.asarray(matrix)
-    cplx = np.iscomplexobj(a)
+    if a.ndim < 2:
+        raise ShapeMismatch(f"expected a matrix or a stack of matrices, got shape {a.shape}")
+    a = _exact_entries(a)
+    if not np.isfinite(a).all():
+        raise BadParam("rational_rank needs finite entries")
+    cplx = a.dtype == np.complex128
     if cplx:
-        a = np.block([[a.real, -a.imag], [a.imag, a.real]])
-    rows = _integer_rows(a.astype(np.float64))
-    rank, prev = 0, 1
-    while rows and rows[0]:
-        piv = next((i for i, r in enumerate(rows) if r[0]), None)
-        if piv is None:  # no pivot in this column
-            rows = [r[1:] for r in rows]
-            continue
-        top = rows.pop(piv)
-        p, tail = top[0], top[1:]
-        rows = [[(x * p - r[0] * y) // prev for x, y in zip(r[1:], tail)] for r in rows]
-        prev = p
-        rank += 1
-    return rank // 2 if cplx else rank
+        a = np.concatenate([np.concatenate([a.real, -a.imag], axis=-1),
+                            np.concatenate([a.imag, a.real], axis=-1)], axis=-2)
+    if a.shape[-1] > a.shape[-2]:
+        a = a.swapaxes(-1, -2)  # one column step per column of the narrower side
+    m, d, bits = _binary_integers(a.reshape((math.prod(a.shape[:-2]),) + a.shape[-2:]))
+    # log2 H^2, H the product of the nonzero rows' norms: a row whose entries
+    # are below 2^top has norm 2^top |row / 2^top|, the second factor at
+    # least 1/2; 2^-20 a row covers the rounding.  Each prime adds 30 bits.
+    top = bits.max(axis=-1, initial=0)
+    scaled = np.sum(np.ldexp(m, d - top[..., None]) ** 2, axis=-1)
+    log_h2 = np.where(top > 0, 2 * top + np.log2(np.maximum(scaled, 0.25)) + 2.0**-20, 0)
+    p = _moduli(max(1, int(np.ceil(log_h2.sum(axis=-1).max(initial=0) / 60))))
+    exponents, which = np.unique(d, return_inverse=True)
+    powers = np.array([[pow(2, int(k), int(q)) for q in p] for k in exponents],
+                      dtype=np.int64).reshape(-1, len(p))
+    # (cols, rows, matrix, prime), the batch innermost for the column steps
+    residues = (m.T[..., None] % p) * powers[which.reshape(d.shape).T] % p
+    batch = np.tile(p, len(m))
+    ranks = _ranks_modulo(residues.reshape(residues.shape[:2] + batch.shape), batch)
+    ranks = ranks.reshape(len(m), len(p)).max(axis=1).reshape(a.shape[:-2])
+    if cplx:
+        ranks //= 2
+    return int(ranks) if a.ndim == 2 else ranks
 
 
 # ---------------------------------------------------------------------------
@@ -545,35 +642,32 @@ def _psd_forward_failures(stream, count) -> tuple:
     return forward, offfam
 
 
-def _psd_oracle_cases(stream, count) -> list:
-    """The (t, bordered t) pairs of the exact-rank cases, with integer and
-    half-integer entries, from one block of uniforms."""
-    shapes = [_psd_case(k) for k in range(count)]
-    u = stream.uniforms(sum(n * r * (2 if cplx else 1) + n for n, r, cplx in shapes))
-    pairs = []
-    at = 0
-    for n, r, cplx in shapes:
-        fmat = (np.floor(u[at:at + n * r] * 7.0) - 3.0).reshape(n, r)
-        at += n * r
+def _psd_oracle_stacks(stream, count) -> list:
+    """The matrices of the exact-rank cases 0 .. count-1: per case a t of
+    integer entries and t bordered by a vector of half-integers, from one
+    block of uniforms and built per (n, r, field).  One stack per (shape,
+    field), in order of first sight over t_0, bordered t_0, t_1, ..., each
+    stack's matrices in that order."""
+    groups = _index_groups(_psd_case(k) for k in range(count))
+    draws = _group_words(stream, count, [(ks, n * r * (1 + cplx) + n)
+                                         for (n, r, cplx), ks in groups.items()])
+    parts = {}
+    for ((n, r, cplx), ks), words in zip(groups.items(), draws):
+        ints = np.floor(word_uniforms(words[:, :-n]) * 7.0) - 3.0
+        fmat = ints[:, :n * r].reshape(-1, n, r)
         if cplx:
-            fmat = fmat + 1j * (np.floor(u[at:at + n * r] * 7.0) - 3.0).reshape(n, r)
-            at += n * r
-        t = fmat @ fmat.conj().T
-        halves = (np.floor(u[at:at + n] * 9.0) - 4.0) / 2.0
-        at += n
+            fmat = fmat + 1j * ints[:, n * r:].reshape(-1, n, r)
+        t = fmat @ fmat.conj().swapaxes(-1, -2)
+        halves = (np.floor(word_uniforms(words[:, -n:]) * 9.0) - 4.0) / 2.0
         v = halves.astype(complex) * (1 + 1j) if cplx else halves
-        pairs.append((t, geometry.bordered(t, v)))
-    return pairs
-
-
-def _numerical_ranks(mats) -> list:
-    """``matcore.numerical_rank`` of each matrix, one stacked call per shape
-    and dtype."""
-    ranks = [None] * len(mats)
-    for idx in _index_groups((a.shape, a.dtype) for a in mats).values():
-        for i, rank in zip(idx, matcore.numerical_rank(np.stack([mats[i] for i in idx]))):
-            ranks[i] = int(rank)
-    return ranks
+        pos = 2 * np.array(ks)
+        for at, a in ((pos, t), (pos + 1, geometry.bordered(t, v))):
+            parts.setdefault((a.shape[-1], cplx), []).append((at, a))
+    stacks = []
+    for pieces in sorted(parts.values(), key=lambda ps: min(at.min() for at, _ in ps)):
+        at = np.concatenate([at for at, _ in pieces])
+        stacks.append(np.concatenate([a for _, a in pieces])[np.argsort(at)])
+    return stacks
 
 
 def check_psd_extension_roundtrip():
@@ -586,9 +680,8 @@ def check_psd_extension_roundtrip():
              "0 failures", None, offfam_fail == 0),
     ]
 
-    pairs = _psd_oracle_cases(stream, 200)
-    mats = [m for pair in pairs for m in pair]
-    oracle_fail = sum(rational_rank(a) != rank for a, rank in zip(mats, _numerical_ranks(mats)))
+    oracle_fail = sum(int(np.count_nonzero(rational_rank(a) != matcore.numerical_rank(a)))
+                      for a in _psd_oracle_stacks(stream, 200))
     rows.append(_row("psd-extension-roundtrip",
                      "rank agrees with exact-rational elimination (200 cases)",
                      oracle_fail, "0 disagreements", None, oracle_fail == 0))

@@ -130,24 +130,25 @@ def _referenced_checks() -> set:
     raise AssertionError("test_batched_check_equals_per_case_reference is gone")
 
 
-def _source_reached(check) -> str:
-    """The source of a check and of every function of ``verify`` it calls,
-    directly or through other such functions."""
+def _sources_reached(function) -> dict:
+    """The source of a ``verify`` function and of every function of
+    ``verify`` it calls, directly or through other such functions, by name."""
     own = {name for name, fn in vars(verify).items()
            if inspect.isfunction(fn) and fn.__module__ == verify.__name__}
-    sources, todo = {}, [check.__name__]
+    sources, todo = {}, [function.__name__]
     while todo:
         name = todo.pop()
         if name not in sources:
             sources[name] = inspect.getsource(getattr(verify, name))
             todo += [node.id for node in ast.walk(ast.parse(sources[name]))
                      if isinstance(node, ast.Name) and node.id in own]
-    return "\n".join(sources.values())
+    return sources
 
 
 def test_every_check_that_draws_a_corpus_has_a_per_case_reference():
     drawing = {name for name, check in verify.CHECKS.items()
-               if any(marker in _source_reached(check) for marker in _CORPUS_MARKERS)}
+               if any(marker in source for source in _sources_reached(check).values()
+                      for marker in _CORPUS_MARKERS)}
     assert set(_NO_CORPUS) <= drawing
     assert sorted(drawing - set(_NO_CORPUS) - _referenced_checks()) == []
 
@@ -179,6 +180,24 @@ def test_one_spectral_path():
                 found += [(path.stem, f"import {name}") for name in names
                           if "linalg" in name or name.split(".")[0] == "scipy"]
     assert sorted(found) == _LINALG_CALLS
+
+
+def test_the_exact_oracle_is_independent_of_lapack():
+    # verify.rational_rank and the verify functions it reaches name no
+    # np.linalg, matcore or scipy, nor a function of another framekit module
+    # (one that could reach them); errors and numpy's elementwise calls only
+    found = []
+    for name, source in _sources_reached(verify.rational_rank).items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and node.attr == "linalg":
+                found.append((name, "linalg"))
+            elif isinstance(node, ast.Name) and node.id in vars(verify):
+                value = vars(verify)[node.id]
+                home = getattr(value, "__module__", None) or getattr(value, "__name__", "")
+                if home.split(".")[0] in ("framekit", "scipy") and \
+                        home not in (verify.__name__, "framekit.errors"):
+                    found.append((name, node.id))
+    assert found == []
 
 
 #: Functions outside ``matcore`` that may divide by eigenvalues, and why.

@@ -1,9 +1,13 @@
 """The reproduction suite against independent references.
 
-``verify.rational_rank`` is fraction-free integer (Bareiss) elimination
-with complex matrices taken through their real embedding;
+``verify.rational_rank`` is multi-modular elimination: integers modulo
+primes below 2^31 whose product exceeds the Hadamard bound, complex
+matrices taken through their real embedding;
 ``oracles.rational_rank_exact`` is Gaussian elimination over Fractions
-with complex arithmetic.  Two algorithms, so each checks the other.
+with complex arithmetic.  Two algorithms, so each checks the other; the
+tests below also pin the places a modular rank can go wrong (too few
+primes, the smallest rank over them instead of the largest, a residue
+formed through a rounded product).
 
 The checks whose corpora are drawn in blocks and decided by stacked
 LAPACK calls are compared, row for row and bit for bit, with per-case
@@ -18,7 +22,7 @@ import pytest
 
 from framekit import constructions as cons
 from framekit import geometry, matcore, outer, perturb, verify
-from framekit.errors import NotPsd
+from framekit.errors import BadParam, NotPsd, ShapeMismatch
 from framekit.frame import Frame, gram, riesz_bounds
 from framekit.rng import Stream
 from framekit.verify import rational_rank
@@ -68,6 +72,20 @@ def test_extreme_binary_exponents(cplx):
         assert rational_rank(a) == rational_rank_exact(a)
 
 
+@pytest.mark.parametrize("cplx", [False, True])
+def test_full_mantissas_at_extreme_exponents(cplx):
+    # copies of k base rows of 53-bit integers, each scaled by a power of two
+    # from 2^-1000 to 2^900: rank k, read only if the residue of every
+    # mantissa times 2^d is formed exactly
+    rng = np.random.default_rng(411 + cplx)
+    for _ in range(20):
+        k, cols = rng.integers(1, 4), rng.integers(2, 6)
+        base = rng.integers(2**52, 2**53, (2, k, cols)) * rng.choice([-1.0, 1.0], (2, k, cols))
+        base = base[0] + 1j * base[1] if cplx else base[0]
+        a = base[rng.integers(0, k, 6)] * 2.0 ** rng.choice([-1000, -3, 0, 900], (6, 1))
+        assert rational_rank(a) == rational_rank_exact(a)
+
+
 def test_hand_worked_cases():
     tiny, huge = 2.0 ** -1000, 2.0 ** 900
     assert rational_rank(np.zeros((3, 4))) == 0
@@ -79,6 +97,71 @@ def test_hand_worked_cases():
     assert rational_rank(np.array([[1.0, 1j], [1j, -1.0]])) == 1
     assert rational_rank(np.array([[1.0, 1j], [1j, 1.0]])) == 2
     assert rational_rank(np.array([[0.5, 0.25, 0.0], [1.0, 0.5, 0.0]])) == 1
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_a_diagonal_of_the_oracles_own_primes(k):
+    # every one of the first k primes divides an entry, so each alone reads
+    # rank k - 1: the count of primes must exceed k, and the rank is the
+    # largest over them
+    primes = verify._moduli(k)
+    assert rational_rank(np.diag(primes)) == k
+    assert rational_rank(np.diag(primes.astype(float)) * 2.0**-40) == k
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_a_stack_gives_the_ranks_of_its_matrices(cplx):
+    rng = np.random.default_rng(407 + cplx)
+    for _ in range(60):
+        lead = tuple(int(k) for k in rng.integers(0, 4, rng.integers(1, 3)))
+        count, (rows, cols), inner = int(np.prod(lead)), rng.integers(0, 7, 2), rng.integers(1, 4)
+        left = _binary_exact(rng, count * rows, inner, cplx).reshape(lead + (rows, inner))
+        stack = left @ _binary_exact(rng, inner, cols, cplx) / 2.0 ** rng.integers(0, 3)
+        ranks = rational_rank(stack)
+        assert ranks.shape == lead
+        one_at_a_time = [rational_rank(a) for a in stack.reshape((count, rows, cols))]
+        assert ranks.reshape(count).tolist() == one_at_a_time
+
+
+@pytest.mark.parametrize("order", [20, 28, 33, 40])
+def test_planted_rank_integer_matrices(order):
+    # integer Grams of planted rank, as int64 and as floats, against the
+    # Fraction elimination: the product of the rows' norms needs several primes
+    rng = np.random.default_rng(409 + order)
+    for rank in (order // 2, order - 1, order):
+        f = rng.integers(-40, 41, (order, rank))
+        gram = f @ f.T
+        want = rational_rank_exact(gram)
+        assert want == rank
+        assert rational_rank(gram) == want
+        assert rational_rank(gram.astype(float)) == want
+    a = rng.integers(-9, 10, (order, 3)) + 1j * rng.integers(-9, 10, (order, 3))
+    planted = a @ (rng.integers(-9, 10, (3, order)) + 1j * rng.integers(-9, 10, (3, order)))
+    assert rational_rank(planted) == rational_rank_exact(planted) == 3
+
+
+def test_integer_entries_stay_exact():
+    # 2^60 + 1 rounds to 2^60 as a float, which would read rank 1
+    assert rational_rank(np.array([[2**60 + 1, 1], [2**60, 1]])) == 2
+    assert rational_rank(np.array([[2**62, 2**61], [-2**63, -2**62]])) == 1
+    # an object array passes when int64 or float64 holds every entry
+    assert rational_rank(np.array([[2**70, 1], [1, 1]], dtype=object)) == 2
+    assert rational_rank(np.array([[2**60 + 1, 1], [2**60, 1]], dtype=object)) == 2
+    with pytest.raises(BadParam):
+        rational_rank(np.array([[2**70 + 1, 1], [2**70, 1]], dtype=object))
+
+
+@pytest.mark.parametrize("matrix, error", [
+    ([[np.nan]], BadParam),
+    ([[np.inf, 1.0]], BadParam),
+    ([[1.0, complex(0.0, -np.inf)]], BadParam),
+    (np.array([[2**64 - 1]], dtype=np.uint64), BadParam),
+    ([1.0, 2.0], ShapeMismatch),
+    (3.0, ShapeMismatch),
+])
+def test_bad_input_raises_a_framekit_error(matrix, error):
+    with pytest.raises(error):
+        rational_rank(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +674,8 @@ def _same_rows(batched, reference):
 
 
 def _recorders(monkeypatch):
-    """Record the matrices psd_extension and rational_rank see, in the
-    reference loops and in verify alike."""
+    """Record the matrices psd_extension sees and the matrices or stacks
+    rational_rank sees, in the reference loops and in verify alike."""
     seen = {"psd": [], "exact": []}
     psd_extension, exact_rank = geometry.psd_extension, verify.rational_rank
 
@@ -670,7 +753,12 @@ def test_psd_roundtrip_counts_a_short_case_and_moves_no_draw(monkeypatch):
     groups = verify._index_groups(verify._psd_case(k) for k in range(1000))
     expected = [np.stack([unpatched_psd[i] for i in idx]) for idx in groups.values()]
     assert _same_matrices(eig_inputs, expected)
-    assert _same_matrices(seen["exact"], unpatched_oracle)
+    # the oracle sees the reference loop's 400 matrices as one stack per
+    # (shape, field) in order of first sight, each in case order
+    assert len(unpatched_oracle) == 400
+    groups = verify._index_groups((a.shape, a.dtype) for a in unpatched_oracle)
+    expected = [np.stack([unpatched_oracle[i] for i in idx]) for idx in groups.values()]
+    assert _same_matrices(seen["exact"], expected)
     assert _same_rows(batched, reference)
 
 
