@@ -253,7 +253,8 @@ def cmd_classify(args) -> int:
                    "dependent_fraction": len(rows) / args.grid,
                    "dependent_samples": rows}
         inputs["seed"] = args.seed
-        _emit((args.output, to_json(_report("classify", inputs, results, tolerances))))
+        _emit((args.output, to_json(_report("classify", inputs, results, tolerances,
+                                            permutation=batch.permutation))))
         return EXIT_OK
     try:
         cand = _parse_candidate(args.candidate, f.n, f.field)

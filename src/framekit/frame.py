@@ -36,37 +36,11 @@ class Frame:
     vectors: np.ndarray
 
     def __post_init__(self):
-        if self.field not in (REAL, COMPLEX):
-            raise BadParam(f"unknown field {self.field!r}")
-        v = np.asarray(self.vectors)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise ShapeMismatch(f"vectors must be a non-empty 2-d array, got shape {v.shape}")
-        if self.field == REAL:
-            if np.iscomplexobj(v):
-                if np.any(v.imag != 0.0):
-                    raise BadParam("real-tagged frame has non-zero imaginary parts")
-                v = v.real
-            v = v.astype(np.float64)
-        else:
-            v = v.astype(np.complex128)
-        # sum of squared norms; inf or NaN when an entry is non-finite or it overflows
-        total = float(np.vdot(v, v).real)
-        if not math.isfinite(total) and not np.all(np.isfinite(v)):
-            raise BadParam("frame vectors have non-finite entries")
-        # the outer-product Gram's Frobenius norm is at most sum_i |phi_i|^4,
-        # so at most total^2 (Cauchy-Schwarz); it bounds every eigenvalue, and
-        # the self-adjointness test squares it
-        if not math.isfinite((total * total) * (total * total)):
-            raise BadParam("frame vectors are too large: the outer-product Gram's norm overflows")
-        v.flags.writeable = False
-        object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "vectors", checked_vectors(self.vectors, self.field))
 
     @classmethod
     def from_vectors(cls, vectors, field=None) -> "Frame":
-        v = np.asarray(vectors)
-        if field is None:
-            field = COMPLEX if np.iscomplexobj(v) else REAL
-        return cls(field=field, vectors=v)
+        return cls(field=field_of(vectors) if field is None else field, vectors=vectors)
 
     @property
     def m(self) -> int:
@@ -82,6 +56,43 @@ class Frame:
 
     def subframe(self, indices) -> "Frame":
         return Frame(field=self.field, vectors=self.vectors[list(indices)])
+
+
+def field_of(vectors) -> str:
+    """The field a vector array's dtype stands for: complex or real."""
+    return COMPLEX if np.iscomplexobj(vectors) else REAL
+
+
+def checked_vectors(vectors, field: str, ndim: int = 2) -> np.ndarray:
+    """Frame vectors (ndim 2, (M, N)) or a stack of them (ndim 3, (K, M, N))
+    as a read-only float64 (real field) or complex128 copy; BadParam for a
+    bad field or non-finite or overflowing entries, ShapeMismatch for a
+    wrong ndim or an empty axis."""
+    if field not in (REAL, COMPLEX):
+        raise BadParam(f"unknown field {field!r}")
+    v = np.asarray(vectors)
+    if v.ndim != ndim or 0 in v.shape:
+        raise ShapeMismatch(f"vectors must be a non-empty {ndim}-d array, got shape {v.shape}")
+    if field == REAL:
+        if np.iscomplexobj(v):
+            if np.any(v.imag != 0.0):
+                raise BadParam("real-tagged frame has non-zero imaginary parts")
+            v = v.real
+        v = v.astype(np.float64)
+    else:
+        v = v.astype(np.complex128)
+    # the largest frame's sum of squared norms; inf or NaN on a non-finite entry or an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.max((v.conj() * v).real.sum(axis=(-2, -1))))
+    if not math.isfinite(total) and not np.all(np.isfinite(v)):
+        raise BadParam("frame vectors have non-finite entries")
+    # the outer-product Gram's Frobenius norm is at most sum_i |phi_i|^4,
+    # so at most total^2 (Cauchy-Schwarz); it bounds every eigenvalue, and
+    # the self-adjointness test squares it
+    if not math.isfinite((total * total) * (total * total)):
+        raise BadParam("frame vectors are too large: the outer-product Gram's norm overflows")
+    v.flags.writeable = False
+    return v
 
 
 def unit_norm(v) -> bool:

@@ -13,7 +13,7 @@ owns the criterion: the elliptic, ellipsoid and admissible values are its.
 Classification runs in two steps.  ``prepare_batch`` builds, from stacked
 LAPACK calls, the candidate-independent state of K independent frames of
 one shape: the outer Gram G equilibrated to unit diagonal and its
-spectrum, the analysis matrices, the spans flags and the vector-Gram
+spectrum, the spans flags and the vector-Gram
 spectra.  ``prepare(f)`` is its one-frame case, on f's greedy independent
 prefix when f's outers are dependent.  ``classify_batch`` (K candidates,
 one frame) and ``classify_frames`` (candidate k, frame k) share one body:
@@ -25,9 +25,9 @@ every candidate det([[G, w], [w^T, 1]]) / det(G) must agree with
 1 - elliptic value within its backward-error bound.  ``elliptic_value``,
 ``quartic_residual`` and ``mu2_subset_mu4_probe`` go through one checked
 body, so every value is cross-checked and comes from the equilibrated spectrum.  A
-prepared state's ``outer`` is the ``outer.OuterBatch`` of its frames, with
-a leading frame axis even for one frame (``prepare`` builds it by
-``induce_batch([f])``).
+prepared state's ``outer`` is the ``outer.OuterBatch`` of its frames'
+vector stack, with a leading frame axis even for one frame (``prepare``
+builds it by ``induce_batch(f.vectors[None])``).
 """
 
 from dataclasses import dataclass
@@ -48,7 +48,7 @@ from .errors import (
     ShapeMismatch,
     TooMany,
 )
-from .frame import UNIT_NORM_TOL, Frame, gram, spans, vector_gram
+from .frame import UNIT_NORM_TOL, Frame, gram, spans, unit_norm, vector_gram
 # induce is bound here although nothing below calls it: geometry.induce is
 # part of the module's namespace (perfbench's tracer and self-test read it)
 from .outer import OuterBatch, ambient_outer_dim, independent_prefix, induce, induce_batch
@@ -221,9 +221,9 @@ def _inverse_gram_form(spectrum: matcore.SpectralData, w: np.ndarray) -> np.ndar
     return matcore.weighted_norm(spectrum, w, w.shape[-1])[1]
 
 
-def _check_candidates(candidates, f: Frame) -> np.ndarray:
+def _check_candidates(candidates, f) -> np.ndarray:
     """A validated (K, N) batch of unit candidates for an extendable frame
-    of f's shape and field."""
+    of f's shape and field (f a Frame or the OuterBatch of one)."""
     candidates = np.asarray(candidates)
     if candidates.ndim != 2:
         raise ShapeMismatch(f"expected a (K, N) batch of candidates, got shape {candidates.shape}")
@@ -234,8 +234,7 @@ def _check_candidates(candidates, f: Frame) -> np.ndarray:
         if np.any(candidates.imag != 0.0):
             raise BadParam("a real frame takes real candidates only")
         candidates = candidates.real
-    norms = np.sqrt(np.sum(np.abs(candidates) ** 2, axis=1))
-    if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):  # a NaN norm fails too
+    if not unit_norm(candidates):
         raise NotUnitNorm("candidate must be unit norm")
     if f.m + 1 > ambient_outer_dim(f):
         raise TooMany(
@@ -322,7 +321,8 @@ class PreparedBatch(NamedTuple):
     leading frame axis (a named tuple: it costs less at import than a
     dataclass).
 
-    outer is the induced batch of the frames the candidates extend.
+    outer is the induced batch of the frames the candidates extend; its
+    conjugated vectors are their analysis matrices.
     spans is a (K,) flag array and vector_gram holds the vector-Gram
     eigendecompositions, which the ellipsoid residual reads where spans
     holds.  scale holds d_i = G_ii^{-1/2} for each outer Gram G,
@@ -336,7 +336,6 @@ class PreparedBatch(NamedTuple):
     """
 
     outer: OuterBatch
-    analysis: np.ndarray
     spans: np.ndarray
     vector_gram: matcore.SpectralData
     scale: np.ndarray
@@ -366,7 +365,7 @@ def prepare_batch(batch: OuterBatch) -> PreparedBatch:
                              "dependent outer products")
     v = batch.vectors
     scale, scaled_gram = _equilibrated(batch.gram_op)
-    return PreparedBatch(outer=batch, analysis=v.conj(),  # spans: each synthesis matrix's rank
+    return PreparedBatch(outer=batch,  # spans: each synthesis matrix's rank
                          spans=matcore.numerical_rank(v.swapaxes(-1, -2)) == v.shape[-1],
                          vector_gram=matcore.hermitian_eig(vector_gram(v)), scale=scale,
                          scaled_gram=scaled_gram, scaled_spectrum=matcore.hermitian_eig(scaled_gram),
@@ -377,11 +376,11 @@ def prepare(f: Frame) -> PreparedBatch:
     """prepare_batch of the one frame f, or of its greedy independent prefix
     when f's outers are dependent (permutation then holds the prefix
     indices)."""
-    batch = induce_batch([f])
+    batch = induce_batch(f.vectors[None])
     if batch.independent[0]:
         return prepare_batch(batch)
     permutation = independent_prefix(f)
-    prep = prepare_batch(induce_batch([f.subframe(permutation)]))
+    prep = prepare_batch(induce_batch(f.vectors[None, list(permutation)]))
     return prep._replace(permutation=permutation)
 
 
@@ -485,7 +484,7 @@ def _classified(prep: PreparedBatch, candidates, tv: np.ndarray, tol: float) -> 
     check = _bordered_gram_check(prep.scaled_gram, prep.scaled_spectrum.eigenvalues,
                                  w.reshape(-1, m), value.reshape(-1), dependent.reshape(-1))
     with np.errstate(all="ignore"):  # frames that do not span are masked below
-        _, norm, leak = matcore.weighted_norm(prep.vector_gram, tv, prep.analysis.shape[-1])
+        _, norm, leak = matcore.weighted_norm(prep.vector_gram, tv, prep.outer.n)
     ell = np.where(prep.spans[..., None], _membership_residual(norm, leak, tol), np.nan)
     result = BatchClassification(candidates=candidates, tv=tv.reshape(-1, m),
                                  elliptic_value=value.reshape(-1),
@@ -521,11 +520,11 @@ def classify_batch(prep: PreparedBatch, candidates,
     through one stacked eigenvalue call (see _bordered_gram_check).
     Raises InternalInconsistency for the first candidate that disagrees.
     """
-    frames = prep.outer.frames
-    if len(frames) != 1:
-        raise ShapeMismatch(f"classify_batch takes one prepared frame, got {len(frames)}")
-    candidates = _check_candidates(candidates, frames[0])
-    return _checked(prep, candidates, candidates @ prep.analysis.swapaxes(-1, -2), tol)
+    count = len(prep.outer.vectors)
+    if count != 1:
+        raise ShapeMismatch(f"classify_batch takes one prepared frame, got {count}")
+    candidates = _check_candidates(candidates, prep.outer)
+    return _checked(prep, candidates, candidates @ prep.outer.vectors.conj().swapaxes(-1, -2), tol)
 
 
 def classify_frames(prep: PreparedBatch, candidates, tol: float = DEFAULT_VERDICT_TOL) -> tuple:
@@ -536,12 +535,11 @@ def classify_frames(prep: PreparedBatch, candidates, tol: float = DEFAULT_VERDIC
     k of the classification is what classify(frame k, candidate k)
     reports; where it is True, classify raises InternalInconsistency.
     """
-    frames = prep.outer.frames
-    candidates = _check_candidates(candidates, frames[0])
-    if len(candidates) != len(frames):
-        raise ShapeMismatch(f"{len(candidates)} candidates for {len(frames)} frames")
-    result, check = _classified(prep, candidates,
-                                candidates[:, None, :] @ prep.analysis.swapaxes(-1, -2), tol)
+    candidates = _check_candidates(candidates, prep.outer)
+    if len(candidates) != len(prep.outer.vectors):
+        raise ShapeMismatch(f"{len(candidates)} candidates for {len(prep.outer.vectors)} frames")
+    analysis = prep.outer.vectors.conj().swapaxes(-1, -2)
+    result, check = _classified(prep, candidates, candidates[:, None, :] @ analysis, tol)
     return result, check.disagrees
 
 
@@ -569,5 +567,5 @@ def mu2_subset_mu4_probe(f: Frame, samples: int, seed: int) -> float:
     if rank < ambient:
         raise RankDeficient(f"outer products span {rank} < {ambient} dimensions")
     psi = unit_vectors(Stream(seed), samples, f.n, f.field == "complex")
-    value = _checked(prep, psi, psi @ prep.analysis.swapaxes(-1, -2)).elliptic_value
+    value = _checked(prep, psi, psi @ prep.outer.vectors.conj().swapaxes(-1, -2)).elliptic_value
     return float(np.max(np.abs(value - 1.0), initial=0.0))

@@ -7,7 +7,7 @@ a second, independent rank path that is asserted against the first
 rather than voted with it.
 
 ``OuterBatch`` is the one outer state: ``induce(f)`` gives a frame's with
-no leading axis, ``induce_batch`` those of K frames stacked along one (the
+no leading axis, ``induce_batch`` a (K, M, N) vector stack's along one (the
 functions of one frame raise ShapeMismatch on those).  Every sum over the
 outer products is one product with S: a certificate's residual is a^T S,
 the split frame operators are two coefficient vectors times S, and
@@ -22,7 +22,6 @@ import numpy as np
 
 from . import matcore
 from .errors import (
-    BadParam,
     DimensionMismatch,
     InternalInconsistency,
     NotABasis,
@@ -31,13 +30,14 @@ from .errors import (
     ShapeMismatch,
     ZeroVector,
 )
-from .frame import BoundsReport, Frame, _bounds_report, vector_gram
+from .frame import (BoundsReport, Frame, _bounds_report, checked_vectors, field_of, unit_norm,
+                    vector_gram)
 
 ZERO_ENTRY_TOL = 1e-12
 
 
-def ambient_outer_dim(f: Frame) -> int:
-    """Dimension of the real span of self-adjoint N x N matrices."""
+def ambient_outer_dim(f) -> int:
+    """Dimension of the real span of self-adjoint N x N matrices (f a Frame or OuterBatch)."""
     n = f.n
     return n * (n + 1) // 2 if f.field == "real" else n * n
 
@@ -75,10 +75,10 @@ class OuterBatch:
     eigendecomposition.  ``induce_batch`` gives K frames' states stacked
     along a leading axis: vectors (K, M, N), gram_op (K, M, M), rank (K,)
     integers, gram_spectrum eigenvalues (K, M) and eigenvectors (K, M, M).
-    frames holds the frames, one for ``induce``.
+    The read-only vectors are the one copy of the frames; n and field are
+    read from them, as a Frame's are.
     """
 
-    frames: tuple
     vectors: np.ndarray
     gram_op: np.ndarray
     gram_spectrum: matcore.SpectralData
@@ -87,6 +87,14 @@ class OuterBatch:
     @property
     def m(self) -> int:
         return self.gram_op.shape[-1]
+
+    @property
+    def n(self) -> int:
+        return self.vectors.shape[-1]
+
+    @property
+    def field(self) -> str:
+        return field_of(self.vectors)
 
     @property
     def outers(self) -> np.ndarray:
@@ -105,46 +113,30 @@ class OuterBatch:
         rows = np.asarray(rows, dtype=int)
         spectrum = matcore.SpectralData(eigenvalues=self.gram_spectrum.eigenvalues[rows],
                                         eigenvectors=self.gram_spectrum.eigenvectors[rows])
-        return OuterBatch(frames=tuple(self.frames[i] for i in rows), vectors=self.vectors[rows],
-                          gram_op=self.gram_op[rows], gram_spectrum=spectrum,
-                          rank=self.rank[rows])
+        return OuterBatch(vectors=self.vectors[rows], gram_op=self.gram_op[rows],
+                          gram_spectrum=spectrum, rank=self.rank[rows])
 
 
 def induce(f: Frame) -> OuterBatch:
     """The outer products induced by a frame, with no leading axis."""
-    return OuterBatch((f,), f.vectors, *_outer_spectra(f.vectors))
+    return OuterBatch(f.vectors, *_outer_spectra(f.vectors))
 
 
-def induce_batch(frames) -> OuterBatch:
-    """``induce`` for frames of one shape and field, in one LAPACK call.
-
-    Frame i's gram_op, spectrum and rank are bit for bit those of
-    ``induce(frames[i])``.
+def induce_batch(vectors) -> OuterBatch:
+    """``induce`` for a (K, M, N) stack of K frames' vector rows, in one
+    LAPACK call: validated as ``Frame.from_vectors`` validates each frame
+    (``frame.checked_vectors``), frame i's gram_op, spectrum and rank are
+    bit for bit those of ``induce(Frame.from_vectors(vectors[i]))``.
     """
-    frames, vectors = _frame_stack(frames, "induce_batch")
-    vectors.flags.writeable = False
-    return OuterBatch(frames, vectors, *_outer_spectra(vectors))
+    vectors = checked_vectors(vectors, field_of(vectors), ndim=3)
+    return OuterBatch(vectors, *_outer_spectra(vectors))
 
 
-def _frame_stack(frames, who: str) -> tuple:
-    """The frames as a tuple and their (K, M, N) stacked vectors, for a
-    non-empty run of frames of one shape and field (BadParam when empty,
-    DimensionMismatch when mixed); ``who`` names the caller in the error."""
-    frames = tuple(frames)
-    if not frames:
-        raise BadParam(f"{who} needs at least one frame")
-    f0 = frames[0]
-    if any(f.field != f0.field or f.vectors.shape != f0.vectors.shape for f in frames):
-        raise DimensionMismatch(f"{who} needs frames of one shape and field")
-    return frames, np.stack([f.vectors for f in frames])
-
-
-def _one_frame(os_: OuterBatch, who: str) -> Frame:
-    """The frame of ``induce``'s batch; ShapeMismatch naming who for a stack."""
+def _one_frame(os_: OuterBatch, who: str) -> None:
+    """ShapeMismatch naming who unless os_ is ``induce``'s batch of one frame."""
     if os_.gram_op.ndim != 2:
         raise ShapeMismatch(f"{who} takes the OuterBatch of one frame (induce), "
-                            f"got a stack of {len(os_.frames)}")
-    return os_.frames[0]
+                            f"got a stack of {len(os_.vectors)}")
 
 
 def vectorized_synthesis(f: Frame) -> np.ndarray:
@@ -162,7 +154,8 @@ def is_independent(os_: OuterBatch) -> bool:
     so both paths judge that one quantity by one rule: the squares go
     through gram_op's rank rule, ``matcore.rank_from_eigenvalues``.
     """
-    sigma = matcore.singular_values(vectorized_synthesis(_one_frame(os_, "is_independent")))
+    _one_frame(os_, "is_independent")
+    sigma = matcore.singular_values(matcore.vectorize_outer(os_.vectors))
     vec_rank = matcore.rank_from_eigenvalues(sigma ** 2, os_.gram_op.shape)
     if vec_rank != os_.rank:
         raise InternalInconsistency(
@@ -299,16 +292,16 @@ def dependence_certificate(os_: OuterBatch):
     then form the unique circuit inside {0, ..., j}, whatever null-space
     basis an eigensolver would return.
     """
-    f = _one_frame(os_, "dependence_certificate")
+    _one_frame(os_, "dependence_certificate")
     if os_.rank == os_.m:
         return None
-    scan = _GreedyScan(f.vectors[None])
-    j = next(i for i, v in enumerate(f.vectors) if not scan.grows(v[None])[0])
+    scan = _GreedyScan(os_.vectors[None])
+    j = next(i for i, v in enumerate(os_.vectors) if not scan.grows(v[None])[0])
     a = np.zeros(os_.m)
     a[:j] = np.linalg.solve(os_.gram_op[:j, :j], os_.gram_op[:j, j])
     a[j] = -1.0
     a /= np.linalg.norm(a)
-    residual = float(np.linalg.norm(a @ vectorized_synthesis(f)))
+    residual = float(np.linalg.norm(a @ matcore.vectorize_outer(os_.vectors)))
     split = tuple(int(i) for i in np.flatnonzero(a >= 0.0))
     a.flags.writeable = False
     return DependenceCertificate(coefficients=a, residual=residual, split=split)
@@ -316,11 +309,11 @@ def dependence_certificate(os_: OuterBatch):
 
 def split_frame_operators(os_: OuterBatch, cert: DependenceCertificate):
     """The two partial sums S_I and S_{I^c} named by a certificate."""
-    f = _one_frame(os_, "split_frame_operators")
+    _one_frame(os_, "split_frame_operators")
     a = cert.coefficients
-    in_split = np.isin(np.arange(f.m), cert.split)
+    in_split = np.isin(np.arange(os_.m), cert.split)
     parts = np.stack([np.where(in_split, a, 0.0), np.where(in_split, 0.0, -a)])
-    s_pos, s_neg = (parts @ vectorized_synthesis(f)).reshape(2, f.n, f.n)
+    s_pos, s_neg = (parts @ matcore.vectorize_outer(os_.vectors)).reshape(2, os_.n, os_.n)
     return s_pos, s_neg
 
 
@@ -361,10 +354,10 @@ class OptimalBoundReport:
 
 
 def optimal_bound_report(os_: OuterBatch) -> OptimalBoundReport:
-    f = _one_frame(os_, "optimal_bound_report")
-    if not f.is_unit_norm:
+    _one_frame(os_, "optimal_bound_report")
+    if not unit_norm(os_.vectors):
         raise NotUnitNorm("optimal bound comparisons require unit-norm vectors")
-    m, n = f.m, f.n
+    m, n = os_.m, os_.n
     floor = m / n
     ceiling = m * (n - 1) / (n * (m - 1)) if m > n else None
     w = os_.gram_spectrum.eigenvalues
@@ -395,13 +388,13 @@ def _projections(os_: OuterBatch, x: np.ndarray) -> np.ndarray:
 def project_onto_outer_span(os_: OuterBatch, x) -> np.ndarray:
     """Frobenius-orthogonal projection of a self-adjoint N x N x, or of each
     matrix of a (..., N, N) stack, onto span{phi_i phi_i*} of one frame."""
-    f = _one_frame(os_, "project_onto_outer_span")
+    _one_frame(os_, "project_onto_outer_span")
     if os_.rank < os_.m:
         raise NotIndependent("projection onto the span needs independent outer products")
     x = matcore.as_stack(x)
-    if x.shape[-2:] != (f.n, f.n):
-        raise ShapeMismatch(f"x has shape {x.shape}, the outer products are {f.n} x {f.n}")
-    return _projections(os_, x.reshape(-1, f.n * f.n)).reshape(x.shape)
+    if x.shape[-2:] != (os_.n, os_.n):
+        raise ShapeMismatch(f"x has shape {x.shape}, the outer products are {os_.n} x {os_.n}")
+    return _projections(os_, x.reshape(-1, os_.n ** 2)).reshape(x.shape)
 
 
 def _dual_vectors(v: np.ndarray) -> np.ndarray:
@@ -425,8 +418,7 @@ def outer_duals_of(os_: OuterBatch) -> np.ndarray:
     if np.any(os_.rank < os_.m):
         raise NotIndependent("the outer products must be independent")
     duals = matcore.vectorize_outer(_dual_vectors(os_.vectors))
-    n = os_.vectors.shape[-1]
-    return _projections(os_, duals).reshape(duals.shape[:-1] + (n, n))
+    return _projections(os_, duals).reshape(duals.shape[:-1] + (os_.n, os_.n))
 
 
 def outer_duals(f: Frame) -> np.ndarray:

@@ -5,9 +5,9 @@ guarantees budget the sum of squared vector distances, while the density
 repair budgets the plain sum of norms (each summand below eps/M).  Each
 operation documents which one it enforces.
 
-The repair runs on stacks: ``nudge_batch`` nudges K frames of one shape and
-field in one lockstep ``outer._GreedyScan``, the offenders of a step taking
-their candidate bases from one ``nearby_independent_basis`` call, and
+The repair runs on stacks: ``nudge_batch`` nudges a (K, M, N) vector stack
+in one lockstep ``outer._GreedyScan``, the offenders of a step taking their
+candidate bases from one ``nearby_independent_basis`` call, and
 ``nudge_to_independence`` is its one-frame case.  ``movement``,
 ``outer_distance`` and ``perturbed_riesz_bounds`` take stacks as well; every
 result is bit for bit that of its frame or pair alone.
@@ -29,9 +29,8 @@ from .errors import (
     SingularOperator,
     TooMany,
 )
-from .frame import UNIT_NORM_TOL, Frame, unit_norm
-from .outer import (OuterBatch, _frame_stack, _GreedyScan, _outer_spectra, _rows,
-                    ambient_outer_dim, induce)
+from .frame import Frame, checked_vectors, field_of, unit_norm
+from .outer import OuterBatch, _GreedyScan, _outer_spectra, _rows, induce
 
 
 def perturbed_riesz_bounds(a, b, eps_sq) -> tuple:
@@ -63,8 +62,7 @@ def outer_distance(phi, psi):
     ``matcore.row_norms``, and the squares are ``matcore.scalar_square``.
     """
     phi, psi = np.asarray(phi), np.asarray(psi)
-    if not (np.all(np.abs(matcore.row_norms(phi) - 1.0) <= UNIT_NORM_TOL)
-            and np.all(np.abs(matcore.row_norms(psi) - 1.0) <= UNIT_NORM_TOL)):  # NaN fails
+    if not (unit_norm(phi) and unit_norm(psi)):
         raise NotUnitNorm("outer_distance is stated for unit vectors")
     ip = (psi.conj()[..., None, :] @ phi[..., :, None])[..., 0, 0]  # <phi, psi>
     value = 2.0 * (1.0 - matcore.scalar_square(np.hypot(ip.real, ip.imag)))
@@ -230,7 +228,7 @@ def nearby_independent_basis(psi, eps: float) -> list:
     rows = np.asarray(psi)
     if rows.ndim == 1:
         return list(nearby_independent_basis(rows[None], eps)[0])
-    if not np.all(np.abs(matcore.row_norms(rows) - 1.0) <= UNIT_NORM_TOL):  # NaN fails
+    if not unit_norm(rows):
         raise NotUnitNorm("the reference vector must be unit norm")
     if rows.shape[-1] == 1:
         return list(rows[:, None].copy())
@@ -253,10 +251,10 @@ def movement(f, g):
     return float(total) if total.ndim == 0 else total
 
 
-def nudge_batch(frames, eps: float) -> list:
-    """``nudge_to_independence`` for K frames of one shape and field, from one
-    lockstep greedy scan; each frame's result is bit for bit what it gets in
-    a stack of its own.
+def nudge_batch(vectors, eps: float) -> np.ndarray:
+    """``nudge_to_independence`` for a (K, M, N) vector stack, validated
+    into a copy as ``induce_batch`` validates it: the nudged stack, from one
+    lockstep greedy scan, each frame bit for bit what it gets alone.
 
     Greedy: vectors whose outer product grows the running rank are kept
     verbatim; each offender is replaced by the first member of a nearby
@@ -266,21 +264,21 @@ def nudge_batch(frames, eps: float) -> list:
     frames judges vector i of every frame in one trial, and the offenders'
     candidates, from one ``nearby_independent_basis`` call, a member at a
     time; it certifies by a Schur test and takes the eig rule on the trial
-    vectors only near the rank threshold.  A frame whose outer products are
-    already independent comes back unchanged (the same object).
+    vectors only near the rank threshold.  Row j is the input row, bit for
+    bit, wherever frame j's outer products were already independent.
 
-    BadParam for an empty run or an eps that is not finite and positive, or
-    whose budget per vector underflows once a vector must move, or is too
-    small for the rank rule to see any basis member grow the span, or when
-    FRAMEKIT_TOL is too coarse to resolve the nearby basis;
-    DimensionMismatch for mixed shapes or fields; TooMany when M exceeds
-    the ambient self-adjoint dimension; NotUnitNorm for a frame that is not
-    unit norm.
+    BadParam for an eps that is not finite and positive, or whose budget
+    per vector underflows once a vector must move, or is too small for the
+    rank rule to see any basis member grow the span, or when FRAMEKIT_TOL
+    is too coarse to resolve the nearby basis; ``Frame``'s errors for a
+    stack it rejects; TooMany when M exceeds the ambient self-adjoint
+    dimension; NotUnitNorm for a frame that is not unit norm.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise BadParam(f"eps must be finite and positive, got {eps}")
-    frames, vectors = _frame_stack(frames, "nudge_batch")
-    m, d = frames[0].m, ambient_outer_dim(frames[0])
+    vectors = checked_vectors(vectors, field_of(vectors), ndim=3)
+    m, n = vectors.shape[1:]
+    d = n * n if np.iscomplexobj(vectors) else n * (n + 1) // 2  # outer.ambient_outer_dim
     if m > d:
         raise TooMany(f"M = {m} exceeds the ambient self-adjoint dimension {d}")
     if not unit_norm(vectors):
@@ -288,12 +286,10 @@ def nudge_batch(frames, eps: float) -> list:
 
     per_vector_sq = (eps / m) ** 2
     scan = _GreedyScan(vectors)
-    replaced = np.zeros(len(frames), dtype=bool)
     for i in range(m):
         offenders = (~scan.grows(vectors[:, i])).nonzero()[0]
         if not offenders.size:
             continue
-        replaced[offenders] = True
         if per_vector_sq == 0.0:
             raise BadParam(f"eps = {eps} is too small: the squared budget per vector, "
                            f"(eps / M)^2 with M = {m}, underflows to 0")
@@ -309,12 +305,14 @@ def nudge_batch(frames, eps: float) -> list:
                                "the rank rule resolves; no nearby basis member grows the span")
             grew = scan.grows(np.array([bases[p][c] for p in pending]), offenders[pending])
             pending, c = pending[~grew], c + 1
-    return [Frame(field=f.field, vectors=scan.vectors[j]) if replaced[j] else f
-            for j, f in enumerate(frames)]
+    return scan.vectors
 
 
 def nudge_to_independence(f: Frame, eps: float) -> Frame:
     """Repair dependent outer products by moving vectors less than eps total:
-    the one-frame case of ``nudge_batch``.  Already-independent input comes
-    back unchanged."""
-    return nudge_batch((f,), eps)[0]
+    the one-frame case of ``nudge_batch``.  f comes back when its row does,
+    bit for bit, which is when its outers are independent: a basis member
+    bitwise equal to the offender has its outer product, so the scan cannot
+    accept it."""
+    g = nudge_batch(f.vectors[None], eps)[0]
+    return f if g.tobytes() == f.vectors.tobytes() else Frame(field=f.field, vectors=g)

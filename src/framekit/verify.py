@@ -9,8 +9,8 @@ the package's own counter-based generator so every run is identical.
 
 Every Monte Carlo check is stacked, and its corpus takes one path.
 ``_random_stacks`` draws the frames of each (n, m, field) of specs in one
-counter-word mix; ``_kept_groups`` induces each such group in one
-``outer.induce_batch`` and cuts it to the frames that pass the check's
+counter-word mix; ``_kept_groups`` induces each such (K, m, n) block in
+one ``outer.induce_batch`` and cuts it to the frames that pass the check's
 filter, and ``_first_kept`` does so for the first count k that pass, in
 blocks just large enough; ``_group_words`` then hands the check's stream
 words out of one ``raw`` block in case order, a run of words to each kept
@@ -22,7 +22,7 @@ shape group at a time (``geometry.prepare_batch`` and
 ``classify_frames``), the outer duals come from ``outer.outer_duals_of`` on
 the kept groups, and ``nudge-repair`` nudges each (shape, field) group of
 its corpus with one ``perturb.nudge_batch`` call per budget and judges the
-nudged frames' ranks and movements stacked.  Each forward case of
+nudged stacks' ranks and movements stacked.  Each forward case of
 ``psd-extension-roundtrip`` draws the same words whatever its outcome.
 
 Ranks that LAPACK computes are checked against an exact oracle,
@@ -88,7 +88,7 @@ def _kept_groups(specs, keep) -> list:
     ``induce_batch``, cut to their frames."""
     groups = []
     for idx, block in _random_stacks(specs):
-        batch = outer.induce_batch(map(Frame.from_vectors, block))
+        batch = outer.induce_batch(block)
         rows = np.flatnonzero(keep(batch))
         if rows.size:
             groups.append((idx[rows], batch.take(rows)))
@@ -854,17 +854,16 @@ def _random_dependent_stacks(count: int) -> list:
 
 
 def check_nudge_repair():
-    batches = [outer.induce_batch(map(Frame.from_vectors, block))
-               for _, block in _random_dependent_stacks(200)]
+    batches = [outer.induce_batch(block) for _, block in _random_dependent_stacks(200)]
     # dependent by construction; an independent input is a fault of the
     # corpus and counts as a failure in each row
     repairable = [batch.take(np.flatnonzero(~batch.independent))
                   for batch in batches if not batch.independent.all()]
     rows = []
     for eps in (0.1, 0.01):
-        failures = 200 - sum(len(batch.frames) for batch in repairable)
+        failures = 200 - sum(len(batch.vectors) for batch in repairable)
         for batch in repairable:  # one (shape, field) group each
-            nudged = outer.induce_batch(perturb.nudge_batch(batch.frames, eps))
+            nudged = outer.induce_batch(perturb.nudge_batch(batch.vectors, eps))
             moved = perturb.movement(batch.vectors, nudged.vectors)
             failures += int(np.count_nonzero(~nudged.independent | (moved >= eps)))
         rows.append(_row("nudge-repair", f"200 dependent frames, eps={eps}", failures,

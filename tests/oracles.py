@@ -17,8 +17,12 @@ def rational_rank_exact(matrix) -> int:
     for r in range(m.shape[0]):
         row = []
         for c in range(m.shape[1]):
-            z = complex(m[r, c])
-            row.append((Fraction(z.real), Fraction(z.imag)))
+            z = m[r, c]
+            if isinstance(z, (int, np.integer)):  # complex() would round above 2^53
+                row.append((Fraction(int(z)), Fraction(0)))
+            else:
+                z = complex(z)
+                row.append((Fraction(z.real), Fraction(z.imag)))
         rows.append(row)
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0

@@ -29,14 +29,15 @@ def independent_prefix(f: Frame) -> tuple:
 def dependence_certificate(os_):
     if os_.rank == os_.m:
         return None
-    prefix = independent_prefix(os_.frames[0])
+    f = Frame.from_vectors(os_.vectors)
+    prefix = independent_prefix(f)
     j = next(i for i in range(os_.m) if i not in prefix)
     kept = [i for i in prefix if i < j]
     a = np.zeros(os_.m)
     a[kept] = np.linalg.solve(os_.gram_op[np.ix_(kept, kept)], os_.gram_op[kept, j])
     a[j] = -1.0
     a /= np.linalg.norm(a)
-    residual = float(np.linalg.norm(a @ outer.vectorized_synthesis(os_.frames[0])))
+    residual = float(np.linalg.norm(a @ outer.vectorized_synthesis(f)))
     split = tuple(int(i) for i in np.flatnonzero(a >= 0.0))
     return outer.DependenceCertificate(coefficients=a, residual=residual, split=split)
 

@@ -212,6 +212,17 @@ def test_classify_grid(tmp_path, capsys):
     assert res["dependent_fraction"] == 0.0  # measure-zero locus
 
 
+def test_classify_grid_and_candidate_report_the_permutation(tmp_path, capsys):
+    # dependent outers: both paths classify against the greedy prefix (0,)
+    frame_file = tmp_path / "dep.json"
+    frame_file.write_text(json.dumps({"schema": "framekit/1", "field": "real", "n": 2,
+                                      "vectors": [[1.0, 0.0], [1.0, 0.0]]}))
+    for flags in (["--grid", "2"], ["--candidate", "[0, 1]"]):
+        code, out, _ = run_cli(capsys, "classify", str(frame_file), *flags)
+        assert code == 0
+        assert json.loads(out)["permutation"] == [0]
+
+
 def test_classify_too_many_exits_3(tmp_path, capsys):
     frame_file = tmp_path / "e.json"
     run_cli(capsys, "construct", "eij", "--n", "2", "-o", str(frame_file))

@@ -555,11 +555,15 @@ class TestPrepareBatch:
             out[i] = Frame(field=field, vectors=v / np.linalg.norm(v, axis=1, keepdims=True))
         return out
 
+    @staticmethod
+    def stack(frames):
+        return np.stack([f.vectors for f in frames])
+
     @pytest.mark.parametrize("n, m, field", [(2, 2, "real"), (3, 4, "real"), (3, 2, "real"),
                                              (3, 3, "real"), (2, 3, "complex"), (3, 5, "complex")])
     def test_bit_for_bit_equal_to_prepare(self, n, m, field):
         frames = self.frames(n, m, field, 9, 6000 + 10 * n + m, planar=(0, 4))
-        batch = outer.induce_batch(frames)
+        batch = outer.induce_batch(self.stack(frames))
         keep = np.flatnonzero(batch.independent)
         assert len(keep) >= 7
         prep = geometry.prepare_batch(batch.take(keep))
@@ -567,7 +571,7 @@ class TestPrepareBatch:
             one = geometry.prepare(frames[i])
             assert one.permutation is None
             assert bool(prep.spans[j]) == bool(one.spans[0])
-            pairs = [(prep.analysis[j], one.analysis[0]), (prep.scale[j], one.scale[0]),
+            pairs = [(prep.outer.vectors[j], one.outer.vectors[0]), (prep.scale[j], one.scale[0]),
                      (prep.scaled_gram[j], one.scaled_gram[0])]
             pairs += [(getattr(sd, a)[j], getattr(one_sd, a)[0])
                       for sd, one_sd in ((prep.scaled_spectrum, one.scaled_spectrum),
@@ -580,7 +584,7 @@ class TestPrepareBatch:
         frames = self.frames(3, 3, "real", 6, 6100)
         frames[2] = Frame(field="real", vectors=frames[2].vectors * [[1.0], [1.0], [1e-4]])
         monkeypatch.setenv("FRAMEKIT_TOL", "1e-3")
-        batch = outer.induce_batch(frames)
+        batch = outer.induce_batch(self.stack(frames))
         prep = geometry.prepare_batch(batch.take(np.flatnonzero(batch.independent)))
         keep = [f for f, ok in zip(frames, batch.independent) if ok]
         assert list(prep.spans) == [geometry.prepare(f).spans for f in keep]
@@ -589,7 +593,7 @@ class TestPrepareBatch:
         frames = self.frames(2, 3, "real", 3, 6200)
         v = frames[1].vectors
         frames[1] = Frame(field="real", vectors=np.vstack([v[:2], -v[:1]]))  # a repeated outer
-        batch = outer.induce_batch(frames)
+        batch = outer.induce_batch(self.stack(frames))
         assert not batch.independent[1]
         with pytest.raises(NotIndependent, match="frame 1"):
             geometry.prepare_batch(batch)
@@ -600,7 +604,7 @@ class TestPrepareBatch:
         rng = np.random.default_rng(63)
         cands = _unit_rows(rng, len(frames), n, field == "complex")
         cands[::5] = [f.vectors[1] for f in frames[::5]]  # exact dependent extensions
-        prep = geometry.prepare_batch(outer.induce_batch(frames))
+        prep = geometry.prepare_batch(outer.induce_batch(self.stack(frames)))
         result, disagrees = geometry.classify_frames(prep, cands)
         assert not disagrees.any()
         assert result.dependent[::5].all()
@@ -615,7 +619,7 @@ class TestPrepareBatch:
     def test_a_disagreement_hides_no_other_candidate(self, monkeypatch):
         frames = self.frames(3, 4, "real", 12, 6400)
         cands = _unit_rows(np.random.default_rng(64), 12, 3, False)
-        prep = geometry.prepare_batch(outer.induce_batch(frames))
+        prep = geometry.prepare_batch(outer.induce_batch(self.stack(frames)))
         exact, _ = geometry.classify_frames(prep, cands)
         shifted = geometry._inverse_gram_form
         monkeypatch.setattr(geometry, "_inverse_gram_form", lambda sd, w: shifted(sd, w) + np.where(
@@ -627,13 +631,15 @@ class TestPrepareBatch:
                                       exact.elliptic_value[disagrees] + 1e-6)
 
     def test_validation(self):
-        prep = geometry.prepare_batch(outer.induce_batch(self.frames(3, 4, "real", 3, 6500)))
+        frames = self.frames(3, 4, "real", 3, 6500)
+        prep = geometry.prepare_batch(outer.induce_batch(self.stack(frames)))
         with pytest.raises(ShapeMismatch, match="2 candidates for 3 frames"):
             geometry.classify_frames(prep, np.eye(3)[:2])
         with pytest.raises(ShapeMismatch, match="one prepared frame, got 3"):
             geometry.classify_batch(prep, np.eye(3)[:1])
         with pytest.raises(NotUnitNorm):
             geometry.classify_frames(prep, 2.0 * np.eye(3))
-        too_many = geometry.prepare_batch(outer.induce_batch(self.frames(2, 3, "real", 2, 6600)))
+        frames = self.frames(2, 3, "real", 2, 6600)
+        too_many = geometry.prepare_batch(outer.induce_batch(self.stack(frames)))
         with pytest.raises(TooMany):
             geometry.classify_frames(too_many, np.eye(2))

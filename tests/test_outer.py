@@ -115,6 +115,10 @@ class TestIndependence:
         assert outer.is_independent(os_) is False
 
 
+def _stack(frames):
+    return np.stack([f.vectors for f in frames])
+
+
 class TestInduceBatch:
     @staticmethod
     def _frames(rng, n, m, cplx):
@@ -129,7 +133,7 @@ class TestInduceBatch:
         rng = np.random.default_rng(33 + cplx)
         for n, m in [(1, 1), (2, 2), (2, 3), (3, 4), (3, 6), (4, 9), (5, 3)]:
             frames = self._frames(rng, n, m, cplx)
-            batch = outer.induce_batch(frames)
+            batch = outer.induce_batch(_stack(frames))
             assert batch.vectors.shape == (25, m, n)
             for i, f in enumerate(frames):
                 one = outer.induce(f)
@@ -141,7 +145,7 @@ class TestInduceBatch:
                 assert batch.rank[i] == one.rank and type(one.rank) is int
                 assert bool(batch.independent[i]) == (one.rank == m)
                 assert one.independent == (one.rank == m) and one.m == m
-                assert batch.frames[i] is f and one.frames == (f,)
+                assert (batch.n, batch.field) == (one.n, one.field) == (n, f.field)
                 assert batch.vectors[i].tobytes() == one.vectors.tobytes()
                 assert batch.outers[i].tobytes() == one.outers.tobytes()
             if m > 1:
@@ -150,24 +154,63 @@ class TestInduceBatch:
     def test_ranks_follow_env_tolerance(self, monkeypatch):
         monkeypatch.setenv("FRAMEKIT_TOL", "0.5")
         frames = self._frames(np.random.default_rng(35), 3, 4, False)
-        batch = outer.induce_batch(frames)
+        batch = outer.induce_batch(_stack(frames))
         assert [int(r) for r in batch.rank] == [outer.induce(f).rank for f in frames]
 
     def test_independence_radius_from_a_batch_sequence(self):
         frames = self._frames(np.random.default_rng(36), 2, 3, False)
-        batch = outer.induce_batch(frames)
+        batch = outer.induce_batch(_stack(frames))
         rows = [0, 1, 2]
         radii = perturb.independence_radius(batch.take(rows))
         assert radii.tolist() == [perturb.independence_radius(outer.induce(frames[i]))
                                   for i in rows]
 
     def test_mixed_or_empty_input_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            outer.induce_batch([cons.orthonormal(2), cons.orthonormal(3)])
-        with pytest.raises(DimensionMismatch):
-            outer.induce_batch([cons.orthonormal(2), cons.orthonormal(2, field="complex")])
-        with pytest.raises(BadParam):
-            outer.induce_batch([])
+        with pytest.raises(ShapeMismatch, match="non-empty 3-d"):
+            outer.induce_batch(np.zeros((0, 2, 2)))
+
+
+_STACK_FUNCTIONS = [outer.induce_batch, lambda v: perturb.nudge_batch(v, 0.1)]
+
+
+@pytest.mark.parametrize("stacked", _STACK_FUNCTIONS, ids=["induce_batch", "nudge_batch"])
+@pytest.mark.parametrize("vectors, error, match", [
+    ([[[1.0, np.nan], [0.0, 1.0]]], BadParam, "non-finite"),
+    ([[[1.0, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]], BadParam, "non-finite"),
+    ([[[1e100, 0.0], [0.0, 1.0]]], BadParam, "too large"),
+    ([[1.0, 0.0], [0.0, 1.0]], ShapeMismatch, "non-empty 3-d"),
+    (np.ones((1, 1, 2, 2)), ShapeMismatch, "non-empty 3-d"),
+    (np.zeros((0, 2, 2)), ShapeMismatch, "non-empty 3-d"),
+    (np.zeros((1, 0, 2)), ShapeMismatch, "non-empty 3-d")])
+def test_stack_input_raises_the_errors_of_frame(stacked, vectors, error, match):
+    with pytest.raises(error, match=match) as exc:
+        stacked(np.array(vectors))
+    if error is BadParam:  # the message Frame gives for the offending frame
+        bad = next(v for v in np.array(vectors) if not np.all(np.abs(v) < 1e100))
+        with pytest.raises(error) as one:
+            Frame.from_vectors(bad)
+        assert str(exc.value) == str(one.value)
+
+
+def test_the_overflow_guard_is_per_frame():
+    # each 1 x 1 frame's |phi|^8 = 1e304 is finite, the stack's total^4 is not
+    v = np.full((100, 1, 1), 1e38)
+    outer.induce(Frame.from_vectors(v[0]))
+    assert outer.induce_batch(v).rank.tolist() == [1] * 100
+
+
+@pytest.mark.parametrize("stacked", _STACK_FUNCTIONS, ids=["induce_batch", "nudge_batch"])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_stack_input_is_neither_written_nor_frozen(stacked, cplx):
+    field = "complex" if cplx else "real"
+    v = np.stack([cons.random_unit(2, 3, 40 + k, field).vectors for k in range(3)])
+    v[1, 2] = -v[1, 0]  # a dependent frame, which the nudge moves
+    before = v.tobytes()
+    out = stacked(v)
+    out = getattr(out, "vectors", out)
+    assert v.flags.writeable and v.tobytes() == before
+    assert not np.shares_memory(out, v)
+    v[0, 0] = 0.0  # still the caller's to write
 
 
 class TestOuterRieszBounds:
@@ -343,7 +386,7 @@ class TestOuterDuals:
         field = "complex" if cplx else "real"
         for n, m in ((2, 2), (3, 2), (3, 3)):
             frames = [cons.random_unit(n, m, 600 + k, field) for k in range(8)]
-            duals = outer.outer_duals_of(outer.induce_batch(frames))
+            duals = outer.outer_duals_of(outer.induce_batch(_stack(frames)))
             assert duals.shape == (8, m, n, n)
             for k, f in enumerate(frames):
                 assert duals[k].tobytes() == outer.outer_duals(f).tobytes()
@@ -352,7 +395,7 @@ class TestOuterDuals:
         frames = [cons.random_unit(2, 2, 600 + k) for k in range(4)]
         frames[2] = frame_of([1.0, 0.0], [-1.0, 0.0])
         with pytest.raises(NotIndependent, match="vectors themselves"):
-            outer.outer_duals_of(outer.induce_batch(frames))
+            outer.outer_duals_of(outer.induce_batch(_stack(frames)))
 
 
 class TestCrossProducts:
@@ -611,12 +654,13 @@ def test_spectral_solve_takes_a_vector_or_a_matrix_right_side(k):
 def test_spectral_solve_with_a_leading_axis_equals_one_matrix_at_a_time(cplx):
     rng = np.random.default_rng(78 + cplx)
     field = "complex" if cplx else "real"
-    batch = outer.induce_batch([cons.random_unit(3, 4, 610 + k, field) for k in range(7)])
+    frames = [cons.random_unit(3, 4, 610 + k, field) for k in range(7)]
+    batch = outer.induce_batch(_stack(frames))
     b = rng.standard_normal((7, 4, 3))
     got = matcore.spectral_solve(batch.gram_spectrum, b)
     vec = matcore.spectral_solve(batch.gram_spectrum, b[..., 0])
     assert got.shape == (7, 4, 3) and vec.shape == (7, 4)
-    for k, f in enumerate(batch.frames):
+    for k, f in enumerate(frames):
         spectrum = outer.induce(f).gram_spectrum
         assert got[k].tobytes() == matcore.spectral_solve(spectrum, b[k]).tobytes()
         assert vec[k].tobytes() == matcore.spectral_solve(spectrum, b[k, :, 0]).tobytes()
@@ -627,15 +671,16 @@ def test_spectral_solve_with_a_leading_axis_equals_one_matrix_at_a_time(cplx):
     ("project_onto_outer_span", (np.eye(2),)), ("optimal_bound_report", ())])
 @pytest.mark.parametrize("count", [1, 2])
 def test_one_frame_functions_reject_a_stacked_batch(name, args, count):
-    batch = outer.induce_batch([cons.random_unit(2, 3, 620 + k) for k in range(count)])
+    frames = [cons.random_unit(2, 3, 620 + k) for k in range(count)]
+    batch = outer.induce_batch(_stack(frames))
     with pytest.raises(ShapeMismatch, match=f"^{name} takes the OuterBatch of one frame"):
         getattr(outer, name)(batch, *args)
-    getattr(outer, name)(outer.induce(batch.frames[0]), *args)  # one frame is fine
+    getattr(outer, name)(outer.induce(frames[0]), *args)  # one frame is fine
 
 
 def test_split_frame_operators_rejects_a_stacked_batch():
     f = frame_of([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0])
     cert = outer.dependence_certificate(outer.induce(f))
     with pytest.raises(ShapeMismatch, match="^split_frame_operators takes the OuterBatch"):
-        outer.split_frame_operators(outer.induce_batch([f, f]), cert)
+        outer.split_frame_operators(outer.induce_batch(_stack([f, f])), cert)
     outer.split_frame_operators(outer.induce(f), cert)

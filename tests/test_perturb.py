@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from framekit import constructions as cons
-from framekit import outer, perturb
-from framekit.frame import Frame, gram, riesz_bounds
+from framekit import geometry, outer, perturb
+from framekit.frame import Frame, gram, riesz_bounds, unit_norm
 from framekit.errors import (
     BadParam,
     BudgetTooLarge,
@@ -430,3 +430,32 @@ class TestNudge:
                         assert moved < eps
                     cases += 1
         assert cases >= 50
+
+
+def _unit_norm_verdicts(rows):
+    """Whether each unit-norm test of the package accepts the rows:
+    frame.unit_norm, the classifier's candidate check, outer_distance and
+    nearby_independent_basis."""
+    f = cons.random_unit(3, 2, 31)
+    other = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])  # exactly unit
+
+    def accepts(call):
+        try:
+            call()
+        except NotUnitNorm:
+            return False
+        return True
+
+    return [unit_norm(rows),
+            accepts(lambda: geometry._check_candidates(rows, f)),
+            accepts(lambda: (perturb.outer_distance(rows, other),
+                             perturb.outer_distance(other, rows))),
+            accepts(lambda: perturb.nearby_independent_basis(rows, 0.01))]
+
+
+@pytest.mark.parametrize("norm, accepted", [
+    (1.0 + 0.9e-12, True), (1.0 - 0.9e-12, True),
+    (1.0 + 1.1e-12, False), (1.0 - 1.1e-12, False), (np.nan, False)])
+def test_one_unit_norm_rule(norm, accepted):
+    rows = np.array([[0.6, 0.8, 0.0], [0.0, 0.6 * norm, 0.8 * norm]])
+    assert _unit_norm_verdicts(rows) == [accepted] * 4

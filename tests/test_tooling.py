@@ -22,8 +22,11 @@ import pkgutil
 import types
 from pathlib import Path
 
+import numpy as np
+
 import framekit
-from framekit import geometry, outer, verify
+from framekit import geometry, outer, perturb, verify
+from framekit.frame import Frame
 
 
 def _tracer():
@@ -255,3 +258,23 @@ def test_one_owner_of_the_inverse_eigenvalues():
         if path.stem != "matcore":
             found |= {(path.stem, fn) for fn in _eigenvalue_divisions(ast.parse(path.read_text()))}
     assert sorted(found) == sorted(_EIGENVALUE_DIVISIONS)
+
+
+def test_the_stacked_corpus_paths_build_no_frame(monkeypatch):
+    # the corpus stays a vector stack from draw to verdict; the nudge's
+    # nearby bases are cached per dimension and field, so a first unpatched
+    # pass builds their Frames and the patched pass must build none
+    def run():
+        groups = verify._kept_groups([verify._density_spec(k, 14500) for k in range(40)],
+                                     lambda b: b.independent)
+        stacks = [block for _, block in verify._random_dependent_stacks(16)]
+        return [b.vectors.tobytes() for _, b in groups] + \
+            [perturb.nudge_batch(block, 0.1).tobytes() for block in stacks]
+
+    want = run()
+
+    def no_frame(self):
+        raise AssertionError("a Frame was built")
+
+    monkeypatch.setattr(Frame, "__post_init__", no_frame)
+    assert run() == want

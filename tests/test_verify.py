@@ -23,7 +23,7 @@ import pytest
 from framekit import constructions as cons
 from framekit import geometry, matcore, outer, perturb, verify
 from framekit.errors import BadParam, NotPsd, ShapeMismatch
-from framekit.frame import Frame, gram, riesz_bounds
+from framekit.frame import Frame, field_of, gram, riesz_bounds
 from framekit.rng import Stream
 from framekit.verify import rational_rank
 
@@ -151,6 +151,13 @@ def test_integer_entries_stay_exact():
         rational_rank(np.array([[2**70 + 1, 1], [2**70, 1]], dtype=object))
 
 
+def test_the_fraction_oracle_keeps_integer_entries_exact():
+    # complex() would round 2^60 + 1 to 2^60 and read rank 1
+    for dtype in (np.int64, object):
+        a = np.array([[2**60 + 1, 1], [2**60, 1]], dtype=dtype)
+        assert rational_rank_exact(a) == rational_rank(a) == 2
+
+
 @pytest.mark.parametrize("matrix, error", [
     ([[np.nan]], BadParam),
     ([[np.inf, 1.0]], BadParam),
@@ -251,7 +258,7 @@ def reference_outer_bound_extremes():
     worst_upper = -np.inf
     worst_lower = -np.inf
     for os_ in cases:
-        m, n = os_.m, os_.frames[0].n
+        m, n = os_.m, os_.n
         w = os_.gram_spectrum.eigenvalues
         worst_upper = max(worst_upper, m / n - w[0])
         if m > n:
@@ -619,11 +626,9 @@ def test_nudge_repair_nudges_the_frames_the_reference_loop_does(monkeypatch):
             moves.append((a.tobytes(), b.tobytes(), x == summed))
         return moved
 
-    def record_batch(frames, eps):
-        frames = list(frames)
-        nudged = batch(frames, eps)
-        seen.extend((eps, f.vectors.tobytes(), g.field, g.vectors.tobytes())
-                    for f, g in zip(frames, nudged))
+    def record_batch(vectors, eps):
+        nudged = batch(vectors, eps)
+        seen.extend((eps, v.tobytes(), field_of(g), g.tobytes()) for v, g in zip(vectors, nudged))
         return nudged
 
     def record_single(f, eps):
@@ -874,7 +879,7 @@ def test_first_kept_takes_the_first_passing_frames(monkeypatch):
     expected, k = [], 0
     while len(expected) < 40:
         f = cons.random_unit(*spec(k))
-        if keep(outer.induce_batch([f]))[0]:
+        if keep(outer.induce_batch(f.vectors[None]))[0]:
             expected.append((k, f))
         k += 1
     monkeypatch.setattr(verify, "_kept_groups", record)
@@ -883,7 +888,7 @@ def test_first_kept_takes_the_first_passing_frames(monkeypatch):
     got = sorted((int(k), batch, i) for idx, batch in groups for i, k in enumerate(idx))
     assert [k for k, _, _ in got] == [k for k, _ in expected]
     for (_, batch, i), (_, f) in zip(got, expected):
-        assert batch.frames[i].field == f.field
+        assert batch.field == f.field
         assert batch.vectors[i].tobytes() == f.vectors.tobytes()
         alone = outer.induce(f)
         assert batch.gram_op[i].tobytes() == alone.gram_op.tobytes()
