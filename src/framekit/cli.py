@@ -11,9 +11,15 @@ stderr.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
 error (an output path that cannot be written included), 3 domain
 precondition violation or an input too large for memory.  FRAMEKIT_TOL
 overrides the default rank tolerance.
+
+A process ends in ``run``, which exits with ``main``'s code after freezing
+the garbage collector so that the interpreter's shutdown collection skips
+the objects built at import; ``main`` is the in-process API and leaves the
+collector of its caller untouched.
 """
 
 import argparse
+import gc
 import importlib.util
 import io
 import json
@@ -399,5 +405,19 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
 
 
+def run(argv=None) -> None:
+    """The process entry point: exit with ``main(argv)``'s code.
+
+    The collector is frozen on every way out, argparse's ``SystemExit``
+    included, so the interpreter's shutdown collections skip the objects
+    built at import (numpy's and framekit's classes, functions and module
+    dicts) and the operating system reclaims them.
+    """
+    try:
+        sys.exit(main(argv))
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

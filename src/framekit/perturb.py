@@ -29,7 +29,7 @@ from .errors import (
     SingularOperator,
     TooMany,
 )
-from .frame import Frame, checked_vectors, field_of, unit_norm
+from .frame import UNIT_NORM_TOL, Frame, checked_vectors, field_of, unit_norm
 from .outer import OuterBatch, _GreedyScan, _outer_spectra, _rows, induce
 
 
@@ -49,13 +49,20 @@ def perturbed_riesz_bounds(a, b, eps_sq) -> tuple:
     return matcore.scalar_square(np.sqrt(a) - eps), matcore.scalar_square(np.sqrt(b) + eps)
 
 
+#: How far outer_distance's closed form may exceed its bound: norms within
+#: UNIT_NORM_TOL of 1 move it by up to 2(1 - (1 - tol)^4) < 8 tol (phi = psi
+#: at norm 1 - tol), and 1e-12 more covers rounding.
+_DISTANCE_SLACK = 8.0 * UNIT_NORM_TOL + 1e-12
+
+
 def outer_distance(phi, psi):
     """||phi phi* - psi psi*||_F^2 for unit vectors, as 2(1 - |<phi, psi>|^2):
     a float for two vectors, an (...,) array for two (..., N) stacks of them,
     pair by pair.
 
-    Checks the closed form against its bound 2||phi - psi||^2 and fails
-    loudly if the inequality is violated; both checks hold for every pair.
+    Checks the closed form against its bound 2||phi - psi||^2, with the
+    slack that the unit-norm tolerance allows, and fails loudly if the
+    inequality is violated; both checks hold for every pair.
     Each value is bit for bit what ``np.vdot``, ``np.linalg.norm`` and
     scalar arithmetic give on its pair alone: the inner product is a matmul
     dot, its modulus a hypot (numpy's scalar abs), the norms come from
@@ -67,7 +74,7 @@ def outer_distance(phi, psi):
     ip = (psi.conj()[..., None, :] @ phi[..., :, None])[..., 0, 0]  # <phi, psi>
     value = 2.0 * (1.0 - matcore.scalar_square(np.hypot(ip.real, ip.imag)))
     bound = 2.0 * matcore.scalar_square(matcore.row_norms(phi - psi))
-    if np.any(value > bound + 1e-12):
+    if np.any(value > bound + _DISTANCE_SLACK):
         worst = np.argmax(value - bound)
         raise InternalInconsistency(f"closed form {value.flat[worst]} exceeds the distance "
                                     f"bound {bound.flat[worst]}")

@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framekit import cli, constructions as cons, serialization as ser
+from framekit import cli, constructions as cons, serialization as ser, verify
 from framekit.frame import Frame
 from framekit.rng import Stream, unit_vectors
 
@@ -542,3 +544,70 @@ def test_cli_import_does_not_load_fractions():
     proc = run_python("-c", "import sys, framekit.cli; print('fractions' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _exit_code(call):
+    """The code call() returns, or that of the SystemExit it raises."""
+    try:
+        return call()
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["construct", "simplex", "--n", "3"], 0),
+    (["--version"], 0),  # argparse's SystemExit(0)
+    (["bogus"], 2),  # argparse's usage error
+    (["construct", "simplex", "--n", "0"], 3),
+    (["verify", "--only", "pc2-identity"], 1),  # its check patched to fail
+])
+def test_run_exits_with_mains_code_and_freezes_once(capsys, monkeypatch, argv, code):
+    if code == 1:
+        failed = verify._row("pc2-identity", "forced", 1.0, 0.0, None, False)
+        monkeypatch.setitem(verify.CHECKS, "pc2-identity", lambda: [failed])
+    freezes = []  # the pytest process itself is never frozen
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(argv))
+    assert _exit_code(lambda: cli.main(argv)) == code
+    assert freezes == []
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == code
+    assert freezes == [argv]
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count()
+    for argv in (["construct", "simplex", "--n", "3"], ["construct", "simplex", "--n", "0"],
+                 ["verify", "--only", "pc2-identity"], ["--version"], ["bogus"]):
+        _exit_code(lambda: cli.main(argv))
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "F"],
+    ["classify", "F", "--grid", "25"],
+    ["nudge", "D", "--eps", "0.1"],
+    ["verify", "--only", "pc2-identity"],
+    ["--version"],
+    ["bogus"],
+    ["classify", "E", "--candidate", "[1, 0]"],  # TooMany: exit 3
+])
+def test_a_process_prints_what_main_prints(tmp_path, capsys, monkeypatch, argv):
+    # the child's stdout is a block-buffered pipe, so an exit that skipped
+    # the interpreter's flush would lose it
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    frames = {"F": cons.biangular(3), "E": cons.eij_basis(2),
+              "D": Frame.from_vectors([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])}
+    for name, f in frames.items():
+        with (tmp_path / f"{name}.json").open("w") as fp:
+            ser.write_frame(f, fp)
+    argv = [str(tmp_path / f"{a}.json") if a in frames else a for a in argv]
+    code = _exit_code(lambda: cli.main(argv))
+    captured = capsys.readouterr()
+    proc = run_python("-m", "framekit.cli", *argv)
+
+    def untimed(text):  # verify's per-check seconds differ from run to run
+        return re.sub(r'"seconds": \{[^}]*\}', '"seconds": {}', text)
+
+    assert (proc.returncode, untimed(proc.stdout), proc.stderr) == \
+        (code, untimed(captured.out), captured.err)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from framekit import constructions as cons
-from framekit import geometry, outer, perturb
+from framekit import frame as frame_mod, geometry, outer, perturb
 from framekit.frame import Frame, gram, riesz_bounds, unit_norm
 from framekit.errors import (
     BadParam,
@@ -120,6 +120,18 @@ def test_outer_distance_closed_form_inequality():
             direct = np.linalg.norm(np.outer(phi, phi.conj()) - np.outer(psi, psi.conj())) ** 2
             assert abs(d - direct) <= 1e-12
             assert d <= 2 * np.linalg.norm(phi - psi) ** 2 + 1e-12
+
+
+def test_outer_distance_allows_the_slack_of_the_unit_norm_rule(monkeypatch):
+    # at norm 1 - 0.9e-12 the closed form of phi against itself is 7.2e-12
+    # over its bound 0; the unit-norm rule accepts phi, so the check must too
+    phi = np.array([0.0, 0.6, 0.8]) * (1.0 - 0.9e-12)
+    assert 0.0 < perturb.outer_distance(phi, phi) < 8e-12
+    # a rule wide enough to admit a larger gap leaves the check firing
+    monkeypatch.setattr(frame_mod, "UNIT_NORM_TOL", 1e-6)
+    far = np.array([0.0, 0.6, 0.8]) * (1.0 - 1e-7)
+    with pytest.raises(InternalInconsistency, match="exceeds the distance bound"):
+        perturb.outer_distance(far, far)
 
 
 def test_independence_radius():
@@ -449,7 +461,8 @@ def _unit_norm_verdicts(rows):
     return [unit_norm(rows),
             accepts(lambda: geometry._check_candidates(rows, f)),
             accepts(lambda: (perturb.outer_distance(rows, other),
-                             perturb.outer_distance(other, rows))),
+                             perturb.outer_distance(other, rows),
+                             perturb.outer_distance(rows, rows))),
             accepts(lambda: perturb.nearby_independent_basis(rows, 0.01))]
 
 

@@ -12,13 +12,15 @@ of ``framekit verify`` that draws a random corpus is compared, bit for
 bit, with a per-case reference loop in ``test_verify``.  The package keeps
 one spectral path: its decompositions are the ``np.linalg`` calls listed in
 ``_LINALG_CALLS``, and no module adds its own; nor does any module outside
-``matcore`` divide by eigenvalues but the listed exception.
+``matcore`` divide by eigenvalues but the listed exception.  Only the
+process entry point ``cli.run`` freezes the garbage collector.
 """
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import types
 from pathlib import Path
 
@@ -278,3 +280,48 @@ def test_the_stacked_corpus_paths_build_no_frame(monkeypatch):
 
     monkeypatch.setattr(Frame, "__post_init__", no_frame)
     assert run() == want
+
+
+def _gc_freezes(tree) -> list:
+    """The innermost enclosing function (None at module level) of each
+    ``gc.freeze`` read in a module."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "freeze" and \
+                    isinstance(child.value, ast.Name) and child.value.id == "gc":
+                found.append(function)
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                else function
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_process_entry_point_freezes_the_collector():
+    # a frozen object is never collected, so a library module that froze
+    # would leave a long-lived caller's cycles unreclaimed: only cli imports
+    # gc, only cli.run freezes, and both ways of starting a process end there
+    root = Path(__file__).resolve().parents[1]
+    imports, freezes = [], []
+    for path in sorted((root / "src" / "framekit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports += [path.stem for a in node.names if a.name.split(".")[0] == "gc"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                imports.append(path.stem)
+        freezes += [(path.stem, fn) for fn in _gc_freezes(tree)]
+    assert (imports, freezes) == (["cli"], [("cli", "run")])
+
+    cli_tree = ast.parse((root / "src" / "framekit" / "cli.py").read_text())
+    main_blocks = [node.body for node in cli_tree.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [[ast.unparse(n) for n in body] for body in main_blocks] == [["run()"]]
+    # requires-python is >=3.10, which has no tomllib: the table is read as text
+    scripts = (root / "pyproject.toml").read_text().split("[project.scripts]", 1)[1]
+    scripts = scripts.split("\n[", 1)[0]
+    assert re.findall(r'^(\S+)\s*=\s*"([^"]*)"', scripts, re.M) == \
+        [("framekit", "framekit.cli:run")]
