@@ -375,11 +375,13 @@ def prepare_batch(batch: OuterBatch) -> PreparedBatch:
 def prepare(f: Frame) -> PreparedBatch:
     """prepare_batch of the one frame f, or of its greedy independent prefix
     when f's outers are dependent (permutation then holds the prefix
-    indices)."""
+    indices); NotIndependent when that prefix is empty."""
     batch = induce_batch(f.vectors[None])
     if batch.independent[0]:
         return prepare_batch(batch)
     permutation = independent_prefix(f)
+    if not permutation:
+        raise NotIndependent("no outer product of the frame is nonzero at the rank tolerance")
     prep = prepare_batch(induce_batch(f.vectors[None, list(permutation)]))
     return prep._replace(permutation=permutation)
 

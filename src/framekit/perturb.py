@@ -7,7 +7,8 @@ operation documents which one it enforces.
 
 The repair runs on stacks: ``nudge_batch`` nudges a (K, M, N) vector stack
 in one lockstep ``outer._GreedyScan``, the offenders of a step taking their
-candidate bases from one ``nearby_independent_basis`` call, and
+candidates from the one (K, D, N) array of a ``nearby_independent_basis``
+call, whose family follows the stack's field, and
 ``nudge_to_independence`` is its one-frame case.  ``movement``,
 ``outer_distance`` and ``perturbed_riesz_bounds`` take stacks as well; every
 result is bit for bit that of its frame or pair alone.
@@ -166,11 +167,11 @@ def _compressed_base(n: int, cplx: bool, delta: float, tol) -> np.ndarray:
     return sw
 
 
-def _rotated_bases(psi: np.ndarray, cplx: bool, eps: float) -> np.ndarray:
+def _rotated_bases(psi: np.ndarray, eps: float) -> np.ndarray:
     """The (K, D, N) bases of ``nearby_independent_basis`` for a (K, N) stack
-    of unit rows of one family (``cplx``): one Householder per row carries
-    e_1 to it, and one stacked eigendecomposition re-checks them all."""
-    n, tol = psi.shape[-1], matcore.env_rank_tol()
+    of unit rows, of the family of its dtype: one Householder per row
+    carries e_1 to it, and one stacked eigendecomposition re-checks them all."""
+    n, cplx, tol = psi.shape[-1], np.iscomplexobj(psi), matcore.env_rank_tol()
     ratio = _aligned_base(n, cplx, tol)[1]
     delta = 1.0
     while ratio > 0.0 and delta * delta * ratio > eps / 2.0:
@@ -178,13 +179,11 @@ def _rotated_bases(psi: np.ndarray, cplx: bool, eps: float) -> np.ndarray:
     compressed = _compressed_base(n, cplx, delta, tol)
 
     # unitaries with U e_1 = psi (phase-adjusted Householder); the phase is
-    # psi[0] / |psi[0]| with numpy's scalar abs (hypot), 1 when psi[0] is 0
+    # psi[0] / |psi[0]| with numpy's scalar abs (hypot), 1 when psi[0] is 0,
+    # and exactly +-1 on a real row
     first = psi[:, 0]
-    if cplx:
-        size = np.hypot(first.real, first.imag)
-        gamma = np.where(size > 0, first / np.where(size > 0, size, 1.0), 1.0)
-    else:
-        gamma = np.where(first >= 0, 1.0, -1.0)
+    size = np.hypot(first.real, first.imag)
+    gamma = np.where(size > 0, first / np.where(size > 0, size, 1.0), 1.0)
     target = np.conj(gamma)[:, None] * psi
     e1 = np.zeros(n, dtype=target.dtype)
     e1[0] = 1.0
@@ -200,28 +199,26 @@ def _rotated_bases(psi: np.ndarray, cplx: bool, eps: float) -> np.ndarray:
     worst = matcore.scalar_square(matcore.row_norms(out - psi[:, None]).max(axis=-1))
     if eps < 2.0 and np.any(worst >= eps):
         raise InternalInconsistency(f"construction moved {worst.max()} >= eps = {eps}")
-    if delta >= 1e-2:
-        # the real family is checked on real vectors, as a real frame holds them
-        ranks = _outer_spectra(out if cplx else np.ascontiguousarray(out.real))[2]
-        if np.any(ranks != len(compressed)):
-            raise _dependent_basis("constructed basis has dependent outer products")
+    if delta >= 1e-2 and np.any(_outer_spectra(out)[2] != len(compressed)):
+        raise _dependent_basis("constructed basis has dependent outer products")
     return out
 
 
-def nearby_independent_basis(psi, eps: float) -> list:
+def nearby_independent_basis(psi, eps: float) -> np.ndarray:
     """A unit-norm outer-product basis clustered within sqrt(eps) of psi:
-    a list of its vectors for one vector psi, and for a (K, N) stack of
-    them a list of K (D, N) arrays, the basis of each row.
+    its (D, N) vectors for one vector psi, and for a (K, N) stack of them
+    the (K, D, N) bases of the rows.
 
     Construction: rotate the E_ij family so every member has positive
     inner product with the first coordinate axis, compress all later
     coordinates by the largest power-of-two delta satisfying
     delta^2 * sum_j>=2 |v(j)|^2 <= (eps/2) * |v(1)|^2, renormalize, then
-    carry e_1 to psi by a unitary.  A row with an imaginary part takes the
-    complex family (D = N^2), any other row the real one (D = N(N+1)/2).
+    carry e_1 to psi by a unitary.  The family follows the field, that is
+    psi's dtype: complex (D = N^2) for a complex array, whatever its rows'
+    values, real (D = N(N+1)/2) for a real one.
     The compressed family is cached; the unitaries and both checks below
-    belong to each call, stacked over the rows of each family, and each
-    row's basis is bit for bit what it gets alone.  Every output satisfies
+    belong to each call, stacked over the rows, and each row's basis is
+    bit for bit what it gets alone.  Every output satisfies
     ||phi_i - psi||^2 < eps; independence of the outer products follows
     from the verified base via invertibility of the compression, and is
     re-checked directly whenever delta is large enough for a floating
@@ -234,19 +231,12 @@ def nearby_independent_basis(psi, eps: float) -> list:
         raise BadParam(f"eps must be finite and positive, got {eps}")
     rows = np.asarray(psi)
     if rows.ndim == 1:
-        return list(nearby_independent_basis(rows[None], eps)[0])
+        return nearby_independent_basis(rows[None], eps)[0]
     if not unit_norm(rows):
         raise NotUnitNorm("the reference vector must be unit norm")
     if rows.shape[-1] == 1:
-        return list(rows[:, None].copy())
-    cplx = np.iscomplexobj(rows) & np.any(rows.imag != 0.0, axis=-1)
-    out = [None] * len(rows)
-    for family in (False, True):
-        idx = np.flatnonzero(cplx == family)
-        if idx.size:
-            for i, basis in zip(idx, _rotated_bases(rows[idx], family, eps)):
-                out[i] = basis
-    return out
+        return rows[:, None].copy()
+    return _rotated_bases(rows, eps)
 
 
 def movement(f, g):
@@ -303,14 +293,14 @@ def nudge_batch(vectors, eps: float) -> np.ndarray:
         bases = nearby_independent_basis(vectors[offenders, i], per_vector_sq)
         pending, c = np.arange(offenders.size), 0  # offenders still to replace, candidate c
         while pending.size:
-            if any(c == len(bases[p]) for p in pending):
+            if c == bases.shape[1]:
                 # the basis's outers span the whole space, so in exact
                 # arithmetic some member grows any proper span: the budget
                 # is below what the rank rule can resolve
                 raise BadParam(f"eps = {eps} is too small: the squared budget per vector, "
                                f"(eps / M)^2 = {per_vector_sq:g} with M = {m}, is below what "
                                "the rank rule resolves; no nearby basis member grows the span")
-            grew = scan.grows(np.array([bases[p][c] for p in pending]), offenders[pending])
+            grew = scan.grows(bases[pending, c], offenders[pending])
             pending, c = pending[~grew], c + 1
     return scan.vectors
 

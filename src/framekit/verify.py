@@ -508,29 +508,25 @@ def check_unprojected_dual():
 # cross products
 
 
-def _pair_stacks(specs_f, specs_g) -> list:
-    """The random frame pairs of two spec lists, stacked per (shape of f,
-    shape of g, field): (K, M, N) and (K, L, N) vectors each, drawn in blocks."""
-    u, w = [None] * len(specs_f), [None] * len(specs_g)
-    for specs, out in ((specs_f, u), (specs_g, w)):
-        for idx, block in _random_stacks(specs):
-            for i, v in zip(idx, block):
-                out[i] = v
-    groups = _index_groups((a.shape, b.shape, a.dtype) for a, b in zip(u, w))
-    return [(np.stack([u[i] for i in idx]), np.stack([w[i] for i in idx]))
-            for idx in groups.values()]
+def _pair_stacks(specs) -> list:
+    """The random frame pairs of the specs (n, m, l, seed of f, seed of g,
+    field): per (n, m, l, field), in order of first sight, the (K, m, n) and
+    (K, l, n) vectors of ``random_unit`` for its seeds, one block each."""
+    groups = _index_groups((n, m, l, field) for n, m, l, _, _, field in specs)
+    return [(cons.random_unit_stack(n, m, [specs[i][3] for i in idx], field),
+             cons.random_unit_stack(n, l, [specs[i][4] for i in idx], field))
+            for (n, m, l, field), idx in groups.items()]
 
 
 def check_cross_products():
     worst_spec = 0.0
     worst_bounds = 0.0
-    specs_f, specs_g = [], []
+    specs = []
     for k in range(100):
         n = 2 + k % 2
-        field = "complex" if k % 2 else "real"
-        specs_f.append((n, min(2 + k % 2, n), 9000 + k, field))
-        specs_g.append((n, min(2 + (k // 2) % 2, n), 9500 + k, field))
-    for u, w in _pair_stacks(specs_f, specs_g):
+        specs.append((n, n, min(2 + (k // 2) % 2, n), 9000 + k, 9500 + k,
+                      "complex" if k % 2 else "real"))
+    for u, w in _pair_stacks(specs):
         wf = matcore.hermitian_eigvalues(vector_gram(u))
         wg = matcore.hermitian_eigvalues(vector_gram(w))
         products = np.sort((wf[:, :, None] * wg[:, None, :]).reshape(len(u), -1))[:, ::-1]
@@ -543,13 +539,9 @@ def check_cross_products():
         ends = np.abs(wh[:, [-1, 0]] - wf[:, [-1, 0]] * wg[:, [-1, 0]])[riesz]
         worst_bounds = max(worst_bounds, float(np.max(ends, initial=0.0)))
     worst_dual = 0.0
-    specs_f, specs_g = [], []
-    for k in range(20):
-        n = 2 + k % 2
-        field = "complex" if k % 2 else "real"
-        specs_f.append((n, n, 9800 + k, field))
-        specs_g.append((n, n, 9900 + k, field))
-    for u, w in _pair_stacks(specs_f, specs_g):
+    specs = [(2 + k % 2, 2 + k % 2, 2 + k % 2, 9800 + k, 9900 + k,
+              "complex" if k % 2 else "real") for k in range(20)]
+    for u, w in _pair_stacks(specs):
         n = u.shape[-1]
         bases = ((matcore.numerical_rank(vector_gram(u)) == n)
                  & (matcore.numerical_rank(vector_gram(w)) == n))

@@ -225,6 +225,18 @@ def test_classify_grid_and_candidate_report_the_permutation(tmp_path, capsys):
         assert json.loads(out)["permutation"] == [0]
 
 
+@pytest.mark.parametrize("vectors", [[[0.0, 0.0]], [[1e-160, 0.0], [0.0, 1e-160]]])
+def test_classify_frame_without_a_nonzero_outer_product_exits_3(tmp_path, capsys, vectors):
+    frame_file = tmp_path / "zero.json"
+    frame_file.write_text(json.dumps({"schema": "framekit/1", "field": "real", "n": 2,
+                                      "vectors": vectors}))
+    for flags in (["--grid", "2"], ["--candidate", "[0, 1]"]):
+        code, out, err = run_cli(capsys, "classify", str(frame_file), *flags)
+        assert code == 3 and out == ""
+        assert err == ("framekit classify: NotIndependent: no outer product of the frame "
+                       "is nonzero at the rank tolerance\n")
+
+
 def test_classify_too_many_exits_3(tmp_path, capsys):
     frame_file = tmp_path / "e.json"
     run_cli(capsys, "construct", "eij", "--n", "2", "-o", str(frame_file))
@@ -611,3 +623,18 @@ def test_a_process_prints_what_main_prints(tmp_path, capsys, monkeypatch, argv):
 
     assert (proc.returncode, untimed(proc.stdout), proc.stderr) == \
         (code, untimed(captured.out), captured.err)
+
+
+def test_nudge_repairs_a_complex_frame_of_real_valued_vectors(tmp_path, capsys):
+    # E_ij for N = 3 and e_1 again, as a complex frame: M = 7 <= 9, and the
+    # repair needs an outer product off the real symmetric matrices
+    frame_file = tmp_path / "eij3e1.json"
+    f = Frame(field="complex", vectors=np.vstack([cons.eij_basis(3).vectors, [1.0, 0.0, 0.0]]))
+    with frame_file.open("w") as fp:
+        ser.write_frame(f, fp)
+    code, out, err = run_cli(capsys, "nudge", str(frame_file), "--eps", "0.1")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["report"]["results"]["outer_independent"] is True
+    assert doc["report"]["results"]["moved"] < 0.1
+    assert ser.frame_from_json(json.dumps(doc["frame"])).field == "complex"

@@ -163,6 +163,21 @@ class TestEllipticValue:
         with pytest.raises(NotIndependent):
             geometry.quartic_residual(f, [1.0, 1.0])
 
+    @pytest.mark.parametrize("vectors", [[[0.0, 0.0]], [[1e-160, 0.0], [0.0, 1e-160]]])
+    def test_frame_without_a_nonzero_outer_product_names_the_cause(self, vectors):
+        # the greedy prefix is empty (|phi|^4 underflows in the second):
+        # every classifier entry point says so, not a shape error of the
+        # empty prefix
+        f = Frame.from_vectors(np.array(vectors))
+        calls = [lambda: geometry.classify(f, [1.0, 0.0]),
+                 lambda: geometry.classify_batch(geometry.prepare(f), np.eye(2)),
+                 lambda: geometry.elliptic_value(f, [1.0, 0.0]),
+                 lambda: geometry.quartic_residual(f, np.ones(f.m)),
+                 lambda: geometry.mu2_subset_mu4_probe(f, 3, 1)]
+        for call in calls:
+            with pytest.raises(NotIndependent, match="no outer product of the frame is nonzero"):
+                call()
+
 
 class TestQuarticAndEllipsoid:
     def test_quartic_examples(self):

@@ -180,9 +180,9 @@ def reference_nearby_basis(psi, eps):
     """The one-vector construction as a per-vector loop forms it: a scalar
     phase, one Householder matrix, and one matrix-vector product per
     member of the cached compressed family (the re-checks left out), at
-    the default rank tolerance."""
+    the default rank tolerance.  The family follows psi's dtype."""
     n = psi.shape[0]
-    cplx = np.iscomplexobj(psi) and bool(np.any(psi.imag != 0.0))
+    cplx = np.iscomplexobj(psi)
     ratio = perturb._aligned_base(n, cplx, None)[1]
     delta = 1.0
     while ratio > 0.0 and delta * delta * ratio > eps / 2.0:
@@ -252,9 +252,10 @@ class TestNearbyBasis:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_a_stack_gives_each_row_the_per_vector_basis(self, n):
-        # complex rows, real rows in a complex array (they take the real
-        # family), rows with a zero first coordinate and e_1 itself, each
-        # bit for bit what the per-vector construction gives it
+        # complex rows, real-valued rows in a complex array (they take the
+        # complex family, as the array's field is complex), rows with a zero
+        # first coordinate and e_1 itself, each bit for bit what the
+        # per-vector construction gives it
         rng = np.random.default_rng(66 + n)
         rows = [random_unit_vec(rng, n, k % 3 == 0) for k in range(10)]
         rows[4] = np.roll(np.eye(n)[0], n - 1)
@@ -265,14 +266,13 @@ class TestNearbyBasis:
         for psi in (np.array(rows, dtype=complex), np.array(real, dtype=float)):
             for eps in (0.2, 1e-5):
                 bases = perturb.nearby_independent_basis(psi, eps)
-                assert len(bases) == len(psi)
+                d = n * n if np.iscomplexobj(psi) else n * (n + 1) // 2
+                assert bases.shape == (len(psi), d, n)
                 for p, basis in zip(psi, bases):
                     want = reference_nearby_basis(p, eps)
-                    d = n * n if np.any(p.imag != 0.0) else n * (n + 1) // 2
-                    assert basis.shape == (d, n)
                     assert basis.tobytes() == want.tobytes()
                     alone = perturb.nearby_independent_basis(p, eps)
-                    assert np.array(alone).tobytes() == want.tobytes()
+                    assert alone.tobytes() == want.tobytes()
 
     def test_one_dimensional_rows_are_their_own_basis(self):
         psi = np.array([[1.0], [-1.0]])
@@ -442,6 +442,21 @@ class TestNudge:
                         assert moved < eps
                     cases += 1
         assert cases >= 50
+
+    @pytest.mark.parametrize("seed", [6900, 6901, 6902])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_real_valued_offender_of_a_complex_frame_repairs(self, n, seed):
+        # n(n+1)/2 real unit vectors and a negated copy of one of them, as a
+        # complex frame: M <= n^2, so a repair exists, but only outers of the
+        # complex family leave the real symmetric span the frame fills
+        f = cons.random_unit(n, n * (n + 1) // 2, seed)
+        f = Frame(field="complex", vectors=np.vstack([f.vectors, -f.vectors[seed % f.m]]))
+        assert outer.induce(f).rank < f.m
+        for eps in (0.1, 1e-3):
+            g = perturb.nudge_to_independence(f, eps)
+            assert g.field == "complex"
+            assert outer.induce(g).rank == g.m == f.m
+            assert perturb.movement(f, g) < eps
 
 
 def _unit_norm_verdicts(rows):
