@@ -57,12 +57,9 @@ from .geometry import (
 )
 from .matcore import (
     SpectralData,
-    frobenius_ip,
-    hadamard,
     hermitian_eig,
     kronecker,
     numerical_rank,
-    sylvester_det_check,
     vectorize_outer,
 )
 from .outer import (

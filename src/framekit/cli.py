@@ -271,7 +271,6 @@ def cmd_classify(args) -> int:
     results = {
         "verdict": rep.verdict,
         "elliptic_value": rep.elliptic_value,
-        "quartic_value": rep.quartic_value,
         "ellipsoid_residual": rep.ellipsoid_residual,
         "analysis_image": [[z.real, z.imag] for z in rep.tv.astype(complex)],
     }

@@ -149,13 +149,6 @@ class ConstructionSpec:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "n": self.n, **self.params}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConstructionSpec":
-        d = dict(d)
-        kind = d.pop("kind")
-        n = int(d.pop("n"))
-        return cls(kind=kind, n=n, params=d)
-
 
 def build(spec: ConstructionSpec) -> Frame:
     """Materialize a ConstructionSpec."""

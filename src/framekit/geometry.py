@@ -299,8 +299,7 @@ class ClassificationReport:
 
     verdict is "dependent" iff |elliptic_value - 1| <= tol; the verdict is
     always cross-checked against the extended outer Gram (see
-    classify_batch).  quartic_value is the same w^T G^{-1} w in the
-    quartic's notation.  permutation records the greedy independent-prefix
+    classify_batch).  permutation records the greedy independent-prefix
     reordering applied when the input frame itself had dependent outer
     products.
     """
@@ -308,7 +307,6 @@ class ClassificationReport:
     candidate: np.ndarray
     tv: np.ndarray
     ellipsoid_residual: float
-    quartic_value: float
     elliptic_value: float
     verdict: str
     tol: float
@@ -403,11 +401,10 @@ class BatchClassification(NamedTuple):
     permutation: tuple | None
 
     def report(self, k: int) -> ClassificationReport:
-        value = float(self.elliptic_value[k])
         return ClassificationReport(
             candidate=self.candidates[k], tv=self.tv[k],
             ellipsoid_residual=float(self.ellipsoid_residual[k]),
-            quartic_value=value, elliptic_value=value,
+            elliptic_value=float(self.elliptic_value[k]),
             verdict="dependent" if self.dependent[k] else "independent",
             tol=self.tol, permutation=self.permutation)
 

@@ -254,15 +254,6 @@ def numerical_rank(a, tol=None):
     return rank_from_singular_values(sigma, a.shape[-2:], tol)
 
 
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise product."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"hadamard needs equal shapes, got {a.shape} and {b.shape}")
-    return a * b
-
-
 def kronecker(a, b) -> np.ndarray:
     """Block matrix [a[i,j] * b], in the product order of ``np.kron``; for
     (..., m, n) and (..., p, q) stacks, the (..., m p, n q) block matrix of
@@ -272,32 +263,8 @@ def kronecker(a, b) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-def frobenius_ip(s, t):
-    """Trace inner product Tr(s* t); a plain sum of products over the reals."""
-    s = as_matrix(s)
-    t = as_matrix(t)
-    if s.shape != t.shape:
-        raise ShapeMismatch(f"frobenius_ip needs equal shapes, got {s.shape} and {t.shape}")
-    value = np.sum(np.conj(s) * t)
-    return complex(value) if np.iscomplexobj(value) else float(value)
-
-
 def vectorize_outer(phi) -> np.ndarray:
     """Flatten phi phi* into the stacked blocks phi[k] * conj(phi), k = 1..N;
     for (..., N) rows, the (..., N^2) vectorized outer product of each row."""
     phi = np.asarray(phi)
     return (phi[..., :, None] * phi.conj()[..., None, :]).reshape(phi.shape[:-1] + (-1,))
-
-
-def sylvester_det_check(s, t):
-    """Both sides of det(I_M + S T) = det(I_N + T S)."""
-    s = as_matrix(s)
-    t = as_matrix(t)
-    m, n = s.shape
-    if t.shape != (n, m):
-        raise ShapeMismatch(f"incompatible shapes {s.shape} and {t.shape}")
-    left = np.linalg.det(np.eye(m, dtype=np.result_type(s, t)) + s @ t)
-    right = np.linalg.det(np.eye(n, dtype=np.result_type(s, t)) + t @ s)
-    if not (np.iscomplexobj(s) or np.iscomplexobj(t)):
-        return float(left.real), float(right.real)
-    return complex(left), complex(right)

@@ -1,9 +1,9 @@
-"""JSON frame documents and CSV matrix interchange.
+"""JSON frame documents, and CSV output of bare matrices.
 
-JSON is the primary format because frames need field metadata; CSV only
-carries bare matrices (row-major, complex split into re/im column
-pairs).  Floats round-trip bit-identically through both paths via
-shortest-round-trip decimal formatting.
+JSON is the only input format, because frames need field metadata.  CSV
+is only written (``analyze --gram-csv``): a bare matrix, row-major, complex
+split into re/im column pairs.  Floats are written as shortest-round-trip
+decimals, so both formats carry every bit.
 """
 
 import csv
@@ -97,10 +97,6 @@ def frame_to_json(f: Frame, **meta) -> str:
     return to_json(frame_to_doc(f, **meta))
 
 
-def frame_from_json(text: str) -> Frame:
-    return doc_to_frame(json.loads(text))
-
-
 def write_matrix_csv(matrix, fp) -> None:
     """Row-major CSV; complex matrices get paired c{j}_re, c{j}_im columns."""
     m = np.asarray(matrix)
@@ -119,19 +115,3 @@ def write_matrix_csv(matrix, fp) -> None:
         writer.writerow([f"c{j}" for j in range(m.shape[1])])
         for row in m:
             writer.writerow([repr(float(x)) for x in row])
-
-
-def read_matrix_csv(fp) -> np.ndarray:
-    reader = csv.reader(fp)
-    header = next(reader)
-    complex_cols = any(name.endswith("_re") for name in header)
-    rows = []
-    for line in reader:
-        if not line:
-            continue
-        vals = [float(x) for x in line]
-        if complex_cols:
-            rows.append([complex(vals[k], vals[k + 1]) for k in range(0, len(vals), 2)])
-        else:
-            rows.append(vals)
-    return np.array(rows)

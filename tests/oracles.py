@@ -1,10 +1,12 @@
 """Independent oracles for the test suite.
 
-Nothing here goes through ``framekit.matcore``: ranks come from exact
-rational elimination, eigenvalues and solves from numpy's LAPACK bindings
-called directly or from closed forms, determinants from cofactor expansion.
+Nothing here goes through ``framekit.matcore`` or ``framekit.serialization``:
+ranks come from exact rational elimination, eigenvalues and solves from
+numpy's LAPACK bindings called directly or from closed forms, CSV tables
+from the ``csv`` module.
 """
 
+import csv
 from fractions import Fraction
 
 import numpy as np
@@ -76,17 +78,26 @@ def eigvals_2x2_symmetric(a, b, c):
     return mean + radius, mean - radius
 
 
-def det_cofactor(a) -> complex:
-    """Determinant by cofactor expansion (exponential; tiny matrices only)."""
-    a = np.asarray(a)
-    n = a.shape[0]
-    if n == 1:
-        return a[0, 0]
-    total = 0.0
-    for j in range(n):
-        minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-        total = total + (-1) ** j * a[0, j] * det_cofactor(minor)
-    return total
+def trace_ip(s, t):
+    """Trace inner product Tr(s* t), the plain sum of the entries of
+    conj(s) * t: a complex for complex operands, a float otherwise."""
+    s, t = np.asarray(s), np.asarray(t)
+    assert s.shape == t.shape, (s.shape, t.shape)
+    value = np.sum(np.conj(s) * t)
+    return complex(value) if np.iscomplexobj(value) else float(value)
+
+
+def read_matrix_csv(fp) -> np.ndarray:
+    """The matrix of a CSV table: a header row, then one matrix row per
+    line; headers ending in ``_re`` pair each column with the next one as
+    the real and imaginary parts of one complex entry."""
+    header, *lines = csv.reader(fp)
+    values = np.array(lines, dtype=float)
+    if not header[0].endswith("_re"):
+        return values
+    out = values[:, 0::2].astype(complex)
+    out.imag = values[:, 1::2]
+    return out
 
 
 def random_self_adjoint(rng, n, cplx):

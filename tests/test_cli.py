@@ -13,7 +13,7 @@ from framekit import cli, constructions as cons, serialization as ser, verify
 from framekit.frame import Frame
 from framekit.rng import Stream, unit_vectors
 
-from oracles import elliptic_values_solve
+from oracles import elliptic_values_solve, read_matrix_csv
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +87,23 @@ def test_analyze_orthonormal(tmp_path, capsys):
     res = json.loads(out)["results"]
     assert res["frame_bounds"] == {"lower": 1.0, "upper": 1.0,
                                    "tight": True, "parseval": True}
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_analyze_gram_csv_is_the_outer_gram(tmp_path, capsys, field):
+    # entry (i, j) of the outer Gram is |<phi_j, phi_i>|^2
+    f = cons.random_unit(3, 5, 21, field=field)
+    frame_file = tmp_path / "r.json"
+    with frame_file.open("w") as fp:
+        ser.write_frame(f, fp)
+    csv_file = tmp_path / "g.csv"
+    code, _, _ = run_cli(capsys, "analyze", str(frame_file), "--gram-csv", str(csv_file))
+    assert code == 0
+    with csv_file.open(newline="") as fp:
+        got = read_matrix_csv(fp)
+    want = np.abs(f.vectors.conj() @ f.vectors.T) ** 2
+    assert got.shape == (5, 5)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_analyze_biangular_3_reports_dependence(tmp_path, capsys):
@@ -201,6 +218,15 @@ def test_classify_candidate(tmp_path, capsys):
     res = json.loads(out)["results"]
     assert res["verdict"] == "independent"
     assert res["elliptic_value"] == pytest.approx(0.5)
+
+
+def test_classify_candidate_report_fields(tmp_path, capsys):
+    frame_file = tmp_path / "o3.json"
+    run_cli(capsys, "construct", "orthonormal", "--n", "3", "-o", str(frame_file))
+    code, out, _ = run_cli(capsys, "classify", str(frame_file), "--candidate", "[0.6, 0.8, 0]")
+    assert code == 0
+    assert list(json.loads(out)["results"]) == [
+        "verdict", "elliptic_value", "ellipsoid_residual", "analysis_image"]
 
 
 def test_classify_grid(tmp_path, capsys):
@@ -372,7 +398,7 @@ def test_nudge_report_without_output_prints_the_frame(tmp_path, capsys):
                            "--report", str(report_file))
     assert code == 0
     assert json.loads(report_file.read_text())["command"] == "nudge"
-    assert ser.frame_from_json(out).m == 6
+    assert ser.doc_to_frame(json.loads(out)).m == 6
 
 
 def test_nudge_combined_stdout(tmp_path, capsys):
@@ -637,4 +663,4 @@ def test_nudge_repairs_a_complex_frame_of_real_valued_vectors(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["report"]["results"]["outer_independent"] is True
     assert doc["report"]["results"]["moved"] < 0.1
-    assert ser.frame_from_json(json.dumps(doc["frame"])).field == "complex"
+    assert ser.doc_to_frame(doc["frame"]).field == "complex"

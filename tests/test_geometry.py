@@ -229,7 +229,6 @@ class TestClassify:
         rep = geometry.classify(f, np.array([1.0, 1.0, 0.0]) / np.sqrt(2))
         assert rep.verdict == "independent"
         assert rep.elliptic_value == pytest.approx(0.5)
-        assert rep.quartic_value == pytest.approx(rep.elliptic_value)
         assert rep.ellipsoid_residual <= 1e-10
 
     def test_truncated_eij(self):
@@ -388,7 +387,7 @@ class TestClassifyBatch:
             # one matmul for the batch against one per row: the sums may
             # round differently, by a few ulps of the inputs
             np.testing.assert_allclose(rep.tv, one.tv, rtol=0, atol=1e-14)
-            for name in ("elliptic_value", "quartic_value", "ellipsoid_residual"):
+            for name in ("elliptic_value", "ellipsoid_residual"):
                 np.testing.assert_allclose(getattr(rep, name), getattr(one, name),
                                            rtol=1e-12, atol=1e-14)
         return batch
@@ -628,7 +627,7 @@ class TestPrepareBatch:
             rep = result.report(i)
             assert (rep.verdict, rep.permutation) == (one.verdict, one.permutation)
             assert rep.tv.tobytes() == one.tv.tobytes()
-            for name in ("elliptic_value", "quartic_value", "ellipsoid_residual"):
+            for name in ("elliptic_value", "ellipsoid_residual"):
                 assert np.array_equal(getattr(rep, name), getattr(one, name), equal_nan=True)
 
     def test_a_disagreement_hides_no_other_candidate(self, monkeypatch):

@@ -7,7 +7,6 @@ from framekit import matcore
 from framekit.errors import BadParam, NotSelfAdjoint, ShapeMismatch
 
 from oracles import (
-    det_cofactor,
     eig_desc,
     eigvals_2x2_symmetric,
     random_self_adjoint,
@@ -317,23 +316,6 @@ class TestScalarSquare:
 
 
 class TestHadamard:
-    def test_entrywise(self):
-        out = matcore.hadamard([[1, 2], [3, 4]], [[5, 6], [7, 8]])
-        np.testing.assert_array_equal(out, [[5, 12], [21, 32]])
-
-    def test_all_ones_is_identity_element(self):
-        a = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(matcore.hadamard(a, np.ones((2, 3))), a)
-
-    def test_gram_with_its_conjugate(self):
-        g = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
-        out = matcore.hadamard(g, g.conj())
-        np.testing.assert_allclose(out, [[1.0, 0.25], [0.25, 1.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            matcore.hadamard(np.eye(2), np.eye(3))
-
     def test_psd_eigenvalue_envelope(self):
         # every eigenvalue of A o B sits between min(diag A) * lambda_min(B)
         # and max(diag A) * lambda_max(B) when both are PSD
@@ -381,26 +363,6 @@ class TestKronecker:
         assert matcore.kronecker(a[0], b[0]).tobytes() == np.kron(a[0], b[0]).tobytes()
 
 
-class TestFrobeniusInnerProduct:
-    def test_identity(self):
-        assert matcore.frobenius_ip(np.eye(2), np.eye(2)) == 2.0
-
-    def test_orthogonal_projections(self):
-        e1 = np.outer([1.0, 0.0], [1.0, 0.0])
-        e2 = np.outer([0.0, 1.0], [0.0, 1.0])
-        assert matcore.frobenius_ip(e1, e2) == 0.0
-
-    def test_equals_squared_inner_product(self):
-        phi = np.array([1.0, 0.0])
-        psi = np.array([1.0, 1.0]) / np.sqrt(2)
-        got = matcore.frobenius_ip(np.outer(phi, phi), np.outer(psi, psi))
-        assert abs(got - 0.5) < 1e-15
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            matcore.frobenius_ip(np.eye(2), np.eye(3))
-
-
 class TestVectorizeOuter:
     def test_standard_basis(self):
         np.testing.assert_array_equal(matcore.vectorize_outer([1.0, 0.0]), [1, 0, 0, 0])
@@ -425,32 +387,6 @@ class TestVectorizeOuter:
         for i in np.ndindex(2, 5):
             assert out[i].tobytes() == np.kron(rows[i], np.conj(rows[i])).tobytes()
             assert matcore.vectorize_outer(rows[i]).tobytes() == out[i].tobytes()
-
-
-class TestSylvester:
-    def test_rank_one(self):
-        ones = np.ones((3, 1))
-        left, right = matcore.sylvester_det_check(ones, ones.T)
-        assert left == pytest.approx(4.0) and right == pytest.approx(4.0)
-
-    def test_zero(self):
-        left, right = matcore.sylvester_det_check(np.zeros((2, 3)), np.zeros((3, 2)))
-        assert left == 1.0 and right == 1.0
-
-    def test_random_rectangular(self):
-        rng = np.random.default_rng(14)
-        for _ in range(30):
-            s = rng.standard_normal((3, 2))
-            t = rng.standard_normal((2, 3))
-            left, right = matcore.sylvester_det_check(s, t)
-            assert abs(left - right) <= 1e-10 * max(1.0, abs(left))
-            # cofactor-expansion oracle on the 3x3 side
-            oracle = det_cofactor(np.eye(3) + s @ t)
-            assert abs(left - oracle) <= 1e-10 * max(1.0, abs(oracle))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            matcore.sylvester_det_check(np.eye(2), np.eye(3))
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,7 +16,13 @@ from framekit.errors import (
     ZeroVector,
 )
 
-from oracles import eig_desc, random_self_adjoint, random_unit_vec, rational_rank_exact
+from oracles import (
+    eig_desc,
+    random_self_adjoint,
+    random_unit_vec,
+    rational_rank_exact,
+    trace_ip,
+)
 
 
 def frame_of(*rows):
@@ -352,7 +358,7 @@ class TestOuterDuals:
         f = frame_of([1.0, 0.0], [np.cos(0.7), np.sin(0.7)])
         duals = outer.outer_duals(f)
         os_ = outer.induce(f)
-        bio = np.array([[matcore.frobenius_ip(os_.outers[i], duals[j])
+        bio = np.array([[trace_ip(os_.outers[i], duals[j])
                          for j in range(2)] for i in range(2)])
         np.testing.assert_allclose(bio, np.eye(2), atol=1e-9)
 
@@ -419,7 +425,7 @@ class TestCrossProducts:
         i, j, k, l = 2, 1, 0, 0
         big = np.outer(f.vectors[i], g.vectors[j].conj())
         small = np.outer(f.vectors[k], g.vectors[l].conj())
-        want = matcore.frobenius_ip(small, big)
+        want = trace_ip(small, big)
         got = h[i * 2 + j, k * 2 + l]
         assert abs(got - np.conj(want)) < 1e-12 or abs(got - want) < 1e-12
 
@@ -435,7 +441,7 @@ class TestCrossProducts:
             duals = outer.cross_duals(f, g)
             originals = [np.outer(f.vectors[i], g.vectors[j].conj())
                          for i in range(2) for j in range(2)]
-            bio = np.array([[abs(matcore.frobenius_ip(d, o)) for o in originals]
+            bio = np.array([[abs(trace_ip(d, o)) for o in originals]
                             for d in duals])
             np.testing.assert_allclose(bio, np.eye(4), atol=1e-9)
 
@@ -505,7 +511,7 @@ def test_orthogonality_transfer():
             psi = random_unit_vec(rng, 3, cplx)
             psi = psi - np.vdot(phi, psi) / np.vdot(phi, phi) * phi
             psi /= np.linalg.norm(psi)
-            ip = matcore.frobenius_ip(np.outer(phi, phi.conj()), np.outer(psi, psi.conj()))
+            ip = trace_ip(np.outer(phi, phi.conj()), np.outer(psi, psi.conj()))
             assert abs(ip) <= 1e-12
 
 
@@ -527,7 +533,7 @@ def test_pc2_identity_property(seed, cplx):
     rng = np.random.default_rng(seed)
     phi = random_unit_vec(rng, 4, cplx)
     psi = random_unit_vec(rng, 4, cplx)
-    lhs = matcore.frobenius_ip(np.outer(phi, phi.conj()), np.outer(psi, psi.conj()))
+    lhs = trace_ip(np.outer(phi, phi.conj()), np.outer(psi, psi.conj()))
     lhs = lhs.real if cplx else lhs
     assert abs(lhs - abs(np.vdot(psi, phi)) ** 2) <= 1e-12
 
@@ -543,9 +549,9 @@ def test_vectorized_synthesis_equals_stacked_kron_rows(cplx):
 
 
 def _loop_projection(os_, x):
-    """The per-matrix projection: M frobenius_ip calls, then M additions."""
+    """The per-matrix projection: M trace inner products, then M additions."""
     v, w = os_.gram_spectrum.eigenvectors, os_.gram_spectrum.eigenvalues
-    b = np.real([matcore.frobenius_ip(o, x) for o in os_.outers])
+    b = np.real([trace_ip(o, x) for o in os_.outers])
     coeff = v @ ((v.conj().T @ b) / w)
     out = np.zeros_like(os_.outers[0], dtype=np.result_type(x, os_.outers[0]))
     for c, o in zip(coeff, os_.outers):

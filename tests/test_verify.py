@@ -28,7 +28,7 @@ from framekit.rng import Stream
 from framekit.verify import rational_rank
 
 import scan_reference
-from oracles import rational_rank_exact
+from oracles import rational_rank_exact, trace_ip
 
 
 def _binary_exact(rng, rows, cols, cplx):
@@ -189,7 +189,7 @@ def reference_pc2_sides(cplx):
     for _ in range(1000):
         phi = _random_unit_vector(stream, 3, cplx)
         psi = _random_unit_vector(stream, 3, cplx)
-        lhs = matcore.frobenius_ip(np.outer(phi, phi.conj()), np.outer(psi, psi.conj()))
+        lhs = trace_ip(np.outer(phi, phi.conj()), np.outer(psi, psi.conj()))
         yield (lhs.real if cplx else lhs), abs(np.vdot(psi, phi)) ** 2
 
 
