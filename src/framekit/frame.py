@@ -159,10 +159,9 @@ def frame_bounds(f: Frame) -> BoundsReport:
 
 def riesz_bounds(f: Frame) -> BoundsReport:
     """Optimal Riesz bounds: extreme eigenvalues of the Gram matrix."""
-    g = gram(f)
-    if matcore.numerical_rank(g) < f.m:
+    w = matcore.hermitian_eigvalues(gram(f))
+    if matcore.rank_from_eigenvalues(w, (f.m, f.m)) < f.m:
         raise NotIndependent("vectors are linearly dependent at tolerance")
-    w = matcore.hermitian_eigvalues(g)
     return _bounds_report(w[-1], w[0], kind="riesz")
 
 
@@ -175,7 +174,7 @@ def inverse_frame_operator(f: Frame) -> np.ndarray:
     """S^{-1} through the eigendecomposition (S is self-adjoint PD for frames)."""
     if not spans(f):
         raise NotAFrame("frame operator is singular for non-spanning sequences")
-    return matcore.spectral_inverse(frame_operator(f))
+    return matcore.spectral_inverse(matcore.hermitian_eig(frame_operator(f)))
 
 
 def canonical_duals(f: Frame) -> np.ndarray:

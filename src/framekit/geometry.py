@@ -79,11 +79,11 @@ STACK_ENTRIES = 1 << 20
 _EPS = np.finfo(np.float64).eps
 
 
-def _border_rank(a):
-    """Rank of a matrix, or of each matrix of a stack, at BORDER_RANK_SAFETY
-    times the default tolerance."""
-    sigma = matcore.stacked_singular_values(a)
-    shape = np.shape(a)[-2:]
+def _border_rank(w):
+    """Rank of a self-adjoint matrix, or of each matrix of a stack, from its
+    eigenvalues w (one row per matrix), at BORDER_RANK_SAFETY times the default tolerance."""
+    sigma = np.sort(np.abs(w))[..., ::-1]
+    shape = (w.shape[-1],) * 2
     tol = BORDER_RANK_SAFETY * matcore.default_rank_tol(shape, sigma[..., 0])
     return matcore.rank_from_singular_values(sigma, shape, tol)
 
@@ -113,13 +113,14 @@ def _psd_violations(w: np.ndarray):
     return (w[..., -1] < -PSD_RELTOL * top) | ((top == 0.0) & (w[..., -1] < 0.0))
 
 
-def _checked_psd(w: np.ndarray) -> None:
-    """Raise NotPsd unless the descending eigenvalues w (one row per matrix
-    of a stack) are those of PSD matrices."""
+def _checked_psd(w: np.ndarray) -> np.ndarray:
+    """The descending eigenvalues w (one row per matrix of a stack); NotPsd
+    unless they are those of PSD matrices."""
     bad = _psd_violations(w)
     if np.any(bad):
         low = np.asarray(w[..., -1])[bad][0]
         raise NotPsd(f"smallest eigenvalue {low} is negative beyond tolerance")
+    return w
 
 
 def _positive_eigenvalues(w: np.ndarray, shape) -> np.ndarray:
@@ -160,11 +161,11 @@ def bordered(t, v) -> np.ndarray:
 def extension_rank_preserved(t, v) -> bool:
     """Whether bordering t with (v, 1) keeps the rank unchanged.
 
-    Raises NotPsd as psd_extension does, from the eigenvalues alone.
+    Raises NotPsd as psd_extension does, from the eigenvalues that give t's rank.
     """
     t = matcore.as_matrix(t)
-    _checked_psd(matcore.hermitian_eigvalues(t))
-    return _border_rank(bordered(t, v)) == _border_rank(t)
+    w = _checked_psd(matcore.hermitian_eigvalues(t))
+    return _border_rank(matcore.hermitian_eigvalues(bordered(t, v))) == _border_rank(w)
 
 
 def admissible_vector(ext: PsdExtension, a) -> np.ndarray:

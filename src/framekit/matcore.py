@@ -4,8 +4,9 @@ Everything downstream (frame bounds, outer-product Gram spectra, the
 dependence classifier) reduces to self-adjoint eigendecompositions and
 numerical rank, so both live here with explicit, reportable tolerances.
 Each spectral entry point is one LAPACK call through numpy (``eigh``,
-``eigvalsh``, ``svd``); this module adds only the self-adjointness test,
-descending order, canonical eigenvector phases and the rank threshold.
+``eigvalsh``, and ``svd`` for rectangular matrices: a self-adjoint matrix
+is ranked from its eigenvalues); this module adds only the self-adjointness
+test, descending order, canonical eigenvector phases and the rank threshold.
 ``hermitian_eig``, ``hermitian_eigvalues``, ``singular_values``,
 ``numerical_rank`` and the rank rule also take a stack of matrices (and
 ``vectorize_outer`` one of vectors), down the one path a matrix takes, with
@@ -127,11 +128,10 @@ def spectral_solve(sd: SpectralData, b) -> np.ndarray:
     return (v * (1.0 / w)[..., None, :]) @ (b.swapaxes(-1, -2) @ v.conj()).swapaxes(-1, -2)
 
 
-def spectral_inverse(a) -> np.ndarray:
-    """a^{-1} = V diag(1/w) V* of a self-adjoint positive definite matrix,
-    or of each matrix of a stack (each bit for bit that of its matrix
-    alone): ``spectral_solve`` of ``hermitian_eig(a)`` with b = I."""
-    sd = hermitian_eig(a)
+def spectral_inverse(sd: SpectralData) -> np.ndarray:
+    """a^{-1} = V diag(1/w) V* of a self-adjoint positive definite matrix a, or
+    of each matrix of a stack (each bit for bit that of its matrix alone),
+    from sd = ``hermitian_eig(a)``: ``spectral_solve`` with b = I."""
     return spectral_solve(sd, np.broadcast_to(np.eye(sd.eigenvalues.shape[-1]),
                                               sd.eigenvectors.shape))
 
@@ -162,13 +162,10 @@ def singular_values(a) -> np.ndarray:
 
 
 def stacked_singular_values(a) -> np.ndarray:
-    """``singular_values`` of a matrix or a stack, for the package's stacked
-    callers (``numerical_rank`` of a stack and ``geometry._border_rank``).
-
-    A function of its own so that the layer tracer of ``perfbench``, which
-    wraps ``singular_values`` and reads the work of each call from a 2-d
-    shape, keeps working; these calls are not counted there.
-    """
+    """``singular_values`` of a matrix or a stack, for ``numerical_rank`` of a
+    stack: a function of its own so that the layer tracer of ``perfbench``,
+    which wraps ``singular_values`` and reads the work of each call from a
+    2-d shape, keeps working; these calls are not counted there."""
     return np.linalg.svd(as_stack(a), compute_uv=False)
 
 
@@ -246,8 +243,8 @@ def numerical_rank(a, tol=None):
     ranks for an (..., m, n) stack (from ``stacked_singular_values``).
 
     Default tol is max(rows, cols) * eps * sigma_max, overridable by the
-    FRAMEKIT_TOL environment variable.  Dependence verdicts downstream
-    hinge on this count, so the threshold is explicit and reportable.
+    FRAMEKIT_TOL environment variable.  The rank of a rectangular matrix;
+    a self-adjoint one is ranked from its eigenvalues.
     """
     a = as_stack(a)
     sigma = singular_values(a) if a.ndim == 2 else stacked_singular_values(a)

@@ -397,10 +397,14 @@ def project_onto_outer_span(os_: OuterBatch, x) -> np.ndarray:
     return _projections(os_, x.reshape(-1, os_.n ** 2)).reshape(x.shape)
 
 
-def _dual_vectors(v: np.ndarray) -> np.ndarray:
-    """The (..., M, N) biorthogonal vectors within the span of independent
-    (..., M, N) vector rows: the columns of T G^{-1}, per frame."""
-    return (v.swapaxes(-1, -2) @ matcore.spectral_inverse(vector_gram(v))).swapaxes(-1, -2)
+def _dual_vectors(v: np.ndarray, dependent: Exception) -> np.ndarray:
+    """The (..., M, N) biorthogonal vectors T G^{-1} of (..., M, N) vector rows,
+    per frame, from one eigendecomposition of each vector Gram G, which also
+    gives its rank: raises dependent when some frame's vectors are dependent."""
+    sd = matcore.hermitian_eig(vector_gram(v))
+    if np.any(matcore.rank_from_eigenvalues(sd.eigenvalues, v.shape[-2:-1] * 2) < v.shape[-2]):
+        raise dependent
+    return (v.swapaxes(-1, -2) @ matcore.spectral_inverse(sd)).swapaxes(-1, -2)
 
 
 def outer_duals_of(os_: OuterBatch) -> np.ndarray:
@@ -413,12 +417,10 @@ def outer_duals_of(os_: OuterBatch) -> np.ndarray:
     projection the candidates fail to lie in the span.  NotIndependent
     when the vectors of some frame, or their outer products, are dependent.
     """
-    if np.any(matcore.numerical_rank(vector_gram(os_.vectors)) < os_.m):
-        raise NotIndependent("the vectors themselves must be independent")
+    duals = _dual_vectors(os_.vectors, NotIndependent("the vectors themselves must be independent"))
     if np.any(os_.rank < os_.m):
         raise NotIndependent("the outer products must be independent")
-    duals = matcore.vectorize_outer(_dual_vectors(os_.vectors))
-    return _projections(os_, duals).reshape(duals.shape[:-1] + (os_.n, os_.n))
+    return _projections(os_, matcore.vectorize_outer(duals)).reshape(duals.shape + (os_.n,))
 
 
 def outer_duals(f: Frame) -> np.ndarray:
@@ -463,7 +465,5 @@ def cross_duals(f, g) -> np.ndarray:
     n = u.shape[-1]
     if u.shape[-2] != n or w.shape[-2] != n:
         raise NotABasis("cross duals are defined for bases (M = N)")
-    for h in (u, w):
-        if np.any(matcore.numerical_rank(vector_gram(h)) < n):
-            raise NotABasis("input vectors do not form a basis")
-    return _cross_products(_dual_vectors(u), _dual_vectors(w))
+    basis = NotABasis("input vectors do not form a basis")
+    return _cross_products(_dual_vectors(u, basis), _dual_vectors(w, basis))

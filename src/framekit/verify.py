@@ -81,6 +81,13 @@ def _random_stacks(specs) -> list:
             for (n, m, field), idx in groups.items()]
 
 
+def _gram_eigvalues(v) -> tuple:
+    """The descending eigenvalues of each vector Gram of a (K, m, n) stack and
+    whether its vectors are independent, read from them as riesz_bounds does."""
+    w = matcore.hermitian_eigvalues(vector_gram(v))
+    return w, matcore.rank_from_eigenvalues(w, w.shape[-1:] * 2) == v.shape[-2]
+
+
 def _kept_groups(specs, keep) -> list:
     """Per (n, m, field) group of the specs (n, m, seed, field), in order of
     first sight, that has a frame passing keep (an ``OuterBatch`` -> (K,)
@@ -465,8 +472,7 @@ def check_outer_duals():
     worst = 0.0
     # the first 100 k whose vectors and outer products are independent
     kept = _first_kept(_outer_duals_spec, 100,
-                       lambda b: (matcore.numerical_rank(vector_gram(b.vectors)) == b.m)
-                       & b.independent)
+                       lambda b: _gram_eigvalues(b.vectors)[1] & b.independent)
     for _, batch in kept:
         duals = outer.outer_duals_of(batch).reshape(len(batch.vectors), batch.m, -1)
         bio = np.real(matcore.vectorize_outer(batch.vectors).conj() @ duals.swapaxes(-1, -2))
@@ -527,24 +533,19 @@ def check_cross_products():
         specs.append((n, n, min(2 + (k // 2) % 2, n), 9000 + k, 9500 + k,
                       "complex" if k % 2 else "real"))
     for u, w in _pair_stacks(specs):
-        wf = matcore.hermitian_eigvalues(vector_gram(u))
-        wg = matcore.hermitian_eigvalues(vector_gram(w))
+        (wf, u_free), (wg, w_free) = _gram_eigvalues(u), _gram_eigvalues(w)
         products = np.sort((wf[:, :, None] * wg[:, None, :]).reshape(len(u), -1))[:, ::-1]
         wh = matcore.hermitian_eigvalues(outer.cross_gram(u, w))
         worst_spec = max(worst_spec, float(np.max(np.abs(wh - products))))
-        # the Riesz bounds of the pairs with independent vectors: the extreme
-        # eigenvalues of each Gram, as riesz_bounds reads them
-        riesz = ((matcore.numerical_rank(vector_gram(u)) == u.shape[1])
-                 & (matcore.numerical_rank(vector_gram(w)) == w.shape[1]))
-        ends = np.abs(wh[:, [-1, 0]] - wf[:, [-1, 0]] * wg[:, [-1, 0]])[riesz]
+        # the Riesz bounds of the pairs with independent vectors multiply
+        ends = np.abs(wh[:, [-1, 0]] - wf[:, [-1, 0]] * wg[:, [-1, 0]])[u_free & w_free]
         worst_bounds = max(worst_bounds, float(np.max(ends, initial=0.0)))
     worst_dual = 0.0
     specs = [(2 + k % 2, 2 + k % 2, 2 + k % 2, 9800 + k, 9900 + k,
               "complex" if k % 2 else "real") for k in range(20)]
     for u, w in _pair_stacks(specs):
         n = u.shape[-1]
-        bases = ((matcore.numerical_rank(vector_gram(u)) == n)
-                 & (matcore.numerical_rank(vector_gram(w)) == n))
+        bases = _gram_eigvalues(u)[1] & _gram_eigvalues(w)[1]
         if not bases.any():
             continue
         u, w = u[bases], w[bases]
@@ -609,23 +610,25 @@ def _psd_forward_failures(stream, count) -> tuple:
         sd = matcore.hermitian_eig(t)
         geometry._checked_psd(sd.eigenvalues)
         full = geometry._positive_eigenvalues(sd.eigenvalues, (n, n)).sum(axis=-1) == r
-        geometry._checked_psd(matcore.hermitian_eigvalues(t)[full])
+        w_t = geometry._checked_psd(matcore.hermitian_eigvalues(t)[full])  # also t's rank
         forward += int(np.count_nonzero(~full))
         t = t[full]
         ext = geometry.PsdExtension(
             t=t, spectrum=matcore.SpectralData(sd.eigenvalues[full], sd.eigenvectors[full]),
             i_plus=tuple(range(r)))
-        t_rank = geometry._border_rank(t)
+        t_rank = geometry._border_rank(w_t)
+
+        def grows(x):  # the rank of t bordered by each row of x exceeds t's
+            return geometry._border_rank(matcore.hermitian_eigvalues(
+                geometry.bordered(t, x))) != t_rank
 
         def rejected(x):  # rank grows and no coefficients come back
-            return ((geometry._border_rank(geometry.bordered(t, x)) != t_rank)
-                    & np.isnan(geometry.admissible_coefficients(ext, x)[:, 0]))
+            return grows(x) & np.isnan(geometry.admissible_coefficients(ext, x)[:, 0])
 
         v = geometry.admissible_vector(ext, unit_rows(coef_w[full], r, cplx))
-        grows = geometry._border_rank(geometry.bordered(t, v)) != t_rank
         back = geometry.admissible_coefficients(ext, v)
         lost = ~(np.abs(np.sum(np.abs(back) ** 2, axis=-1) - 1.0) <= 1e-9)  # NaN rows too
-        forward += int(grows.sum() + lost.sum())
+        forward += int(grows(v).sum() + lost.sum())
         offfam += int((~rejected(1.5 * v)).sum())
         if r < n:
             kernel = ext.spectrum.eigenvectors[..., r:]
@@ -758,16 +761,14 @@ def _envelope_excess(stream) -> float:
     for k in range(200):
         n = 2 + k % 3
         specs.append((n, 2 + k % n if n > 2 else 2, 13000 + k, "complex" if k % 2 else "real"))
-    groups = [(idx[ok], v[ok]) for idx, v in _random_stacks(specs)
-              for ok in [matcore.numerical_rank(vector_gram(v)) == v.shape[1]] if ok.any()]
+    groups = [(idx[ok], v[ok], w[ok]) for idx, v in _random_stacks(specs)
+              for w, ok in [_gram_eigvalues(v)] if ok.any()]
     draws = _group_words(stream, len(specs), [
-        (idx, normal_words(v[0].size, np.iscomplexobj(v)) + 1) for idx, v in groups])
+        (idx, normal_words(v[0].size, np.iscomplexobj(v)) + 1) for idx, v, _ in groups])
     worst = -np.inf
-    for (_, v), drawn in zip(groups, draws):
+    for (_, v, w), drawn in zip(groups, draws):
         noise = box_muller(drawn[:, :-1], v[0].size, np.iscomplexobj(v)).reshape(v.shape)
-        # the Riesz bounds: the extreme eigenvalues of the Gram, as riesz_bounds reads them
-        w = matcore.hermitian_eigvalues(vector_gram(v))
-        lower, upper = w[:, -1], w[:, 0]
+        lower, upper = w[:, -1], w[:, 0]  # the Riesz bounds, as riesz_bounds reads them
         noise *= (np.sqrt(0.8 * lower) / matcore.row_norms(noise.reshape(len(v), -1))
                   * word_uniforms(drawn[:, -1]))[:, None, None]
         eps = matcore.row_norms(noise.reshape(len(v), -1))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from framekit import constructions as cons
-from framekit import geometry, matcore, outer
+from framekit import geometry, matcore, outer, perturb
 from framekit.frame import Frame, analysis
 from framekit.rng import Stream, unit_vectors
 from framekit.errors import (
@@ -530,14 +530,14 @@ class TestStackedPsdExtension:
             ext = geometry.PsdExtension(t=ts, spectrum=sd, i_plus=tuple(range(r)))
             a = np.array([random_unit_vec(rng, r, cplx) for _ in ts])
             v = geometry.admissible_vector(ext, a)
-            t_rank = geometry._border_rank(ts)
+            t_rank = geometry._border_rank(matcore.hermitian_eigvalues(ts))
             for i, e in enumerate(singles):
                 assert v[i].tobytes() == geometry.admissible_vector(e, a[i]).tobytes()
-                assert t_rank[i] == geometry._border_rank(ts[i])
+                assert t_rank[i] == geometry._border_rank(matcore.hermitian_eigvalues(ts[i])) == r
             leak = v + 0.5 * sd.eigenvectors[..., -1]  # a kernel leak when r < n
             for x in (v, 1.5 * v, leak):
                 back = geometry.admissible_coefficients(ext, x)
-                ranks = geometry._border_rank(geometry.bordered(ts, x))
+                ranks = geometry._border_rank(matcore.hermitian_eigvalues(geometry.bordered(ts, x)))
                 for i, e in enumerate(singles):
                     one = geometry.admissible_coefficients(e, x[i])
                     if one is None:
@@ -657,3 +657,49 @@ class TestPrepareBatch:
         too_many = geometry.prepare_batch(outer.induce_batch(self.stack(frames)))
         with pytest.raises(TooMany):
             geometry.classify_frames(too_many, np.eye(2))
+
+
+def test_results_do_not_depend_on_eigenvector_signs(monkeypatch):
+    # negating every other eigenvector column of hermitian_eig leaves a valid
+    # eigendecomposition, so no certificate, prefix, classification or nudge
+    # may change with the signs LAPACK happens to return: bit for bit
+    base = cons.random_unit(3, 4, 5).vectors
+    frames = [cons.biangular(3), Frame.from_vectors(np.vstack([base, -base[1]]))]
+    # random candidates and, for each frame, one of its own vectors (dependent)
+    cands = np.vstack([unit_vectors(Stream(17), 6, 3, False), base[2], frames[0].vectors[0]])
+
+    def results():
+        out = []
+        for f in frames:
+            cert = outer.dependence_certificate(outer.induce(f))
+            reports = [geometry.classify(f, c) for c in cands]
+            out += [cert.coefficients.tobytes(), cert.residual, cert.split,
+                    geometry.independent_prefix(f),
+                    [(r.elliptic_value, r.ellipsoid_residual, r.verdict, r.permutation)
+                     for r in reports],
+                    perturb.nudge_to_independence(f, 0.1).vectors.tobytes()]
+        return out
+
+    want = results()
+    for reports in (want[4], want[10]):
+        assert [verdict for _, _, verdict, _ in reports[-2:]].count("dependent") >= 1
+    eig = matcore.hermitian_eig
+    calls = []
+
+    def flipped(a):
+        sd = eig(a)
+        calls.append(1)
+        signs = np.where(np.arange(sd.eigenvectors.shape[-1]) % 2, -1.0, 1.0)
+        return matcore.SpectralData(eigenvalues=sd.eigenvalues,
+                                    eigenvectors=sd.eigenvectors * signs)
+
+    monkeypatch.setattr(matcore, "hermitian_eig", flipped)
+    caches = (perturb._aligned_base, perturb._compressed_base)
+    for cache in caches:  # so the nudge's bases are built and checked again
+        cache.cache_clear()
+    try:
+        assert results() == want
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert calls

@@ -250,7 +250,7 @@ class TestSpectralInverse:
             sd = matcore.hermitian_eig(a)
             v = sd.eigenvectors
             want = v @ np.diag(1.0 / sd.eigenvalues) @ v.conj().T
-            got = matcore.spectral_inverse(a)
+            got = matcore.spectral_inverse(sd)
             assert got.tobytes() == want.tobytes()
             np.testing.assert_allclose(got @ a, np.eye(n), atol=1e-8)
 
@@ -262,10 +262,11 @@ class TestSpectralInverse:
             if cplx:
                 b = b + 1j * rng.standard_normal((6, n, n))
             a = b @ b.conj().swapaxes(-1, -2) + 0.1 * np.eye(n)
-            got = matcore.spectral_inverse(a)
+            got = matcore.spectral_inverse(matcore.hermitian_eig(a))
             assert got.shape == (6, n, n)
             for k in range(6):
-                assert got[k].tobytes() == matcore.spectral_inverse(a[k]).tobytes()
+                one = matcore.spectral_inverse(matcore.hermitian_eig(a[k]))
+                assert got[k].tobytes() == one.tobytes()
 
 
 class TestRankFromEigenvalues:

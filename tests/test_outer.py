@@ -460,8 +460,8 @@ class TestCrossProducts:
         for n in (2, 3):
             f = random_unit_frame(rng, n, n, cplx)
             g = random_unit_frame(rng, n, n, cplx)
-            fd = f.vectors.T @ matcore.spectral_inverse(gram(f))
-            gd = g.vectors.T @ matcore.spectral_inverse(gram(g))
+            fd = f.vectors.T @ matcore.spectral_inverse(matcore.hermitian_eig(gram(f)))
+            gd = g.vectors.T @ matcore.spectral_inverse(matcore.hermitian_eig(gram(g)))
             want = np.array([np.outer(fd[:, i], gd[:, j].conj())
                              for i in range(n) for j in range(n)])
             assert outer.cross_duals(f, g).tobytes() == want.tobytes()
@@ -564,6 +564,38 @@ def _dependent_frame(rng, n, m, cplx):
     v = f.vectors.copy()
     v[-1] = v[1] * (np.exp(0.3j) if cplx else -1.0)  # same outer product
     return Frame(field=f.field, vectors=v)
+
+
+def _random_unitary(rng, n, cplx):
+    a = rng.standard_normal((n, n))
+    if cplx:
+        a = a + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(a)
+    return q * np.sign(np.diagonal(r).real)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31), st.booleans(), st.integers(2, 4),
+       st.sampled_from(["free", "repeat", "full"]))
+def test_outer_rank_is_invariant_under_unitaries_phases_and_order(seed, cplx, n, kind):
+    # U phi_i c_i for a unitary U and unimodular c_i keeps every
+    # |<phi_j, phi_i>|^2, and reordering the vectors permutes them, so the
+    # outer rank and the independence verdict must not move
+    rng = np.random.default_rng(seed)
+    d = n * n if cplx else n * (n + 1) // 2
+    if kind == "repeat":  # one outer product twice
+        f = _dependent_frame(rng, n, int(rng.integers(3, d + 2)), cplx)
+    else:  # at most the ambient dimension, or one more
+        m = int(rng.integers(1, d + 1)) if kind == "free" else d + 1
+        f = random_unit_frame(rng, n, m, cplx)
+    if cplx:
+        c = np.exp(2j * np.pi * rng.uniform(size=f.m))
+    else:
+        c = rng.choice([-1.0, 1.0], size=f.m)
+    moved = (f.vectors @ _random_unitary(rng, n, cplx).T * c[:, None])[rng.permutation(f.m)]
+    before, after = outer.induce(f), outer.induce(Frame(field=f.field, vectors=moved))
+    assert after.rank == before.rank == min(f.m - (kind == "repeat"), d)
+    assert outer.is_independent(after) == outer.is_independent(before)
 
 
 class TestProductsWithTheVectorizedSynthesis:

@@ -12,8 +12,9 @@ of ``framekit verify`` that draws a random corpus is compared, bit for
 bit, with a per-case reference loop in ``test_verify``.  The package keeps
 one spectral path: its decompositions are the ``np.linalg`` calls listed in
 ``_LINALG_CALLS``, and no module adds its own; nor does any module outside
-``matcore`` divide by eigenvalues but the listed exception.  Only the
-process entry point ``cli.run`` freezes the garbage collector.
+``matcore`` divide by eigenvalues but the listed exception, nor rank a Gram
+or bordered matrix by SVD but the oracle row.  Only the process entry point
+``cli.run`` freezes the garbage collector.
 """
 
 import ast
@@ -25,10 +26,14 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import framekit
+from framekit import constructions as cons
 from framekit import geometry, outer, perturb, verify
-from framekit.frame import Frame
+from framekit.errors import NotIndependent
+from framekit.frame import Frame, riesz_bounds
+from framekit.rng import Stream
 
 
 def _tracer():
@@ -159,11 +164,12 @@ def test_every_check_that_draws_a_corpus_has_a_per_case_reference():
 
 
 #: Every ``np.linalg`` call of the package other than ``norm``, by module.
-#: ``matcore`` holds the spectral path (eigh, eigvalsh, the svd of
-#: ``singular_values`` and of ``stacked_singular_values``); ``outer``'s
-#: solve is ``dependence_certificate``'s, which ``tests/scan_reference.py``
-#: pins; ``verify`` builds its orthonormal bases by qr and checks one
-#: displayed determinant.
+#: ``matcore`` holds the spectral path (eigh and eigvalsh for self-adjoint
+#: matrices; the svd of ``singular_values`` and of ``stacked_singular_values``
+#: for rectangular ones and the oracle row of ``_SVD_OF_SELF_ADJOINT``);
+#: ``outer``'s solve is ``dependence_certificate``'s, which
+#: ``tests/scan_reference.py`` pins; ``verify`` builds its orthonormal bases
+#: by qr and checks one displayed determinant.
 _LINALG_CALLS = [
     ("matcore", "eigh"), ("matcore", "eigvalsh"), ("matcore", "svd"), ("matcore", "svd"),
     ("outer", "solve"), ("verify", "det"), ("verify", "qr"),
@@ -211,44 +217,78 @@ _EIGENVALUE_DIVISIONS = {
 }
 
 
-def _reads_eigenvalues(node, tainted) -> bool:
-    """Whether an expression reads an ``eigenvalues`` attribute or a name in tainted."""
-    return any((isinstance(n, ast.Attribute) and n.attr == "eigenvalues")
-               or (isinstance(n, ast.Name) and n.id in tainted) for n in ast.walk(node))
+def _called(node):
+    """The name a call calls, as a plain name or an attribute, or None."""
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def _eigenvalue_divisions(tree) -> set:
-    """The functions of a module that divide by an eigenvalues array, read
-    directly or through a name bound to one: a local assigned from it, or a
-    parameter that a call in the module passes it to."""
+def _root_name(node):
+    """The name an attribute, call or subscript chain starts from, or None."""
+    while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _taint(tree, source) -> tuple:
+    """(functions, tainted, reads) of a module: a name of a function is
+    tainted when it is bound to an expression that reads a source node
+    (``source(node)`` holds), a tainted name or a call of a module function
+    that returns such an expression; bound means assigned, iterated over,
+    appended to, or a parameter that a call in the module passes it to.
+    ``reads(node, names)`` tells whether an expression reads any of these."""
     functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     tainted = {name: set() for name in functions}
+    producers = set()
+
+    def reads(node, names) -> bool:
+        return any(source(n) or (isinstance(n, ast.Name) and n.id in names)
+                   or (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                       and n.func.id in producers) for n in ast.walk(node))
+
     changed = True
-    while changed:  # to a fixed point: locals within a function, parameters across calls
+    while changed:  # to a fixed point: locals within a function, parameters and returns across
         changed = False
         for name, fn in functions.items():
             for node in ast.walk(fn):
-                bound = []
+                bound, names = [], tainted[name]
                 if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and \
-                        node.value is not None and _reads_eigenvalues(node.value, tainted[name]):
+                        node.value is not None and reads(node.value, names):
                     targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                     bound = [(name, t.id) for target in targets for t in ast.walk(target)
                              if isinstance(t, ast.Name)]
+                elif isinstance(node, (ast.For, ast.comprehension)) and reads(node.iter, names):
+                    bound = [(name, t.id) for t in ast.walk(node.target) if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.Call) and _called(node) in ("append", "extend") and \
+                        isinstance(node.func, ast.Attribute) and \
+                        any(reads(arg, names) for arg in node.args):
+                    bound = [(name, _root_name(node.func.value))]
                 elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
                         node.func.id in functions:
                     params = [a.arg for a in functions[node.func.id].args.args]
                     passed = list(zip(params, node.args))
                     passed += [(k.arg, k.value) for k in node.keywords]
                     bound = [(node.func.id, param) for param, arg in passed
-                             if param is not None and _reads_eigenvalues(arg, tainted[name])]
+                             if param is not None and reads(arg, names)]
+                elif isinstance(node, ast.Return) and node.value is not None and \
+                        name not in producers and reads(node.value, names):
+                    producers.add(name)
+                    changed = True
                 for where, local in bound:
-                    if local not in tainted[where]:
+                    if local is not None and local not in tainted[where]:
                         tainted[where].add(local)
                         changed = True
+    return functions, tainted, reads
+
+
+def _eigenvalue_divisions(tree) -> set:
+    """The functions of a module that divide by an eigenvalues array, read
+    directly or through a name bound to one (``_taint``)."""
+    functions, tainted, reads = _taint(
+        tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "eigenvalues")
     return {name for name, fn in functions.items() for node in ast.walk(fn)
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
-            and _reads_eigenvalues(node.right if isinstance(node, ast.BinOp) else node.value,
-                                   tainted[name])}
+            and reads(node.right if isinstance(node, ast.BinOp) else node.value, tainted[name])}
 
 
 def test_one_owner_of_the_inverse_eigenvalues():
@@ -258,6 +298,75 @@ def test_one_owner_of_the_inverse_eigenvalues():
         if path.stem != "matcore":
             found |= {(path.stem, fn) for fn in _eigenvalue_divisions(ast.parse(path.read_text()))}
     assert sorted(found) == sorted(_EIGENVALUE_DIVISIONS)
+
+
+#: What builds a self-adjoint matrix, and what ranks a matrix by its singular values.
+_SELF_ADJOINT_BUILDERS = ("gram", "vector_gram", "bordered")
+_SVD_RANKS = ("numerical_rank", "singular_values", "stacked_singular_values")
+#: Functions that rank a self-adjoint matrix by SVD, and why.
+_SVD_OF_SELF_ADJOINT = {
+    ("verify", "check_psd_extension_roundtrip"):
+        "its oracle row tests numerical_rank itself, on PSD matrices and their borders, "
+        "against exact elimination",
+}
+
+
+def _svd_of_self_adjoint(tree) -> set:
+    """The functions of a module that hand an SVD rank a matrix built by a
+    self-adjoint builder, directly or through a name bound to one (``_taint``)."""
+    functions, tainted, reads = _taint(
+        tree, lambda n: isinstance(n, ast.Call) and _called(n) in _SELF_ADJOINT_BUILDERS)
+    return {name for name, fn in functions.items() for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and _called(node) in _SVD_RANKS
+            and any(reads(arg, tainted[name]) for arg in node.args)}
+
+
+def test_self_adjoint_matrices_are_ranked_from_their_eigenvalues():
+    # SVD is for rectangular matrices; a Gram or bordered matrix is decomposed
+    # once, by eigh or eigvalsh, and ranked from those eigenvalues
+    found = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "framekit").glob("*.py")):
+        found |= {(path.stem, fn) for fn in _svd_of_self_adjoint(ast.parse(path.read_text()))}
+    assert sorted(found) == sorted(_SVD_OF_SELF_ADJOINT)
+
+
+def test_no_self_adjoint_matrix_goes_through_svd(monkeypatch):
+    # with np.linalg.svd refusing every square self-adjoint input, the rank
+    # paths of Grams and bordered matrices give the same results
+    rng = np.random.default_rng(71)
+    b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    t = b @ b.conj().T
+    family = geometry.admissible_vector(geometry.psd_extension(t), [0.6, 0.8j])
+    frames = [cons.random_unit(3, 3, 72, "complex"), cons.random_unit(2, 2, 73),
+              cons.random_unit(2, 2, 74), cons.epsilon_pair(0.25)]
+    dependent = Frame.from_vectors(np.vstack([frames[1].vectors, frames[1].vectors[:1]]))
+
+    def run():
+        out = [geometry.extension_rank_preserved(t, x) for x in (family, 1.5 * family)]
+        out += [riesz_bounds(f) for f in frames]
+        try:
+            riesz_bounds(dependent)
+        except NotIndependent as exc:
+            out.append(str(exc))
+        out += [outer.outer_duals(f).tobytes() for f in frames[:1] + frames[3:]]
+        out.append(outer.cross_duals(frames[1], frames[2]).tobytes())
+        return out + [verify._psd_forward_failures(Stream(1000), 200)]
+
+    want = run()
+    assert want[:2] == [True, False] and len(want) == 11
+    svd = np.linalg.svd
+
+    def refusing(a, *args, **kwargs):
+        a = np.asarray(a)
+        adj = a.conj().swapaxes(-1, -2)
+        if a.shape[-1] == a.shape[-2] and np.allclose(a, adj, rtol=1e-12, atol=0.0):
+            raise AssertionError(f"svd of a self-adjoint {a.shape} input")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", refusing)
+    with pytest.raises(AssertionError, match="self-adjoint"):
+        np.linalg.svd(t)
+    assert run() == want
 
 
 def test_the_stacked_corpus_paths_build_no_frame(monkeypatch):
