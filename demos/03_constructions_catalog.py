@@ -19,7 +19,7 @@ for n in (2, 3, 4):
     f = fk.eij_basis(n)
     os_ = fk.induce(f)
     print(f"  n={n}: M = {os_.m}, outer rank = {os_.rank}, "
-          f"dim sym = {ambient_outer_dim(f)}")
+          f"dim sym = {ambient_outer_dim(f.n, f.field)}")
 
 print("\n== complex extension: dimension jumps to n^2 ==")
 for n in (2, 3):

@@ -38,7 +38,7 @@ for cand in [np.array([0.0, 1.0, 0.0]),
     rep = fk.classify(f, cand)
     print(f"  candidate {np.round(cand, 4)}: {rep.verdict} "
           f"(elliptic value {rep.elliptic_value:.4f}, "
-          f"ellipsoid residual {rep.ellipsoid_residual:.1e})")
+          f"ellipsoid residual {fk.ellipsoid_residual(f, rep.tv):.1e})")
 
 print("\n== the dependent locus has measure zero ==")
 hits = 0

@@ -272,7 +272,6 @@ def cmd_classify(args) -> int:
     results = {
         "verdict": rep.verdict,
         "elliptic_value": rep.elliptic_value,
-        "ellipsoid_residual": rep.ellipsoid_residual,
         "analysis_image": [[z.real, z.imag] for z in rep.tv.astype(complex)],
     }
     _emit((args.output, to_json(_report("classify", inputs, results, tolerances,

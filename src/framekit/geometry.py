@@ -13,8 +13,7 @@ owns the criterion: the elliptic, ellipsoid and admissible values are its.
 Classification runs in two steps.  ``prepare_batch`` builds, from stacked
 LAPACK calls, the candidate-independent state of K independent frames of
 one shape: the outer Gram G equilibrated to unit diagonal and its
-spectrum, the spans flags and the vector-Gram
-spectra.  ``prepare(f)`` is its one-frame case, on f's greedy independent
+spectrum.  ``prepare(f)`` is its one-frame case, on f's greedy independent
 prefix when f's outers are dependent.  ``classify_batch`` (K candidates,
 one frame) and ``classify_frames`` (candidate k, frame k) share one body:
 one matmul gives every w_i = |<c, phi_i>|^2, and one stacked eigenvalue
@@ -24,7 +23,10 @@ two-sided: an independent verdict must grow the bordered rank, and for
 every candidate det([[G, w], [w^T, 1]]) / det(G) must agree with
 1 - elliptic value within its backward-error bound.  ``elliptic_value``,
 ``quartic_residual`` and ``mu2_subset_mu4_probe`` go through one checked
-body, so every value is cross-checked and comes from the equilibrated spectrum.  A
+body, so every value is cross-checked and comes from the equilibrated spectrum.
+``ellipsoid_residual`` is the one ellipsoid computation: for a spanning
+frame the analysis image of a unit candidate lies on the ellipsoid by
+construction, so the classifier does not report it.  A
 prepared state's ``outer`` is the ``outer.OuterBatch`` of its frames'
 vector stack, with a leading frame axis even for one frame (``prepare``
 builds it by ``induce_batch(f.vectors[None])``).
@@ -48,7 +50,7 @@ from .errors import (
     ShapeMismatch,
     TooMany,
 )
-from .frame import UNIT_NORM_TOL, Frame, gram, spans, unit_norm, vector_gram
+from .frame import UNIT_NORM_TOL, Frame, gram, spans, unit_norm
 # induce is bound here although nothing below calls it: geometry.induce is
 # part of the module's namespace (perfbench's tracer and self-test read it)
 from .outer import OuterBatch, ambient_outer_dim, independent_prefix, induce, induce_batch
@@ -200,15 +202,16 @@ def admissible_coefficients(ext: PsdExtension, v):
         raise ShapeMismatch(f"vector length {v.shape[-1]} does not match {ext.n}")
     # the eigenvalues descend, so i_plus is their first len(i_plus)
     a, norm, leak = matcore.weighted_norm(ext.spectrum, v[..., None, :], len(ext.i_plus))
-    off = _membership_residual(norm, leak, DEFAULT_VERDICT_TOL) > DEFAULT_VERDICT_TOL
+    off = _membership_residual(norm, leak) > DEFAULT_VERDICT_TOL
     if ext.t.ndim == 2:
         return None if off[0] else a[0]
     return np.where(off[..., None], np.nan, a)[..., 0, :]
 
 
-def _membership_residual(norm, leak, tol: float) -> np.ndarray:
-    """|norm - 1| per ``matcore.weighted_norm`` row, or inf where leak > tol^2."""
-    return np.where(leak > tol * tol, np.inf, np.abs(norm - 1.0))
+def _membership_residual(norm, leak) -> np.ndarray:
+    """|norm - 1| per ``matcore.weighted_norm`` row, or inf where leak
+    exceeds DEFAULT_VERDICT_TOL^2."""
+    return np.where(leak > DEFAULT_VERDICT_TOL ** 2, np.inf, np.abs(norm - 1.0))
 
 
 def _inverse_gram_form(spectrum: matcore.SpectralData, w: np.ndarray) -> np.ndarray:
@@ -237,9 +240,9 @@ def _check_candidates(candidates, f) -> np.ndarray:
         candidates = candidates.real
     if not unit_norm(candidates):
         raise NotUnitNorm("candidate must be unit norm")
-    if f.m + 1 > ambient_outer_dim(f):
-        raise TooMany(
-            f"M + 1 = {f.m + 1} exceeds the ambient self-adjoint dimension {ambient_outer_dim(f)}")
+    d = ambient_outer_dim(f.n, f.field)
+    if f.m + 1 > d:
+        raise TooMany(f"M + 1 = {f.m + 1} exceeds the ambient self-adjoint dimension {d}")
     return candidates
 
 
@@ -291,12 +294,12 @@ def ellipsoid_residual(f: Frame, v) -> float:
     if v.shape[0] != f.m:
         raise ShapeMismatch(f"v has length {v.shape[0]}, expected M = {f.m}")
     _, norm, leak = matcore.weighted_norm(matcore.hermitian_eig(gram(f)), v[None], f.n)
-    return float(_membership_residual(norm, leak, DEFAULT_VERDICT_TOL)[0])
+    return float(_membership_residual(norm, leak)[0])
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Residuals and verdict for one candidate vector.
+    """Elliptic value and verdict for one candidate vector.
 
     verdict is "dependent" iff |elliptic_value - 1| <= tol; the verdict is
     always cross-checked against the extended outer Gram (see
@@ -307,7 +310,6 @@ class ClassificationReport:
 
     candidate: np.ndarray
     tv: np.ndarray
-    ellipsoid_residual: float
     elliptic_value: float
     verdict: str
     tol: float
@@ -321,22 +323,18 @@ class PreparedBatch(NamedTuple):
     dataclass).
 
     outer is the induced batch of the frames the candidates extend; its
-    conjugated vectors are their analysis matrices.
-    spans is a (K,) flag array and vector_gram holds the vector-Gram
-    eigendecompositions, which the ellipsoid residual reads where spans
-    holds.  scale holds d_i = G_ii^{-1/2} for each outer Gram G,
-    scaled_gram is the equilibrated D G D with D = diag(d), and
-    scaled_spectrum its eigendecomposition.  Candidates are classified
-    through them, as (D w)^T (D G D)^{-1} (D w) = w^T G^{-1} w, so the
-    elliptic values and their cross-check do not depend on the norms of
-    the frame's vectors.  permutation is set only by prepare, when the
+    conjugated vectors are their analysis matrices.  scale holds
+    d_i = G_ii^{-1/2} for each outer Gram G, scaled_gram is the
+    equilibrated D G D with D = diag(d), and scaled_spectrum its
+    eigendecomposition, the state's one decomposition.  Candidates are
+    classified through them, as (D w)^T (D G D)^{-1} (D w) = w^T G^{-1} w,
+    so the elliptic values and their cross-check do not depend on the
+    norms of the frame's vectors.  permutation is set only by prepare, when the
     input's outers are dependent: its one frame is then the input's
     greedy independent prefix, and permutation the prefix indices.
     """
 
     outer: OuterBatch
-    spans: np.ndarray
-    vector_gram: matcore.SpectralData
     scale: np.ndarray
     scaled_gram: np.ndarray
     scaled_spectrum: matcore.SpectralData
@@ -362,13 +360,9 @@ def prepare_batch(batch: OuterBatch) -> PreparedBatch:
     if not batch.independent.all():
         raise NotIndependent(f"frame {int(np.argmin(batch.independent))} of the batch has "
                              "dependent outer products")
-    v = batch.vectors
     scale, scaled_gram = _equilibrated(batch.gram_op)
-    return PreparedBatch(outer=batch,  # spans: each synthesis matrix's rank
-                         spans=matcore.numerical_rank(v.swapaxes(-1, -2)) == v.shape[-1],
-                         vector_gram=matcore.hermitian_eig(vector_gram(v)), scale=scale,
-                         scaled_gram=scaled_gram, scaled_spectrum=matcore.hermitian_eig(scaled_gram),
-                         permutation=None)
+    return PreparedBatch(outer=batch, scale=scale, scaled_gram=scaled_gram,
+                         scaled_spectrum=matcore.hermitian_eig(scaled_gram), permutation=None)
 
 
 def prepare(f: Frame) -> PreparedBatch:
@@ -389,22 +383,19 @@ class BatchClassification(NamedTuple):
     """Verdicts for a (K, N) batch of candidates against one prepared frame.
 
     Row k of every array belongs to candidate k, and report(k) is the
-    report classify gives for that candidate alone.  ellipsoid_residual is
-    NaN throughout when the frame does not span.
+    report classify gives for that candidate alone.
     """
 
     candidates: np.ndarray
     tv: np.ndarray
     elliptic_value: np.ndarray
     dependent: np.ndarray
-    ellipsoid_residual: np.ndarray
     tol: float
     permutation: tuple | None
 
     def report(self, k: int) -> ClassificationReport:
         return ClassificationReport(
             candidate=self.candidates[k], tv=self.tv[k],
-            ellipsoid_residual=float(self.ellipsoid_residual[k]),
             elliptic_value=float(self.elliptic_value[k]),
             verdict="dependent" if self.dependent[k] else "independent",
             tol=self.tol, permutation=self.permutation)
@@ -483,13 +474,9 @@ def _classified(prep: PreparedBatch, candidates, tv: np.ndarray, tol: float) -> 
     dependent = np.abs(value - 1.0) <= tol
     check = _bordered_gram_check(prep.scaled_gram, prep.scaled_spectrum.eigenvalues,
                                  w.reshape(-1, m), value.reshape(-1), dependent.reshape(-1))
-    with np.errstate(all="ignore"):  # frames that do not span are masked below
-        _, norm, leak = matcore.weighted_norm(prep.vector_gram, tv, prep.outer.n)
-    ell = np.where(prep.spans[..., None], _membership_residual(norm, leak, tol), np.nan)
     result = BatchClassification(candidates=candidates, tv=tv.reshape(-1, m),
                                  elliptic_value=value.reshape(-1),
-                                 dependent=dependent.reshape(-1),
-                                 ellipsoid_residual=ell.reshape(-1), tol=tol,
+                                 dependent=dependent.reshape(-1), tol=tol,
                                  permutation=prep.permutation)
     return result, check
 
@@ -515,9 +502,9 @@ def classify_batch(prep: PreparedBatch, candidates,
     (the one-frame state prepare builds).
 
     tv = C A^T gives every analysis image in one matmul; the elliptic
-    values, verdicts and ellipsoid residuals are vectorised over the
-    batch, and every candidate is cross-checked against its bordered Gram
-    through one stacked eigenvalue call (see _bordered_gram_check).
+    values and verdicts are vectorised over the batch, and every candidate
+    is cross-checked against its bordered Gram through one stacked
+    eigenvalue call (see _bordered_gram_check).
     Raises InternalInconsistency for the first candidate that disagrees.
     """
     count = len(prep.outer.vectors)
@@ -563,7 +550,7 @@ def mu2_subset_mu4_probe(f: Frame, samples: int, seed: int) -> float:
     residual of zero for every sample.
     """
     prep = prepare(f)
-    rank, ambient = int(prep.outer.rank[0]), ambient_outer_dim(f)
+    rank, ambient = int(prep.outer.rank[0]), ambient_outer_dim(f.n, f.field)
     if rank < ambient:
         raise RankDeficient(f"outer products span {rank} < {ambient} dimensions")
     psi = unit_vectors(Stream(seed), samples, f.n, f.field == "complex")

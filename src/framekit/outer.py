@@ -36,10 +36,10 @@ from .frame import (BoundsReport, Frame, _bounds_report, checked_vectors, field_
 ZERO_ENTRY_TOL = 1e-12
 
 
-def ambient_outer_dim(f) -> int:
-    """Dimension of the real span of self-adjoint N x N matrices (f a Frame or OuterBatch)."""
-    n = f.n
-    return n * (n + 1) // 2 if f.field == "real" else n * n
+def ambient_outer_dim(n: int, field: str) -> int:
+    """Dimension of the real span of self-adjoint n x n matrices over the
+    field ("real" or "complex"): the most outer products that can be independent."""
+    return n * (n + 1) // 2 if field == "real" else n * n
 
 
 def _outer_spectra(v: np.ndarray):

@@ -31,7 +31,7 @@ from .errors import (
     TooMany,
 )
 from .frame import UNIT_NORM_TOL, Frame, checked_vectors, field_of, unit_norm
-from .outer import OuterBatch, _GreedyScan, _outer_spectra, _rows, induce
+from .outer import OuterBatch, _GreedyScan, _outer_spectra, _rows, ambient_outer_dim, induce
 
 
 def perturbed_riesz_bounds(a, b, eps_sq) -> tuple:
@@ -255,8 +255,9 @@ def nudge_batch(vectors, eps: float) -> np.ndarray:
 
     Greedy: vectors whose outer product grows the running rank are kept
     verbatim; each offender is replaced by the first member of a nearby
-    independent basis (budget eps/M per vector, metric sum of norms) whose
-    outer product leaves the current span.  Either way vector i leaves each
+    independent basis (budget eps/M per vector, metric sum of norms, capped
+    where a larger one would build the same basis) whose outer product
+    leaves the current span.  Either way vector i leaves each
     frame with i + 1 kept vectors, so one ``outer._GreedyScan`` of the K
     frames judges vector i of every frame in one trial, and the offenders'
     candidates, from one ``nearby_independent_basis`` call, a member at a
@@ -275,13 +276,17 @@ def nudge_batch(vectors, eps: float) -> np.ndarray:
         raise BadParam(f"eps must be finite and positive, got {eps}")
     vectors = checked_vectors(vectors, field_of(vectors), ndim=3)
     m, n = vectors.shape[1:]
-    d = n * n if np.iscomplexobj(vectors) else n * (n + 1) // 2  # outer.ambient_outer_dim
+    d = ambient_outer_dim(n, field_of(vectors))
     if m > d:
         raise TooMany(f"M = {m} exceeds the ambient self-adjoint dimension {d}")
     if not unit_norm(vectors):
         raise NotUnitNorm("the density argument is stated for unit-norm frames")
 
-    per_vector_sq = (eps / m) ** 2
+    # a squared budget >= max(2, 2 * ratio), with ratio = N - 1 for the
+    # aligned family, leaves delta at 1 and the movement check off, so the
+    # bases stop depending on it: capping eps / M far above that keeps the
+    # square finite for any eps and changes no output
+    per_vector_sq = min(eps / m, 1e100) ** 2
     scan = _GreedyScan(vectors)
     for i in range(m):
         offenders = (~scan.grows(vectors[:, i])).nonzero()[0]

@@ -356,7 +356,7 @@ def check_hadamard_gram():
 
 def _bound_extremes_spec(k):
     n = 2 + k % 3
-    d = n * (n + 1) // 2
+    d = outer.ambient_outer_dim(n, "real")
     return n, 2 + k % (d - 1), 4000 + k, "real"
 
 
@@ -695,7 +695,7 @@ def check_classifier_coherence():
             specs.append((2, 2 + k % 2, 11000 + k, "complex"))
         else:
             n = 2 + k % 2
-            d = n * (n + 1) // 2
+            d = outer.ambient_outer_dim(n, "real")
             # keep M + 1 within the ambient dimension
             specs.append((n, 2 + k % max(1, d - 2), 11000 + k, "real"))
     groups = _kept_groups(specs, lambda b: b.independent)
@@ -784,9 +784,8 @@ def _radius_fuzz_failures(stream) -> int:
     products, in order, draws m n normal deviates."""
     specs = []
     for k in range(500):
-        n = 2 + k % 2
-        d = n * n if k % 2 else n * (n + 1) // 2
-        specs.append((n, min(2 + k % 3, d), 13500 + k, "complex" if k % 2 else "real"))
+        n, field = 2 + k % 2, "complex" if k % 2 else "real"
+        specs.append((n, min(2 + k % 3, outer.ambient_outer_dim(n, field)), 13500 + k, field))
     groups = _kept_groups(specs, lambda b: b.independent)
     draws = _group_words(stream, len(specs), [
         (idx, normal_words(b.vectors[0].size, np.iscomplexobj(b.vectors))) for idx, b in groups])
@@ -826,10 +825,9 @@ def check_perturbation_suite():
 def _density_spec(k: int, seed: int) -> tuple:
     """Spec k of the density corpora: every fourth frame complex with N = 2,
     the others real with N = 2 + k % 3, and 2 <= M < the ambient dimension."""
-    cplx = k % 4 == 3
-    n = 2 if cplx else 2 + k % 3
-    d = n * n if cplx else n * (n + 1) // 2
-    return n, 2 + k % (d - 1), seed + k, "complex" if cplx else "real"
+    field = "complex" if k % 4 == 3 else "real"
+    n = 2 if field == "complex" else 2 + k % 3
+    return n, 2 + k % (outer.ambient_outer_dim(n, field) - 1), seed + k, field
 
 
 def _random_dependent_stacks(count: int) -> list:

@@ -3,10 +3,12 @@
 Nothing here goes through ``framekit.matcore`` or ``framekit.serialization``:
 ranks come from exact rational elimination, eigenvalues and solves from
 numpy's LAPACK bindings called directly or from closed forms, CSV tables
-from the ``csv`` module.
+from the ``csv`` module, JSON documents from the ``json`` module with its
+non-standard constants refused.
 """
 
 import csv
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +100,16 @@ def read_matrix_csv(fp) -> np.ndarray:
     out = values[:, 0::2].astype(complex)
     out.imag = values[:, 1::2]
     return out
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity, as a strict
+    JSON reader does."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def random_self_adjoint(rng, n, cplx):

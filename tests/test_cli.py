@@ -13,7 +13,7 @@ from framekit import cli, constructions as cons, serialization as ser, verify
 from framekit.frame import Frame
 from framekit.rng import Stream, unit_vectors
 
-from oracles import elliptic_values_solve, read_matrix_csv
+from oracles import elliptic_values_solve, read_matrix_csv, strict_json
 
 
 def run_cli(capsys, *argv):
@@ -225,8 +225,22 @@ def test_classify_candidate_report_fields(tmp_path, capsys):
     run_cli(capsys, "construct", "orthonormal", "--n", "3", "-o", str(frame_file))
     code, out, _ = run_cli(capsys, "classify", str(frame_file), "--candidate", "[0.6, 0.8, 0]")
     assert code == 0
-    assert list(json.loads(out)["results"]) == [
-        "verdict", "elliptic_value", "ellipsoid_residual", "analysis_image"]
+    assert list(json.loads(out)["results"]) == ["verdict", "elliptic_value", "analysis_image"]
+
+
+@pytest.mark.parametrize("vectors, tol", [
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "1e-8"),  # a frame that does not span
+    (cons.random_unit(3, 4, 2).vectors.tolist(), "1e-20"),  # a verdict tolerance below rounding
+])
+def test_classify_candidate_report_is_strict_json(tmp_path, capsys, vectors, tol):
+    frame_file = tmp_path / "f.json"
+    frame_file.write_text(json.dumps({"field": "real", "n": 3, "vectors": vectors}))
+    code, out, _ = run_cli(capsys, "classify", str(frame_file), "--candidate", "[0.6, 0.8, 0]",
+                           "--tol", tol)
+    assert code == 0
+    results = strict_json(out)["results"]
+    assert list(results) == ["verdict", "elliptic_value", "analysis_image"]
+    assert results["verdict"] == "independent"
 
 
 def test_classify_grid(tmp_path, capsys):
@@ -535,6 +549,17 @@ def test_nudge_eps_whose_budget_underflows(tmp_path, capsys):
     code, out, err = run_cli(capsys, "nudge", str(frame_file), "--eps", "1e-300")
     assert code == 3 and out == ""
     assert "too small" in err and "underflows" in err
+
+
+@pytest.mark.parametrize("construct, m", [
+    (["random-unit", "--n", "3", "--m", "4", "--seed", "2"], 4), (["biangular", "--n", "3"], 6)])
+def test_nudge_eps_whose_squared_budget_overflows(tmp_path, capsys, construct, m):
+    frame_file = tmp_path / "f.json"
+    run_cli(capsys, "construct", *construct, "-o", str(frame_file))
+    code, out, err = run_cli(capsys, "nudge", str(frame_file), "--eps", "1e200")
+    assert code == 0 and err == ""
+    results = strict_json(out)["report"]["results"]
+    assert results["outer_independent"] and results["outer_rank"] == m
 
 
 def test_nudge_eps_below_what_the_rank_rule_resolves(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Subprocess fuzz of the CLI's input boundary.
 
-Whatever the classify flags, the FRAMEKIT_TOL value or the frame entries,
-``framekit`` must end with a documented exit code (0 success, 2 usage or
-parse error, 3 domain error; 1 is reserved for verification failures) and
-never print a traceback.
+Whatever the classify or nudge flags, the FRAMEKIT_TOL value or the frame
+entries, ``framekit`` must end with a documented exit code (0 success, 2
+usage or parse error, 3 domain error; 1 is reserved for verification
+failures), never print a traceback, and on success print strict JSON (no
+NaN or Infinity).
 """
 
 import json
@@ -14,6 +15,8 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from oracles import strict_json
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -82,24 +85,42 @@ def classify_flags(draw):
     return flags
 
 
+#: --eps texts, with budgets whose square per vector overflows a float
+EPS_TEXT = st.one_of(NUMBER_TEXT,
+                    st.sampled_from(["1e154", "1e155", "1e200", "1.7976931348623157e308"]))
+
+
+@st.composite
+def command_lines(draw):
+    """A command with flags of its own: classify's, nudge's --eps, or none."""
+    command = draw(st.sampled_from(["classify", "analyze", "nudge"]))
+    if command == "classify":
+        return command, draw(classify_flags())
+    if command == "nudge":
+        return command, [f"--eps={draw(EPS_TEXT)}"]
+    return command, []
+
+
 ENV_TOL = st.one_of(st.none(), NUMBER_TEXT, st.sampled_from(["0", "1e-3", "0.5", "1e-14"]))
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(doc=frame_docs(), command=st.sampled_from(["classify", "analyze"]),
-       flags=classify_flags(), env_tol=ENV_TOL)
-def test_cli_exit_contract(tmp_path_factory, doc, command, flags, env_tol):
+@settings(max_examples=45, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=frame_docs(), line=command_lines(), env_tol=ENV_TOL)
+def test_cli_exit_contract(tmp_path_factory, doc, line, env_tol):
+    command, flags = line
     path = tmp_path_factory.mktemp("fuzz") / "frame.json"
     path.write_text(json.dumps(doc))
     env = {k: v for k, v in os.environ.items() if k != "FRAMEKIT_TOL"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     if env_tol is not None:
         env["FRAMEKIT_TOL"] = env_tol
-    argv = [command, str(path)] + (flags if command == "classify" else [])
+    argv = [command, str(path), *flags]
     proc = subprocess.run([sys.executable, "-m", "framekit.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode in (0, 2, 3), (argv, env_tol, proc.stderr)
     assert "Traceback" not in proc.stderr, (argv, env_tol, proc.stderr)
+    if proc.returncode == 0:
+        strict_json(proc.stdout)
 
 
 @settings(max_examples=300, deadline=None)

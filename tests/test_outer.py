@@ -44,7 +44,7 @@ class TestInduce:
         np.testing.assert_array_equal(os_.outers[0], np.diag([1.0, 0.0]))
         np.testing.assert_array_equal(os_.outers[1], np.diag([0.0, 1.0]))
         np.testing.assert_array_equal(os_.gram_op, np.eye(2))
-        assert os_.rank == 2 and outer.ambient_outer_dim(f) == 3
+        assert os_.rank == 2 and outer.ambient_outer_dim(f.n, f.field) == 3
 
     def test_epsilon_gram(self):
         os_ = outer.induce(cons.epsilon_pair(0.25))

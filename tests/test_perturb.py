@@ -318,6 +318,19 @@ class TestNudge:
         g = cons.eij_basis(2)
         assert perturb.nudge_to_independence(g, 1e-300) is g
 
+    def test_eps_whose_squared_budget_overflows(self):
+        # (eps / M)^2 overflows a float from eps ~ 1.3e154 M on; any budget
+        # from about 2N on builds the same bases, so the result is eps = 1e100's
+        f = cons.random_unit(3, 4, 2)
+        assert perturb.nudge_to_independence(f, 1e200) is f
+        duplicate = Frame.from_vectors(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        for g in (cons.biangular(3), duplicate):
+            want = perturb.nudge_to_independence(g, 1e100)
+            for eps in (1e200, np.finfo(np.float64).max):
+                got = perturb.nudge_to_independence(g, eps)
+                assert got.vectors.tobytes() == want.vectors.tobytes()
+                assert outer.induce(got).rank == g.m
+
     @pytest.mark.parametrize("eps", [1e-6, 1e-9])
     def test_eps_below_what_the_rank_rule_resolves(self, eps):
         # the biangular N = 3 frame repeats outer products, and within

@@ -13,8 +13,9 @@ bit, with a per-case reference loop in ``test_verify``.  The package keeps
 one spectral path: its decompositions are the ``np.linalg`` calls listed in
 ``_LINALG_CALLS``, and no module adds its own; nor does any module outside
 ``matcore`` divide by eigenvalues but the listed exception, nor rank a Gram
-or bordered matrix by SVD but the oracle row.  Only the process entry point
-``cli.run`` freezes the garbage collector.
+or bordered matrix by SVD but the oracle row; only ``ellipsoid_residual``
+reads a vector-Gram spectrum through ``weighted_norm``.  Only the process
+entry point ``cli.run`` freezes the garbage collector.
 """
 
 import ast
@@ -328,6 +329,30 @@ def test_self_adjoint_matrices_are_ranked_from_their_eigenvalues():
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "framekit").glob("*.py")):
         found |= {(path.stem, fn) for fn in _svd_of_self_adjoint(ast.parse(path.read_text()))}
     assert sorted(found) == sorted(_SVD_OF_SELF_ADJOINT)
+
+
+#: The functions that hand ``weighted_norm`` a vector-Gram spectrum: the
+#: ellipsoid is the analysis image of the unit sphere, measured in one place.
+_ELLIPSOID_NORMS = [("geometry", "ellipsoid_residual")]
+
+
+def _vector_gram_norms(tree) -> set:
+    """The functions of a module that call ``weighted_norm`` on a spectrum
+    read from a vector Gram: a ``gram`` or ``vector_gram`` call, or a
+    ``vector_gram`` field, directly or through a name bound to one (``_taint``)."""
+    functions, tainted, reads = _taint(tree, lambda n: (
+        isinstance(n, ast.Call) and _called(n) in ("gram", "vector_gram")) or (
+        isinstance(n, ast.Attribute) and n.attr == "vector_gram"))
+    return {name for name, fn in functions.items() for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and _called(node) == "weighted_norm"
+            and node.args and reads(node.args[0], tainted[name])}
+
+
+def test_one_ellipsoid_computation():
+    found = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "framekit").glob("*.py")):
+        found |= {(path.stem, fn) for fn in _vector_gram_norms(ast.parse(path.read_text()))}
+    assert sorted(found) == _ELLIPSOID_NORMS
 
 
 def test_no_self_adjoint_matrix_goes_through_svd(monkeypatch):
