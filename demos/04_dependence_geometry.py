@@ -26,7 +26,7 @@ for v, label in [
     (np.array([0.0, 0.0, 1.0]), "kernel direction (off family)"),
     (np.array([0.7, 0.0, 0.0]), "wrong scale      (off family)"),
 ]:
-    kept = fk.extension_rank_preserved(t, v)
+    kept = fk.extension_rank_preserved(ext, v)
     coeff = fk.admissible_coefficients(ext, v)
     print(f"  {label}: rank preserved={kept}, "
           f"coefficients={'none' if coeff is None else np.round(coeff, 6)}")

@@ -40,8 +40,9 @@ print(f"lower outer bound A = 0.75, safe squared-budget radius = "
 
 print("\n== independence is invariant under invertible rescaling ==")
 s = np.array([[3.0, 1.0], [0.0, 0.2]])
-print(f"verdicts agree for S phi_i: "
-      f"{fk.rescale_invariance_check(fk.random_unit(2, 3, seed=3), s)}")
+f = fk.random_unit(2, 3, seed=3)
+mapped = fk.Frame.from_vectors(f.vectors @ s.T)
+print(f"outer rank of phi_i: {fk.induce(f).rank}, of S phi_i: {fk.induce(mapped).rank}")
 
 print("\n== a whole outer-product basis within any distance of one vector ==")
 psi = np.array([0.6, 0.8])

@@ -84,5 +84,4 @@ from .perturb import (
     nudge_to_independence,
     outer_distance,
     perturbed_riesz_bounds,
-    rescale_invariance_check,
 )

@@ -64,22 +64,28 @@ def _lazy_module(name: str):
 verify_mod = _lazy_module("framekit.verify")
 
 
-def _write_files(texts: dict) -> None:
-    """Write each text of {path: text} to its path, all or none.
+def _write_files(outputs) -> None:
+    """Write each (path, text) of outputs to its path, all or none.
 
     Every path is opened, without truncating it, before any is written, so
-    a path that cannot be opened exits 2 with one line and leaves every
-    path as it was (a file this call created is removed again).
+    a path that cannot be opened, or two that name one regular file (one
+    string or two links; a pipe or device may take several), exit 2 with
+    one line and leave every path as it was (a file this call created is
+    removed again).
     """
-    files, created = [], []
+    files, created, owners = [], [], {}
     try:
-        for path, text in texts.items():
+        for i, (path, text) in enumerate(outputs):
             try:
                 fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 created.append(path)
             except FileExistsError:
                 fd = os.open(path, os.O_WRONLY)
             files.append((open(fd, "w", newline=""), path, text))
+            info = os.fstat(fd)
+            first = owners.setdefault((info.st_dev, info.st_ino), i)
+            if first != i and stat.S_ISREG(info.st_mode):
+                raise OSError(f"another output ({outputs[first][0]}) names the same file")
         for fp, path, text in files:
             with fp:
                 if stat.S_ISREG(os.fstat(fp.fileno()).st_mode):  # not a pipe or device
@@ -97,7 +103,7 @@ def _write_files(texts: dict) -> None:
 def _emit(*outputs) -> None:
     """Write each (path, text) of outputs: those with a path to their files,
     all or none (_write_files), then the others to stdout."""
-    _write_files({path: text for path, text in outputs if path})
+    _write_files([(path, text) for path, text in outputs if path])
     for path, text in outputs:
         if not path:
             sys.stdout.write(text)

@@ -57,10 +57,6 @@ class RankDeficient(FramekitError):
     pass
 
 
-class SingularOperator(FramekitError):
-    pass
-
-
 class BudgetTooLarge(FramekitError):
     pass
 

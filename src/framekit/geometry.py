@@ -95,8 +95,8 @@ class PsdExtension:
     """A validated PSD matrix with its spectrum and positive-eigenvalue index.
 
     It may also hold a (K, n, n) stack of matrices that share i_plus, with
-    the stacked spectrum; admissible_vector and admissible_coefficients
-    then work on every matrix at once.
+    the stacked spectrum; admissible_vector, admissible_coefficients and
+    extension_rank_preserved then work on every matrix at once.
     """
 
     t: np.ndarray
@@ -115,14 +115,13 @@ def _psd_violations(w: np.ndarray):
     return (w[..., -1] < -PSD_RELTOL * top) | ((top == 0.0) & (w[..., -1] < 0.0))
 
 
-def _checked_psd(w: np.ndarray) -> np.ndarray:
-    """The descending eigenvalues w (one row per matrix of a stack); NotPsd
-    unless they are those of PSD matrices."""
+def _checked_psd(w: np.ndarray) -> None:
+    """NotPsd unless the descending eigenvalues w (one row per matrix of a
+    stack) are those of PSD matrices."""
     bad = _psd_violations(w)
     if np.any(bad):
         low = np.asarray(w[..., -1])[bad][0]
         raise NotPsd(f"smallest eigenvalue {low} is negative beyond tolerance")
-    return w
 
 
 def _positive_eigenvalues(w: np.ndarray, shape) -> np.ndarray:
@@ -160,14 +159,16 @@ def bordered(t, v) -> np.ndarray:
     return out
 
 
-def extension_rank_preserved(t, v) -> bool:
-    """Whether bordering t with (v, 1) keeps the rank unchanged.
+def extension_rank_preserved(ext: PsdExtension, v):
+    """Whether bordering ext's t with (v, 1) keeps the rank unchanged; for a
+    stacked ext and a (K, n) v, per matrix.
 
-    Raises NotPsd as psd_extension does, from the eigenvalues that give t's rank.
+    t's rank is read from ext's spectrum, which psd_extension has already
+    put through the PSD rule, so t is decomposed once; the bordered matrix
+    takes one eigvalsh.
     """
-    t = matcore.as_matrix(t)
-    w = _checked_psd(matcore.hermitian_eigvalues(t))
-    return _border_rank(matcore.hermitian_eigvalues(bordered(t, v))) == _border_rank(w)
+    w = matcore.hermitian_eigvalues(bordered(ext.t, v))
+    return _border_rank(w) == _border_rank(ext.spectrum.eigenvalues)
 
 
 def admissible_vector(ext: PsdExtension, a) -> np.ndarray:

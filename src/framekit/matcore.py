@@ -40,6 +40,11 @@ class SpectralData:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def take(self, rows) -> "SpectralData":
+        """The decompositions at the given rows (indices or a mask) of a stack."""
+        return SpectralData(eigenvalues=self.eigenvalues[rows],
+                            eigenvectors=self.eigenvectors[rows])
+
 
 def as_stack(a) -> np.ndarray:
     """A matrix or a stack of matrices, shape (..., rows, cols)."""

@@ -111,10 +111,8 @@ class OuterBatch:
     def take(self, rows) -> "OuterBatch":
         """The batch of the frames at the given rows of a stacked batch."""
         rows = np.asarray(rows, dtype=int)
-        spectrum = matcore.SpectralData(eigenvalues=self.gram_spectrum.eigenvalues[rows],
-                                        eigenvectors=self.gram_spectrum.eigenvectors[rows])
         return OuterBatch(vectors=self.vectors[rows], gram_op=self.gram_op[rows],
-                          gram_spectrum=spectrum, rank=self.rank[rows])
+                          gram_spectrum=self.gram_spectrum.take(rows), rank=self.rank[rows])
 
 
 def induce(f: Frame) -> OuterBatch:
@@ -397,13 +395,17 @@ def project_onto_outer_span(os_: OuterBatch, x) -> np.ndarray:
     return _projections(os_, x.reshape(-1, os_.n ** 2)).reshape(x.shape)
 
 
-def _dual_vectors(v: np.ndarray, dependent: Exception) -> np.ndarray:
-    """The (..., M, N) biorthogonal vectors T G^{-1} of (..., M, N) vector rows,
-    per frame, from one eigendecomposition of each vector Gram G, which also
-    gives its rank: raises dependent when some frame's vectors are dependent."""
+def _vector_spectra(v: np.ndarray) -> tuple:
+    """The eigendecomposition of each vector Gram of (..., M, N) vector rows,
+    and whether each frame's vectors are independent, ranked from it."""
     sd = matcore.hermitian_eig(vector_gram(v))
-    if np.any(matcore.rank_from_eigenvalues(sd.eigenvalues, v.shape[-2:-1] * 2) < v.shape[-2]):
-        raise dependent
+    return sd, matcore.rank_from_eigenvalues(sd.eigenvalues, v.shape[-2:-1] * 2) == v.shape[-2]
+
+
+def _dual_vectors(v: np.ndarray, sd: matcore.SpectralData) -> np.ndarray:
+    """The (..., M, N) biorthogonal vectors T G^{-1} of (..., M, N) rows of
+    independent vectors, per frame, from sd, the eigendecomposition of each
+    vector Gram G by which ``_vector_spectra`` ranked it."""
     return (v.swapaxes(-1, -2) @ matcore.spectral_inverse(sd)).swapaxes(-1, -2)
 
 
@@ -417,9 +419,12 @@ def outer_duals_of(os_: OuterBatch) -> np.ndarray:
     projection the candidates fail to lie in the span.  NotIndependent
     when the vectors of some frame, or their outer products, are dependent.
     """
-    duals = _dual_vectors(os_.vectors, NotIndependent("the vectors themselves must be independent"))
+    sd, free = _vector_spectra(os_.vectors)
+    if not np.all(free):
+        raise NotIndependent("the vectors themselves must be independent")
     if np.any(os_.rank < os_.m):
         raise NotIndependent("the outer products must be independent")
+    duals = _dual_vectors(os_.vectors, sd)
     return _projections(os_, matcore.vectorize_outer(duals)).reshape(duals.shape + (os_.n,))
 
 
@@ -465,5 +470,7 @@ def cross_duals(f, g) -> np.ndarray:
     n = u.shape[-1]
     if u.shape[-2] != n or w.shape[-2] != n:
         raise NotABasis("cross duals are defined for bases (M = N)")
-    basis = NotABasis("input vectors do not form a basis")
-    return _cross_products(_dual_vectors(u, basis), _dual_vectors(w, basis))
+    (su, u_free), (sw, w_free) = _vector_spectra(u), _vector_spectra(w)
+    if not np.all(u_free & w_free):
+        raise NotABasis("input vectors do not form a basis")
+    return _cross_products(_dual_vectors(u, su), _dual_vectors(w, sw))

@@ -27,7 +27,6 @@ from .errors import (
     InternalInconsistency,
     NotIndependent,
     NotUnitNorm,
-    SingularOperator,
     TooMany,
 )
 from .frame import UNIT_NORM_TOL, Frame, checked_vectors, field_of, unit_norm
@@ -92,24 +91,6 @@ def independence_radius(os_: OuterBatch):
     if not np.all(os_.independent):
         raise NotIndependent("independence radius needs independent outer products")
     return os_.gram_spectrum.eigenvalues[..., -1] / 2.0
-
-
-def rescale_invariance_check(f: Frame, s) -> bool:
-    """Outer-product independence is invariant under invertible rescaling.
-
-    Returns whether the verdicts for {phi_i} and {S phi_i} agree; this is
-    a named check for the test suite and must always come back True.
-    """
-    s = matcore.as_matrix(s)
-    if s.shape != (f.n, f.n):
-        raise BadParam(f"operator shape {s.shape} does not act on dimension {f.n}")
-    if matcore.numerical_rank(s) < f.n:
-        raise SingularOperator("rescaling operator is singular at tolerance")
-    field = "complex" if (np.iscomplexobj(s) or f.field == "complex") else "real"
-    mapped = Frame(field=field, vectors=(s @ f.vectors.T).T)
-    before = induce(f).rank == f.m
-    after = induce(mapped).rank == f.m
-    return before == after
 
 
 def _dependent_basis(what: str) -> Exception:

@@ -19,11 +19,11 @@ stacked LAPACK calls per (frame shape, field), and every frame, vector and
 verdict is bit for bit what case-by-case evaluation gives, so the rows are
 the same either way.  The classifier corpus is prepared and classified one
 shape group at a time (``geometry.prepare_batch`` and
-``classify_frames``), the outer duals come from ``outer.outer_duals_of`` on
-the kept groups, and ``nudge-repair`` nudges each (shape, field) group of
-its corpus with one ``perturb.nudge_batch`` call per budget and judges the
-nudged stacks' ranks and movements stacked.  Each forward case of
-``psd-extension-roundtrip`` draws the same words whatever its outcome.
+``classify_frames``), the duals invert the vector-Gram eigendecompositions
+that their filters ranked, and ``nudge-repair`` nudges each (shape, field)
+group of its corpus with one ``perturb.nudge_batch`` call per budget and
+judges the nudged stacks' ranks and movements stacked.  Each forward case
+of ``psd-extension-roundtrip`` draws the same words whatever its outcome.
 
 Ranks that LAPACK computes are checked against an exact oracle,
 ``rational_rank``: Gaussian elimination of a stack of matrices, scaled to
@@ -469,12 +469,20 @@ def _outer_duals_spec(k):
 
 
 def check_outer_duals():
+    kept = []  # per group, its frames that pass and their vector-Gram spectra
+
+    def keep(batch):  # vectors and outer products independent
+        sd, free = outer._vector_spectra(batch.vectors)
+        rows = np.flatnonzero(free & batch.independent)
+        if rows.size:
+            kept.append((batch.take(rows), sd.take(rows)))
+        return free & batch.independent
+
+    _first_kept(_outer_duals_spec, 100, keep)  # the first 100 k that pass
     worst = 0.0
-    # the first 100 k whose vectors and outer products are independent
-    kept = _first_kept(_outer_duals_spec, 100,
-                       lambda b: _gram_eigvalues(b.vectors)[1] & b.independent)
-    for _, batch in kept:
-        duals = outer.outer_duals_of(batch).reshape(len(batch.vectors), batch.m, -1)
+    for batch, sd in kept:  # outer_duals_of's body, on the spectra that kept them
+        duals = outer._projections(batch, matcore.vectorize_outer(
+            outer._dual_vectors(batch.vectors, sd)))
         bio = np.real(matcore.vectorize_outer(batch.vectors).conj() @ duals.swapaxes(-1, -2))
         worst = max(worst, float(np.max(np.abs(bio - np.eye(batch.m)))))
     return [_row("outer-duals", "biorthogonality over 100 configurations", worst,
@@ -545,11 +553,15 @@ def check_cross_products():
               "complex" if k % 2 else "real") for k in range(20)]
     for u, w in _pair_stacks(specs):
         n = u.shape[-1]
-        bases = _gram_eigvalues(u)[1] & _gram_eigvalues(w)[1]
+        (su, u_free), (sw, w_free) = outer._vector_spectra(u), outer._vector_spectra(w)
+        bases = u_free & w_free
         if not bases.any():
             continue
         u, w = u[bases], w[bases]
-        duals = outer.cross_duals(u, w).reshape(len(u), n * n, -1)
+        # cross_duals' body, on the spectra that found the bases
+        duals = outer._cross_products(outer._dual_vectors(u, su.take(bases)),
+                                      outer._dual_vectors(w, sw.take(bases)))
+        duals = duals.reshape(len(u), n * n, -1)
         originals = outer._cross_products(u, w).reshape(len(u), n * n, -1)
         bio = np.abs(duals.conj() @ originals.swapaxes(-1, -2))
         worst_dual = max(worst_dual, float(np.max(np.abs(bio - np.eye(n * n)))))
@@ -595,8 +607,8 @@ def _psd_forward_failures(stream, count) -> tuple:
 
     Every case draws all four parts of its words, whatever its outcome.  A
     case whose t has other than r positive eigenvalues counts one forward
-    failure.  A t that fails a PSD rule raises NotPsd, as psd_extension
-    and (once t has its r positive eigenvalues) extension_rank_preserved do.
+    failure.  A t that fails the PSD rule raises NotPsd, as psd_extension
+    does; its one eigh also gives extension_rank_preserved t's rank.
     """
     groups = _index_groups(_psd_case(k) for k in range(count))
     draws = _group_words(stream, count, [(ks, sum(_psd_forward_words(*case)))
@@ -610,25 +622,17 @@ def _psd_forward_failures(stream, count) -> tuple:
         sd = matcore.hermitian_eig(t)
         geometry._checked_psd(sd.eigenvalues)
         full = geometry._positive_eigenvalues(sd.eigenvalues, (n, n)).sum(axis=-1) == r
-        w_t = geometry._checked_psd(matcore.hermitian_eigvalues(t)[full])  # also t's rank
         forward += int(np.count_nonzero(~full))
-        t = t[full]
-        ext = geometry.PsdExtension(
-            t=t, spectrum=matcore.SpectralData(sd.eigenvalues[full], sd.eigenvectors[full]),
-            i_plus=tuple(range(r)))
-        t_rank = geometry._border_rank(w_t)
-
-        def grows(x):  # the rank of t bordered by each row of x exceeds t's
-            return geometry._border_rank(matcore.hermitian_eigvalues(
-                geometry.bordered(t, x))) != t_rank
+        ext = geometry.PsdExtension(t=t[full], spectrum=sd.take(full), i_plus=tuple(range(r)))
 
         def rejected(x):  # rank grows and no coefficients come back
-            return grows(x) & np.isnan(geometry.admissible_coefficients(ext, x)[:, 0])
+            return ~geometry.extension_rank_preserved(ext, x) & np.isnan(
+                geometry.admissible_coefficients(ext, x)[:, 0])
 
         v = geometry.admissible_vector(ext, unit_rows(coef_w[full], r, cplx))
         back = geometry.admissible_coefficients(ext, v)
         lost = ~(np.abs(np.sum(np.abs(back) ** 2, axis=-1) - 1.0) <= 1e-9)  # NaN rows too
-        forward += int(grows(v).sum() + lost.sum())
+        forward += int(np.count_nonzero(~geometry.extension_rank_preserved(ext, v)) + lost.sum())
         offfam += int((~rejected(1.5 * v)).sum())
         if r < n:
             kernel = ext.spectrum.eigenvectors[..., r:]

@@ -404,6 +404,37 @@ def test_nudge_leaves_every_output_as_it_was_when_one_cannot_be_written(tmp_path
     assert ok.read_text() == "old"  # not truncated
 
 
+@pytest.mark.parametrize("argv", [
+    ["nudge", "F", "--eps", "0.1", "-o", "P", "--report", "P"],
+    ["nudge", "F", "--eps", "0.1", "-o", "P", "--report", "LINK"],
+    ["analyze", "F", "-o", "P", "--gram-csv", "P"],
+])
+@pytest.mark.parametrize("exists", [False, True])
+def test_two_outputs_naming_one_file_exit_2_and_write_nothing(tmp_path, capsys, argv, exists):
+    frame_file = tmp_path / "b3.json"
+    run_cli(capsys, "construct", "biangular", "--n", "3", "-o", str(frame_file))
+    target, link = tmp_path / "p.json", tmp_path / "link.json"
+    if exists:
+        target.write_text("old")
+    link.symlink_to(target)
+    paths = {"F": str(frame_file), "P": str(target), "LINK": str(link)}
+    with pytest.raises(SystemExit) as exc:
+        cli.main([paths.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    first, second = paths[argv[-3]], paths[argv[-1]]
+    assert capsys.readouterr().err == \
+        f"framekit: cannot write {second}: another output ({first}) names the same file\n"
+    assert target.read_text() == "old" if exists else not target.exists()
+
+
+def test_outputs_to_one_device_are_written(tmp_path, capsys):
+    frame_file = tmp_path / "b3.json"
+    run_cli(capsys, "construct", "biangular", "--n", "3", "-o", str(frame_file))
+    code, _, err = run_cli(capsys, "nudge", str(frame_file), "--eps", "0.1",
+                           "-o", os.devnull, "--report", os.devnull)
+    assert (code, err) == (0, "")
+
+
 def test_nudge_report_without_output_prints_the_frame(tmp_path, capsys):
     frame_file = tmp_path / "b3.json"
     run_cli(capsys, "construct", "biangular", "--n", "3", "-o", str(frame_file))

@@ -1,10 +1,14 @@
-"""Subprocess fuzz of the CLI's input boundary.
+"""Fuzz of the CLI's input boundary and of the numerics behind it.
 
 Whatever the classify or nudge flags, the FRAMEKIT_TOL value or the frame
 entries, ``framekit`` must end with a documented exit code (0 success, 2
 usage or parse error, 3 domain error; 1 is reserved for verification
 failures), never print a traceback, and on success print strict JSON (no
-NaN or Infinity).
+NaN or Infinity).  Most such documents stop at input validation, so
+``unit_frames`` draws valid unit-norm frames, with repeated and
+near-parallel rows, that reach the classifier and the nudge; those run in
+process through ``cli.main``, and a nudge that succeeds must hand
+``analyze`` a frame with independent outers, moved by at most eps.
 """
 
 import json
@@ -13,9 +17,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from framekit import cli
+from framekit.outer import ambient_outer_dim
 from oracles import strict_json
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -128,12 +135,99 @@ def test_cli_exit_contract(tmp_path_factory, doc, line, env_tol):
 def test_malformed_documents_keep_the_exit_contract(tmp_path_factory, doc):
     # in process, so that many structures run quickly: an escaping exception
     # is the traceback a subprocess would print
-    from framekit import cli
-
     path = tmp_path_factory.mktemp("malformed") / "frame.json"
     path.write_text(json.dumps(doc))
+    assert _main(["analyze", str(path), "-o", os.devnull]) in (0, 2, 3), doc
+
+
+def _main(argv) -> int:
+    """``cli.main``'s exit code, a SystemExit's included."""
     try:
-        code = cli.main(["analyze", str(path), "-o", os.devnull])
+        return cli.main(argv)
     except SystemExit as exc:
-        code = exc.code
-    assert code in (0, 2, 3), doc
+        return exc.code
+
+
+def _unit_row(rng, n, cplx):
+    v = rng.standard_normal(n) + (1j * rng.standard_normal(n) if cplx else 0.0)
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def unit_frames(draw, spare=0):
+    """(rows, field) of a unit-norm frame with M + spare at most the ambient
+    dimension: each row random, a negated or phase-multiplied copy of an
+    earlier row, or an earlier row moved by delta = 1e-3 to 1e-9 and
+    normalized again."""
+    cplx = draw(st.booleans())
+    n = draw(st.integers(1 + (spare > 0), 3))
+    m = draw(st.integers(1, ambient_outer_dim(n, "complex" if cplx else "real") - spare))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = [_unit_row(rng, n, cplx)]
+    for _ in range(m - 1):
+        kind = draw(st.sampled_from(["random", "copy", "near"]))
+        base = rows[draw(st.integers(0, len(rows) - 1))]
+        if kind == "random":
+            rows.append(_unit_row(rng, n, cplx))
+        elif kind == "copy":
+            rows.append(base * (np.exp(2j * np.pi * rng.uniform()) if cplx else -1.0))
+        else:
+            delta = draw(st.sampled_from([1e-3, 1e-5, 1e-7, 1e-9]))
+            near = base + delta * _unit_row(rng, n, cplx)
+            rows.append(near / np.linalg.norm(near))
+    return np.array(rows), "complex" if cplx else "real"
+
+
+def _document(rows, field) -> str:
+    vectors = [[[z.real, z.imag] for z in row] for row in rows] if field == "complex" \
+        else rows.tolist()
+    return json.dumps({"field": field, "n": rows.shape[1], "vectors": vectors})
+
+
+def _rows(doc) -> np.ndarray:
+    rows = np.array(doc["vectors"], dtype=float)
+    return rows[..., 0] + 1j * rows[..., 1] if doc["field"] == "complex" else rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame=unit_frames(), eps=st.sampled_from([1.0, 0.1, 1e-2, 1e-4]))
+def test_a_nudged_frame_is_independent_within_its_budget(tmp_path_factory, frame, eps):
+    rows, field = frame
+    folder = tmp_path_factory.mktemp("nudge")
+    source, nudged, analysis = (folder / name for name in ("f.json", "g.json", "a.json"))
+    source.write_text(_document(rows, field))
+    code = _main(["nudge", str(source), f"--eps={eps}", "-o", str(nudged),
+                  "--report", os.devnull])
+    assert code in (0, 3)  # 3: a budget below what the rank rule resolves
+    if code == 0:
+        moved = np.sum(np.linalg.norm(_rows(strict_json(nudged.read_text())) - rows, axis=1))
+        assert moved <= eps * (1 + 1e-12)
+        # 3: is_independent's vectorized-rank cross-check can disagree with the
+        # outer Gram's rank when an eigenvalue lies within rounding of the
+        # threshold, as for rows 1e-7 apart
+        code = _main(["analyze", str(nudged), "-o", str(analysis)])
+        assert code in (0, 3)
+        if code == 0:
+            assert strict_json(analysis.read_text())["results"]["outer_independent"] is True
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame=unit_frames(spare=1), near=st.sampled_from([None, 1e-3, 1e-6, 1e-9]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_classify_on_unit_frames_keeps_the_exit_contract(tmp_path_factory, frame, near, seed):
+    rows, field = frame
+    rng = np.random.default_rng(seed)
+    candidate = _unit_row(rng, rows.shape[1], field == "complex")
+    if near is not None:  # near a frame vector
+        candidate = rows[rng.integers(len(rows))] + near * candidate
+        candidate /= np.linalg.norm(candidate)
+    folder = tmp_path_factory.mktemp("classify")
+    source, report = folder / "f.json", folder / "c.json"
+    source.write_text(_document(rows, field))
+    text = json.dumps([[z.real, z.imag] for z in candidate] if field == "complex"
+                      else candidate.tolist())
+    code = _main(["classify", str(source), "--candidate", text, "-o", str(report)])
+    assert code in (0, 3)  # 3: InternalInconsistency, a cross-check that disagreed
+    if code == 0:
+        assert strict_json(report.read_text())["results"]["verdict"] in ("dependent",
+                                                                         "independent")

@@ -44,19 +44,19 @@ class TestPsdExtension:
 
 class TestExtensionRankPreserved:
     def test_eigenvector_scaled_by_sqrt_lambda(self):
-        t = np.diag([2.0, 1.0, 0.0])
-        assert geometry.extension_rank_preserved(t, [np.sqrt(2.0), 0.0, 0.0])
+        ext = geometry.psd_extension(np.diag([2.0, 1.0, 0.0]))
+        assert geometry.extension_rank_preserved(ext, [np.sqrt(2.0), 0.0, 0.0])
 
     def test_kernel_vector_grows_rank(self):
-        t = np.diag([2.0, 1.0, 0.0])
-        assert not geometry.extension_rank_preserved(t, [0.0, 0.0, 1.0])
+        ext = geometry.psd_extension(np.diag([2.0, 1.0, 0.0]))
+        assert not geometry.extension_rank_preserved(ext, [0.0, 0.0, 1.0])
 
     def test_two_eigenvector_combination(self):
         # a = (1/sqrt(2), 1/sqrt(2)): v = (1, 1/sqrt(2), 0).  Scaling the
         # second coordinate by sqrt(2) is a congruence, so the bordered
         # matrix has the same rank as the integer matrix below (worked by
         # hand); the exact oracle pins that rank at 2 = rank(t).
-        t = np.diag([2.0, 1.0, 0.0])
+        ext = geometry.psd_extension(np.diag([2.0, 1.0, 0.0]))
         v = np.array([1.0, 1.0 / np.sqrt(2.0), 0.0])
         congruent = np.array([
             [2, 0, 0, 1],
@@ -65,21 +65,21 @@ class TestExtensionRankPreserved:
             [1, 1, 0, 1],
         ], dtype=float)
         assert rational_rank_exact(congruent) == 2
-        assert geometry.extension_rank_preserved(t, v)
+        assert geometry.extension_rank_preserved(ext, v)
 
     def test_rejects_non_psd(self):
+        # the extension it takes is psd_extension's, which refuses t
         with pytest.raises(NotPsd):
-            geometry.extension_rank_preserved(np.diag([1.0, -2.0]), [1.0, 0.0])
+            geometry.extension_rank_preserved(geometry.psd_extension(np.diag([1.0, -2.0])),
+                                              [1.0, 0.0])
 
     def test_same_psd_rule_as_psd_extension(self):
-        # PSD_RELTOL = 1e-10 relative to the top eigenvalue, one rule for both
+        # PSD_RELTOL = 1e-10 relative to the top eigenvalue: a t within it
+        # keeps its rank under the admissible border, one beyond it is refused
         inside, outside = np.diag([4.0, -3e-10]), np.diag([4.0, -5e-10])
-        geometry.psd_extension(inside)
-        assert geometry.extension_rank_preserved(inside, [2.0, 0.0])
-        for call in (lambda: geometry.psd_extension(outside),
-                     lambda: geometry.extension_rank_preserved(outside, [2.0, 0.0])):
-            with pytest.raises(NotPsd):
-                call()
+        assert geometry.extension_rank_preserved(geometry.psd_extension(inside), [2.0, 0.0])
+        with pytest.raises(NotPsd):
+            geometry.psd_extension(outside)
 
 
 class TestAdmissibleVectors:
@@ -107,7 +107,7 @@ class TestAdmissibleVectors:
             ext = geometry.psd_extension(t)
             a = random_unit_vec(rng, len(ext.i_plus), cplx)
             v = geometry.admissible_vector(ext, a)
-            assert geometry.extension_rank_preserved(t, v)
+            assert geometry.extension_rank_preserved(ext, v)
 
     def test_coefficient_recovery(self):
         ext = geometry.psd_extension(np.diag([2.0, 1.0, 0.0]))
@@ -124,8 +124,7 @@ class TestAdmissibleVectors:
         # rank preserved iff |c| = sqrt(lambda_i)
         ext = geometry.psd_extension(np.diag([2.0, 1.0, 0.0]))
         assert geometry.admissible_coefficients(ext, [0.7, 0.0, 0.0]) is None
-        t = np.diag([2.0, 1.0, 0.0])
-        assert not geometry.extension_rank_preserved(t, [0.7, 0.0, 0.0])
+        assert not geometry.extension_rank_preserved(ext, [0.7, 0.0, 0.0])
 
     def test_normalization_forced_when_rank_preserved(self):
         rng = np.random.default_rng(52)
@@ -543,7 +542,9 @@ class TestStackedPsdExtension:
                         assert back[i].tobytes() == one.tobytes()
                     assert geometry.bordered(ts, x)[i].tobytes() == \
                         geometry.bordered(ts[i], x[i]).tobytes()
-                    assert (ranks[i] == t_rank[i]) == geometry.extension_rank_preserved(ts[i], x[i])
+                    assert (ranks[i] == t_rank[i]) == geometry.extension_rank_preserved(e, x[i])
+                np.testing.assert_array_equal(geometry.extension_rank_preserved(ext, x),
+                                              ranks == t_rank)
 
     def test_psd_rule_on_a_stack(self):
         w = np.array([[2.0, 1.0, 0.0], [1.0, 0.0, -1e-3], [0.0, 0.0, -1e-300]])

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framekit import constructions as cons
-from framekit import matcore, outer, perturb
+from framekit import matcore, outer, perturb, verify
 from framekit.frame import Frame, gram
 from framekit.errors import (
     BadParam,
@@ -596,6 +596,51 @@ def test_outer_rank_is_invariant_under_unitaries_phases_and_order(seed, cplx, n,
     before, after = outer.induce(f), outer.induce(Frame(field=f.field, vectors=moved))
     assert after.rank == before.rank == min(f.m - (kind == "repeat"), d)
     assert outer.is_independent(after) == outer.is_independent(before)
+
+
+def _integers(draw, shape, bound, cplx):
+    """An array of integers in [-bound, bound], Gaussian integers if cplx, as floats."""
+    count = int(np.prod(shape))
+    parts = [np.array(draw(st.lists(st.integers(-bound, bound), min_size=count,
+                                    max_size=count)), dtype=float).reshape(shape)
+             for _ in range(1 + cplx)]
+    return parts[0] + 1j * parts[1] if cplx else parts[0]
+
+
+@st.composite
+def integer_frames_and_maps(draw):
+    """Integer rows phi_i (Gaussian integers over C), at most one more than
+    the ambient dimension, and an invertible integer S = P U: a permutation
+    times a unit upper triangular U whose entries above the diagonal reach
+    100 (per part), so cond(S) reaches 1e4 at N = 2 and 1e8 at N = 3."""
+    cplx, n = draw(st.booleans()), draw(st.integers(2, 3))
+    m = draw(st.integers(1, outer.ambient_outer_dim(n, "complex" if cplx else "real") + 1))
+    rows = _integers(draw, (m, n), 2, cplx)
+    u = np.eye(n) + np.triu(_integers(draw, (n, n), 100, cplx), 1)
+    return rows, u[draw(st.permutations(range(n)))]
+
+
+def _exact_outer_gram(v):
+    """|<phi_i, phi_j>|^2 of integer rows, formed in floats: every product,
+    sum and square is an integer below 2^53, so each is exact."""
+    g = v.conj() @ v.T
+    gram = g.real ** 2 + g.imag ** 2
+    assert np.abs(gram).max() < 2.0 ** 53
+    return gram
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_frames_and_maps())
+@example((np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 100.0], [0.0, 1.0]])))
+@example((np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [1.0, -100.0]])))
+def test_outer_rank_is_invariant_under_invertible_maps(case):
+    # phi -> S phi acts on the outers as X -> S X S*, which an invertible S
+    # inverts: the exact rank of the outer Gram does not move, however
+    # ill-conditioned S is (in floating point the mapped Gram's condition
+    # can grow by cond(S)^4, past what a rank rule resolves)
+    rows, s = case
+    assert verify.rational_rank(_exact_outer_gram(rows @ s.T)) == \
+        verify.rational_rank(_exact_outer_gram(rows))
 
 
 class TestProductsWithTheVectorizedSynthesis:

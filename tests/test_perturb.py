@@ -10,7 +10,6 @@ from framekit.errors import (
     InternalInconsistency,
     NotIndependent,
     NotUnitNorm,
-    SingularOperator,
     TooMany,
 )
 
@@ -157,23 +156,6 @@ def test_radius_protects_independence():
         if np.sum(np.abs(moved - f.vectors) ** 2) >= radius:
             continue
         assert outer.induce(Frame.from_vectors(moved)).rank == 3
-
-
-def test_rescale_invariance():
-    assert perturb.rescale_invariance_check(cons.eij_basis(3), np.eye(3))
-    assert perturb.rescale_invariance_check(cons.eij_basis(3), np.diag([1.0, 1e-3, 1e-3]))
-    rng = np.random.default_rng(64)
-    for trial in range(20):
-        s = rng.standard_normal((2, 2))
-        if abs(np.linalg.det(s)) < 0.1:
-            continue
-        f = cons.random_unit(2, 3, 6400 + trial)
-        assert perturb.rescale_invariance_check(f, s)
-    # dependent input stays dependent under rescaling too
-    dup = Frame.from_vectors(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    assert perturb.rescale_invariance_check(dup, np.array([[2.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(SingularOperator):
-        perturb.rescale_invariance_check(dup, np.zeros((2, 2)))
 
 
 def reference_nearby_basis(psi, eps):

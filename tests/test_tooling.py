@@ -14,7 +14,8 @@ one spectral path: its decompositions are the ``np.linalg`` calls listed in
 ``_LINALG_CALLS``, and no module adds its own; nor does any module outside
 ``matcore`` divide by eigenvalues but the listed exception, nor rank a Gram
 or bordered matrix by SVD but the oracle row; only ``ellipsoid_residual``
-reads a vector-Gram spectrum through ``weighted_norm``.  Only the process
+reads a vector-Gram spectrum through ``weighted_norm``.  ``verify``'s PSD
+and dual checks hand no matrix to a decomposition twice.  Only the process
 entry point ``cli.run`` freezes the garbage collector.
 """
 
@@ -361,13 +362,14 @@ def test_no_self_adjoint_matrix_goes_through_svd(monkeypatch):
     rng = np.random.default_rng(71)
     b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     t = b @ b.conj().T
-    family = geometry.admissible_vector(geometry.psd_extension(t), [0.6, 0.8j])
+    ext = geometry.psd_extension(t)
+    family = geometry.admissible_vector(ext, [0.6, 0.8j])
     frames = [cons.random_unit(3, 3, 72, "complex"), cons.random_unit(2, 2, 73),
               cons.random_unit(2, 2, 74), cons.epsilon_pair(0.25)]
     dependent = Frame.from_vectors(np.vstack([frames[1].vectors, frames[1].vectors[:1]]))
 
     def run():
-        out = [geometry.extension_rank_preserved(t, x) for x in (family, 1.5 * family)]
+        out = [geometry.extension_rank_preserved(ext, x) for x in (family, 1.5 * family)]
         out += [riesz_bounds(f) for f in frames]
         try:
             riesz_bounds(dependent)
@@ -392,6 +394,31 @@ def test_no_self_adjoint_matrix_goes_through_svd(monkeypatch):
     with pytest.raises(AssertionError, match="self-adjoint"):
         np.linalg.svd(t)
     assert run() == want
+
+
+def test_the_psd_and_dual_checks_decompose_each_matrix_once(monkeypatch):
+    # every matrix eigh, eigvalsh or svd receives, by its bytes: a forward
+    # t of psd-extension-roundtrip goes through psd_extension's eigh alone,
+    # and a vector Gram of the dual checks through the eigh whose
+    # eigenvalues rank it and whose eigenvectors invert it.  Only the
+    # oracle row's svd may meet one matrix twice: distinct cases can draw
+    # equal integer matrices
+    seen = {}
+    for name in ("eigh", "eigvalsh", "svd"):
+        def counted(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            a = np.asarray(a)
+            for matrix in a.reshape((-1,) + a.shape[-2:]):
+                key = (matrix.shape, matrix.dtype.str, matrix.tobytes())
+                seen.setdefault(key, []).append(_name)
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    repeats = {}
+    for check in ("outer-duals", "cross-products", "psd-extension-roundtrip"):
+        seen.clear()
+        verify.run_checks(only=check)
+        repeats[check] = sum(len(calls) - 1 for calls in seen.values() if set(calls) != {"svd"})
+    assert repeats == {"outer-duals": 0, "cross-products": 0, "psd-extension-roundtrip": 0}
 
 
 def test_the_stacked_corpus_paths_build_no_frame(monkeypatch):

@@ -438,20 +438,20 @@ def reference_psd_extension_roundtrip():
             forward_fail += 1
             continue
         v = geometry.admissible_vector(ext, a)
-        if not geometry.extension_rank_preserved(t, v):
+        if not geometry.extension_rank_preserved(ext, v):
             forward_fail += 1
         back = geometry.admissible_coefficients(ext, v)
         if back is None or abs(float(np.sum(np.abs(back) ** 2)) - 1.0) > 1e-9:
             forward_fail += 1
         # off-family: wrong normalization always; kernel leak when rank deficient
         scaled = 1.5 * v
-        if geometry.extension_rank_preserved(t, scaled) or \
+        if geometry.extension_rank_preserved(ext, scaled) or \
                 geometry.admissible_coefficients(ext, scaled) is not None:
             offfam_fail += 1
         if r < n:
             kernel = ext.spectrum.eigenvectors[:, r:]
             leak = v + kernel @ leak_dir * 0.5
-            if geometry.extension_rank_preserved(t, leak) or \
+            if geometry.extension_rank_preserved(ext, leak) or \
                     geometry.admissible_coefficients(ext, leak) is not None:
                 offfam_fail += 1
     rows = [
@@ -767,11 +767,10 @@ def test_psd_roundtrip_counts_a_short_case_and_moves_no_draw(monkeypatch):
     assert _same_rows(batched, reference)
 
 
-@pytest.mark.parametrize("name", ["hermitian_eig", "hermitian_eigvalues"])
+@pytest.mark.parametrize("name", ["hermitian_eig"])
 def test_psd_roundtrip_raises_where_the_reference_loop_does(monkeypatch, name):
-    # a negative eigenvalue for case 137's t under either PSD rule: the
-    # reference loop raises NotPsd (from psd_extension or from
-    # extension_rank_preserved), and so does the block
+    # a negative eigenvalue for case 137's t under its one decomposition:
+    # the reference loop raises NotPsd from psd_extension, and so does the block
     seen = _recorders(monkeypatch)
     reference_psd_extension_roundtrip()
     target = seen["psd"][137]
@@ -784,9 +783,9 @@ def test_psd_roundtrip_raises_where_the_reference_loop_does(monkeypatch, name):
 
 
 def test_psd_roundtrip_counts_a_short_case_whatever_eigvalsh_says(monkeypatch):
-    # case 137's t lacks a positive eigenvalue under eigh and is not PSD
-    # under eigvalsh: the reference loop stops at the first and never asks
-    # the second, so both count one forward failure
+    # case 137's t lacks a positive eigenvalue under eigh and would not be
+    # PSD under eigvalsh: neither the reference loop nor the block asks
+    # eigvalsh about t, so both count one forward failure
     seen = _recorders(monkeypatch)
     reference_psd_extension_roundtrip()
     target = seen["psd"][137]
