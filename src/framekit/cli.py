@@ -9,8 +9,7 @@
 Frame documents travel as JSON on stdout (or -o FILE); diagnostics go to
 stderr.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
 error (an output path that cannot be written included), 3 domain
-precondition violation or an input too large for memory.  FRAMEKIT_TOL
-overrides the default rank tolerance.
+precondition violation or an input too large for memory.
 
 A process ends in ``run``, which exits with ``main``'s code after freezing
 the garbage collector so that the interpreter's shutdown collection skips
@@ -30,7 +29,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, constructions as cons, geometry, matcore, outer, perturb, serialization
+from . import __version__, constructions as cons, geometry, outer, perturb, serialization
 from .errors import BadParam, FramekitError, NotAFrame, NotIndependent
 from .frame import frame_bounds, frame_potential, is_equiangular, riesz_bounds
 from .rng import Stream, unit_vectors
@@ -163,8 +162,7 @@ def cmd_construct(args) -> int:
 def cmd_analyze(args) -> int:
     f = _load_frame(args.frame)
     results = {}
-    tol = {"rank": "max(rows,cols)*eps*sigma_max (FRAMEKIT_TOL overrides)",
-           "tight": 1e-10, "equiangular": 1e-10}
+    tol = {"rank": "max(rows,cols)*eps*sigma_max", "tight": 1e-10, "equiangular": 1e-10}
     results["m"] = f.m
     results["n"] = f.n
     results["field"] = f.field
@@ -393,11 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        matcore.env_rank_tol()
-    except BadParam as exc:
-        print(f"framekit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -14,13 +14,11 @@ the same result per matrix as a call on that matrix alone.  Every use of
 Lambda^{-1} in an eigenbasis is ``spectral_solve``'s or ``weighted_norm``'s.
 """
 
-import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParam, NotSelfAdjoint, ShapeMismatch
+from .errors import NotSelfAdjoint, ShapeMismatch
 
 _EPS = np.finfo(np.float64).eps
 
@@ -201,24 +199,6 @@ def default_rank_tol(shape: tuple[int, int], sigma_max: float) -> float:
     return max(shape) * _EPS * sigma_max
 
 
-def env_rank_tol():
-    """The FRAMEKIT_TOL override as a float, or None when it is unset.
-
-    Raises BadParam unless the value parses as a finite number >= 0; this
-    is the only place the variable is read.
-    """
-    env = os.environ.get("FRAMEKIT_TOL")
-    if env is None:
-        return None
-    try:
-        tol = float(env)
-    except ValueError:
-        raise BadParam(f"FRAMEKIT_TOL={env!r} is not a number") from None
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise BadParam(f"FRAMEKIT_TOL={env!r} must be finite and >= 0")
-    return tol
-
-
 def rank_from_singular_values(sigma, shape, tol=None):
     """Count of singular values above ``tol``, along the last axis.
 
@@ -227,8 +207,6 @@ def rank_from_singular_values(sigma, shape, tol=None):
     each row judged against its own default tolerance.
     """
     sigma = np.asarray(sigma)
-    if tol is None:
-        tol = env_rank_tol()
     if tol is None:
         tol = default_rank_tol(shape, sigma[..., 0] if sigma.shape[-1] else 0.0)
     if sigma.ndim == 1:
@@ -243,17 +221,15 @@ def rank_from_eigenvalues(w, shape):
     return rank_from_singular_values(np.sort(np.abs(w))[..., ::-1], shape)
 
 
-def numerical_rank(a, tol=None):
-    """Count of singular values above ``tol``: an int for a matrix, the
-    ranks for an (..., m, n) stack (from ``stacked_singular_values``).
-
-    Default tol is max(rows, cols) * eps * sigma_max, overridable by the
-    FRAMEKIT_TOL environment variable.  The rank of a rectangular matrix;
-    a self-adjoint one is ranked from its eigenvalues.
+def numerical_rank(a):
+    """Count of singular values above max(rows, cols) * eps * sigma_max: an
+    int for a matrix, the ranks for an (..., m, n) stack (from
+    ``stacked_singular_values``).  The rank of a rectangular matrix; a
+    self-adjoint one is ranked from its eigenvalues.
     """
     a = as_stack(a)
     sigma = singular_values(a) if a.ndim == 2 else stacked_singular_values(a)
-    return rank_from_singular_values(sigma, a.shape[-2:], tol)
+    return rank_from_singular_values(sigma, a.shape[-2:])
 
 
 def kronecker(a, b) -> np.ndarray:

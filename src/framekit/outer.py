@@ -191,13 +191,13 @@ class _GreedyScan:
     ``matcore.weighted_norm``), W' = [[W_j, -W_j z / sqrt(s)], [0, 1/sqrt(s)]],
     so that lambda_min(K') >= 1 / ||K'^{-1}||_F >= 1 / ||W'||_F^2; all r trials
     go through one stacked product.  The eig rule's threshold is at most
-    (k+1) eps trace(K'), or FRAMEKIT_TOL (read once); a step is accepted
-    without an eig only when the bound exceeds CERTIFY_MARGIN times the
-    larger, a normal float.  Rounding: while every step of a frame is
-    certified, K_j's condition number stays below 2^-20 / (k eps), so W' is
-    the exact inverse factor of a Gram within 2^-9 sqrt(k eps) trace of K',
-    and eigh's eigenvalues are within a small multiple of (k+1) eps trace of
-    the exact ones: under 1/8 and about 2^-20 of the bound.
+    thr = (k+1) eps trace(K'); a step is accepted without an eig only when
+    thr is a normal float and the bound exceeds CERTIFY_MARGIN * thr.
+    Rounding: while every step of a frame is certified, K_j's condition
+    number stays below 2^-20 / (k eps), so W' is the exact inverse factor of
+    a Gram within 2^-9 sqrt(k eps) trace of K', and eigh's eigenvalues are
+    within a small multiple of (k+1) eps trace of the exact ones: under 1/8
+    and about 2^-20 of the bound.
 
     Every other step, every reject included, is decided by the eig rule on
     the trial vectors (``_outer_spectra`` rank k + 1), for all the frames of
@@ -215,7 +215,6 @@ class _GreedyScan:
         self._certified = np.ones(count, dtype=bool)  # False once the eig rule decides
         self._fro2 = np.zeros(count)  # ||W_j||_F^2
         self._trace = np.zeros(count)  # trace(K_j)
-        self._env_tol = matcore.env_rank_tol() or 0.0
         self.k = np.zeros(count, dtype=int)
         self._every = np.arange(count)
 
@@ -233,7 +232,7 @@ class _GreedyScan:
             g = np.abs(trials.conj() @ trials[:, k, :, None]) ** 2
             c = g[:, k, 0]
             trace = self._trace[at] + c
-            thr = np.maximum(self._env_tol, (k + 1) * _EPS * trace)
+            thr = (k + 1) * _EPS * trace
             w = self._w[at, :k, :k]
             z = g[:, :k].swapaxes(-1, -2) @ w
             s = c - (z @ z.swapaxes(-1, -2))[:, 0, 0]

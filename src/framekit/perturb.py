@@ -93,26 +93,15 @@ def independence_radius(os_: OuterBatch):
     return os_.gram_spectrum.eigenvalues[..., -1] / 2.0
 
 
-def _dependent_basis(what: str) -> Exception:
-    """The error of a re-check that finds a constructed basis dependent: its
-    rank rule follows FRAMEKIT_TOL, so with that set the tolerance is too
-    coarse for the basis (BadParam), and without it the fault is internal."""
-    tol = matcore.env_rank_tol()
-    if tol is None:
-        return InternalInconsistency(what)
-    return BadParam(f"FRAMEKIT_TOL = {tol:g} is too coarse to resolve the nearby "
-                    f"independent basis ({what})")
-
-
 @lru_cache(maxsize=None)
-def _aligned_base(n: int, cplx: bool, tol) -> tuple:
+def _aligned_base(n: int, cplx: bool) -> tuple:
     """The E_ij family reflected so every member has a positive first
     coordinate, with its outer products verified independent once, and the
     largest ratio sum_j>=2 |v(j)|^2 / |v(1)|^2 over its members.
 
-    Cached per dimension, field and FRAMEKIT_TOL value ``tol``, which the
-    check follows; the outer Gram's order-one margins let this one check
-    certify every compressed copy (invertible rescalings keep independence).
+    Cached per dimension and field; the outer Gram's order-one margins let
+    this one check certify every compressed copy (invertible rescalings keep
+    independence).
     """
     base = (complex_eij_basis(n) if cplx else eij_basis(n)).vectors
     u = np.full(n, 1.0 / np.sqrt(n))
@@ -131,18 +120,18 @@ def _aligned_base(n: int, cplx: bool, tol) -> tuple:
         rotated.append(w)
     family = Frame.from_vectors(np.array(rotated), field="complex" if cplx else "real")
     if induce(family).rank != len(rotated):
-        raise _dependent_basis("aligned E_ij family lost independence")
+        raise InternalInconsistency("aligned E_ij family lost independence")
     ratio = max(float(np.sum(np.abs(w[1:]) ** 2) / np.abs(w[0]) ** 2) for w in rotated)
     return tuple(rotated), ratio
 
 
 @lru_cache(maxsize=None)
-def _compressed_base(n: int, cplx: bool, delta: float, tol) -> np.ndarray:
-    """The aligned family checked at tol, coordinates after the first scaled
-    by delta, rows renormalized.  Cached: delta is a power of two."""
+def _compressed_base(n: int, cplx: bool, delta: float) -> np.ndarray:
+    """The aligned family, coordinates after the first scaled by delta, rows
+    renormalized.  Cached: delta is a power of two."""
     scale = np.full(n, delta)
     scale[0] = 1.0
-    sw = np.array(_aligned_base(n, cplx, tol)[0]) * scale
+    sw = np.array(_aligned_base(n, cplx)[0]) * scale
     sw /= matcore.row_norms(sw)[:, None]
     sw.flags.writeable = False
     return sw
@@ -152,12 +141,12 @@ def _rotated_bases(psi: np.ndarray, eps: float) -> np.ndarray:
     """The (K, D, N) bases of ``nearby_independent_basis`` for a (K, N) stack
     of unit rows, of the family of its dtype: one Householder per row
     carries e_1 to it, and one stacked eigendecomposition re-checks them all."""
-    n, cplx, tol = psi.shape[-1], np.iscomplexobj(psi), matcore.env_rank_tol()
-    ratio = _aligned_base(n, cplx, tol)[1]
+    n, cplx = psi.shape[-1], np.iscomplexobj(psi)
+    ratio = _aligned_base(n, cplx)[1]
     delta = 1.0
     while ratio > 0.0 and delta * delta * ratio > eps / 2.0:
         delta /= 2.0
-    compressed = _compressed_base(n, cplx, delta, tol)
+    compressed = _compressed_base(n, cplx, delta)
 
     # unitaries with U e_1 = psi (phase-adjusted Householder); the phase is
     # psi[0] / |psi[0]| with numpy's scalar abs (hypot), 1 when psi[0] is 0,
@@ -181,7 +170,7 @@ def _rotated_bases(psi: np.ndarray, eps: float) -> np.ndarray:
     if eps < 2.0 and np.any(worst >= eps):
         raise InternalInconsistency(f"construction moved {worst.max()} >= eps = {eps}")
     if delta >= 1e-2 and np.any(_outer_spectra(out)[2] != len(compressed)):
-        raise _dependent_basis("constructed basis has dependent outer products")
+        raise InternalInconsistency("constructed basis has dependent outer products")
     return out
 
 
@@ -205,8 +194,7 @@ def nearby_independent_basis(psi, eps: float) -> np.ndarray:
     re-checked directly whenever delta is large enough for a floating
     rank test to be meaningful (below that, the outer Gram's smallest
     eigenvalue scales like delta^4 and sinks toward machine epsilon).
-    A failed re-check raises BadParam when FRAMEKIT_TOL is set, else
-    InternalInconsistency.
+    A failed re-check raises InternalInconsistency.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise BadParam(f"eps must be finite and positive, got {eps}")
@@ -248,9 +236,8 @@ def nudge_batch(vectors, eps: float) -> np.ndarray:
 
     BadParam for an eps that is not finite and positive, or whose budget
     per vector underflows once a vector must move, or is too small for the
-    rank rule to see any basis member grow the span, or when FRAMEKIT_TOL
-    is too coarse to resolve the nearby basis; ``Frame``'s errors for a
-    stack it rejects; TooMany when M exceeds the ambient self-adjoint
+    rank rule to see any basis member grow the span; ``Frame``'s errors for
+    a stack it rejects; TooMany when M exceeds the ambient self-adjoint
     dimension; NotUnitNorm for a frame that is not unit norm.
     """
     if not (math.isfinite(eps) and eps > 0.0):

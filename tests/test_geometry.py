@@ -406,19 +406,6 @@ class TestClassifyBatch:
         batch = self.assert_matches_one_row_calls(f, cands)
         assert batch.permutation == (0, 2)
 
-    def test_under_env_rank_tolerance(self, monkeypatch):
-        # a near-duplicate pair: three independent outers at the default
-        # tolerance (so M + 1 exceeds dimension 3), a dependent pair at 1e-8,
-        # whose outer Gram has eigenvalues 2 and 1e-10
-        v = np.array([[1.0, 0.0], [1.0, 1e-5], [0.0, 1.0]])
-        f = Frame.from_vectors(v / np.linalg.norm(v, axis=1, keepdims=True))
-        cands = _unit_rows(np.random.default_rng(59), 25, 2, False)
-        with pytest.raises(TooMany):
-            geometry.classify_batch(geometry.prepare(f), cands)
-        monkeypatch.setenv("FRAMEKIT_TOL", "1e-8")
-        batch = self.assert_matches_one_row_calls(f, cands)
-        assert batch.permutation == (0, 2)
-
     def test_slicing_the_stack_changes_nothing(self, monkeypatch):
         f = cons.random_unit(2, 3, 61, field="complex")
         cands = _unit_rows(np.random.default_rng(61), 30, 2, True)

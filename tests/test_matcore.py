@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framekit import matcore
-from framekit.errors import BadParam, NotSelfAdjoint, ShapeMismatch
+from framekit.errors import NotSelfAdjoint, ShapeMismatch
 
 from oracles import (
     eig_desc,
@@ -156,23 +156,7 @@ class TestNumericalRank:
                 b = a
             assert matcore.numerical_rank(b) == rational_rank_exact(b)
 
-    def test_explicit_tolerance_override(self):
-        a = np.diag([1.0, 1e-6])
-        assert matcore.numerical_rank(a) == 2
-        assert matcore.numerical_rank(a, tol=1e-3) == 1
-
-    def test_env_override(self, monkeypatch):
-        a = np.diag([1.0, 1e-6])
-        monkeypatch.setenv("FRAMEKIT_TOL", "1e-3")
-        assert matcore.numerical_rank(a) == 1
-
-    @pytest.mark.parametrize("value", ["abc", "", "nan", "inf", "-1e-3", "1e400"])
-    def test_env_override_must_be_finite_and_non_negative(self, monkeypatch, value):
-        monkeypatch.setenv("FRAMEKIT_TOL", value)
-        with pytest.raises(BadParam):
-            matcore.numerical_rank(np.eye(2))
-
-    def test_stacked_ranks_match_one_matrix_at_a_time(self, monkeypatch):
+    def test_stacked_ranks_match_one_matrix_at_a_time(self):
         rng = np.random.default_rng(12)
         stack = rng.standard_normal((6, 4, 4))
         stack[::2, 3] = stack[::2, 0]  # every other matrix rank-deficient
@@ -182,18 +166,13 @@ class TestNumericalRank:
         np.testing.assert_array_equal(
             matcore.rank_from_singular_values(sigma, (4, 4)), singles)
         assert singles == [3, 4, 3, 4, 3, 4]
-        monkeypatch.setenv("FRAMEKIT_TOL", "1e-3")
-        np.testing.assert_array_equal(
-            matcore.rank_from_singular_values(sigma, (4, 4)),
-            [matcore.numerical_rank(a) for a in stack])
-        assert matcore.rank_from_singular_values(sigma, (4, 4))[1] == 0
 
         # numerical_rank itself takes a stack: per-matrix ranks by the same rule
-        def per_matrix(deep, **kw):
-            ranks = matcore.numerical_rank(deep, **kw)
+        def per_matrix(deep):
+            ranks = matcore.numerical_rank(deep)
             assert ranks.shape == (2, 3)
             for i in np.ndindex(2, 3):
-                one = matcore.numerical_rank(deep[i], **kw)
+                one = matcore.numerical_rank(deep[i])
                 assert isinstance(one, int) and ranks[i] == one
             return ranks.tolist()
 
@@ -204,12 +183,7 @@ class TestNumericalRank:
             deep[:, ::2, 3] = deep[:, ::2, 0]  # the first and last of each row rank-deficient
             deep[0, 1] *= 1e-16  # its own default tolerance, not the stack's
             deep[1, 1, 2:] *= 1e-5  # two singular values near 1e-5
-            monkeypatch.delenv("FRAMEKIT_TOL")
             assert per_matrix(deep) == [[3, 4, 3], [3, 4, 3]]
-            assert per_matrix(deep, tol=1e-3) == [[3, 0, 3], [3, 2, 3]]
-            monkeypatch.setenv("FRAMEKIT_TOL", "1e-3")
-            assert per_matrix(deep) == [[3, 0, 3], [3, 2, 3]]
-            assert per_matrix(deep, tol=1e-12) == [[3, 0, 3], [3, 4, 3]]  # tol beats the env
         with pytest.raises(ShapeMismatch):  # a vector is no matrix
             matcore.numerical_rank(np.ones(3))
 

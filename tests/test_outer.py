@@ -114,12 +114,6 @@ class TestIndependence:
         assert os_.rank < 5
         assert outer.is_independent(os_) is False
 
-    def test_paths_agree_under_env_tolerance(self, monkeypatch):
-        monkeypatch.setenv("FRAMEKIT_TOL", "1e-3")
-        os_ = outer.induce(cons.epsilon_pair(0.9999))
-        assert os_.rank == 1
-        assert outer.is_independent(os_) is False
-
 
 def _stack(frames):
     return np.stack([f.vectors for f in frames])
@@ -156,12 +150,6 @@ class TestInduceBatch:
                 assert batch.outers[i].tobytes() == one.outers.tobytes()
             if m > 1:
                 assert not batch.independent[3]
-
-    def test_ranks_follow_env_tolerance(self, monkeypatch):
-        monkeypatch.setenv("FRAMEKIT_TOL", "0.5")
-        frames = self._frames(np.random.default_rng(35), 3, 4, False)
-        batch = outer.induce_batch(_stack(frames))
-        assert [int(r) for r in batch.rank] == [outer.induce(f).rank for f in frames]
 
     def test_independence_radius_from_a_batch_sequence(self):
         frames = self._frames(np.random.default_rng(36), 2, 3, False)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -161,11 +163,11 @@ def test_radius_protects_independence():
 def reference_nearby_basis(psi, eps):
     """The one-vector construction as a per-vector loop forms it: a scalar
     phase, one Householder matrix, and one matrix-vector product per
-    member of the cached compressed family (the re-checks left out), at
-    the default rank tolerance.  The family follows psi's dtype."""
+    member of the cached compressed family (the re-checks left out).  The
+    family follows psi's dtype."""
     n = psi.shape[0]
     cplx = np.iscomplexobj(psi)
-    ratio = perturb._aligned_base(n, cplx, None)[1]
+    ratio = perturb._aligned_base(n, cplx)[1]
     delta = 1.0
     while ratio > 0.0 and delta * delta * ratio > eps / 2.0:
         delta /= 2.0
@@ -182,7 +184,7 @@ def reference_nearby_basis(psi, eps):
         unitary = gamma * np.eye(n, dtype=target.dtype)
     else:
         unitary = gamma * (np.eye(n, dtype=target.dtype) - 2.0 * np.outer(d, d.conj()) / dn)
-    return np.array([unitary @ w for w in perturb._compressed_base(n, cplx, delta, None)])
+    return np.array([unitary @ w for w in perturb._compressed_base(n, cplx, delta)])
 
 
 class TestNearbyBasis:
@@ -271,19 +273,13 @@ class TestNearbyBasis:
     @pytest.mark.parametrize("n, cplx", [(2, False), (3, True), (4, False)])
     def test_cached_family_equals_per_member_compression(self, n, cplx):
         # the cache holds the rows a per-call, per-member compression gave
-        rotated, _ = perturb._aligned_base(n, cplx, None)
+        rotated, _ = perturb._aligned_base(n, cplx)
         for delta in (1.0, 2.0 ** -5, 2.0 ** -12):
             scale = np.full(n, delta)
             scale[0] = 1.0
             expected = [scale * w / np.linalg.norm(scale * w) for w in rotated]
-            got = perturb._compressed_base(n, cplx, delta, None)
+            got = perturb._compressed_base(n, cplx, delta)
             assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
-
-
-#: The frame of epsilon_pair(0.9999) plus one more vector: its nudge needs the
-#: nearby basis of a vector of R^2.
-_NEAR_PAIR = Frame.from_vectors(np.vstack([cons.epsilon_pair(0.9999).vectors,
-                                           cons.random_unit(2, 1, 3).vectors]))
 
 
 class TestNudge:
@@ -324,42 +320,17 @@ class TestNudge:
         assert f"eps = {eps} is too small" in msg and "M = 6" in msg
         assert f"(eps / M)^2 = {(eps / 6) ** 2:g}" in msg
 
-    @pytest.mark.parametrize("tol, what", [
-        ("1e-3", "constructed basis has dependent outer products"),
-        ("0.5", "aligned E_ij family lost independence")])
-    def test_framekit_tol_too_coarse_for_the_nearby_basis(self, monkeypatch, tol, what):
-        # the rank rule of both re-checks follows FRAMEKIT_TOL: a dependent
-        # verdict there is a tolerance the basis cannot pass, not a fault
-        monkeypatch.setenv("FRAMEKIT_TOL", tol)
-        with pytest.raises(BadParam) as exc:
-            perturb.nudge_to_independence(_NEAR_PAIR, 0.1)
-        assert str(exc.value) == (f"FRAMEKIT_TOL = {float(tol):g} is too coarse to resolve "
-                                  f"the nearby independent basis ({what})")
-        monkeypatch.delenv("FRAMEKIT_TOL")
-        assert outer.induce(perturb.nudge_to_independence(_NEAR_PAIR, 0.1)).independent
-
-    def test_the_family_check_follows_the_tolerance_in_force(self, monkeypatch):
-        # the cached family is checked once per tolerance, so a call at the
-        # default tolerance first does not let a coarser one skip the check
-        def message():
-            monkeypatch.setenv("FRAMEKIT_TOL", "0.5")
-            with pytest.raises(BadParam) as exc:
-                perturb.nudge_to_independence(_NEAR_PAIR, 0.1)
-            monkeypatch.delenv("FRAMEKIT_TOL")
-            return str(exc.value)
-
-        perturb._aligned_base.cache_clear()
-        cold = message()
-        perturb.nearby_independent_basis(np.array([1.0, 0.0]), 0.01)
-        assert message() == cold
-        assert "aligned E_ij family lost independence" in cold
-
-    def test_dependent_nearby_basis_is_a_fault_without_framekit_tol(self, monkeypatch):
-        monkeypatch.delenv("FRAMEKIT_TOL", raising=False)
+    def test_dependent_nearby_basis_is_a_fault(self, monkeypatch):
+        # both re-checks run at the one rank rule, which the basis passes:
+        # a dependent verdict there is a fault, not a parameter error
         monkeypatch.setattr(perturb, "_outer_spectra",
                             lambda v: (None, None, np.zeros(len(v), dtype=int)))
         with pytest.raises(InternalInconsistency,
                            match="^constructed basis has dependent outer products$"):
+            perturb.nearby_independent_basis(np.array([1.0, 0.0]), 0.1)
+        monkeypatch.setattr(perturb, "induce", lambda family: SimpleNamespace(rank=0))
+        perturb._aligned_base.cache_clear()  # a raise leaves nothing cached
+        with pytest.raises(InternalInconsistency, match="^aligned E_ij family lost independence$"):
             perturb.nearby_independent_basis(np.array([1.0, 0.0]), 0.1)
 
     def test_identity_on_independent(self):

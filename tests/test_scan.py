@@ -39,9 +39,6 @@ def _assert_prefix_and_certificate(f):
 #: first message, the package BadParam with one that holds the second.
 _NO_MEMBER = "no basis member grew the outer span"
 _UNRESOLVED = "no nearby basis member grows the span"
-#: Where FRAMEKIT_TOL is too coarse for the nearby basis, both sides raise
-#: this BadParam from the one ``perturb.nearby_independent_basis``.
-_TOO_COARSE = "is too coarse to resolve the nearby independent basis"
 
 
 def _nudge_outcome(nudge, f, eps):
@@ -50,8 +47,6 @@ def _nudge_outcome(nudge, f, eps):
     except InternalInconsistency as exc:
         return str(exc)
     except BadParam as exc:
-        if _TOO_COARSE in str(exc):
-            return str(exc)
         if _UNRESOLVED not in str(exc):
             raise
         return _NO_MEMBER
@@ -122,16 +117,21 @@ def test_underflowing_and_zero_vectors():
     assert outer.independent_prefix(Frame.from_vectors(np.array([[1e-160]]))) == ()
 
 
-@pytest.mark.parametrize("tol", ["1e-3", "0"])
-def test_env_threshold(monkeypatch, tol):
-    # at 1e-3 the nearly parallel pair and the close random vectors are
-    # rejected, where the default threshold keeps them
+#: Certificate margins that push steps off the certificate: at 2^48 a first
+#: step is still certified and the nearly parallel pair's second is not; at
+#: 2^60 no step is, so the eig rule decides every one.
+_EIG_RULE_MARGINS = [2.0 ** 48, 2.0 ** 60]
+
+
+@pytest.mark.parametrize("margin", _EIG_RULE_MARGINS, ids=["2^48", "2^60"])
+def test_eig_rule_steps(monkeypatch, margin):
+    # the nearly parallel pair and the close random vectors, kept by the
+    # eig rule as by the certificate
     f = Frame.from_vectors(np.vstack([cons.epsilon_pair(0.9999).vectors,
                                       cons.random_unit(2, 1, 3).vectors]))
     default = outer.independent_prefix(f)
-    monkeypatch.setenv("FRAMEKIT_TOL", tol)
-    if tol != "0":
-        assert outer.independent_prefix(f) != default
+    monkeypatch.setattr(outer, "CERTIFY_MARGIN", margin)
+    assert outer.independent_prefix(f) == default
     _assert_prefix_and_certificate(f)
     _assert_nudge(f, 0.1)
     _assert_nudge(_perfbench_shaped(3, 3, 6, 1, False), 0.1)
@@ -151,11 +151,12 @@ def test_both_branches_run(monkeypatch):
     f = _perfbench_shaped(1, 8, 35, 1, False)
     assert outer.independent_prefix(f) == tuple(range(34))
     assert trials == [35]
-    # at FRAMEKIT_TOL = 1e-7 the second vector's Schur complement,
-    # 1 - 0.999^2 = 2e-3, is inside the margin 2^20 * 1e-7 = 0.1: the eig
-    # rule keeps it, and then decides every later step
+    # at CERTIFY_MARGIN = 2^48 the first step is certified (its margin is
+    # 2^48 eps = 1/16 < 1), but the second vector's Schur complement,
+    # 1 - 0.999^2 = 2e-3, is inside the margin 2^48 * 2 eps * 2 = 1/4: the
+    # eig rule keeps it, and then decides every later step
     trials.clear()
-    monkeypatch.setenv("FRAMEKIT_TOL", "1e-7")
+    monkeypatch.setattr(outer, "CERTIFY_MARGIN", 2.0 ** 48)
     g = Frame.from_vectors(np.vstack([cons.epsilon_pair(0.999).vectors, [[0.6, 0.8]]]))
     assert outer.independent_prefix(g) == (0, 1, 2)
     assert trials == [2, 3]
@@ -211,8 +212,7 @@ def _assert_nudge_batch(frames, eps):
             assert str(exc) in want  # a member fails alone too
             continue
         except BadParam as exc:
-            assert str(exc) in want if _TOO_COARSE in str(exc) else \
-                _UNRESOLVED in str(exc) and _NO_MEMBER in want
+            assert _UNRESOLVED in str(exc) and _NO_MEMBER in want
             continue
         assert [(g.tobytes() == f.vectors.tobytes(), field_of(g), g.tobytes())
                 for f, g in zip(group, nudged)] == want
@@ -244,11 +244,11 @@ def test_nudge_batch_on_single_inputs():
     _assert_nudge_batch([cons.biangular(3), cons.biangular(4), near], 0.1)
 
 
-@pytest.mark.parametrize("tol", ["1e-3", "0"])
-def test_nudge_batch_under_env_threshold(monkeypatch, tol):
+@pytest.mark.parametrize("margin", _EIG_RULE_MARGINS, ids=["2^48", "2^60"])
+def test_nudge_batch_on_eig_rule_steps(monkeypatch, margin):
     f = Frame.from_vectors(np.vstack([cons.epsilon_pair(0.9999).vectors,
                                       cons.random_unit(2, 1, 3).vectors]))
-    monkeypatch.setenv("FRAMEKIT_TOL", tol)
+    monkeypatch.setattr(outer, "CERTIFY_MARGIN", margin)
     _assert_nudge_batch([f, cons.random_unit(2, 3, 4), _with_copy(cons.random_unit(2, 2, 5), 0,
                                                                   2, -1.0)], 0.1)
     _assert_nudge_batch([_perfbench_shaped(seed, 3, 6, 1, False) for seed in range(1, 6)], 0.1)

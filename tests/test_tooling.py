@@ -16,7 +16,8 @@ one spectral path: its decompositions are the ``np.linalg`` calls listed in
 or bordered matrix by SVD but the oracle row; only ``ellipsoid_residual``
 reads a vector-Gram spectrum through ``weighted_norm``.  ``verify``'s PSD
 and dual checks hand no matrix to a decomposition twice.  Only the process
-entry point ``cli.run`` freezes the garbage collector.
+entry point ``cli.run`` freezes the garbage collector, and no module reads
+the environment.
 """
 
 import ast
@@ -484,3 +485,21 @@ def test_only_the_process_entry_point_freezes_the_collector():
     scripts = scripts.split("\n[", 1)[0]
     assert re.findall(r'^(\S+)\s*=\s*"([^"]*)"', scripts, re.M) == \
         [("framekit", "framekit.cli:run")]
+
+
+#: What reads the process environment, by the name a module uses.
+_ENVIRONMENT_READS = ("environ", "environb", "getenv", "getenvb")
+
+
+def test_no_module_reads_the_environment():
+    # every rule and threshold of the package is a constant or a parameter:
+    # a variable that no command sets would be a second rule only tests run
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "framekit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.id if isinstance(node, ast.Name) else \
+                node.name.rsplit(".", 1)[-1] if isinstance(node, ast.alias) else None
+            if name in _ENVIRONMENT_READS:
+                found.append((path.stem, name))
+    assert found == []
