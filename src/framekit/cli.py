@@ -15,6 +15,10 @@ A process ends in ``run``, which exits with ``main``'s code after freezing
 the garbage collector so that the interpreter's shutdown collection skips
 the objects built at import; ``main`` is the in-process API and leaves the
 collector of its caller untouched.
+
+Each library module is bound here lazily (``_lazy_module``), so a process
+compiles and runs only the modules its command calls: ``--version`` runs
+none, ``analyze`` leaves the classifier, the nudge and the suite unrun.
 """
 
 import argparse
@@ -29,11 +33,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, constructions as cons, geometry, outer, perturb, serialization
+from . import __version__
 from .errors import BadParam, FramekitError, NotAFrame, NotIndependent
-from .frame import frame_bounds, frame_potential, is_equiangular, riesz_bounds
-from .rng import Stream, unit_vectors
-from .serialization import to_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -45,10 +46,10 @@ def _lazy_module(name: str):
     """The module ``name``, registered in sys.modules at once but compiled
     and run only when one of its attributes is first read.
 
-    The reproduction suite is the package's largest module and only
-    ``framekit verify`` uses it; the other commands no longer pay for
-    compiling and running it, while the module stays importable by name
-    (the layer tracer of ``perfbench`` looks it up in sys.modules).
+    A command then pays only for the modules it calls (and those they
+    import), while every module stays importable by name: the layer tracer
+    of ``perfbench`` looks each one up in sys.modules, so a module is bound
+    here rather than imported inside the command that uses it.
     """
     if name in sys.modules:
         return sys.modules[name]
@@ -60,6 +61,14 @@ def _lazy_module(name: str):
     return module
 
 
+cons = _lazy_module("framekit.constructions")
+frame = _lazy_module("framekit.frame")
+geometry = _lazy_module("framekit.geometry")
+matcore = _lazy_module("framekit.matcore")  # not called here; registered for the tracer
+outer = _lazy_module("framekit.outer")
+perturb = _lazy_module("framekit.perturb")
+rng = _lazy_module("framekit.rng")
+serialization = _lazy_module("framekit.serialization")
 verify_mod = _lazy_module("framekit.verify")
 
 
@@ -154,8 +163,8 @@ def cmd_construct(args) -> int:
     except BadParam as exc:
         print(f"framekit construct: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    _emit((args.output,
-           to_json(serialization.frame_to_doc(f, name=args.kind, construction=spec.to_dict()))))
+    doc = serialization.frame_to_doc(f, name=args.kind, construction=spec.to_dict())
+    _emit((args.output, serialization.to_json(doc)))
     return EXIT_OK
 
 
@@ -168,7 +177,7 @@ def cmd_analyze(args) -> int:
     results["field"] = f.field
     results["unit_norm"] = f.is_unit_norm
     try:  # frame_bounds tests spans itself, so the synthesis is decomposed once
-        fb = frame_bounds(f)
+        fb = frame.frame_bounds(f)
         results["spans"] = True
         results["frame_bounds"] = {"lower": fb.lower, "upper": fb.upper,
                                    "tight": fb.tight, "parseval": fb.parseval}
@@ -177,13 +186,13 @@ def cmd_analyze(args) -> int:
         results["frame_bounds"] = None
         results["note"] = "input does not span its ambient space; not a frame"
     try:
-        rb = riesz_bounds(f)
+        rb = frame.riesz_bounds(f)
         results["riesz_bounds"] = {"lower": rb.lower, "upper": rb.upper}
     except NotIndependent:
         results["riesz_bounds"] = None
-    results["frame_potential"] = frame_potential(f)
+    results["frame_potential"] = frame.frame_potential(f)
     if f.is_unit_norm:
-        c = is_equiangular(f)
+        c = frame.is_equiangular(f)
         results["equiangular_c"] = c
     os_ = outer.induce(f)
     results["outer_gram_spectrum"] = [float(x) for x in os_.gram_spectrum.eigenvalues]
@@ -202,7 +211,8 @@ def cmd_analyze(args) -> int:
             "achieved_upper": rep.achieved_upper,
             "achieved_lower": rep.achieved_lower,
         }
-    outputs = [(args.output, to_json(_report("analyze", {"frame": args.frame}, results, tol)))]
+    report = _report("analyze", {"frame": args.frame}, results, tol)
+    outputs = [(args.output, serialization.to_json(report))]
     if args.gram_csv:
         csv_text = io.StringIO()
         serialization.write_matrix_csv(os_.gram_op, csv_text)
@@ -243,9 +253,10 @@ def _parse_candidate(text: str, n: int, field: str) -> np.ndarray:
 def cmd_classify(args) -> int:
     f = _load_frame(args.frame)
     inputs = {"frame": args.frame}
-    tolerances = {"verdict": args.tol}
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        print(f"framekit classify: --tol must be finite and positive, got {args.tol}",
+    tol = geometry.DEFAULT_VERDICT_TOL if args.tol is None else args.tol
+    tolerances = {"verdict": tol}
+    if not (math.isfinite(tol) and tol > 0.0):
+        print(f"framekit classify: --tol must be finite and positive, got {tol}",
               file=sys.stderr)
         return EXIT_USAGE
     if args.grid is not None and args.grid < 1:
@@ -253,33 +264,33 @@ def cmd_classify(args) -> int:
         return EXIT_USAGE
     if args.grid is not None:
         try:
-            cands = unit_vectors(Stream(args.seed), args.grid, f.n, f.field == "complex")
+            cands = rng.unit_vectors(rng.Stream(args.seed), args.grid, f.n, f.field == "complex")
         except BadParam as exc:
             print(f"framekit classify: --grid {args.grid}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        batch = geometry.classify_batch(geometry.prepare(f), cands, tol=args.tol)
+        batch = geometry.classify_batch(geometry.prepare(f), cands, tol=tol)
         rows = [{"sample": int(k), "elliptic_value": float(batch.elliptic_value[k])}
                 for k in np.flatnonzero(batch.dependent)]
         results = {"samples": args.grid, "dependent": len(rows),
                    "dependent_fraction": len(rows) / args.grid,
                    "dependent_samples": rows}
         inputs["seed"] = args.seed
-        _emit((args.output, to_json(_report("classify", inputs, results, tolerances,
-                                            permutation=batch.permutation))))
+        report = _report("classify", inputs, results, tolerances, permutation=batch.permutation)
+        _emit((args.output, serialization.to_json(report)))
         return EXIT_OK
     try:
         cand = _parse_candidate(args.candidate, f.n, f.field)
     except BadParam as exc:
         print(f"framekit classify: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rep = geometry.classify(f, cand, tol=args.tol)
+    rep = geometry.classify(f, cand, tol=tol)
     results = {
         "verdict": rep.verdict,
         "elliptic_value": rep.elliptic_value,
         "analysis_image": [[z.real, z.imag] for z in rep.tv.astype(complex)],
     }
-    _emit((args.output, to_json(_report("classify", inputs, results, tolerances,
-                                        permutation=rep.permutation))))
+    report = _report("classify", inputs, results, tolerances, permutation=rep.permutation)
+    _emit((args.output, serialization.to_json(report)))
     return EXIT_OK
 
 
@@ -297,9 +308,10 @@ def cmd_nudge(args) -> int:
                      {"movement_budget": args.eps})
     frame_doc = serialization.frame_to_doc(g, name="nudged")
     if args.output or args.report:
-        _emit((args.output, to_json(frame_doc)), (args.report, to_json(report)))
+        _emit((args.output, serialization.to_json(frame_doc)),
+              (args.report, serialization.to_json(report)))
     else:
-        _emit((None, to_json({"frame": frame_doc, "report": report})))
+        _emit((None, serialization.to_json({"frame": frame_doc, "report": report})))
     return EXIT_OK
 
 
@@ -326,7 +338,7 @@ def cmd_verify(args) -> int:
         "seconds": timings,
         "version": __version__,
     }
-    _emit((args.output, to_json(doc)))
+    _emit((args.output, serialization.to_json(doc)))
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
@@ -370,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--grid", type=int, default=None,
                        help="sample this many unit-sphere candidates")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=geometry.DEFAULT_VERDICT_TOL)
+    p.add_argument("--tol", type=float, default=None)  # None: geometry.DEFAULT_VERDICT_TOL
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_classify)
 

@@ -10,6 +10,7 @@ frame, a dependent input is not a Riesz sequence).
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,12 +98,13 @@ def checked_vectors(vectors, field: str, ndim: int = 2) -> np.ndarray:
 
 def unit_norm(v) -> bool:
     """Whether every vector row of a frame, or of an (..., M, N) stack of
-    them, has norm 1 within UNIT_NORM_TOL."""
-    return bool(np.all(np.abs(np.linalg.norm(v, axis=-1) - 1.0) <= UNIT_NORM_TOL))
+    them, has norm 1 within UNIT_NORM_TOL (a norm that overflows has not)."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(v, axis=-1)
+    return bool(np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Optimal lower/upper bounds of a frame or Riesz sequence."""
 
     lower: float

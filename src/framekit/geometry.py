@@ -32,7 +32,6 @@ vector stack, with a leading frame axis even for one frame (``prepare``
 builds it by ``induce_batch(f.vectors[None])``).
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -90,8 +89,7 @@ def _border_rank(w):
     return matcore.rank_from_singular_values(sigma, shape, tol)
 
 
-@dataclass(frozen=True)
-class PsdExtension:
+class PsdExtension(NamedTuple):
     """A validated PSD matrix with its spectrum and positive-eigenvalue index.
 
     It may also hold a (K, n, n) stack of matrices that share i_plus, with
@@ -298,8 +296,7 @@ def ellipsoid_residual(f: Frame, v) -> float:
     return float(_membership_residual(norm, leak)[0])
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Elliptic value and verdict for one candidate vector.
 
     verdict is "dependent" iff |elliptic_value - 1| <= tol; the verdict is

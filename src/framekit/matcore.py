@@ -14,7 +14,7 @@ the same result per matrix as a call on that matrix alone.  Every use of
 Lambda^{-1} in an eigenbasis is ``spectral_solve``'s or ``weighted_norm``'s.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ _EPS = np.finfo(np.float64).eps
 SELF_ADJOINT_RELTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Eigendecomposition of a self-adjoint matrix, or of each matrix of a stack.
 
     eigenvalues : real, sorted descending along the last axis

@@ -16,7 +16,7 @@ projections onto the span (the outer duals included) are one
 one Gram per frame of a stacked batch.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +65,7 @@ def _cross_products(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (-1, n, n))
 
 
-@dataclass(frozen=True)
-class OuterBatch:
+class OuterBatch(NamedTuple):
     """The induced outer products of one frame, or of K frames of one shape
     and field decided by one stacked eigendecomposition.
 
@@ -267,8 +266,7 @@ def independent_prefix(f: Frame) -> tuple:
     return tuple(i for i, v in enumerate(f.vectors) if scan.grows(v[None])[0])
 
 
-@dataclass(frozen=True)
-class DependenceCertificate:
+class DependenceCertificate(NamedTuple):
     """A unit coefficient vector annihilating the outer products.
 
     split holds the indices with non-negative coefficients; the partial
@@ -333,8 +331,7 @@ def sparsity_check(f: Frame) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OptimalBoundReport:
+class OptimalBoundReport(NamedTuple):
     """Achieved outer Riesz bounds against the theoretical extremes.
 
     The upper bound of the outer products is at least M/N for every

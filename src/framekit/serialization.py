@@ -6,7 +6,6 @@ split into re/im column pairs.  Floats are written as shortest-round-trip
 decimals, so both formats carry every bit.
 """
 
-import csv
 import json
 
 import numpy as np
@@ -99,6 +98,8 @@ def frame_to_json(f: Frame, **meta) -> str:
 
 def write_matrix_csv(matrix, fp) -> None:
     """Row-major CSV; complex matrices get paired c{j}_re, c{j}_im columns."""
+    import csv  # only analyze --gram-csv writes CSV
+
     m = np.asarray(matrix)
     writer = csv.writer(fp)
     if np.iscomplexobj(m):

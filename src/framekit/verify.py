@@ -36,8 +36,8 @@ cases per shape and takes both ranks once per (shape, field) stack.
 
 import math
 import time
-from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ from .frame import Frame, riesz_bounds, vector_gram
 from .rng import Stream, box_muller, normal_words, unit_rows, unit_vectors, word_uniforms
 
 
-@dataclass
-class CheckRow:
+class CheckRow(NamedTuple):
     check: str
     case: str
     passed: bool
@@ -913,4 +912,4 @@ def list_checks():
 
 
 def rows_to_dicts(rows):
-    return [asdict(r) for r in rows]
+    return [r._asdict() for r in rows]

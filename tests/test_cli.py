@@ -330,6 +330,20 @@ def test_classify_malformed_candidate_exits_2(tmp_path, capsys, candidate):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("candidate", ["[1e200, 0, 0]", "[1e155, 1e155, 0]"])
+def test_classify_candidate_with_an_overflowing_norm_exits_3_with_one_line(tmp_path, candidate):
+    # the candidate's norm overflows to infinity, which is simply not a unit
+    # norm: no numpy overflow warning may reach stderr ahead of the one line
+    frame_file = tmp_path / "o3.json"
+    with frame_file.open("w") as fp:
+        ser.write_frame(cons.orthonormal(3), fp)
+    proc = run_python("-m", "framekit.cli", "classify", str(frame_file),
+                      "--candidate", candidate)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "framekit classify: NotUnitNorm: candidate must be unit norm"]
+
+
 @pytest.mark.parametrize("flags", [
     ["--grid", "-3"], ["--grid", "0"], ["--grid", "5", "--tol", "-1"],
     ["--grid", "5", "--tol", "0"], ["--grid", "5", "--tol", "nan"],
@@ -592,23 +606,45 @@ def test_framekit_tol_changes_nothing(tmp_path, capsys, monkeypatch):
         assert [run_cli(capsys, *argv)[:2] for argv in commands] == want, value
 
 
-@pytest.mark.parametrize("argv", [["analyze", "F"], ["classify", "F", "--grid", "5"],
-                                  ["nudge", "F", "--eps", "0.1", "--report", "R"]])
-def test_commands_other_than_verify_leave_the_suite_unrun(tmp_path, argv):
+#: The library modules a CLI process can load (errors and cli aside).
+LIBRARY_MODULES = ("constructions", "frame", "geometry", "matcore", "outer", "perturb", "rng",
+                   "serialization", "verify")
+
+
+@pytest.mark.parametrize("argv, unrun", [
+    (["--version"], LIBRARY_MODULES),
+    (["construct", "simplex", "--n", "3"], ("geometry", "outer", "perturb", "verify")),
+    (["analyze", "F"], ("geometry", "perturb", "constructions", "rng", "verify")),
+    (["classify", "F", "--grid", "5"], ("perturb", "constructions", "verify")),
+    (["nudge", "F", "--eps", "0.1", "--report", "R"], ("geometry", "verify")),
+], ids=["version", "construct", "analyze", "classify-grid", "nudge"])
+def test_each_command_runs_only_the_modules_it_calls(tmp_path, argv, unrun):
     frame_file = tmp_path / "b3.json"
-    ser.write_frame(cons.biangular(3), frame_file.open("w"))
+    with frame_file.open("w") as fp:
+        ser.write_frame(cons.biangular(3), fp)
     paths = {"F": str(frame_file), "R": str(tmp_path / "report.json")}
-    argv = [paths.get(a, a) for a in argv] + ["-o", str(tmp_path / "out.json")]
-    # the suite's module is registered but its code has not run: its
-    # namespace, read past the lazy loader (which would run it), lacks the
-    # checks until one of its names is first used
-    script = ("import sys, framekit.cli; code = framekit.cli.main(sys.argv[1:]); "
-              "m = sys.modules['framekit.verify']; "
-              "ran = lambda: 'CHECKS' in object.__getattribute__(m, '__dict__'); "
-              "before = ran(); m.list_checks(); print(code, before, ran())")
-    proc = run_python("-c", script, *argv)
+    argv = [paths.get(a, a) for a in argv]
+    if argv[0] != "--version":
+        argv += ["-o", str(tmp_path / "out.json")]
+    # every library module is registered (the layer tracer looks each one up
+    # by name), but those the command does not call have not run: their
+    # namespaces, read past the lazy loader (which would run them), lack the
+    # __builtins__ that executing a module adds, until a name is first read
+    script = ("import json, sys, framekit.cli\n"
+              "try:\n    code = framekit.cli.main(sys.argv[2:])\n"
+              "except SystemExit as exc:\n    code = exc.code\n"
+              "mods = {m: sys.modules.get('framekit.' + m) for m in sys.argv[1].split(',')}\n"
+              "ran = lambda: sorted(m for m, mod in mods.items() if mod is not None and "
+              "'__builtins__' in object.__getattribute__(mod, '__dict__'))\n"
+              "before = ran()\n"
+              "for mod in mods.values():\n    mod.__doc__\n"
+              "print(json.dumps([code, before, ran()]))")
+    proc = run_python("-c", script, ",".join(LIBRARY_MODULES), *argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False", "True"]
+    code, before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert before == sorted(set(LIBRARY_MODULES) - set(unrun))
+    assert after == sorted(LIBRARY_MODULES)
 
 
 def test_cli_import_does_not_load_fractions():

@@ -17,7 +17,8 @@ or bordered matrix by SVD but the oracle row; only ``ellipsoid_residual``
 reads a vector-Gram spectrum through ``weighted_norm``.  ``verify``'s PSD
 and dual checks hand no matrix to a decomposition twice.  Only the process
 entry point ``cli.run`` freezes the garbage collector, and no module reads
-the environment.
+the environment.  The package's lazy exports are the public names its
+eager imports used to export, each the object its module defines.
 """
 
 import ast
@@ -503,3 +504,45 @@ def test_no_module_reads_the_environment():
             if name in _ENVIRONMENT_READS:
                 found.append((path.stem, name))
     assert found == []
+
+
+#: The package's public names by defining module, as its eager imports
+#: exported them before they became lazy.
+_PUBLIC = {
+    "constructions": ("ConstructionSpec", "biangular", "build", "complex_eij_basis", "eij_basis",
+                      "epsilon_pair", "orthonormal", "random_unit", "random_unit_stack",
+                      "simplex"),
+    "errors": ("FramekitError",),
+    "frame": ("BoundsReport", "Frame", "analysis", "frame_bounds", "frame_operator",
+              "frame_potential", "gram", "is_equiangular", "reconstruct", "riesz_bounds",
+              "synthesis"),
+    "geometry": ("BatchClassification", "ClassificationReport", "PreparedBatch", "PsdExtension",
+                 "admissible_coefficients", "admissible_vector", "classify", "classify_batch",
+                 "classify_frames", "elliptic_value", "ellipsoid_residual",
+                 "extension_rank_preserved", "mu2_subset_mu4_probe", "prepare", "prepare_batch",
+                 "psd_extension", "quartic_residual"),
+    "matcore": ("SpectralData", "hermitian_eig", "kronecker", "numerical_rank",
+                "vectorize_outer"),
+    "outer": ("DependenceCertificate", "OuterBatch", "cross_duals", "cross_gram",
+              "dependence_certificate", "induce", "induce_batch", "is_independent",
+              "optimal_bound_report", "outer_duals", "outer_duals_of", "outer_riesz_bounds",
+              "sparsity_check"),
+    "perturb": ("independence_radius", "nearby_independent_basis", "nudge_batch",
+                "nudge_to_independence", "outer_distance", "perturbed_riesz_bounds"),
+}
+
+
+def test_the_lazy_exports_are_the_public_names_of_their_modules():
+    names = [name for names in _PUBLIC.values() for name in names]
+    assert len(names) == len(set(names)) == 63
+    assert sorted(framekit.__all__) == sorted(names)
+    listed = dir(framekit)
+    for module, exported in _PUBLIC.items():
+        source = importlib.import_module(f"framekit.{module}")
+        assert getattr(framekit, module) is source
+        for name in exported:
+            assert getattr(framekit, name) is getattr(source, name), f"framekit.{name}"
+            assert name in listed, name
+    assert framekit.induce is outer.induce
+    with pytest.raises(AttributeError):
+        framekit.no_such_name
