@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 
 #: The public names, by the submodule that defines them.
 _EXPORTS = {
-    "constructions": ("ConstructionSpec", "biangular", "build", "complex_eij_basis",
-                      "eij_basis", "epsilon_pair", "orthonormal", "random_unit",
-                      "random_unit_stack", "simplex"),
+    "constructions": ("biangular", "build", "complex_eij_basis", "eij_basis",
+                      "epsilon_pair", "orthonormal", "random_unit", "random_unit_stack",
+                      "simplex"),
     "errors": ("FramekitError",),
     "frame": ("BoundsReport", "Frame", "analysis", "frame_bounds", "frame_operator",
               "frame_potential", "gram", "is_equiangular", "reconstruct", "riesz_bounds",

@@ -157,13 +157,13 @@ def cmd_construct(args) -> int:
     if kind == "orthonormal":
         params["field"] = args.field
     n = args.n if args.n is not None else 2
-    spec = cons.ConstructionSpec(kind=kind, n=n, params=params)
     try:
-        f = cons.build(spec)
+        f = cons.build(kind, n, **params)
     except BadParam as exc:
         print(f"framekit construct: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    doc = serialization.frame_to_doc(f, name=args.kind, construction=spec.to_dict())
+    doc = serialization.frame_to_doc(f, name=args.kind,
+                                     construction={"kind": kind, "n": n, **params})
     _emit((args.output, serialization.to_json(doc)))
     return EXIT_OK
 
@@ -171,7 +171,8 @@ def cmd_construct(args) -> int:
 def cmd_analyze(args) -> int:
     f = _load_frame(args.frame)
     results = {}
-    tol = {"rank": "max(rows,cols)*eps*sigma_max", "tight": 1e-10, "equiangular": 1e-10}
+    tol = {"rank": "max(rows,cols)*eps*sigma_max", "tight": frame.TIGHT_RELTOL,
+           "equiangular": frame.EQUIANGULAR_TOL}
     results["m"] = f.m
     results["n"] = f.n
     results["field"] = f.field

@@ -8,7 +8,6 @@ driven by the portable counter-based generator in :mod:`framekit.rng`.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -138,21 +137,9 @@ def random_unit(n: int, m: int, seed: int, field: str = REAL) -> Frame:
     return Frame(field=field, vectors=random_unit_stack(n, m, [seed], field)[0])
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """Serializable descriptor naming a construction and its parameters."""
-
-    kind: str
-    n: int
-    params: dict = dc_field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "n": self.n, **self.params}
-
-
-def build(spec: ConstructionSpec) -> Frame:
-    """Materialize a ConstructionSpec."""
-    kind, n, p = spec.kind, spec.n, spec.params
+def build(kind: str, n: int, **p) -> Frame:
+    """The construction named ``kind`` in dimension n, with its parameters
+    (``eps``; ``m``, ``seed``; ``field``) as keywords."""
     if kind == "orthonormal":
         return orthonormal(n, field=p.get("field", REAL))
     if kind == "eij":

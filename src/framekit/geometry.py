@@ -58,12 +58,6 @@ from .rng import Stream, unit_vectors
 PSD_RELTOL = 1e-10
 DEFAULT_VERDICT_TOL = 1e-8
 
-#: Bordered-rank comparisons run on vectors that were themselves computed
-#: through an eigendecomposition, whose backward error exceeds the bare
-#: max(shape) * eps * sigma_max threshold by a modest constant.  This factor
-#: absorbs that while staying ten-plus orders below genuine singular values.
-BORDER_RANK_SAFETY = 100.0
-
 #: The classifier's determinant cross-check allows this multiple of its
 #: first-order error bound (see _bordered_gram_check).  That bound assumes
 #: each computed eigenvalue is off by at most (M+1) eps lambda_max, where
@@ -78,15 +72,6 @@ SCHUR_SAFETY = 10.0
 STACK_ENTRIES = 1 << 20
 
 _EPS = np.finfo(np.float64).eps
-
-
-def _border_rank(w):
-    """Rank of a self-adjoint matrix, or of each matrix of a stack, from its
-    eigenvalues w (one row per matrix), at BORDER_RANK_SAFETY times the default tolerance."""
-    sigma = np.sort(np.abs(w))[..., ::-1]
-    shape = (w.shape[-1],) * 2
-    tol = BORDER_RANK_SAFETY * matcore.default_rank_tol(shape, sigma[..., 0])
-    return matcore.rank_from_singular_values(sigma, shape, tol)
 
 
 class PsdExtension(NamedTuple):
@@ -161,12 +146,22 @@ def extension_rank_preserved(ext: PsdExtension, v):
     """Whether bordering ext's t with (v, 1) keeps the rank unchanged; for a
     stacked ext and a (K, n) v, per matrix.
 
-    t's rank is read from ext's spectrum, which psd_extension has already
-    put through the PSD rule, so t is decomposed once; the bordered matrix
-    takes one eigvalsh.
+    The lemma is homogeneous: for c > 0, [[t/c, v/sqrt(c)], [., 1]] is
+    congruent to a multiple of [[t, v], [v*, 1]].  With c t's largest
+    diagonal entry (between lambda_max / n and lambda_max), the corner 1
+    has t's scale.  Both ranks come from ``matcore.rank_from_eigenvalues``
+    at one threshold, that of the bordered matrix B: t's rank is the rank
+    of diag(t/c, |B|) minus one, a matrix of B's shape and largest modulus.
+    t's spectrum is read from ext, so t is decomposed once; B takes one
+    eigvalsh.
     """
-    w = matcore.hermitian_eigvalues(bordered(ext.t, v))
-    return _border_rank(w) == _border_rank(ext.spectrum.eigenvalues)
+    top = np.diagonal(ext.t, axis1=-2, axis2=-1).real.max(axis=-1, keepdims=True)
+    c = np.where(top > 0.0, top, 1.0)  # t = 0 takes c = 1
+    w = matcore.hermitian_eigvalues(bordered(ext.t / c[..., None], np.asarray(v) / np.sqrt(c)))
+    diag = np.concatenate([ext.spectrum.eigenvalues / c, np.abs(w).max(axis=-1, keepdims=True)],
+                          axis=-1)
+    shape = w.shape[-1:] * 2
+    return matcore.rank_from_eigenvalues(w, shape) == matcore.rank_from_eigenvalues(diag, shape) - 1
 
 
 def admissible_vector(ext: PsdExtension, a) -> np.ndarray:

@@ -198,16 +198,15 @@ def default_rank_tol(shape: tuple[int, int], sigma_max: float) -> float:
     return max(shape) * _EPS * sigma_max
 
 
-def rank_from_singular_values(sigma, shape, tol=None):
-    """Count of singular values above ``tol``, along the last axis.
+def rank_from_singular_values(sigma, shape):
+    """Count of singular values above ``default_rank_tol``, along the last axis.
 
     ``sigma`` is descending, or a stack of descending rows that each come
     from a matrix of ``shape``; a stack gives an integer array of ranks,
-    each row judged against its own default tolerance.
+    each row judged against its own tolerance.
     """
     sigma = np.asarray(sigma)
-    if tol is None:
-        tol = default_rank_tol(shape, sigma[..., 0] if sigma.shape[-1] else 0.0)
+    tol = default_rank_tol(shape, sigma[..., 0] if sigma.shape[-1] else 0.0)
     if sigma.ndim == 1:
         return int(np.count_nonzero(sigma > tol))
     return (sigma > np.asarray(tol)[..., None]).sum(axis=-1)

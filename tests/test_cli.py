@@ -177,7 +177,7 @@ def test_sizes_too_large_to_hold_exit_without_traceback(tmp_path, argv, code):
 
 
 def test_memory_error_exits_3_with_one_line(capsys, monkeypatch):
-    def refuse(spec):
+    def refuse(kind, n, **params):
         raise MemoryError()
     monkeypatch.setattr(cons, "build", refuse)
     code, out, err = run_cli(capsys, "construct", "eij", "--n", "3")

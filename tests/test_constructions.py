@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from framekit import constructions as cons
+from framekit import cli, constructions as cons
 from framekit import outer
 from framekit.errors import BadParam
 from framekit.frame import frame_bounds, gram, is_equiangular
@@ -139,12 +141,13 @@ def test_random_unit_outers_independent_at_feasible_sizes():
     assert bad == 0
 
 
-def test_construction_spec_round_trip():
-    spec = cons.ConstructionSpec(kind="random_unit", n=3,
-                                 params={"m": 5, "seed": 9, "field": "real"})
-    assert spec.to_dict() == {"kind": "random_unit", "n": 3, "m": 5, "seed": 9, "field": "real"}
-    f = cons.build(spec)
+def test_construction_spec_round_trip(capsys):
+    # the construction record that framekit construct writes rebuilds its frame
+    assert cli.main(["construct", "random-unit", "--n", "3", "--m", "5", "--seed", "9"]) == 0
+    spec = json.loads(capsys.readouterr().out)["construction"]
+    assert spec == {"kind": "random_unit", "n": 3, "m": 5, "seed": 9, "field": "real"}
+    f = cons.build(**spec)
     assert (f.n, f.m) == (3, 5)
     np.testing.assert_array_equal(f.vectors, cons.random_unit(3, 5, 9).vectors)
     with pytest.raises(BadParam):
-        cons.build(cons.ConstructionSpec(kind="mystery", n=2))
+        cons.build("mystery", 2)

@@ -81,6 +81,45 @@ class TestExtensionRankPreserved:
         with pytest.raises(NotPsd):
             geometry.psd_extension(outside)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("s", [1e-14, 3e-14])
+    def test_lemma_holds_at_the_rank_threshold(self, s, cplx, scale):
+        # the smallest positive eigenvalue sits a few times above the rank
+        # threshold 4 eps lambda_max ~ 9e-16 lambda_max, at any scale of t:
+        # the border is judged at t's scale, by the rule that counted it positive
+        a = np.ones(3) / np.sqrt(3.0)
+        for seed in range(50):
+            g = np.random.default_rng(seed).standard_normal((4, 4, 2))
+            q, _ = np.linalg.qr(g[..., 0] + 1j * g[..., 1] if cplx else g[..., 0])
+            t = (q * (scale * np.array([1.0, 0.5, s, 0.0]))) @ q.conj().T
+            ext = geometry.psd_extension((t + t.conj().T) / 2)
+            assert ext.i_plus == (0, 1, 2), seed
+            v = geometry.admissible_vector(ext, a)
+            assert geometry.extension_rank_preserved(ext, v), seed
+            np.testing.assert_allclose(geometry.admissible_coefficients(ext, v), a, atol=1e-6)
+            assert not geometry.extension_rank_preserved(ext, 1.5 * v), seed
+            assert geometry.admissible_coefficients(ext, 1.5 * v) is None, seed
+
+    @pytest.mark.parametrize("small", [1e-16, 1e-21])
+    def test_small_t_is_bordered_at_its_own_scale(self, small):
+        # lambda_max = 1e-6: a corner 1 would put the bordered threshold
+        # (3 eps ~ 7e-16) above both eigenvalues that t's own threshold
+        # (2 eps 1e-6 ~ 4e-22) counts; 1e-21 sits 2.25 times above t's
+        ext = geometry.psd_extension(np.diag([1e-6, small]))
+        assert ext.i_plus == (0, 1)
+        v = geometry.admissible_vector(ext, [1.0, 0.0])
+        assert geometry.extension_rank_preserved(ext, v)
+        np.testing.assert_allclose(geometry.admissible_coefficients(ext, v), [1.0, 0.0])
+        assert not geometry.extension_rank_preserved(ext, 1.5 * v)
+        assert geometry.admissible_coefficients(ext, 1.5 * v) is None
+
+    def test_zero_t(self):
+        ext = geometry.psd_extension(np.zeros((2, 2)))
+        assert ext.i_plus == ()
+        assert not geometry.extension_rank_preserved(ext, [0.0, 0.0])
+        assert not geometry.extension_rank_preserved(ext, [1e-300, 0.0])
+
 
 class TestAdmissibleVectors:
     def test_single_eigenvalue(self):
@@ -513,14 +552,16 @@ class TestStackedPsdExtension:
             ext = geometry.PsdExtension(t=ts, spectrum=sd, i_plus=tuple(range(r)))
             a = np.array([random_unit_vec(rng, r, cplx) for _ in ts])
             v = geometry.admissible_vector(ext, a)
-            t_rank = geometry._border_rank(matcore.hermitian_eigvalues(ts))
+            t_rank = matcore.rank_from_eigenvalues(matcore.hermitian_eigvalues(ts), (n, n))
             for i, e in enumerate(singles):
                 assert v[i].tobytes() == geometry.admissible_vector(e, a[i]).tobytes()
-                assert t_rank[i] == geometry._border_rank(matcore.hermitian_eigvalues(ts[i])) == r
+                assert t_rank[i] == r == \
+                    matcore.rank_from_eigenvalues(matcore.hermitian_eigvalues(ts[i]), (n, n))
             leak = v + 0.5 * sd.eigenvectors[..., -1]  # a kernel leak when r < n
             for x in (v, 1.5 * v, leak):
                 back = geometry.admissible_coefficients(ext, x)
-                ranks = geometry._border_rank(matcore.hermitian_eigvalues(geometry.bordered(ts, x)))
+                ranks = matcore.rank_from_eigenvalues(
+                    matcore.hermitian_eigvalues(geometry.bordered(ts, x)), (n + 1, n + 1))
                 for i, e in enumerate(singles):
                     one = geometry.admissible_coefficients(e, x[i])
                     if one is None:

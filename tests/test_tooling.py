@@ -14,7 +14,9 @@ one spectral path: its decompositions are the ``np.linalg`` calls listed in
 ``_LINALG_CALLS``, and no module adds its own; nor does any module outside
 ``matcore`` divide by eigenvalues but the listed exception, nor rank a Gram
 or bordered matrix by SVD but the oracle row; only ``ellipsoid_residual``
-reads a vector-Gram spectrum through ``weighted_norm``.  ``verify``'s PSD
+reads a vector-Gram spectrum through ``weighted_norm``; and only
+``rank_from_singular_values`` and ``psd_extension``'s positive-eigenvalue
+mask read the one rank threshold, unscaled.  ``verify``'s PSD
 and dual checks hand no matrix to a decomposition twice.  Only the process
 entry point ``cli.run`` freezes the garbage collector, and no module reads
 the environment.  The package's lazy exports are the public names its
@@ -334,6 +336,30 @@ def test_self_adjoint_matrices_are_ranked_from_their_eigenvalues():
     assert sorted(found) == sorted(_SVD_OF_SELF_ADJOINT)
 
 
+#: The functions that read the rank threshold ``matcore.default_rank_tol``.
+_RANK_THRESHOLDS = [("geometry", "_positive_eigenvalues"),
+                    ("matcore", "rank_from_singular_values")]
+
+
+def test_one_rank_threshold():
+    # every rank is rank_from_singular_values' count above default_rank_tol,
+    # and psd_extension's positive eigenpairs are those above the same
+    # threshold: no function scales it or hands the count a threshold of its own
+    found, given = [], []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "framekit").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and _called(node) == "default_rank_tol":
+                    found.append((path.stem, fn.name))
+                elif isinstance(node, ast.Call) and _called(node) == "rank_from_singular_values" \
+                        and (len(node.args) != 2 or node.keywords):
+                    given.append((path.stem, fn.name))
+    assert sorted(found) == _RANK_THRESHOLDS
+    assert given == []
+
+
 #: The functions that hand ``weighted_norm`` a vector-Gram spectrum: the
 #: ellipsoid is the analysis image of the unit sphere, measured in one place.
 _ELLIPSOID_NORMS = [("geometry", "ellipsoid_residual")]
@@ -509,9 +535,8 @@ def test_no_module_reads_the_environment():
 #: The package's public names by defining module, as its eager imports
 #: exported them before they became lazy.
 _PUBLIC = {
-    "constructions": ("ConstructionSpec", "biangular", "build", "complex_eij_basis", "eij_basis",
-                      "epsilon_pair", "orthonormal", "random_unit", "random_unit_stack",
-                      "simplex"),
+    "constructions": ("biangular", "build", "complex_eij_basis", "eij_basis", "epsilon_pair",
+                      "orthonormal", "random_unit", "random_unit_stack", "simplex"),
     "errors": ("FramekitError",),
     "frame": ("BoundsReport", "Frame", "analysis", "frame_bounds", "frame_operator",
               "frame_potential", "gram", "is_equiangular", "reconstruct", "riesz_bounds",
@@ -534,7 +559,7 @@ _PUBLIC = {
 
 def test_the_lazy_exports_are_the_public_names_of_their_modules():
     names = [name for names in _PUBLIC.values() for name in names]
-    assert len(names) == len(set(names)) == 63
+    assert len(names) == len(set(names)) == 62
     assert sorted(framekit.__all__) == sorted(names)
     listed = dir(framekit)
     for module, exported in _PUBLIC.items():
