@@ -37,6 +37,11 @@ print(f"annihilation residual    = {cert.residual:.2e}")
 print("\n== a sparsity shortcut for independence ==")
 print(f"eij_basis(3) passes the coordinate-support test: "
       f"{fk.sparsity_check(fk.eij_basis(3))}")
+# supports are exact: entries of 1e-13 still share coordinates, and these
+# M = 4 > 3 = N(N+1)/2 outer products in R^2 are dependent
+tiny = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1e-13], [1e-13, 1.0]])
+tiny = fk.Frame.from_vectors(tiny / np.linalg.norm(tiny, axis=1, keepdims=True))
+print(f"(1, 0), (0, 1), (1, 1e-13)/|.|, (1e-13, 1)/|.| fails it: {fk.sparsity_check(tiny)}")
 print(f"simplex(2) fails the test (but is still independent): "
       f"{fk.sparsity_check(fk.simplex(2))} / "
       f"{fk.is_independent(fk.induce(fk.simplex(2)))}")

@@ -109,16 +109,15 @@ class BoundsReport(NamedTuple):
 
     lower: float
     upper: float
-    kind: str  # "frame" | "riesz"
     tight: bool
     parseval: bool
 
 
-def _bounds_report(lower: float, upper: float, kind: str) -> BoundsReport:
+def _bounds_report(lower: float, upper: float) -> BoundsReport:
     tight = abs(lower - upper) <= TIGHT_RELTOL * upper
     parseval = tight and abs(upper - 1.0) <= TIGHT_RELTOL
-    return BoundsReport(lower=float(lower), upper=float(upper), kind=kind,
-                        tight=bool(tight), parseval=bool(parseval))
+    return BoundsReport(lower=float(lower), upper=float(upper), tight=bool(tight),
+                        parseval=bool(parseval))
 
 
 def synthesis(f: Frame) -> np.ndarray:
@@ -156,7 +155,7 @@ def frame_bounds(f: Frame) -> BoundsReport:
     if not spans(f):
         raise NotAFrame(f"vectors span a proper subspace of dimension < {f.n}")
     w = matcore.hermitian_eigvalues(frame_operator(f))
-    return _bounds_report(w[-1], w[0], kind="frame")
+    return _bounds_report(w[-1], w[0])
 
 
 def riesz_bounds(f: Frame) -> BoundsReport:
@@ -164,7 +163,7 @@ def riesz_bounds(f: Frame) -> BoundsReport:
     w = matcore.hermitian_eigvalues(gram(f))
     if matcore.rank_from_eigenvalues(w, (f.m, f.m)) < f.m:
         raise NotIndependent("vectors are linearly dependent at tolerance")
-    return _bounds_report(w[-1], w[0], kind="riesz")
+    return _bounds_report(w[-1], w[0])
 
 
 def frame_potential(f: Frame) -> float:

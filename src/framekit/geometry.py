@@ -272,7 +272,7 @@ def quartic_residual(f: Frame, v) -> float:
         raise ShapeMismatch(f"v has length {v.shape[0]}, expected M = {f.m}")
     if not np.all(np.abs(v) < np.sqrt(np.finfo(np.float64).max)):  # NaN fails too
         raise BadParam("quartic_residual needs v with finite squared moduli")
-    value = _checked(prep, None, v.reshape(1, 1, -1)).elliptic_value  # one frame, one row
+    value = _checked(prep, v.reshape(1, 1, -1)).elliptic_value  # one frame, one row
     return abs(float(value[0]) - 1.0)
 
 
@@ -294,18 +294,16 @@ def ellipsoid_residual(f: Frame, v) -> float:
 class ClassificationReport(NamedTuple):
     """Elliptic value and verdict for one candidate vector.
 
-    verdict is "dependent" iff |elliptic_value - 1| <= tol; the verdict is
-    always cross-checked against the extended outer Gram (see
-    classify_batch).  permutation records the greedy independent-prefix
-    reordering applied when the input frame itself had dependent outer
-    products.
+    verdict is "dependent" iff |elliptic_value - 1| <= tol, the tol that
+    classify was given; the verdict is always cross-checked against the
+    extended outer Gram (see classify_batch).  permutation records the
+    greedy independent-prefix reordering applied when the input frame
+    itself had dependent outer products.
     """
 
-    candidate: np.ndarray
     tv: np.ndarray
     elliptic_value: float
     verdict: str
-    tol: float
     permutation: tuple | None = None
 
 
@@ -379,19 +377,16 @@ class BatchClassification(NamedTuple):
     report classify gives for that candidate alone.
     """
 
-    candidates: np.ndarray
     tv: np.ndarray
     elliptic_value: np.ndarray
     dependent: np.ndarray
-    tol: float
     permutation: tuple | None
 
     def report(self, k: int) -> ClassificationReport:
         return ClassificationReport(
-            candidate=self.candidates[k], tv=self.tv[k],
-            elliptic_value=float(self.elliptic_value[k]),
+            tv=self.tv[k], elliptic_value=float(self.elliptic_value[k]),
             verdict="dependent" if self.dependent[k] else "independent",
-            tol=self.tol, permutation=self.permutation)
+            permutation=self.permutation)
 
 
 class _BorderCheck(NamedTuple):
@@ -456,7 +451,7 @@ def _bordered_gram_check(gram: np.ndarray, lam_g: np.ndarray, w: np.ndarray,
     return _BorderCheck(disagrees=disagrees, flat=flat, schur=schur, bound=bound)
 
 
-def _classified(prep: PreparedBatch, candidates, tv: np.ndarray, tol: float) -> tuple:
+def _classified(prep: PreparedBatch, tv: np.ndarray, tol: float) -> tuple:
     """(BatchClassification, bordered-Gram check) for the analysis images
     tv: (1, K, M) for K candidates against the one frame of prep, or
     (K, 1, M) for candidate k against frame k; each elliptic value of the
@@ -467,17 +462,15 @@ def _classified(prep: PreparedBatch, candidates, tv: np.ndarray, tol: float) -> 
     dependent = np.abs(value - 1.0) <= tol
     check = _bordered_gram_check(prep.scaled_gram, prep.scaled_spectrum.eigenvalues,
                                  w.reshape(-1, m), value.reshape(-1), dependent.reshape(-1))
-    result = BatchClassification(candidates=candidates, tv=tv.reshape(-1, m),
-                                 elliptic_value=value.reshape(-1),
-                                 dependent=dependent.reshape(-1), tol=tol,
-                                 permutation=prep.permutation)
+    result = BatchClassification(tv=tv.reshape(-1, m), elliptic_value=value.reshape(-1),
+                                 dependent=dependent.reshape(-1), permutation=prep.permutation)
     return result, check
 
 
-def _checked(prep: PreparedBatch, candidates, tv, tol=DEFAULT_VERDICT_TOL) -> BatchClassification:
+def _checked(prep: PreparedBatch, tv, tol=DEFAULT_VERDICT_TOL) -> BatchClassification:
     """``_classified``'s classification, or InternalInconsistency naming the
     first candidate that disagrees with its bordered Gram."""
-    result, check = _classified(prep, candidates, tv, tol)
+    result, check = _classified(prep, tv, tol)
     if check.disagrees.any():
         i = int(check.disagrees.argmax())
         verdict = "dependent" if result.dependent[i] else "independent"
@@ -504,7 +497,7 @@ def classify_batch(prep: PreparedBatch, candidates,
     if count != 1:
         raise ShapeMismatch(f"classify_batch takes one prepared frame, got {count}")
     candidates = _check_candidates(candidates, prep.outer)
-    return _checked(prep, candidates, candidates @ prep.outer.vectors.conj().swapaxes(-1, -2), tol)
+    return _checked(prep, candidates @ prep.outer.vectors.conj().swapaxes(-1, -2), tol)
 
 
 def classify_frames(prep: PreparedBatch, candidates, tol: float = DEFAULT_VERDICT_TOL) -> tuple:
@@ -519,7 +512,7 @@ def classify_frames(prep: PreparedBatch, candidates, tol: float = DEFAULT_VERDIC
     if len(candidates) != len(prep.outer.vectors):
         raise ShapeMismatch(f"{len(candidates)} candidates for {len(prep.outer.vectors)} frames")
     analysis = prep.outer.vectors.conj().swapaxes(-1, -2)
-    result, check = _classified(prep, candidates, candidates[:, None, :] @ analysis, tol)
+    result, check = _classified(prep, candidates[:, None, :] @ analysis, tol)
     return result, check.disagrees
 
 
@@ -547,5 +540,5 @@ def mu2_subset_mu4_probe(f: Frame, samples: int, seed: int) -> float:
     if rank < ambient:
         raise RankDeficient(f"outer products span {rank} < {ambient} dimensions")
     psi = unit_vectors(Stream(seed), samples, f.n, f.field == "complex")
-    value = _checked(prep, psi, psi @ prep.outer.vectors.conj().swapaxes(-1, -2)).elliptic_value
+    value = _checked(prep, psi @ prep.outer.vectors.conj().swapaxes(-1, -2)).elliptic_value
     return float(np.max(np.abs(value - 1.0), initial=0.0))

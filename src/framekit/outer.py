@@ -33,8 +33,6 @@ from .errors import (
 from .frame import (BoundsReport, Frame, _bounds_report, checked_vectors, field_of, unit_norm,
                     vector_gram)
 
-ZERO_ENTRY_TOL = 1e-12
-
 
 def ambient_outer_dim(n: int, field: str) -> int:
     """Dimension of the real span of self-adjoint n x n matrices over the
@@ -44,7 +42,8 @@ def ambient_outer_dim(n: int, field: str) -> int:
 
 def _outer_spectra(v: np.ndarray):
     """gram_op = |G|^2, its eigendecomposition and its rank for (..., M, N)
-    vector rows: the one place these are formed, for a frame or a stack."""
+    vector rows, for a frame or a stack: the outer Gram of every
+    ``OuterBatch`` and every eig-rule step of the greedy scan comes from here."""
     gram_op = np.abs(vector_gram(v)) ** 2
     gram_op.flags.writeable = False
     spectrum = matcore.hermitian_eig(gram_op)
@@ -166,7 +165,7 @@ def outer_riesz_bounds(os_: OuterBatch) -> BoundsReport:
     if os_.rank < os_.m:
         raise NotIndependent("outer products are dependent at tolerance")
     w = os_.gram_spectrum.eigenvalues
-    return _bounds_report(w[-1], w[0], kind="riesz")
+    return _bounds_report(w[-1], w[0])
 
 
 #: The greedy scan accepts a step without an eig only when its lower bound on
@@ -316,17 +315,17 @@ def sparsity_check(f: Frame) -> bool:
     """Sufficient condition for independent outers via coordinate supports.
 
     For every coordinate k, the vectors with a non-zero k-th entry must be
-    linearly independent.  True implies independence of the induced outer
-    products; False decides nothing.
+    linearly independent.  Supports are exact, as the condition needs: an
+    entry is in its support unless it equals 0, however small it is.  True
+    implies independence of the induced outer products; False decides
+    nothing.  ZeroVector for an exactly zero vector.
     """
-    norms = np.linalg.norm(f.vectors, axis=1)
-    if np.any(norms <= ZERO_ENTRY_TOL):
+    support = f.vectors != 0
+    if not support.any(axis=1).all():
         raise ZeroVector("sparsity condition is stated for sequences without zero vectors")
     for k in range(f.n):
-        idx = np.flatnonzero(np.abs(f.vectors[:, k]) > ZERO_ENTRY_TOL)
-        if idx.size == 0:
-            continue
-        if matcore.numerical_rank(f.vectors[idx].T) < idx.size:
+        idx = np.flatnonzero(support[:, k])
+        if idx.size and matcore.numerical_rank(f.vectors[idx].T) < idx.size:
             return False
     return True
 
@@ -343,8 +342,6 @@ class OptimalBoundReport(NamedTuple):
     lower_bound_ceiling: float | None
     achieved_upper: float
     achieved_lower: float
-    upper_gap: float
-    lower_gap: float | None
 
 
 def optimal_bound_report(os_: OuterBatch) -> OptimalBoundReport:
@@ -355,15 +352,8 @@ def optimal_bound_report(os_: OuterBatch) -> OptimalBoundReport:
     floor = m / n
     ceiling = m * (n - 1) / (n * (m - 1)) if m > n else None
     w = os_.gram_spectrum.eigenvalues
-    upper, lower = float(w[0]), float(w[-1])
-    return OptimalBoundReport(
-        upper_bound_floor=floor,
-        lower_bound_ceiling=ceiling,
-        achieved_upper=upper,
-        achieved_lower=lower,
-        upper_gap=upper - floor,
-        lower_gap=(ceiling - lower) if ceiling is not None else None,
-    )
+    return OptimalBoundReport(upper_bound_floor=floor, lower_bound_ceiling=ceiling,
+                              achieved_upper=float(w[0]), achieved_lower=float(w[-1]))
 
 
 def _projections(os_: OuterBatch, x: np.ndarray) -> np.ndarray:

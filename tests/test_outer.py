@@ -297,6 +297,36 @@ class TestSparsity:
         with pytest.raises(ZeroVector):
             outer.sparsity_check(frame_of([0.0, 0.0], [1.0, 0.0]))
 
+    def test_tiny_entries_are_in_the_support(self):
+        # M = 4 > 3 = N(N+1)/2: the outers are dependent, and every
+        # coordinate is shared by all four vectors
+        v = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1e-13], [1e-13, 1.0]])
+        f = Frame.from_vectors(v / np.linalg.norm(v, axis=1, keepdims=True))
+        assert outer.induce(f).rank == 2
+        assert not outer.sparsity_check(f)
+
+    def test_a_tiny_vector_is_not_zero(self):
+        f = Frame.from_vectors(1e-13 * np.eye(3))
+        assert outer.induce(f).rank == 3
+        assert outer.sparsity_check(f)
+
+    def test_true_implies_exact_independence(self):
+        # entries 0, +-1 and +-2^-44 make every outer product exact, so the
+        # exact-rational rank is ground truth for each True verdict
+        rng = np.random.default_rng(0)
+        values = np.array([0.0, 1.0, -1.0, 2.0 ** -44, -(2.0 ** -44)])
+        verdicts = 0
+        for _ in range(3000):
+            n = int(rng.choice([2, 3]))
+            m = int(rng.integers(1, n * (n + 1) // 2 + 2))
+            v = values[rng.integers(0, len(values), size=(m, n))]
+            if not v.any(axis=1).all():
+                continue
+            if outer.sparsity_check(Frame.from_vectors(v)):
+                verdicts += 1
+                assert verify.rational_rank(matcore.vectorize_outer(v)) == m, v
+        assert verdicts > 500
+
     def test_sufficiency(self):
         rng = np.random.default_rng(35)
         for _ in range(25):

@@ -6,10 +6,11 @@ benchmark run.  The tracer's source is read, not imported: loading it by
 path leaves perfbench/ untouched (no bytecode cache is written there).
 Between in-process passes the harness calls ``cache_clear`` on every
 module attribute that has one, so every memo must be such an attribute.
-In the other direction, every top-level name of the package must be read
-somewhere in the repository's code, or it is dead and goes.  Every check
-of ``framekit verify`` that draws a random corpus is compared, bit for
-bit, with a per-case reference loop in ``test_verify``.  The package keeps
+In the other direction, every top-level name of the package, and every
+annotated field of its classes, must be read somewhere in the repository's
+code, or it is dead and goes.  Every check of ``framekit verify`` that
+draws a random corpus is compared, bit for bit, with a per-case reference
+loop in ``test_verify``.  The package keeps
 one spectral path: its decompositions are the ``np.linalg`` calls listed in
 ``_LINALG_CALLS``, and no module adds its own; nor does any module outside
 ``matcore`` divide by eigenvalues but the listed exception, nor rank a Gram
@@ -104,12 +105,18 @@ def _read_names(tree) -> set:
     return names
 
 
+def _repository_trees(root: Path):
+    """The parsed source of every Python file of the repository's code."""
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in (root / folder).rglob("*.py"):
+            yield ast.parse(path.read_text())
+
+
 def test_every_top_level_name_of_the_package_is_read_somewhere():
     root = Path(__file__).resolve().parents[1]
     read = set()
-    for folder in ("src", "tests", "demos", "perfbench"):
-        for path in (root / folder).rglob("*.py"):
-            read |= _read_names(ast.parse(path.read_text()))
+    for tree in _repository_trees(root):
+        read |= _read_names(tree)
     dead = []
     for path in sorted((root / "src" / "framekit").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -123,6 +130,28 @@ def test_every_top_level_name_of_the_package_is_read_somewhere():
             dead += [f"framekit.{path.stem}.{name}" for name in defined
                      if name not in read and not name.startswith("__")]
     assert dead == []
+
+
+def test_every_record_field_is_read_somewhere():
+    """Every annotated field of a class of the package is loaded as an
+    attribute somewhere in the repository's code.
+
+    The test matches names, not types: a field that shares its name with
+    an attribute read elsewhere passes though no caller reads the field
+    itself (a field named tol passes wherever ``args.tol`` is read).
+    """
+    root = Path(__file__).resolve().parents[1]
+    read = {node.attr for tree in _repository_trees(root) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in sorted((root / "src" / "framekit").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                unread += [f"framekit.{path.stem}.{cls.name}.{node.target.id}"
+                           for node in cls.body if isinstance(node, ast.AnnAssign)
+                           and isinstance(node.target, ast.Name)
+                           and node.target.id not in read]
+    assert unread == []
 
 
 #: What marks a check as drawing a random corpus, in its own source or in that
