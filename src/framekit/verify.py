@@ -23,15 +23,20 @@ shape group at a time (``geometry.prepare_batch`` and
 that their filters ranked, and ``nudge-repair`` nudges each (shape, field)
 group of its corpus with one ``perturb.nudge_batch`` call per budget and
 judges the nudged stacks' ranks and movements stacked.  Each forward case
-of ``psd-extension-roundtrip`` draws the same words whatever its outcome.
+of ``psd-extension-roundtrip`` draws the same words whatever its outcome,
+and the cases of one (order, field) take one QR, one eigh and one
+bordered eigvalsh over all their ranks and probes.
 
 Ranks that LAPACK computes are checked against an exact oracle,
 ``rational_rank``: Gaussian elimination of a stack of matrices, scaled to
-integers, modulo enough primes below 2^31 that their product exceeds every
-minor's Hadamard bound, all in lockstep in int64; the rank is the largest
-over the primes.  A complex matrix goes through its real embedding
-[[A, -B], [B, A]].  ``psd-extension-roundtrip`` builds its exact-rank
-cases per shape and takes both ranks once per (shape, field) stack.
+integers, modulo enough primes p = 1 (mod 4) below 2^31 that their product
+exceeds every minor's Hadamard bound H, all in lockstep in int64; the rank
+is the largest over the primes.  A complex A + iB is reduced at its own
+size, as A + sB modulo p with s^2 = -1 (mod p); its primes' product exceeds
+H^2, which bounds the norm |D|^2 of every minor D, so no nonzero minor lies
+in all their prime ideals (p, i - s).  ``psd-extension-roundtrip`` builds
+its exact-rank cases per shape and takes both ranks once per (shape,
+field) stack.
 """
 
 import math
@@ -140,8 +145,8 @@ def _orthonormal(g):
 
 @lru_cache(maxsize=None)
 def _prime_window(width: int) -> np.ndarray:
-    """The primes in [2^31 - width, 2^31), largest first, by a sieve of the
-    window with the primes up to 46341 (> sqrt(2^31))."""
+    """The primes p = 1 (mod 4) in [2^31 - width, 2^31), largest first, by a
+    sieve of the window with the primes up to 46341 (> sqrt(2^31))."""
     small = np.ones(46342, dtype=bool)
     small[:2] = False
     for p in range(2, 216):  # 216^2 > 46341
@@ -155,16 +160,28 @@ def _prime_window(width: int) -> np.ndarray:
         composite[at::p] = True
     wide = first[sieving >= width]  # one multiple in the window at most
     composite[wide[wide < width]] = True
-    return lo + np.flatnonzero(~composite)[::-1]
+    primes = lo + np.flatnonzero(~composite)[::-1]
+    return primes[primes % 4 == 1]
 
 
 def _moduli(count: int) -> np.ndarray:
-    """The count largest primes below 2^31, largest first.  Each is above
-    2^30, and a product of two residues fits int64."""
+    """The count largest primes p = 1 (mod 4) below 2^31, largest first.
+    Each is above 2^30, and a product of two residues fits int64."""
     width = 1024
     while len(_prime_window(width)) < count:
         width *= 2
     return _prime_window(width)[:count]
+
+
+@lru_cache(maxsize=None)
+def _unit_root(p: int) -> int:
+    """The s in [1, p/2) with s^2 = -1 (mod p), for a prime p = 1 (mod 4):
+    c^((p-1)/4) for the least c that is not a square modulo p."""
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    s = pow(c, (p - 1) // 4, p)
+    return min(s, p - s)
 
 
 def _exact_entries(a: np.ndarray) -> np.ndarray:
@@ -226,17 +243,20 @@ def rational_rank(matrix):
     entries), real or complex: an int for a matrix, the ranks for an
     (..., m, n) stack.
 
-    Each matrix becomes integers by one power of two (``_binary_integers``),
-    and the stack is eliminated modulo the count largest primes below 2^31
-    in lockstep, a pivot per matrix and prime.  The rank modulo a prime is
-    never above the rank r over Q, and count is such that the primes'
-    product exceeds the Hadamard bound H on every minor: the product of the
-    row norms.  A nonzero r x r minor D has |D| <= H < the product, so some
-    prime does not divide it, and the largest rank over the primes is r.
-    A complex A + iB is taken as the real [[A, -B], [B, A]], whose rank is
-    twice that of A + iB.  Residues and elimination are int64 arithmetic,
-    and only the prime count is a float bound, with a margin: independent
-    of LAPACK.
+    Each matrix becomes integers, Gaussian integers A + iB when complex, by
+    one power of two (``_binary_integers``), and the stack is eliminated
+    modulo the count largest primes p = 1 (mod 4) below 2^31 in lockstep, a
+    pivot per matrix and prime.  Modulo p, i maps to the s with s^2 = -1
+    (mod p), so A + iB becomes the residues of A + sB, a matrix of its own
+    size.  The rank modulo a prime is never above the rank r over Q (over
+    Q(i) when complex), and count is such that the primes' product exceeds
+    the Hadamard bound H on every minor, the product of the row norms, for
+    a real matrix and H^2 for a complex one.  A nonzero r x r minor D has
+    |D| <= H, so some prime does not divide it, and the largest rank over
+    the primes is r.  For a complex D, every prime ideal (p, i - s) holding
+    D would make the product of the primes divide the norm |D|^2 <= H^2.
+    Residues and elimination are int64 arithmetic, and only the prime count
+    is a float bound, with a margin: independent of LAPACK.
     """
     a = np.asarray(matrix)
     if a.ndim < 2:
@@ -244,30 +264,33 @@ def rational_rank(matrix):
     a = _exact_entries(a)
     if not np.isfinite(a).all():
         raise BadParam("rational_rank needs finite entries")
-    cplx = a.dtype == np.complex128
-    if cplx:
-        a = np.concatenate([np.concatenate([a.real, -a.imag], axis=-1),
-                            np.concatenate([a.imag, a.real], axis=-1)], axis=-2)
     if a.shape[-1] > a.shape[-2]:
         a = a.swapaxes(-1, -2)  # one column step per column of the narrower side
-    m, d, bits = _binary_integers(a.reshape((math.prod(a.shape[:-2]),) + a.shape[-2:]))
+    flat = a.reshape((math.prod(a.shape[:-2]),) + a.shape[-2:])
+    cplx = a.dtype == np.complex128
+    # B beside A: a row of [A, B] has the norm of its row of A + iB
+    m, d, bits = _binary_integers(np.concatenate([flat.real, flat.imag], axis=-1)
+                                  if cplx else flat)
     # log2 H^2, H the product of the nonzero rows' norms: a row whose entries
     # are below 2^top has norm 2^top |row / 2^top|, the second factor at
     # least 1/2; 2^-20 a row covers the rounding.  Each prime adds 30 bits.
     top = bits.max(axis=-1, initial=0)
     scaled = np.sum(np.ldexp(m, d - top[..., None]) ** 2, axis=-1)
     log_h2 = np.where(top > 0, 2 * top + np.log2(np.maximum(scaled, 0.25)) + 2.0**-20, 0)
-    p = _moduli(max(1, int(np.ceil(log_h2.sum(axis=-1).max(initial=0) / 60))))
+    bound_bits = log_h2.sum(axis=-1).max(initial=0) * (2 if cplx else 1)
+    p = _moduli(max(1, int(np.ceil(bound_bits / 60))))
     exponents, which = np.unique(d, return_inverse=True)
     powers = np.array([[pow(2, int(k), int(q)) for q in p] for k in exponents],
                       dtype=np.int64).reshape(-1, len(p))
     # (cols, rows, matrix, prime), the batch innermost for the column steps
     residues = (m.T[..., None] % p) * powers[which.reshape(d.shape).T] % p
+    if cplx:  # A + sB, the product below 2^62
+        cols = flat.shape[-1]
+        s = np.array([_unit_root(int(q)) for q in p], dtype=np.int64)
+        residues = (residues[:cols] + s * residues[cols:]) % p
     batch = np.tile(p, len(m))
     ranks = _ranks_modulo(residues.reshape(residues.shape[:2] + batch.shape), batch)
     ranks = ranks.reshape(len(m), len(p)).max(axis=1).reshape(a.shape[:-2])
-    if cplx:
-        ranks //= 2
     return int(ranks) if a.ndim == 2 else ranks
 
 
@@ -600,43 +623,73 @@ def _psd_forward_words(n, r, cplx) -> tuple:
             normal_words(n - r, cplx) if r < n else 0)
 
 
+def _psd_rows(t, sd, rows, r) -> geometry.PsdExtension:
+    """The stacked extension of the matrices of t at rows, with sd their
+    spectra and the first r eigenpairs positive."""
+    return geometry.PsdExtension(t=t[rows], spectrum=sd.take(rows), i_plus=tuple(range(r)))
+
+
 def _psd_forward_failures(stream, count) -> tuple:
     """(forward failures, off-family failures) of forward cases 0 .. count-1,
-    drawn in one raw block and decided per (n, r, field) by stacked calls.
+    drawn in one raw block and decided per (n, field) by stacked calls.
 
     Every case draws all four parts of its words, whatever its outcome.  A
     case whose t has other than r positive eigenvalues counts one forward
     failure.  A t that fails the PSD rule raises NotPsd, as psd_extension
-    does; its one eigh also gives extension_rank_preserved t's rank.
+    does; its one eigh also gives extension_rank_preserved t's rank.  The
+    cases of an (n, field), its (n, r, field) groups in order of first
+    sight, take one QR, one eigh and one extension_rank_preserved over all
+    their probes: v, 1.5 v and, when r < n, the kernel leak.
+    ``admissible_vector`` and ``admissible_coefficients``, which need r,
+    take one call per (n, r, field), the second over its three probes.
     """
     groups = _index_groups(_psd_case(k) for k in range(count))
     draws = _group_words(stream, count, [(ks, sum(_psd_forward_words(*case)))
                                          for case, ks in groups.items()])
+    shapes = {}
+    for (n, r, cplx), words in zip(groups, draws):
+        parts = np.split(words, np.cumsum(_psd_forward_words(n, r, cplx))[:-1], axis=1)
+        shapes.setdefault((n, cplx), []).append((r, parts))
     forward = offfam = 0
-    for ((n, r, cplx), ks), words in zip(groups.items(), draws):
-        basis_w, lam_w, coef_w, leak_w = np.split(
-            words, np.cumsum(_psd_forward_words(n, r, cplx))[:-1], axis=1)
-        g = box_muller(basis_w, n * n, cplx).reshape(-1, n, n)
-        t = _psd_matrix(_orthonormal(g), 0.5 + 1.5 * word_uniforms(lam_w))
+    for (n, cplx), subs in shapes.items():
+        sizes = [len(parts[0]) for _, parts in subs]
+        cuts = np.cumsum(sizes)[:-1]
+        g = box_muller(np.concatenate([parts[0] for _, parts in subs]), n * n, cplx)
+        q = np.split(_orthonormal(g.reshape(-1, n, n)), cuts)
+        t = np.concatenate([_psd_matrix(q_r, 0.5 + 1.5 * word_uniforms(parts[1]))
+                            for q_r, (_, parts) in zip(q, subs)])
         sd = matcore.hermitian_eig(t)
         geometry._checked_psd(sd.eigenvalues)
-        full = geometry._positive_eigenvalues(sd.eigenvalues, (n, n)).sum(axis=-1) == r
+        full = geometry._positive_eigenvalues(sd.eigenvalues, (n, n)).sum(axis=-1) \
+            == np.repeat([r for r, _ in subs], sizes)
         forward += int(np.count_nonzero(~full))
-        ext = geometry.PsdExtension(t=t[full], spectrum=sd.take(full), i_plus=tuple(range(r)))
-
-        def rejected(x):  # rank grows and no coefficients come back
-            return ~geometry.extension_rank_preserved(ext, x) & np.isnan(
-                geometry.admissible_coefficients(ext, x)[:, 0])
-
-        v = geometry.admissible_vector(ext, unit_rows(coef_w[full], r, cplx))
-        back = geometry.admissible_coefficients(ext, v)
-        lost = ~(np.abs(np.sum(np.abs(back) ** 2, axis=-1) - 1.0) <= 1e-9)  # NaN rows too
-        forward += int(np.count_nonzero(~geometry.extension_rank_preserved(ext, v)) + lost.sum())
-        offfam += int((~rejected(1.5 * v)).sum())
-        if r < n:
-            kernel = ext.spectrum.eigenvectors[..., r:]
-            leak = v + (kernel @ unit_rows(leak_w[full], n - r, cplx)[:, :, None])[..., 0] * 0.5
-            offfam += int((~rejected(leak)).sum())
+        probed, probes, is_v, missing = [], [], [], []
+        for (r, (_, _, coef_w, leak_w)), rows in zip(subs, np.split(np.arange(len(t)), cuts)):
+            ok = full[rows]
+            rows = rows[ok]
+            ext = _psd_rows(t, sd, rows, r)
+            v = geometry.admissible_vector(ext, unit_rows(coef_w[ok], r, cplx))
+            x = [v, 1.5 * v]
+            if r < n:
+                leak = unit_rows(leak_w[ok], n - r, cplx)[:, :, None]
+                x.append(v + (ext.spectrum.eigenvectors[..., r:] @ leak)[..., 0] * 0.5)
+            probed.append(np.tile(rows, len(x)))
+            probes += x
+            back = geometry.admissible_coefficients(_psd_rows(t, sd, probed[-1], r),
+                                                    np.concatenate(x))
+            # v's coefficients must come back and square-sum to 1
+            forward += int(np.count_nonzero(
+                ~(np.abs(np.sum(np.abs(back[:len(v)]) ** 2, axis=-1) - 1.0) <= 1e-9)))
+            is_v.append(np.arange(len(back)) < len(v))
+            missing.append(np.isnan(back[:, 0]))
+        # extension_rank_preserved reads t and its eigenvalues, not i_plus
+        kept = geometry.extension_rank_preserved(_psd_rows(t, sd, np.concatenate(probed), 0),
+                                                 np.concatenate(probes))
+        is_v = np.concatenate(is_v)
+        # v must keep the rank; an off-family vector must grow it and get no
+        # coefficients back
+        forward += int(np.count_nonzero(is_v & ~kept))
+        offfam += int(np.count_nonzero(~is_v & (kept | ~np.concatenate(missing))))
     return forward, offfam
 
 

@@ -1,8 +1,8 @@
 """The reproduction suite against independent references.
 
 ``verify.rational_rank`` is multi-modular elimination: integers modulo
-primes below 2^31 whose product exceeds the Hadamard bound, complex
-matrices taken through their real embedding;
+primes p = 1 (mod 4) below 2^31 whose product exceeds the Hadamard bound,
+a complex A + iB taken as A + sB modulo p, where s^2 = -1;
 ``oracles.rational_rank_exact`` is Gaussian elimination over Fractions
 with complex arithmetic.  Two algorithms, so each checks the other; the
 tests below also pin the places a modular rank can go wrong (too few
@@ -107,6 +107,50 @@ def test_a_diagonal_of_the_oracles_own_primes(k):
     primes = verify._moduli(k)
     assert rational_rank(np.diag(primes)) == k
     assert rational_rank(np.diag(primes.astype(float)) * 2.0**-40) == k
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_a_complex_diagonal_of_the_oracles_own_primes(k):
+    # the complex twin: p_j (1 + 2i) lies in every prime ideal over p_j
+    primes = verify._moduli(k)
+    assert rational_rank(np.diag(primes) * (1 + 2j)) == k
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_a_diagonal_of_the_oracles_own_square_roots_of_minus_one(k):
+    # s_j - i lies in the prime ideal (p_j, i - s_j), where i is s_j, so
+    # each of the first k primes alone reads rank k - 1.  The
+    # determinant's norm, prod(s_j^2 + 1), is below 2^(60 k): primes counted
+    # from H, not from H^2, would be those k and read rank k - 1
+    roots = [verify._unit_root(int(p)) for p in verify._moduli(k)]
+    assert rational_rank(np.diag([s - 1j for s in roots])) == k
+
+
+def test_every_prime_of_the_oracle_has_a_square_root_of_minus_one():
+    # each count of primes is a prefix of one list, largest first
+    primes = verify._moduli(300)
+    assert verify._moduli(7).tolist() == primes[:7].tolist()
+    for p in map(int, primes):
+        s = verify._unit_root(p)
+        assert p % 4 == 1 and 0 < s < p / 2 and s * s % p == p - 1
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_a_stack_is_eliminated_at_its_own_size(monkeypatch, cplx):
+    # a complex A + iB is eliminated as the residues of A + sB, one block of
+    # the stack's own (cols, rows), not as [[A, -B], [B, A]]
+    seen = []
+    ranks_modulo = verify._ranks_modulo
+
+    def record(r, p):
+        seen.append(r.shape)
+        return ranks_modulo(r, p)
+
+    monkeypatch.setattr(verify, "_ranks_modulo", record)
+    rng = np.random.default_rng(413 + cplx)
+    stack = np.stack([_binary_exact(rng, 6, 4, cplx) for _ in range(5)])
+    assert rational_rank(stack).tolist() == [rational_rank_exact(a) for a in stack]
+    assert len(seen) == 1 and seen[0][:2] == (4, 6)
 
 
 @pytest.mark.parametrize("cplx", [False, True])
@@ -753,10 +797,13 @@ def test_psd_roundtrip_counts_a_short_case_and_moves_no_draw(monkeypatch):
     seen["exact"] = []
     batched = verify.check_psd_extension_roundtrip()
     assert batched[0].measured == unpatched[0].measured + 1
-    # one stack per (n, r, field) in order of first sight, on exactly the
-    # unpatched matrices
-    groups = verify._index_groups(verify._psd_case(k) for k in range(1000))
-    expected = [np.stack([unpatched_psd[i] for i in idx]) for idx in groups.values()]
+    # one stack per (n, field) in order of first sight, its rows the cases
+    # of its (n, r, field) groups in their order of first sight, on exactly
+    # the unpatched matrices
+    shapes = {}
+    for (n, _, cplx), idx in verify._index_groups(map(verify._psd_case, range(1000))).items():
+        shapes.setdefault((n, cplx), []).extend(idx)
+    expected = [np.stack([unpatched_psd[i] for i in idx]) for idx in shapes.values()]
     assert _same_matrices(eig_inputs, expected)
     # the oracle sees the reference loop's 400 matrices as one stack per
     # (shape, field) in order of first sight, each in case order
@@ -800,7 +847,9 @@ def test_psd_roundtrip_gives_admissible_coefficients_the_reference_leaks(monkeyp
     # every case of the corpus is full and its off-family vectors grow the
     # rank, so the reference loop asks admissible_coefficients about v, 1.5 v
     # and (when r < n) the kernel leak of each case in turn; the block asks
-    # about the same vectors, one stack per kind and (n, r, field) group
+    # about the same vectors, one stack per (n, r, field) group holding its
+    # v, then its 1.5 v, then its leaks, the groups of each (n, field) in
+    # turn
     asked = []
     admissible = geometry.admissible_coefficients
 
@@ -812,10 +861,15 @@ def test_psd_roundtrip_gives_admissible_coefficients_the_reference_leaks(monkeyp
     reference_psd_extension_roundtrip()
     reference, asked[:] = list(asked), []
     verify.check_psd_extension_roundtrip()
+    shapes = {}
+    for (n, r, cplx), idx in verify._index_groups(map(verify._psd_case, range(1000))).items():
+        shapes.setdefault((n, cplx), []).append((n, r, idx))
     cases = {}
     stacks = iter(asked)
-    for (n, r, _), idx in verify._index_groups(verify._psd_case(k) for k in range(1000)).items():
-        kinds = [next(stacks) for _ in range(3 if r < n else 2)]
+    for n, r, idx in (group for groups in shapes.values() for group in groups):
+        stack = next(stacks)
+        assert len(stack) == len(idx) * (3 if r < n else 2)
+        kinds = np.split(stack, 3 if r < n else 2)
         for j, k in enumerate(idx):
             cases[k] = [x[j] for x in kinds]
     assert next(stacks, None) is None
