@@ -40,15 +40,41 @@ def ambient_outer_dim(n: int, field: str) -> int:
     return n * (n + 1) // 2 if field == "real" else n * n
 
 
+def _outer_gram(v: np.ndarray) -> np.ndarray:
+    """|G|^2 of (..., M, N) vector rows: the outer Gram of a frame, or of each
+    frame of a stack."""
+    return np.abs(vector_gram(v)) ** 2
+
+
 def _outer_spectra(v: np.ndarray):
     """gram_op = |G|^2, its eigendecomposition and its rank for (..., M, N)
     vector rows, for a frame or a stack: the outer Gram of every
-    ``OuterBatch`` and every eig-rule step of the greedy scan comes from here."""
-    gram_op = np.abs(vector_gram(v)) ** 2
+    ``OuterBatch`` and every eig-rule step of the greedy scan comes from here.
+
+    The scan keeps this full decomposition although it reads only the rank:
+    its prefixes, certificates and nudged frames must be those of
+    re-``induce``-ing every trial.  ``eigvalsh``'s eigenvalues can differ
+    from ``eigh``'s in the last bits, and on nearly parallel vectors that
+    flips ranks at the threshold: a scan ranking by eigenvalues alone keeps,
+    for some frames ``induce`` calls dependent, a prefix ``induce`` calls
+    dependent too (``prepare`` raises NotIndependent) or every vector (no
+    certificate).
+    """
+    gram_op = _outer_gram(v)
     gram_op.flags.writeable = False
     spectrum = matcore.hermitian_eig(gram_op)
     rank = matcore.rank_from_eigenvalues(spectrum.eigenvalues, gram_op.shape[-2:])
     return gram_op, spectrum, rank
+
+
+def _outer_rank(v: np.ndarray):
+    """The rank of the outer Gram |G|^2 of (..., M, N) vector rows, an int
+    for a frame and an array for a stack, from its eigenvalues alone
+    (``eigvalsh``, no eigenvectors, phases or copies) by the one rank rule:
+    for the checks that read nothing but a rank outside the greedy scan."""
+    gram_op = _outer_gram(v)
+    return matcore.rank_from_eigenvalues(matcore.hermitian_eigvalues(gram_op),
+                                         gram_op.shape[-2:])
 
 
 def _outer_products(v: np.ndarray) -> np.ndarray:

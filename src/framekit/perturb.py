@@ -9,12 +9,14 @@ The repair runs on stacks: ``nudge_batch`` nudges a (K, M, N) vector stack
 in one lockstep ``outer._GreedyScan``, the offenders of a step taking their
 candidates from the one (K, D, N) array of a ``nearby_independent_basis``
 call, whose family follows the stack's field, and
-``nudge_to_independence`` is its one-frame case.  ``movement``,
+``nudge_to_independence`` is its one-frame case.  The budget eps is one
+float or one per frame (one per row for ``nearby_independent_basis``), so
+frames nudged at different budgets share one scan; each row gets the delta,
+movement check and cap of its own budget.  ``movement``,
 ``outer_distance`` and ``perturbed_riesz_bounds`` take stacks as well; every
 result is bit for bit that of its frame or pair alone.
 """
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -30,7 +32,7 @@ from .errors import (
     TooMany,
 )
 from .frame import UNIT_NORM_TOL, Frame, checked_vectors, field_of, unit_norm
-from .outer import OuterBatch, _GreedyScan, _outer_spectra, _rows, ambient_outer_dim, induce
+from .outer import OuterBatch, _GreedyScan, _outer_rank, _rows, ambient_outer_dim, induce
 
 
 def perturbed_riesz_bounds(a, b, eps_sq) -> tuple:
@@ -137,16 +139,48 @@ def _compressed_base(n: int, cplx: bool, delta: float) -> np.ndarray:
     return sw
 
 
-def _rotated_bases(psi: np.ndarray, eps: float) -> np.ndarray:
-    """The (K, D, N) bases of ``nearby_independent_basis`` for a (K, N) stack
-    of unit rows, of the family of its dtype: one Householder per row
-    carries e_1 to it, and one stacked eigendecomposition re-checks them all."""
-    n, cplx = psi.shape[-1], np.iscomplexobj(psi)
-    ratio = _aligned_base(n, cplx)[1]
+def _budgets(eps) -> np.ndarray:
+    """eps as an array of budgets, () for a float; BadParam for a budget that
+    is not finite and positive, a float named as given."""
+    budgets = np.asarray(eps, dtype=float)
+    bad = ~(np.isfinite(budgets) & (budgets > 0.0))
+    if budgets.ndim == 0 and bad:
+        raise BadParam(f"eps must be finite and positive, got {eps}")
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise BadParam(f"eps must be finite and positive, got {budgets[k]} at {k}")
+    return budgets
+
+
+def _per_row(budgets: np.ndarray, count: int) -> np.ndarray:
+    """The (count,) budgets of a stack's frames or rows from ``_budgets``'
+    float or (count,) array; BadParam for another shape."""
+    if budgets.shape not in ((), (count,)):
+        raise BadParam(f"eps must be a float or a ({count},) array of one budget per frame "
+                       f"or row, got shape {budgets.shape}")
+    return np.broadcast_to(budgets, (count,))
+
+
+def _delta(ratio: float, eps: float) -> float:
+    """The largest power-of-two delta with delta^2 * ratio <= eps / 2."""
     delta = 1.0
     while ratio > 0.0 and delta * delta * ratio > eps / 2.0:
         delta /= 2.0
-    compressed = _compressed_base(n, cplx, delta)
+    return delta
+
+
+def _rotated_bases(psi: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """The (K, D, N) bases of ``nearby_independent_basis`` for a (K, N) stack
+    of unit rows and their (K,) budgets, of the family of its dtype: one
+    delta per distinct budget, one Householder per row carrying e_1 to it,
+    and one stacked eigenvalue rank re-checking every row whose delta is
+    large enough for it."""
+    n, cplx = psi.shape[-1], np.iscomplexobj(psi)
+    ratio = _aligned_base(n, cplx)[1]
+    distinct, which = np.unique(eps, return_inverse=True)
+    deltas = [_delta(ratio, float(e)) for e in distinct]
+    compressed = np.stack([_compressed_base(n, cplx, d) for d in deltas])[which]
+    delta = np.array(deltas)[which]
 
     # unitaries with U e_1 = psi (phase-adjusted Householder); the phase is
     # psi[0] / |psi[0]| with numpy's scalar abs (hypot), 1 when psi[0] is 0,
@@ -165,19 +199,23 @@ def _rotated_bases(psi: np.ndarray, eps: float) -> np.ndarray:
     reflection = eye - 2.0 * outer_d / np.where(flat, 1.0, dn[:, None, None])
     unitary = gamma[:, None, None] * np.where(flat, eye, reflection)
 
-    out = (unitary[:, None] @ compressed[None, :, :, None])[..., 0]
+    out = (unitary[:, None] @ compressed[..., None])[..., 0]
     worst = matcore.scalar_square(matcore.row_norms(out - psi[:, None]).max(axis=-1))
-    if eps < 2.0 and np.any(worst >= eps):
-        raise InternalInconsistency(f"construction moved {worst.max()} >= eps = {eps}")
-    if delta >= 1e-2 and np.any(_outer_spectra(out)[2] != len(compressed)):
+    moved = (eps < 2.0) & (worst >= eps)
+    if moved.any():
+        k = int(np.argmax(moved))
+        raise InternalInconsistency(f"construction moved {worst[k]} >= eps = {eps[k]}")
+    guarded = delta >= 1e-2
+    if guarded.any() and np.any(_outer_rank(out[guarded]) != compressed.shape[1]):
         raise InternalInconsistency("constructed basis has dependent outer products")
     return out
 
 
-def nearby_independent_basis(psi, eps: float) -> np.ndarray:
+def nearby_independent_basis(psi, eps) -> np.ndarray:
     """A unit-norm outer-product basis clustered within sqrt(eps) of psi:
     its (D, N) vectors for one vector psi, and for a (K, N) stack of them
-    the (K, D, N) bases of the rows.
+    the (K, D, N) bases of the rows, eps one float for every row or a (K,)
+    array of one budget per row.
 
     Construction: rotate the E_ij family so every member has positive
     inner product with the first coordinate axis, compress all later
@@ -186,26 +224,29 @@ def nearby_independent_basis(psi, eps: float) -> np.ndarray:
     carry e_1 to psi by a unitary.  The family follows the field, that is
     psi's dtype: complex (D = N^2) for a complex array, whatever its rows'
     values, real (D = N(N+1)/2) for a real one.
-    The compressed family is cached; the unitaries and both checks below
-    belong to each call, stacked over the rows, and each row's basis is
-    bit for bit what it gets alone.  Every output satisfies
+    The compressed family is cached per delta, which is found once per
+    distinct budget; the unitaries and both checks below belong to each
+    call, stacked over the rows, and each row's basis is bit for bit what
+    it gets alone with its budget.  Every output satisfies
     ||phi_i - psi||^2 < eps; independence of the outer products follows
     from the verified base via invertibility of the compression, and is
-    re-checked directly whenever delta is large enough for a floating
-    rank test to be meaningful (below that, the outer Gram's smallest
-    eigenvalue scales like delta^4 and sinks toward machine epsilon).
-    A failed re-check raises InternalInconsistency.
+    re-checked directly, from the outer Gram's eigenvalues, for each row
+    whose delta is large enough for a floating rank test to be meaningful
+    (below that, the outer Gram's smallest eigenvalue scales like delta^4
+    and sinks toward machine epsilon).  A failed re-check raises
+    InternalInconsistency; BadParam for a budget that is not finite and
+    positive, or a budget array of another shape than (K,).
     """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise BadParam(f"eps must be finite and positive, got {eps}")
+    budgets = _budgets(eps)
     rows = np.asarray(psi)
     if rows.ndim == 1:
-        return nearby_independent_basis(rows[None], eps)[0]
+        return nearby_independent_basis(rows[None], budgets)[0]
+    budgets = _per_row(budgets, len(rows))
     if not unit_norm(rows):
         raise NotUnitNorm("the reference vector must be unit norm")
     if rows.shape[-1] == 1:
         return rows[:, None].copy()
-    return _rotated_bases(rows, eps)
+    return _rotated_bases(rows, budgets)
 
 
 def movement(f, g):
@@ -217,32 +258,35 @@ def movement(f, g):
     return float(total) if total.ndim == 0 else total
 
 
-def nudge_batch(vectors, eps: float) -> np.ndarray:
+def nudge_batch(vectors, eps) -> np.ndarray:
     """``nudge_to_independence`` for a (K, M, N) vector stack, validated
     into a copy as ``induce_batch`` validates it: the nudged stack, from one
-    lockstep greedy scan, each frame bit for bit what it gets alone.
+    lockstep greedy scan, each frame bit for bit what it gets alone.  eps is
+    one float for every frame, or a (K,) array of one budget per frame.
 
     Greedy: vectors whose outer product grows the running rank are kept
     verbatim; each offender is replaced by the first member of a nearby
-    independent basis (budget eps/M per vector, metric sum of norms, capped
-    where a larger one would build the same basis) whose outer product
-    leaves the current span.  Either way vector i leaves each
-    frame with i + 1 kept vectors, so one ``outer._GreedyScan`` of the K
-    frames judges vector i of every frame in one trial, and the offenders'
-    candidates, from one ``nearby_independent_basis`` call, a member at a
-    time; it certifies by a Schur test and takes the eig rule on the trial
-    vectors only near the rank threshold.  Row j is the input row, bit for
-    bit, wherever frame j's outer products were already independent.
+    independent basis (budget eps/M per vector, eps its frame's, metric
+    sum of norms, capped where a larger one would build the same basis)
+    whose outer product leaves the current span.  Either way vector i
+    leaves each frame with i + 1 kept vectors, so one ``outer._GreedyScan``
+    of the K frames judges vector i of every frame in one trial, and the
+    offenders' candidates, from one ``nearby_independent_basis`` call with
+    their frames' budgets, a member at a time; it certifies by a Schur test
+    and takes the eig rule on the trial vectors only near the rank
+    threshold.  Row j is the input row, bit for bit, wherever frame j's
+    outer products were already independent.
 
-    BadParam for an eps that is not finite and positive, or whose budget
-    per vector underflows once a vector must move, or is too small for the
-    rank rule to see any basis member grow the span; ``Frame``'s errors for
-    a stack it rejects; TooMany when M exceeds the ambient self-adjoint
+    BadParam for a budget that is not finite and positive, or whose budget
+    per vector underflows once a vector of its frame must move, or is too
+    small for the rank rule to see any basis member grow the span, and for
+    a budget array of another shape than (K,); ``Frame``'s errors for a
+    stack it rejects; TooMany when M exceeds the ambient self-adjoint
     dimension; NotUnitNorm for a frame that is not unit norm.
     """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise BadParam(f"eps must be finite and positive, got {eps}")
+    budgets = _budgets(eps)
     vectors = checked_vectors(vectors, field_of(vectors), ndim=3)
+    budgets = _per_row(budgets, len(vectors))
     m, n = vectors.shape[1:]
     d = ambient_outer_dim(n, field_of(vectors))
     if m > d:
@@ -254,25 +298,29 @@ def nudge_batch(vectors, eps: float) -> np.ndarray:
     # aligned family, leaves delta at 1 and the movement check off, so the
     # bases stop depending on it: capping eps / M far above that keeps the
     # square finite for any eps and changes no output
-    per_vector_sq = min(eps / m, 1e100) ** 2
+    per_vector_sq = matcore.scalar_square(np.minimum(budgets / m, 1e100))
     scan = _GreedyScan(vectors)
     for i in range(m):
         offenders = (~scan.grows(vectors[:, i])).nonzero()[0]
         if not offenders.size:
             continue
-        if per_vector_sq == 0.0:
-            raise BadParam(f"eps = {eps} is too small: the squared budget per vector, "
+        sq = per_vector_sq[offenders]
+        if not sq.all():
+            k = offenders[np.argmin(sq)]
+            raise BadParam(f"eps = {budgets[k]} is too small: the squared budget per vector, "
                            f"(eps / M)^2 with M = {m}, underflows to 0")
-        bases = nearby_independent_basis(vectors[offenders, i], per_vector_sq)
+        bases = nearby_independent_basis(vectors[offenders, i], sq)
         pending, c = np.arange(offenders.size), 0  # offenders still to replace, candidate c
         while pending.size:
             if c == bases.shape[1]:
                 # the basis's outers span the whole space, so in exact
                 # arithmetic some member grows any proper span: the budget
                 # is below what the rank rule can resolve
-                raise BadParam(f"eps = {eps} is too small: the squared budget per vector, "
-                               f"(eps / M)^2 = {per_vector_sq:g} with M = {m}, is below what "
-                               "the rank rule resolves; no nearby basis member grows the span")
+                k = offenders[pending[0]]
+                raise BadParam(f"eps = {budgets[k]} is too small: the squared budget per vector, "
+                               f"(eps / M)^2 = {per_vector_sq[k]:g} with M = {m}, is below "
+                               "what the rank rule resolves; no nearby basis member grows the "
+                               "span")
             grew = scan.grows(bases[pending, c], offenders[pending])
             pending, c = pending[~grew], c + 1
     return scan.vectors

@@ -19,10 +19,15 @@ stacked LAPACK calls per (frame shape, field), and every frame, vector and
 verdict is bit for bit what case-by-case evaluation gives, so the rows are
 the same either way.  The classifier corpus is prepared and classified one
 shape group at a time (``geometry.prepare_batch`` and
-``classify_frames``), the duals invert the vector-Gram eigendecompositions
-that their filters ranked, and ``nudge-repair`` nudges each (shape, field)
-group of its corpus with one ``perturb.nudge_batch`` call per budget and
-judges the nudged stacks' ranks and movements stacked.  Each forward case
+``classify_frames``), and the duals invert the vector-Gram
+eigendecompositions that their filters ranked.  ``nudge-repair`` ranks
+(does not induce) each (shape, field) group of its corpus, stacks the
+dependent frames once per budget and nudges them in one
+``perturb.nudge_batch`` call with a budget per frame, then judges the
+nudged stack's ranks and movements stacked.  A check that reads only outer
+ranks (the dependence filter and re-check of ``nudge-repair``,
+``independence-density`` and the radius fuzz) ranks the outer Grams from
+their eigenvalues alone, ``outer._outer_rank``.  Each forward case
 of ``psd-extension-roundtrip`` draws the same words whatever its outcome,
 and the cases of one (order, field) take one QR, one eigh and one
 bordered eigvalsh over all their ranks and probes.
@@ -856,7 +861,7 @@ def _radius_fuzz_failures(stream) -> int:
         moved /= np.linalg.norm(moved, axis=-1, keepdims=True)
         inside = np.sum((np.abs(moved - v) ** 2).reshape(len(v), -1), axis=-1) < radius
         if inside.any():
-            failures += int(np.count_nonzero(outer._outer_spectra(moved[inside])[2] < batch.m))
+            failures += int(np.count_nonzero(outer._outer_rank(moved[inside]) < batch.m))
     return failures
 
 
@@ -901,22 +906,26 @@ def _random_dependent_stacks(count: int) -> list:
 
 
 def check_nudge_repair():
-    batches = [outer.induce_batch(block) for _, block in _random_dependent_stacks(200)]
+    budgets = (0.1, 0.01)
     # dependent by construction; an independent input is a fault of the
     # corpus and counts as a failure in each row
-    repairable = [batch.take(np.flatnonzero(~batch.independent))
-                  for batch in batches if not batch.independent.all()]
-    rows = []
-    for eps in (0.1, 0.01):
-        failures = 200 - sum(len(batch.vectors) for batch in repairable)
-        for batch in repairable:  # one (shape, field) group each
-            nudged = outer.induce_batch(perturb.nudge_batch(batch.vectors, eps))
-            moved = perturb.movement(batch.vectors, nudged.vectors)
-            failures += int(np.count_nonzero(~nudged.independent | (moved >= eps)))
-        rows.append(_row("nudge-repair", f"200 dependent frames, eps={eps}", failures,
-                         "0 failures", None, failures == 0))
+    failures = np.full(len(budgets), 200)
+    for _, block in _random_dependent_stacks(200):  # one (shape, field) group each
+        m = block.shape[1]
+        repairable = block[outer._outer_rank(block) < m]
+        if not len(repairable):
+            continue
+        # the group once per budget, nudged in one scan
+        frames = np.concatenate([repairable] * len(budgets))
+        per_frame = np.repeat(budgets, len(repairable))
+        nudged = perturb.nudge_batch(frames, per_frame)
+        repaired = (outer._outer_rank(nudged) == m) & \
+            (perturb.movement(frames, nudged) < per_frame)
+        failures -= repaired.reshape(len(budgets), -1).sum(axis=1)
+    rows = [_row("nudge-repair", f"200 dependent frames, eps={eps}", count, "0 failures",
+                 None, count == 0) for eps, count in zip(budgets, failures)]
     specs = [_density_spec(k, 14500) for k in range(1000)]
-    dependent = sum(int(np.count_nonzero(outer._outer_spectra(v)[2] < v.shape[1]))
+    dependent = sum(int(np.count_nonzero(outer._outer_rank(v) < v.shape[1]))
                     for _, v in _random_stacks(specs))
     rows.append(_row("independence-density", "1000 random frames at M <= dim",
                      dependent, "0 dependent", None, dependent == 0))

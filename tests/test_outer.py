@@ -164,10 +164,12 @@ class TestInduceBatch:
             outer.induce_batch(np.zeros((0, 2, 2)))
 
 
-_STACK_FUNCTIONS = [outer.induce_batch, lambda v: perturb.nudge_batch(v, 0.1)]
+_STACK_FUNCTIONS = [outer.induce_batch, lambda v: perturb.nudge_batch(v, 0.1),
+                    lambda v: perturb.nudge_batch(v, np.full(len(v), 0.1))]
+_STACK_IDS = ["induce_batch", "nudge_batch", "nudge_batch_per_frame"]
 
 
-@pytest.mark.parametrize("stacked", _STACK_FUNCTIONS, ids=["induce_batch", "nudge_batch"])
+@pytest.mark.parametrize("stacked", _STACK_FUNCTIONS, ids=_STACK_IDS)
 @pytest.mark.parametrize("vectors, error, match", [
     ([[[1.0, np.nan], [0.0, 1.0]]], BadParam, "non-finite"),
     ([[[1.0, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]], BadParam, "non-finite"),
@@ -193,7 +195,7 @@ def test_the_overflow_guard_is_per_frame():
     assert outer.induce_batch(v).rank.tolist() == [1] * 100
 
 
-@pytest.mark.parametrize("stacked", _STACK_FUNCTIONS, ids=["induce_batch", "nudge_batch"])
+@pytest.mark.parametrize("stacked", _STACK_FUNCTIONS, ids=_STACK_IDS)
 @pytest.mark.parametrize("cplx", [False, True])
 def test_stack_input_is_neither_written_nor_frozen(stacked, cplx):
     field = "complex" if cplx else "real"
@@ -590,6 +592,24 @@ def _random_unitary(rng, n, cplx):
         a = a + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(a)
     return q * np.sign(np.diagonal(r).real)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_the_eigenvalue_rank_is_the_rank_induce_decides(cplx):
+    # outer._outer_rank ranks the outer Gram from eigvalsh alone: an int for
+    # one frame, one rank per frame of a stack, and on frames away from the
+    # threshold the rank of induce's eigh
+    rng = np.random.default_rng(62 + cplx)
+    n, d = 3, 9 if cplx else 6
+    for m in (2, d - 1, d, d + 1):
+        frames = [random_unit_frame(rng, n, m, cplx) for _ in range(4)]
+        frames += [_dependent_frame(rng, n, m, cplx) for _ in range(4)]
+        stack = np.stack([f.vectors for f in frames])
+        ranks = [outer.induce(f).rank for f in frames]
+        assert outer._outer_rank(stack).tolist() == ranks
+        assert outer.induce_batch(stack).rank.tolist() == ranks
+        assert [outer._outer_rank(f.vectors) for f in frames] == ranks
+        assert type(outer._outer_rank(frames[0].vectors)) is int
 
 
 @settings(max_examples=150, deadline=None)

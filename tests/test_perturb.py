@@ -258,6 +258,36 @@ class TestNearbyBasis:
                     alone = perturb.nearby_independent_basis(p, eps)
                     assert alone.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_a_budget_per_row_gives_each_row_its_basis_alone(self, cplx):
+        # 0.2 and 1e-5 compress by different deltas, and only the first is
+        # large enough for the rank re-check
+        n = 3
+        ratio = perturb._aligned_base(n, cplx)[1]
+        assert perturb._delta(ratio, 0.2) >= 1e-2 > perturb._delta(ratio, 1e-5)
+        rng = np.random.default_rng(67)
+        psi = np.array([random_unit_vec(rng, n, cplx) for _ in range(7)])
+        eps = np.array([0.2, 1e-5, 1e-5, 0.2, 0.2, 1e-5, 0.2])
+        bases = perturb.nearby_independent_basis(psi, eps)
+        assert bases.shape == (7, n * n if cplx else n * (n + 1) // 2, n)
+        for p, e, basis in zip(psi, eps, bases):
+            assert basis.tobytes() == perturb.nearby_independent_basis(p, float(e)).tobytes()
+            assert basis.tobytes() == reference_nearby_basis(p, e).tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
+    def test_every_budget_per_row_must_be_finite_and_positive(self, bad):
+        psi = np.array([[1.0, 0.0], [0.6, 0.8]])
+        with pytest.raises(BadParam, match=f"finite and positive, got {bad} at 0$"):
+            perturb.nearby_independent_basis(psi, np.array([bad, 0.1]))
+
+    @pytest.mark.parametrize("eps", [[0.1], [0.1] * 3, [[0.1, 0.1]]])
+    def test_a_budget_array_has_one_budget_per_row(self, eps):
+        psi = np.array([[1.0, 0.0], [0.6, 0.8]])
+        with pytest.raises(BadParam, match=r"a \(2,\) array of one budget per frame or row"):
+            perturb.nearby_independent_basis(psi, np.array(eps))
+        with pytest.raises(BadParam, match=r"a \(1,\) array of one budget per frame or row"):
+            perturb.nearby_independent_basis(psi[0], np.array(eps + eps))
+
     def test_one_dimensional_rows_are_their_own_basis(self):
         psi = np.array([[1.0], [-1.0]])
         assert [b.tolist() for b in perturb.nearby_independent_basis(psi, 0.1)] == \
@@ -323,8 +353,7 @@ class TestNudge:
     def test_dependent_nearby_basis_is_a_fault(self, monkeypatch):
         # both re-checks run at the one rank rule, which the basis passes:
         # a dependent verdict there is a fault, not a parameter error
-        monkeypatch.setattr(perturb, "_outer_spectra",
-                            lambda v: (None, None, np.zeros(len(v), dtype=int)))
+        monkeypatch.setattr(perturb, "_outer_rank", lambda v: np.zeros(len(v), dtype=int))
         with pytest.raises(InternalInconsistency,
                            match="^constructed basis has dependent outer products$"):
             perturb.nearby_independent_basis(np.array([1.0, 0.0]), 0.1)

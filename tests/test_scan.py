@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framekit import constructions as cons
-from framekit import outer, perturb, verify
+from framekit import geometry, outer, perturb, verify
 from framekit.errors import (BadParam, InternalInconsistency, NotUnitNorm, ShapeMismatch,
                              TooMany)
 from framekit.frame import Frame, field_of
@@ -162,6 +162,35 @@ def test_both_branches_run(monkeypatch):
     assert trials == [2, 3]
 
 
+def _near_parallel_frames():
+    """Frames with two nearly parallel vectors, whose outer ranks sit at the
+    rank threshold: three random unit vectors b and x = b0 + 1e-7 w
+    renormalized, for seeds 0-199, each frame in three vector orders."""
+    for seed in range(200):
+        b = cons.random_unit(3, 3, seed).vectors
+        w = cons.random_unit(3, 1, 1000 + seed).vectors[0]
+        x = b[0] + 1e-7 * w
+        x /= np.linalg.norm(x)
+        for order in ([b[0], x, b[1], b[2]], [b[0], b[1], b[2], x], [x, b[1], b[0], b[2]]):
+            yield Frame.from_vectors(np.array(order))
+
+
+def test_the_scan_keeps_what_induce_decides_on_near_parallel_frames():
+    # the scan's eig rule ranks the trial Gram from induce's decomposition:
+    # ranked from eigenvalues alone, these trials sit close enough to the
+    # threshold that, for some frames induce calls dependent, the greedy
+    # prefix comes out dependent (prepare raises NotIndependent) or whole
+    # (no certificate)
+    dependent = 0
+    for f in _near_parallel_frames():
+        os_ = outer.induce(f)
+        if os_.rank < f.m:
+            dependent += 1
+            assert outer.dependence_certificate(os_) is not None
+            geometry.prepare(f)
+    assert dependent > 200
+
+
 _PLANTS = st.sampled_from(["negated", "phased", "scaled"])
 
 
@@ -200,14 +229,18 @@ def _stack(frames):
 
 def _assert_nudge_batch(frames, eps):
     """nudge_batch on the vector stack of each (shape, field) group of
-    frames, against the reference loop member by member: whether the row
-    comes back bit for bit where the reference keeps the frame object, and
-    the field and vector bytes of each result."""
+    frames, with one budget for all (eps a float) or frame k's eps[k],
+    against the reference loop member by member at its budget: whether the
+    row comes back bit for bit where the reference keeps the frame object,
+    and the field and vector bytes of each result."""
+    budgets = np.broadcast_to(eps, len(frames))
     for idx in verify._index_groups((f.field, f.vectors.shape) for f in frames).values():
         group = [frames[i] for i in idx]
-        want = [_nudge_outcome(scan_reference.nudge_to_independence, f, eps) for f in group]
+        want = [_nudge_outcome(scan_reference.nudge_to_independence, frames[i],
+                               float(budgets[i])) for i in idx]
         try:
-            nudged = perturb.nudge_batch(_stack(group), eps)
+            nudged = perturb.nudge_batch(_stack(group), eps if np.ndim(eps) == 0
+                                         else budgets[idx])
         except InternalInconsistency as exc:
             assert str(exc) in want  # a member fails alone too
             continue
@@ -230,6 +263,14 @@ def test_nudge_batch_on_the_nudge_repair_corpus():
     frames += [cons.random_unit(f.n, f.m, 15000 + k, f.field) for k, f in enumerate(frames[:24])]
     for eps in (0.1, 0.01):
         _assert_nudge_batch(frames, eps)
+
+
+def test_nudge_batch_with_a_budget_per_frame():
+    # the corpus stacked twice, at 0.1 and then at 0.01 as verify nudges it,
+    # and interleaved budgets: each frame is what it gets alone at its own
+    frames = _nudge_repair_corpus()
+    _assert_nudge_batch(frames + frames, np.repeat([0.1, 0.01], len(frames)))
+    _assert_nudge_batch(frames, np.where(np.arange(len(frames)) % 3, 0.1, 1e-3))
 
 
 def test_nudge_batch_on_perfbench_shaped_frames():
@@ -342,3 +383,17 @@ def test_nudge_batch_errors():
     off = Frame.from_vectors(np.vstack([dependent.vectors[:4], [[0.0, 0.0, 2.0]]]))
     with pytest.raises(NotUnitNorm):
         perturb.nudge_batch(_stack([dependent, off]), 0.1)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
+def test_nudge_batch_rejects_a_budget_per_frame_that_is_not_finite_and_positive(bad):
+    stack = _stack([_with_copy(cons.random_unit(3, 4, 24 + k), 0, 4, -1.0) for k in range(3)])
+    with pytest.raises(BadParam, match=f"finite and positive, got {bad} at 1$"):
+        perturb.nudge_batch(stack, np.array([0.1, bad, 0.1]))
+
+
+@pytest.mark.parametrize("eps", [[0.1, 0.1], [0.1] * 4, [[0.1, 0.1, 0.1]]])
+def test_nudge_batch_takes_one_budget_per_frame(eps):
+    stack = _stack([_with_copy(cons.random_unit(3, 4, 24 + k), 0, 4, -1.0) for k in range(3)])
+    with pytest.raises(BadParam, match=r"a \(3,\) array of one budget per frame"):
+        perturb.nudge_batch(stack, np.array(eps))

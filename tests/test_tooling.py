@@ -17,7 +17,8 @@ one spectral path: its decompositions are the ``np.linalg`` calls listed in
 or bordered matrix by SVD but the oracle row; only ``ellipsoid_residual``
 reads a vector-Gram spectrum through ``weighted_norm``; and only
 ``rank_from_singular_values`` and ``psd_extension``'s positive-eigenvalue
-mask read the one rank threshold, unscaled.  ``verify``'s PSD
+mask read the one rank threshold, unscaled; only the greedy scan reads
+nothing but the rank of a full outer decomposition.  ``verify``'s PSD
 and dual checks hand no matrix to a decomposition twice.  Only the process
 entry point ``cli.run`` freezes the garbage collector, and no module reads
 the environment.  The package's lazy exports are the public names its
@@ -387,6 +388,51 @@ def test_one_rank_threshold():
                     given.append((path.stem, fn.name))
     assert sorted(found) == _RANK_THRESHOLDS
     assert given == []
+
+
+#: The functions that read only the rank of a full outer decomposition, and why.
+_RANK_ONLY_DECOMPOSITIONS = {
+    ("outer", "_GreedyScan.grows"):
+        "its prefixes, certificates and nudged frames must be those of re-inducing every "
+        "trial, and eigvalsh ranks some near-parallel trials otherwise than induce's eigh "
+        "(test_scan::test_the_scan_keeps_what_induce_decides_on_near_parallel_frames)",
+}
+
+
+def _rank_only_decompositions(tree) -> set:
+    """The functions and methods (by qualified name) of a module that read
+    only the rank of an ``_outer_spectra`` decomposition: its item 2, or an
+    unpacking that discards the Gram and the spectrum."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            value = None
+            if isinstance(child, ast.Subscript) and isinstance(child.slice, ast.Constant) \
+                    and child.slice.value == 2:
+                value = child.value
+            elif isinstance(child, ast.Assign) and isinstance(child.targets[0], ast.Tuple) and \
+                    all(isinstance(t, ast.Name) and t.id == "_"
+                        for t in child.targets[0].elts[:2]):
+                value = child.value
+            if isinstance(value, ast.Call) and _called(value) == "_outer_spectra":
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_a_rank_only_read_ranks_from_eigenvalues():
+    # outside the scan, a check that reads nothing but an outer rank takes it
+    # from eigvalsh (outer._outer_rank), not from a full eigh decomposition
+    found = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "framekit").glob("*.py")):
+        found |= {(path.stem, fn) for fn in _rank_only_decompositions(ast.parse(path.read_text()))}
+    assert sorted(found) == sorted(_RANK_ONLY_DECOMPOSITIONS)
 
 
 #: The functions that hand ``weighted_norm`` a vector-Gram spectrum: the

@@ -638,15 +638,18 @@ def test_batched_check_equals_per_case_reference(name, reference):
 def test_perturbation_suite_judges_the_frames_the_reference_loop_does(monkeypatch):
     # the radius fuzz row counts failures, which stay 0 whatever noise a frame
     # draws, so the row cannot show a wrong draw: compare the frames whose
-    # outer ranks the two loops decide, the moved ones among them
+    # outer ranks the two loops decide, the moved ones among them, whether
+    # from a full decomposition (induce) or from eigenvalues alone
     seen = []
-    spectra = outer._outer_spectra
 
-    def record(v):
-        seen.extend(np.asarray(v).reshape((-1,) + np.shape(v)[-2:]))
-        return spectra(v)
+    def recording(rule):
+        def record(v):
+            seen.extend(np.asarray(v).reshape((-1,) + np.shape(v)[-2:]))
+            return rule(v)
+        return record
 
-    monkeypatch.setattr(outer, "_outer_spectra", record)
+    for name in ("_outer_spectra", "_outer_rank"):
+        monkeypatch.setattr(outer, name, recording(getattr(outer, name)))
     reference_perturbation_suite()
     reference, seen[:] = sorted(v.tobytes() for v in seen), []
     verify.check_perturbation_suite()
@@ -658,8 +661,9 @@ def test_nudge_repair_nudges_the_frames_the_reference_loop_does(monkeypatch):
     # the rows count failures, which stay 0 whatever frame a wrong nudge
     # returns as long as it is independent and moved little: compare the
     # nudged frames themselves, with the frames and budgets they came from,
-    # and the movements the check measures with the reference loop's sums
-    seen, moves = [], []
+    # and the movements the check measures with the reference loop's sums.
+    # Each (shape, field) group is nudged in one call, at both budgets
+    seen, moves, calls = [], [], []
     batch, single, movement = perturb.nudge_batch, scan_reference.nudge_to_independence, \
         perturb.movement
 
@@ -672,7 +676,10 @@ def test_nudge_repair_nudges_the_frames_the_reference_loop_does(monkeypatch):
 
     def record_batch(vectors, eps):
         nudged = batch(vectors, eps)
-        seen.extend((eps, v.tobytes(), field_of(g), g.tobytes()) for v, g in zip(vectors, nudged))
+        budgets = np.broadcast_to(eps, len(vectors)).tolist()
+        calls.append(sorted(set(budgets)))
+        seen.extend((e, v.tobytes(), field_of(g), g.tobytes())
+                    for e, v, g in zip(budgets, vectors, nudged))
         return nudged
 
     def record_single(f, eps):
@@ -689,6 +696,7 @@ def test_nudge_repair_nudges_the_frames_the_reference_loop_does(monkeypatch):
     assert len(reference) == 400
     assert sorted(seen) == reference
     assert sorted(moves) == sorted((f, g, True) for _, f, _, g in reference)
+    assert calls == [[0.01, 0.1]] * len(verify._random_dependent_stacks(200))
 
 
 def test_nudge_repair_corpus_equals_per_case_draws():
