@@ -141,6 +141,19 @@ def vector_gram(v: np.ndarray) -> np.ndarray:
     return v.conj() @ v.swapaxes(-1, -2)
 
 
+def outer_gram(v: np.ndarray) -> np.ndarray:
+    """The outer Gram |G|^2 of (..., M, N) vector rows, per frame: entry
+    (i, j) is <phi_i phi_i*, phi_j phi_j*>_F = |<phi_j, phi_i>|^2."""
+    return np.abs(vector_gram(v)) ** 2
+
+
+def gram_eigenvalues(v: np.ndarray) -> tuple:
+    """The descending eigenvalues of each vector Gram of (..., M, N) vector
+    rows, and whether each frame's vectors are independent (the rank rule)."""
+    w = matcore.hermitian_eigvalues(vector_gram(v))
+    return w, matcore.rank_from_eigenvalues(w, w.shape[-1:] * 2) == v.shape[-2]
+
+
 def gram(f: Frame) -> np.ndarray:
     """G = T* T; G[i, j] = <phi_j, phi_i>."""
     return vector_gram(f.vectors)
@@ -160,15 +173,15 @@ def frame_bounds(f: Frame) -> BoundsReport:
 
 def riesz_bounds(f: Frame) -> BoundsReport:
     """Optimal Riesz bounds: extreme eigenvalues of the Gram matrix."""
-    w = matcore.hermitian_eigvalues(gram(f))
-    if matcore.rank_from_eigenvalues(w, (f.m, f.m)) < f.m:
+    w, independent = gram_eigenvalues(f.vectors)
+    if not independent:
         raise NotIndependent("vectors are linearly dependent at tolerance")
     return _bounds_report(w[-1], w[0])
 
 
 def frame_potential(f: Frame) -> float:
     """Sum of |<phi_i, phi_j>|^2 over all ordered pairs."""
-    return float(np.sum(np.abs(gram(f)) ** 2))
+    return float(np.sum(outer_gram(f.vectors)))
 
 
 def inverse_frame_operator(f: Frame) -> np.ndarray:
@@ -202,8 +215,7 @@ def is_equiangular(f: Frame):
         raise NotUnitNorm("equiangularity is defined for unit-norm sequences")
     if f.m < 2:
         return 0.0
-    g2 = np.abs(gram(f)) ** 2
-    off = g2[~np.eye(f.m, dtype=bool)]
+    off = outer_gram(f.vectors)[~np.eye(f.m, dtype=bool)]
     if off.max() - off.min() <= EQUIANGULAR_TOL:
         return float(off.mean())
     return None

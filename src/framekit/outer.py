@@ -30,8 +30,8 @@ from .errors import (
     ShapeMismatch,
     ZeroVector,
 )
-from .frame import (BoundsReport, Frame, _bounds_report, checked_vectors, field_of, unit_norm,
-                    vector_gram)
+from .frame import (BoundsReport, Frame, _bounds_report, checked_vectors, field_of, outer_gram,
+                    unit_norm, vector_gram)
 
 
 def ambient_outer_dim(n: int, field: str) -> int:
@@ -40,16 +40,10 @@ def ambient_outer_dim(n: int, field: str) -> int:
     return n * (n + 1) // 2 if field == "real" else n * n
 
 
-def _outer_gram(v: np.ndarray) -> np.ndarray:
-    """|G|^2 of (..., M, N) vector rows: the outer Gram of a frame, or of each
-    frame of a stack."""
-    return np.abs(vector_gram(v)) ** 2
-
-
 def _outer_spectra(v: np.ndarray):
-    """gram_op = |G|^2, its eigendecomposition and its rank for (..., M, N)
-    vector rows, for a frame or a stack: the outer Gram of every
-    ``OuterBatch`` and every eig-rule step of the greedy scan comes from here.
+    """gram_op = |G|^2 (``frame.outer_gram``), its eigendecomposition and its
+    rank for (..., M, N) vector rows, for a frame or a stack: every
+    ``OuterBatch`` and every eig-rule step of the greedy scan is decomposed here.
 
     The scan keeps this full decomposition although it reads only the rank:
     its prefixes, certificates and nudged frames must be those of
@@ -60,7 +54,7 @@ def _outer_spectra(v: np.ndarray):
     dependent too (``prepare`` raises NotIndependent) or every vector (no
     certificate).
     """
-    gram_op = _outer_gram(v)
+    gram_op = outer_gram(v)
     gram_op.flags.writeable = False
     spectrum = matcore.hermitian_eig(gram_op)
     rank = matcore.rank_from_eigenvalues(spectrum.eigenvalues, gram_op.shape[-2:])
@@ -72,7 +66,7 @@ def _outer_rank(v: np.ndarray):
     for a frame and an array for a stack, from its eigenvalues alone
     (``eigvalsh``, no eigenvectors, phases or copies) by the one rank rule:
     for the checks that read nothing but a rank outside the greedy scan."""
-    gram_op = _outer_gram(v)
+    gram_op = outer_gram(v)
     return matcore.rank_from_eigenvalues(matcore.hermitian_eigvalues(gram_op),
                                          gram_op.shape[-2:])
 
@@ -421,6 +415,13 @@ def _dual_vectors(v: np.ndarray, sd: matcore.SpectralData) -> np.ndarray:
     return (v.swapaxes(-1, -2) @ matcore.spectral_inverse(sd)).swapaxes(-1, -2)
 
 
+def _outer_duals(os_: OuterBatch, sd: matcore.SpectralData) -> np.ndarray:
+    """``outer_duals_of``'s body, given sd, the spectra by which
+    ``_vector_spectra`` ranked the frames' vectors independent."""
+    duals = _dual_vectors(os_.vectors, sd)
+    return _projections(os_, matcore.vectorize_outer(duals)).reshape(duals.shape + (os_.n,))
+
+
 def outer_duals_of(os_: OuterBatch) -> np.ndarray:
     """Biorthogonal systems for independent outer products: (M, N, N) for
     ``induce(f)``, (K, M, N, N) for a stacked ``induce_batch``.
@@ -436,8 +437,7 @@ def outer_duals_of(os_: OuterBatch) -> np.ndarray:
         raise NotIndependent("the vectors themselves must be independent")
     if np.any(os_.rank < os_.m):
         raise NotIndependent("the outer products must be independent")
-    duals = _dual_vectors(os_.vectors, sd)
-    return _projections(os_, matcore.vectorize_outer(duals)).reshape(duals.shape + (os_.n,))
+    return _outer_duals(os_, sd)
 
 
 def outer_duals(f: Frame) -> np.ndarray:
@@ -469,6 +469,12 @@ def cross_gram(f, g) -> np.ndarray:
     return matcore.kronecker(vector_gram(u), vector_gram(w).swapaxes(-1, -2))
 
 
+def _cross_duals(u: np.ndarray, w: np.ndarray, su, sw) -> np.ndarray:
+    """``cross_duals``' body, given su and sw, the spectra by which
+    ``_vector_spectra`` ranked u and w bases."""
+    return _cross_products(_dual_vectors(u, su), _dual_vectors(w, sw))
+
+
 def cross_duals(f, g) -> np.ndarray:
     """Dual basis {dual(phi)_i dual(psi)_j*} of the cross products of two
     bases, as an (N^2, N, N) stack in the order of ``cross_gram``; for two
@@ -485,4 +491,4 @@ def cross_duals(f, g) -> np.ndarray:
     (su, u_free), (sw, w_free) = _vector_spectra(u), _vector_spectra(w)
     if not np.all(u_free & w_free):
         raise NotABasis("input vectors do not form a basis")
-    return _cross_products(_dual_vectors(u, su), _dual_vectors(w, sw))
+    return _cross_duals(u, w, su, sw)

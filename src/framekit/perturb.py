@@ -106,11 +106,7 @@ def _aligned_base(n: int, cplx: bool) -> tuple:
     independence).
     """
     base = (complex_eij_basis(n) if cplx else eij_basis(n)).vectors
-    u = np.full(n, 1.0 / np.sqrt(n))
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    diff = u - e1
-    refl = np.eye(n) - 2.0 * np.outer(diff, diff) / float(diff @ diff)
+    refl = _unitaries_to(np.full((1, n), 1.0 / np.sqrt(n)))[0]
     rotated = []
     for v in base:
         w = refl @ v
@@ -169,6 +165,24 @@ def _delta(ratio: float, eps: float) -> float:
     return delta
 
 
+def _unitaries_to(psi: np.ndarray) -> np.ndarray:
+    """The (K, N, N) unitaries U with U e_1 = psi for a (K, N) stack of unit
+    rows psi: phase-adjusted Householders.  The phase is psi[0] / |psi[0]|
+    with numpy's scalar abs (hypot), 1 when psi[0] is 0, and exactly +-1 on
+    a real row; the reflection is I when psi is e_1 up to the phase."""
+    first = psi[:, 0]
+    size = np.hypot(first.real, first.imag)
+    gamma = np.where(size > 0, first / np.where(size > 0, size, 1.0), 1.0)
+    target = np.conj(gamma)[:, None] * psi
+    eye = np.eye(psi.shape[-1], dtype=target.dtype)
+    d = target - eye[0]
+    dn = (d.conj()[:, None, :] @ d[:, :, None])[:, 0, 0].real  # np.vdot(d, d) per row
+    flat = (dn <= 1e-30)[:, None, None]
+    outer_d = d[:, :, None] * d.conj()[:, None, :]
+    reflection = eye - 2.0 * outer_d / np.where(flat, 1.0, dn[:, None, None])
+    return gamma[:, None, None] * np.where(flat, eye, reflection)
+
+
 def _rotated_bases(psi: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """The (K, D, N) bases of ``nearby_independent_basis`` for a (K, N) stack
     of unit rows and their (K,) budgets, of the family of its dtype: one
@@ -182,24 +196,7 @@ def _rotated_bases(psi: np.ndarray, eps: np.ndarray) -> np.ndarray:
     compressed = np.stack([_compressed_base(n, cplx, d) for d in deltas])[which]
     delta = np.array(deltas)[which]
 
-    # unitaries with U e_1 = psi (phase-adjusted Householder); the phase is
-    # psi[0] / |psi[0]| with numpy's scalar abs (hypot), 1 when psi[0] is 0,
-    # and exactly +-1 on a real row
-    first = psi[:, 0]
-    size = np.hypot(first.real, first.imag)
-    gamma = np.where(size > 0, first / np.where(size > 0, size, 1.0), 1.0)
-    target = np.conj(gamma)[:, None] * psi
-    e1 = np.zeros(n, dtype=target.dtype)
-    e1[0] = 1.0
-    d = target - e1
-    dn = (d.conj()[:, None, :] @ d[:, :, None])[:, 0, 0].real  # np.vdot(d, d) per row
-    eye = np.eye(n, dtype=target.dtype)
-    flat = (dn <= 1e-30)[:, None, None]  # psi is e_1 up to the phase
-    outer_d = d[:, :, None] * d.conj()[:, None, :]
-    reflection = eye - 2.0 * outer_d / np.where(flat, 1.0, dn[:, None, None])
-    unitary = gamma[:, None, None] * np.where(flat, eye, reflection)
-
-    out = (unitary[:, None] @ compressed[..., None])[..., 0]
+    out = (_unitaries_to(psi)[:, None] @ compressed[..., None])[..., 0]
     worst = matcore.scalar_square(matcore.row_norms(out - psi[:, None]).max(axis=-1))
     moved = (eps < 2.0) & (worst >= eps)
     if moved.any():

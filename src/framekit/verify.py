@@ -19,8 +19,11 @@ stacked LAPACK calls per (frame shape, field), and every frame, vector and
 verdict is bit for bit what case-by-case evaluation gives, so the rows are
 the same either way.  The classifier corpus is prepared and classified one
 shape group at a time (``geometry.prepare_batch`` and
-``classify_frames``), and the duals invert the vector-Gram
-eigendecompositions that their filters ranked.  ``nudge-repair`` ranks
+``classify_frames``), and the dual rows run the bodies of
+``outer_duals_of`` and ``cross_duals`` (``outer._outer_duals`` and
+``outer._cross_duals``) on the vector-Gram eigendecompositions that their
+filters ranked.  The other vector-Gram filters rank as ``riesz_bounds``
+does, through ``frame.gram_eigenvalues``.  ``nudge-repair`` ranks
 (does not induce) each (shape, field) group of its corpus, stacks the
 dependent frames once per budget and nudges them in one
 ``perturb.nudge_batch`` call with a budget per frame, then judges the
@@ -54,7 +57,7 @@ import numpy as np
 from . import constructions as cons
 from . import geometry, matcore, outer, perturb
 from .errors import BadParam, ShapeMismatch
-from .frame import Frame, riesz_bounds, vector_gram
+from .frame import Frame, gram_eigenvalues, riesz_bounds, vector_gram
 from .rng import Stream, box_muller, normal_words, unit_rows, unit_vectors, word_uniforms
 
 
@@ -88,13 +91,6 @@ def _random_stacks(specs) -> list:
     groups = _index_groups((n, m, field) for n, m, _, field in specs)
     return [(np.array(idx), cons.random_unit_stack(n, m, [specs[i][2] for i in idx], field))
             for (n, m, field), idx in groups.items()]
-
-
-def _gram_eigvalues(v) -> tuple:
-    """The descending eigenvalues of each vector Gram of a (K, m, n) stack and
-    whether its vectors are independent, read from them as riesz_bounds does."""
-    w = matcore.hermitian_eigvalues(vector_gram(v))
-    return w, matcore.rank_from_eigenvalues(w, w.shape[-1:] * 2) == v.shape[-2]
 
 
 def _kept_groups(specs, keep) -> list:
@@ -361,10 +357,13 @@ def check_hadamard_gram():
     for (idx, v), words in zip(stacks, scales):
         v[idx % 3 == 0] *= (0.5 + word_uniforms(words))[..., None]
         gram_op, spectrum, _ = outer._outer_spectra(v)
-        g = vector_gram(v)
-        dev = np.linalg.norm(gram_op - np.abs(g) ** 2, axis=(-2, -1))
+        # |G|^2 as frame.outer_gram forms it, against its definition: the
+        # Frobenius inner products Re(conj(S) S^T) of the outer products
+        s = matcore.vectorize_outer(v)
+        dev = np.linalg.norm(gram_op - np.real(s.conj() @ s.swapaxes(-1, -2)), axis=(-2, -1))
         worst_id = max(worst_id, float(dev.max()))
         w = spectrum.eigenvalues
+        g = vector_gram(v)
         gw = matcore.hermitian_eigvalues(g)
         d = np.diagonal(g, axis1=-2, axis2=-1).real
         lo = d.min(axis=-1) * gw[:, -1]
@@ -507,9 +506,8 @@ def check_outer_duals():
 
     _first_kept(_outer_duals_spec, 100, keep)  # the first 100 k that pass
     worst = 0.0
-    for batch, sd in kept:  # outer_duals_of's body, on the spectra that kept them
-        duals = outer._projections(batch, matcore.vectorize_outer(
-            outer._dual_vectors(batch.vectors, sd)))
+    for batch, sd in kept:
+        duals = outer._outer_duals(batch, sd).reshape(batch.vectors.shape[:2] + (-1,))
         bio = np.real(matcore.vectorize_outer(batch.vectors).conj() @ duals.swapaxes(-1, -2))
         worst = max(worst, float(np.max(np.abs(bio - np.eye(batch.m)))))
     return [_row("outer-duals", "biorthogonality over 100 configurations", worst,
@@ -568,7 +566,7 @@ def check_cross_products():
         specs.append((n, n, min(2 + (k // 2) % 2, n), 9000 + k, 9500 + k,
                       "complex" if k % 2 else "real"))
     for u, w in _pair_stacks(specs):
-        (wf, u_free), (wg, w_free) = _gram_eigvalues(u), _gram_eigvalues(w)
+        (wf, u_free), (wg, w_free) = gram_eigenvalues(u), gram_eigenvalues(w)
         products = np.sort((wf[:, :, None] * wg[:, None, :]).reshape(len(u), -1))[:, ::-1]
         wh = matcore.hermitian_eigvalues(outer.cross_gram(u, w))
         worst_spec = max(worst_spec, float(np.max(np.abs(wh - products))))
@@ -585,10 +583,7 @@ def check_cross_products():
         if not bases.any():
             continue
         u, w = u[bases], w[bases]
-        # cross_duals' body, on the spectra that found the bases
-        duals = outer._cross_products(outer._dual_vectors(u, su.take(bases)),
-                                      outer._dual_vectors(w, sw.take(bases)))
-        duals = duals.reshape(len(u), n * n, -1)
+        duals = outer._cross_duals(u, w, su.take(bases), sw.take(bases)).reshape(len(u), n * n, -1)
         originals = outer._cross_products(u, w).reshape(len(u), n * n, -1)
         bio = np.abs(duals.conj() @ originals.swapaxes(-1, -2))
         worst_dual = max(worst_dual, float(np.max(np.abs(bio - np.eye(n * n)))))
@@ -823,7 +818,7 @@ def _envelope_excess(stream) -> float:
         n = 2 + k % 3
         specs.append((n, 2 + k % n if n > 2 else 2, 13000 + k, "complex" if k % 2 else "real"))
     groups = [(idx[ok], v[ok], w[ok]) for idx, v in _random_stacks(specs)
-              for w, ok in [_gram_eigvalues(v)] if ok.any()]
+              for w, ok in [gram_eigenvalues(v)] if ok.any()]
     draws = _group_words(stream, len(specs), [
         (idx, normal_words(v[0].size, np.iscomplexobj(v)) + 1) for idx, v, _ in groups])
     worst = -np.inf

@@ -322,6 +322,25 @@ class TestClassify:
         with pytest.raises(InternalInconsistency):
             geometry.classify(f, candidate)
 
+    def test_the_rank_comparison_catches_what_the_schur_bound_cannot(self, monkeypatch):
+        # ROADMAP item 21's near-parallel family at seed 7: the prefix keeps
+        # b0 and x = b0 + 1e-7 w, so the prepared Gram's lambda_min is near
+        # its rank threshold and the Schur bound exceeds 0.5.  The candidate
+        # b1 is exactly dependent; forcing its value down by 0.5 makes it
+        # "independent", and only the bordered rank, still M, can say no
+        b = cons.random_unit(3, 3, 7).vectors
+        w = cons.random_unit(3, 1, 1007).vectors[0]
+        x = (b[0] + 1e-7 * w) / np.linalg.norm(b[0] + 1e-7 * w)
+        f = Frame.from_vectors(np.array([b[0], -b[0], x, b[1], b[2]]))
+        assert geometry.classify(f, b[1]).verdict == "dependent"
+        exact = geometry._inverse_gram_form
+        monkeypatch.setattr(geometry, "_inverse_gram_form", lambda sd, w: exact(sd, w) - 0.5)
+        with pytest.raises(InternalInconsistency, match="rank comparison"):
+            geometry.classify(f, b[1])
+        prep = geometry.prepare(f)
+        tv = b[1][None] @ prep.outer.vectors.conj().swapaxes(-1, -2)
+        assert geometry._classified(prep, tv, geometry.DEFAULT_VERDICT_TOL)[1].bound[0] > 0.5
+
 
 class TestFramesOfAnyNorm:
     """prepare equilibrates the outer Gram to unit diagonal, so neither the

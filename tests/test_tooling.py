@@ -15,7 +15,8 @@ one spectral path: its decompositions are the ``np.linalg`` calls listed in
 ``_LINALG_CALLS``, and no module adds its own; nor does any module outside
 ``matcore`` divide by eigenvalues but the listed exception, nor rank a Gram
 or bordered matrix by SVD but the oracle row; only ``ellipsoid_residual``
-reads a vector-Gram spectrum through ``weighted_norm``; and only
+reads a vector-Gram spectrum through ``weighted_norm``; only
+``frame.outer_gram`` takes the Hadamard square |G|^2 of a vector Gram; and only
 ``rank_from_singular_values`` and ``psd_extension``'s positive-eigenvalue
 mask read the one rank threshold, unscaled; only the greedy scan reads
 nothing but the rank of a full outer decomposition.  ``verify``'s PSD
@@ -457,6 +458,41 @@ def test_one_ellipsoid_computation():
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "framekit").glob("*.py")):
         found |= {(path.stem, fn) for fn in _vector_gram_norms(ast.parse(path.read_text()))}
     assert sorted(found) == _ELLIPSOID_NORMS
+
+
+#: The function that forms the outer Gram |G|^2, the Hadamard square of a vector Gram.
+_HADAMARD_SQUARES = [("frame", "outer_gram")]
+
+
+def _hadamard_squares(tree) -> set:
+    """The functions of a module that take ``abs(.) ** 2`` of a vector Gram:
+    of a ``gram`` or ``vector_gram`` call, directly or through a name bound
+    to one (``_taint``, one function at a time: across ``verify``'s
+    functions, a Gram-derived value handed to ``_row`` would taint every
+    check row and, through the helpers they share, every corpus)."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        _, tainted, reads = _taint(ast.Module(body=[fn], type_ignores=[]), lambda n: (
+            isinstance(n, ast.Call) and _called(n) in ("gram", "vector_gram")))
+        if any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+               and isinstance(node.right, ast.Constant) and node.right.value == 2
+               and isinstance(node.left, ast.Call) and _called(node.left) == "abs"
+               and any(reads(arg, tainted[fn.name]) for arg in node.left.args)
+               for node in ast.walk(fn)):
+            found.add(fn.name)
+    return found
+
+
+def test_one_former_of_the_outer_gram():
+    # |G|^2 is formed by frame.outer_gram alone: the outer spectra, the frame
+    # potential and equiangularity read it, and verify's Hadamard row checks
+    # it against its definition, not against a second copy of the formula
+    found = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "framekit").glob("*.py")):
+        found |= {(path.stem, fn) for fn in _hadamard_squares(ast.parse(path.read_text()))}
+    assert sorted(found) == _HADAMARD_SQUARES
 
 
 def test_no_self_adjoint_matrix_goes_through_svd(monkeypatch):

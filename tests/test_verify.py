@@ -272,7 +272,9 @@ def reference_hadamard_gram():
             f = Frame(field=f.field, vectors=f.vectors * scales[:, None])
         g = gram(f)
         os_ = outer.induce(f)
-        worst_id = max(worst_id, float(np.linalg.norm(os_.gram_op - np.abs(g) ** 2)))
+        # the outer Gram's definition: Frobenius inner products of the outers
+        s = matcore.vectorize_outer(f.vectors)
+        worst_id = max(worst_id, float(np.linalg.norm(os_.gram_op - np.real(s.conj() @ s.T))))
         w = os_.gram_spectrum.eigenvalues
         gw = matcore.hermitian_eigvalues(g)
         d = np.diag(g).real
